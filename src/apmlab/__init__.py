@@ -16,16 +16,14 @@ from .curvature import (
     random_p_tensor,
     sectional_curvatures,
 )
-from .exprs import EvalError, Jet, ParseError, ScalarExpr, eval_jet, parse_expr
+from .exprs import EvalError, ParseError, ScalarExpr, eval_jet, parse_expr
 from .germs import (
     ChartGerm,
     ConnectionParams,
     GermFrame,
     conformal_flat_product_germ,
-    contorsion,
     d_scalar,
     flat_product_germ,
-    torsion_from_params,
 )
 from .report import CheckReport, emit_report, load_report
 from .scenarios import (

@@ -10,18 +10,19 @@ Grammar (recursive descent, standard precedence ^ > unary - > *,/ > +,-):
     func   := 'exp' | 'sin' | 'cos' | 'ln'
     ident  := 'x1' .. 'x<dim>'
 
-Evaluation produces a ``Jet`` carrying the value together with the gradient,
-Hessian and symmetric third-derivative array (order <= 3), computed by jet
-arithmetic rather than finite differencing.
+Evaluation produces a 0-d ``JetTensor`` carrying the value together with
+the derivatives up to any requested order, computed by jet arithmetic rather
+than finite differencing.
 """
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
 
 import numpy as np
+
+from .jetfields import JetTensor
 
 FUNCTIONS = ("exp", "sin", "cos", "ln")
 
@@ -39,162 +40,22 @@ class EvalError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Jets
-
-
-def _sym_lone(m: np.ndarray) -> np.ndarray:
-    # Symmetrize a (..., i, j | k) product term over the three placements of
-    # the lone derivative index; input is symmetric in its first two axes.
-    return m + np.einsum("...ikj->...ijk", m) + np.einsum("...jki->...ijk", m)
-
-
-@dataclass(frozen=True)
-class Jet:
-    """Value plus derivatives up to the carried order at one point."""
-
-    value: float
-    grad: np.ndarray | None = None
-    hess: np.ndarray | None = None
-    third: np.ndarray | None = None
-
-    @property
-    def order(self) -> int:
-        return sum(x is not None for x in (self.grad, self.hess, self.third))
-
-    @staticmethod
-    def constant(value: float, dim: int, order: int) -> "Jet":
-        parts = [np.zeros((dim,) * k) for k in range(1, order + 1)]
-        return Jet(float(value), *parts)
-
-    @staticmethod
-    def variable(value: float, index: int, dim: int, order: int) -> "Jet":
-        jet = Jet.constant(value, dim, order)
-        if order >= 1:
-            jet.grad[index] = 1.0
-        return jet
-
-    def __add__(self, other: "Jet") -> "Jet":
-        return _zip_jets(self, other, lambda a, b: a + b)
-
-    def __sub__(self, other: "Jet") -> "Jet":
-        return _zip_jets(self, other, lambda a, b: a - b)
-
-    def __neg__(self) -> "Jet":
-        parts = [None if p is None else -p for p in (self.grad, self.hess, self.third)]
-        return Jet(-self.value, *parts)
-
-    def __mul__(self, other: "Jet") -> "Jet":
-        order = min(self.order, other.order)
-        a, b = self, other
-        value = a.value * b.value
-        grad = hess = third = None
-        if order >= 1:
-            grad = a.grad * b.value + a.value * b.grad
-        if order >= 2:
-            cross = np.outer(a.grad, b.grad)
-            hess = a.hess * b.value + a.value * b.hess + cross + cross.T
-        if order >= 3:
-            third = (
-                a.third * b.value
-                + a.value * b.third
-                + _sym_lone(a.hess[:, :, None] * b.grad[None, None, :])
-                + _sym_lone(b.hess[:, :, None] * a.grad[None, None, :])
-            )
-        return Jet(value, grad, hess, third)
-
-    def __truediv__(self, other: "Jet") -> "Jet":
-        if other.value == 0.0:
-            raise EvalError("division by zero")
-        return self * other._compose(
-            1.0 / other.value,
-            -1.0 / other.value**2,
-            2.0 / other.value**3,
-            -6.0 / other.value**4,
-        )
-
-    def _compose(self, f0: float, f1: float, f2: float, f3: float) -> "Jet":
-        # Chain rule for a scalar function with derivative values f0..f3 at
-        # self.value.
-        order = self.order
-        value = f0
-        grad = hess = third = None
-        if order >= 1:
-            grad = f1 * self.grad
-        if order >= 2:
-            hess = f2 * np.outer(self.grad, self.grad) + f1 * self.hess
-        if order >= 3:
-            g = self.grad
-            third = (
-                f3 * g[:, None, None] * g[None, :, None] * g[None, None, :]
-                + f2 * _sym_lone(self.hess[:, :, None] * g[None, None, :])
-                + f1 * self.third
-            )
-        return Jet(value, grad, hess, third)
-
-    def exp(self) -> "Jet":
-        e = math.exp(self.value)
-        return self._compose(e, e, e, e)
-
-    def sin(self) -> "Jet":
-        s, c = math.sin(self.value), math.cos(self.value)
-        return self._compose(s, c, -s, -c)
-
-    def cos(self) -> "Jet":
-        s, c = math.sin(self.value), math.cos(self.value)
-        return self._compose(c, -s, -c, s)
-
-    def ln(self) -> "Jet":
-        if self.value <= 0.0:
-            raise EvalError("ln of non-positive value")
-        v = self.value
-        return self._compose(math.log(v), 1.0 / v, -1.0 / v**2, 2.0 / v**3)
-
-    def powi(self, k: int) -> "Jet":
-        if k == 0:
-            dim = 0 if self.grad is None else self.grad.shape[0]
-            return Jet.constant(1.0, dim, self.order)
-        v = self.value
-        if v == 0.0 and k < 0:
-            raise EvalError("division by zero")
-
-        def d(exponent: int) -> float:
-            if v == 0.0:
-                return 0.0 if exponent > 0 else (1.0 if exponent == 0 else math.inf)
-            return float(v**exponent)
-
-        return self._compose(
-            d(k),
-            k * d(k - 1),
-            k * (k - 1) * d(k - 2),
-            k * (k - 1) * (k - 2) * d(k - 3),
-        )
-
-
-def _zip_jets(a: Jet, b: Jet, op) -> Jet:
-    order = min(a.order, b.order)
-    parts_a = (a.grad, a.hess, a.third)
-    parts_b = (b.grad, b.hess, b.third)
-    parts = [op(parts_a[k], parts_b[k]) if k < order else None for k in range(3)]
-    return Jet(op(a.value, b.value), *parts)
-
-
-# ---------------------------------------------------------------------------
 # Expression trees
 
 
 class ScalarExpr:
     """Immutable expression node; subclasses implement _eval and _fmt."""
 
-    def eval_jet(self, point: np.ndarray, order: int = 3) -> Jet:
-        if not 0 <= order <= 3:
-            raise ValueError("jet order must be between 0 and 3")
+    def eval_jet(self, point: np.ndarray, order: int = 3) -> JetTensor:
+        if order < 0:
+            raise ValueError("jet order must be non-negative")
         point = np.asarray(point, dtype=float)
         return self._eval(point, order)
 
     def __call__(self, point: np.ndarray) -> float:
-        return self.eval_jet(point, order=0).value
+        return float(self.eval_jet(point, order=0).values)
 
-    def _eval(self, point: np.ndarray, order: int) -> Jet:
+    def _eval(self, point: np.ndarray, order: int) -> JetTensor:
         raise NotImplementedError
 
     def __str__(self) -> str:
@@ -213,7 +74,7 @@ class Const(ScalarExpr):
     value: float
 
     def _eval(self, point, order):
-        return Jet.constant(self.value, point.shape[0], order)
+        return JetTensor.constant(self.value, point.shape[0], order)
 
     def _fmt(self, parent_prec):
         v = self.value
@@ -230,7 +91,7 @@ class Var(ScalarExpr):
     def _eval(self, point, order):
         if self.index >= point.shape[0]:
             raise EvalError(f"coordinate x{self.index + 1} out of range for point")
-        return Jet.variable(point[self.index], self.index, point.shape[0], order)
+        return JetTensor.variable(point[self.index], self.index, point.shape[0], order)
 
     def _fmt(self, parent_prec):
         return f"x{self.index + 1}"
@@ -253,6 +114,8 @@ class Binary(ScalarExpr):
             return a - b
         if self.op == "*":
             return a * b
+        if b.values == 0.0:
+            raise EvalError("division by zero")
         return a / b
 
     def _fmt(self, parent_prec):
@@ -280,7 +143,10 @@ class Pow(ScalarExpr):
     exponent: int
 
     def _eval(self, point, order):
-        return self.base._eval(point, order).powi(self.exponent)
+        base = self.base._eval(point, order)
+        if self.exponent < 0 and base.values == 0.0:
+            raise EvalError("division by zero")
+        return base.powi(self.exponent)
 
     def _fmt(self, parent_prec):
         return _wrap(f"{self.base._fmt(5)}^{self.exponent}", 4, parent_prec)
@@ -292,7 +158,10 @@ class Func(ScalarExpr):
     argument: ScalarExpr
 
     def _eval(self, point, order):
-        return getattr(self.argument._eval(point, order), self.name)()
+        argument = self.argument._eval(point, order)
+        if self.name == "ln" and argument.values <= 0.0:
+            raise EvalError("ln of non-positive value")
+        return getattr(argument, self.name)()
 
     def _fmt(self, parent_prec):
         return f"{self.name}({self.argument._fmt(0)})"
@@ -425,6 +294,6 @@ def parse_expr(src: str, dim: int | None = None) -> ScalarExpr:
     return _Parser(src, dim).parse()
 
 
-def eval_jet(expr: ScalarExpr, point: np.ndarray, order: int = 3) -> Jet:
-    """Evaluate with exact derivatives up to ``order`` (0..3)."""
+def eval_jet(expr: ScalarExpr, point: np.ndarray, order: int = 3) -> JetTensor:
+    """Evaluate with exact derivatives up to ``order`` (any order >= 0)."""
     return expr.eval_jet(point, order)

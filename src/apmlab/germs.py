@@ -18,6 +18,7 @@ checked consequence on conformal-class germs, not an assumption.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -26,8 +27,6 @@ import numpy as np
 from .exprs import Binary, Const, Func, ScalarExpr, parse_expr
 from .jetfields import JetTensor, jt_einsum, jt_inverse
 from .tensors import PointStructure, StructureError, frob
-
-DEFAULT_FD_STEP = 1e-4
 
 
 def default_base_point(dim: int) -> np.ndarray:
@@ -163,18 +162,29 @@ def conformal_flat_product_germ(n: int, u, name: str | None = None) -> ChartGerm
 
 
 def _grid_jets(grid, point: np.ndarray, order: int, dim: int) -> JetTensor:
-    jets = np.empty((dim, dim), dtype=object)
-    for i in range(dim):
-        for j in range(dim):
-            jets[i, j] = grid[i][j].eval_jet(point, order)
-    return JetTensor.from_jets(jets, dim, order)
+    """Stack the jets of a grid of expressions, evaluating each distinct entry once."""
+    jets: dict[ScalarExpr, JetTensor] = {}
+    for row in grid:
+        for entry in row:
+            if entry not in jets:
+                jets[entry] = entry.eval_jet(point, order)
+    return JetTensor(
+        tuple(
+            np.array([[jets[entry].data[k] for entry in row] for row in grid])
+            for k in range(order + 1)
+        ),
+        dim,
+    )
 
 
 class GermFrame:
     """Levi-Civita pipeline of a germ at one point, on derivative jets.
 
-    With evaluation order 3 the curvature tensor retains one exact derivative
-    level, so covariant derivatives of curvature need no finite differencing.
+    Each derivative taken along the pipeline costs one jet order: the
+    Christoffel symbols carry order - 1 and the curvature tensors order - 2.
+    Order 3 leaves one exact derivative of curvature, so covariant derivatives
+    of curvature need no finite differencing; order 4 leaves exact Hessians
+    of the scalar curvatures.
     """
 
     def __init__(self, germ: ChartGerm, point, order: int = 3):
@@ -183,6 +193,7 @@ class GermFrame:
         self.order = order
         self.dim = germ.dim
         self.n = germ.n
+        self._connections = weakref.WeakValueDictionary()
 
     # -- fields ---------------------------------------------------------------
 
@@ -196,12 +207,14 @@ class GermFrame:
 
     @cached_property
     def g_inv(self) -> JetTensor:
-        return jt_inverse(self.g)
+        # One order below g, like g_assoc: every consumer pairs them with
+        # derivatives of g or with the Lee form.
+        return jt_inverse(self.g.truncated(max(self.order - 1, 0)))
 
     @cached_property
     def g_assoc(self) -> JetTensor:
         # g~(y, z) = g(y, Pz)
-        return jt_einsum("im,mj->ij", self.g, self.p)
+        return jt_einsum("im,mj->ij", self.g.truncated(max(self.order - 1, 0)), self.p)
 
     @cached_property
     def structure(self) -> PointStructure:
@@ -277,13 +290,27 @@ class GermFrame:
         }
 
     def connection(self, params: ConnectionParams) -> "ConnectionFrame":
-        return ConnectionFrame(self, params)
+        """The natural connection ``params`` on this frame.
+
+        While a caller holds the result, equal params return the same object,
+        so its torsion, R' and tau' are computed once.  The frame refers to its
+        connections weakly: each connection refers to its frame, and links both
+        ways would form a cycle that keeps large jets alive until the garbage
+        collector runs.
+        """
+        cf = self._connections.get(params)
+        if cf is None:
+            cf = ConnectionFrame(self, params)
+            self._connections[params] = cf
+        return cf
 
 
 def _curvature_of(gamma: JetTensor) -> JetTensor:
     """R^l_{ijk} of a coordinate connection Gamma^l_{ij} (direction-first)."""
     dgamma = gamma.partial()  # dgamma[l, a, b, c] = d_c Gamma^l_{ab}
-    quad = jt_einsum("lim,mjk->lijk", gamma, gamma)
+    # The sum below carries the order of dgamma, so the product needs no more.
+    lower = gamma.truncated(dgamma.order)
+    quad = jt_einsum("lim,mjk->lijk", lower, lower)
     return (
         dgamma.transpose("ljki->lijk")
         - dgamma.transpose("likj->lijk")
@@ -292,32 +319,23 @@ def _curvature_of(gamma: JetTensor) -> JetTensor:
     )
 
 
-def torsion_from_params(ps: PointStructure, theta: np.ndarray,
-                        params: ConnectionParams) -> np.ndarray:
-    """Pointwise torsion tensor of the natural-connection family, all indices down."""
-    g, gp = ps.g, ps.g_assoc
-    th = np.asarray(theta, dtype=float)
-    thp = ps.apply_p_form(th)
-    n = ps.n
-
-    def wedge(metric, form):
-        return np.einsum("jk,i->ijk", metric, form) - np.einsum("ik,j->ijk", metric, form)
-
-    t = wedge(g, thp) / (2 * n)
-    t = t + params.lam * (wedge(g, th) + wedge(gp, thp))
-    t = t + params.mu * (wedge(gp, th) + wedge(g, thp))
-    return t
-
-
-def contorsion(torsion: np.ndarray) -> np.ndarray:
+def _contorsion_of(t: JetTensor) -> JetTensor:
     """K(x,y,z) = {T(x,y,z) - T(y,z,x) + T(z,x,y)} / 2."""
-    return 0.5 * (
-        torsion - np.einsum("jki->ijk", torsion) + np.einsum("kij->ijk", torsion)
-    )
+    return (t - t.transpose("jki->ijk") + t.transpose("kij->ijk")).scaled(0.5)
+
+
+# Derivative levels kept by a connection's cached torsion, contorsion and Gamma'.
+KEPT_ORDER = 1
 
 
 class ConnectionFrame:
-    """A natural connection (lambda, mu) attached to an evaluated germ frame."""
+    """A natural connection (lambda, mu) attached to an evaluated germ frame.
+
+    The cached torsion, contorsion and Gamma' keep KEPT_ORDER derivative
+    levels: apart from R', their consumers read values only.  ``curvature``
+    builds Gamma' at the frame's full order itself and drops it, so a frame
+    holding several connections stays small.
+    """
 
     def __init__(self, frame: GermFrame, params: ConnectionParams):
         self.frame = frame
@@ -327,30 +345,37 @@ class ConnectionFrame:
 
     # -- connection -----------------------------------------------------------
 
-    @cached_property
-    def torsion(self) -> JetTensor:
+    def _torsion_at(self, order: int) -> JetTensor:
         f = self.frame
         lam, mu = self.params.lam, self.params.mu
+        theta, theta_p = f.theta.truncated(order), f.theta_p.truncated(order)
 
         def wedge(metric: JetTensor, form: JetTensor) -> JetTensor:
             return jt_einsum("jk,i->ijk", metric, form) - jt_einsum("ik,j->ijk", metric, form)
 
-        t = wedge(f.g, f.theta_p).scaled(1.0 / (2 * self.n))
-        t = t + (wedge(f.g, f.theta) + wedge(f.g_assoc, f.theta_p)).scaled(lam)
-        t = t + (wedge(f.g_assoc, f.theta) + wedge(f.g, f.theta_p)).scaled(mu)
+        t = wedge(f.g, theta_p).scaled(1.0 / (2 * self.n))
+        t = t + (wedge(f.g, theta) + wedge(f.g_assoc, theta_p)).scaled(lam)
+        t = t + (wedge(f.g_assoc, theta) + wedge(f.g, theta_p)).scaled(mu)
         return t
+
+    def _gamma_of(self, contorsion: JetTensor) -> JetTensor:
+        """Gamma'^m_{ij} = Gamma^m_{ij} + g^{mk} K_{ijk}."""
+        return self.frame.christoffel.truncated(contorsion.order) + jt_einsum(
+            "mk,ijk->mij", self.frame.g_inv, contorsion
+        )
+
+    @cached_property
+    def torsion(self) -> JetTensor:
+        return self._torsion_at(KEPT_ORDER)
 
     @cached_property
     def contorsion(self) -> JetTensor:
-        t = self.torsion
-        return (t - t.transpose("jki->ijk") + t.transpose("kij->ijk")).scaled(0.5)
+        return _contorsion_of(self.torsion)
 
     @cached_property
     def gamma(self) -> JetTensor:
-        """Gamma'^m_{ij} = Gamma^m_{ij} + g^{mk} K_{ijk}."""
-        return self.frame.christoffel + jt_einsum(
-            "mk,ijk->mij", self.frame.g_inv, self.contorsion
-        )
+        """Gamma'^m_{ij}, axes (m; direction i, argument j)."""
+        return self._gamma_of(self.contorsion)
 
     @cached_property
     def torsion_mixed(self) -> np.ndarray:
@@ -388,8 +413,8 @@ class ConnectionFrame:
     @cached_property
     def curvature(self) -> JetTensor:
         """Curvature of the natural connection, all indices down."""
-        up = _curvature_of(self.gamma)
-        return jt_einsum("mijk,ml->ijkl", up, self.frame.g)
+        gamma = self._gamma_of(_contorsion_of(self._torsion_at(self.frame.theta.order)))
+        return jt_einsum("mijk,ml->ijkl", _curvature_of(gamma), self.frame.g)
 
     @cached_property
     def nabla_curvature(self) -> np.ndarray:
@@ -467,15 +492,10 @@ class ConnectionFrame:
 
 
 # ---------------------------------------------------------------------------
-# Finite-difference scalar differentials
+# Finite-difference differentials, kept as oracles for the exact jets
 
 
-class SingularScalarError(ValueError):
-    """A derived scalar pipeline hit a near-zero logarithm argument."""
-
-
-def d_scalar(pipeline, point: np.ndarray, step: float = DEFAULT_FD_STEP
-             ) -> tuple[np.ndarray, np.ndarray]:
+def d_scalar(pipeline, point: np.ndarray, step: float = 1e-4) -> tuple[np.ndarray, np.ndarray]:
     """Central-difference differential with one Richardson extrapolation.
 
     Returns (gradient, per-coordinate error estimate); ``pipeline`` maps a
@@ -509,9 +529,3 @@ def one_form_exterior_fd(form, point: np.ndarray, step: float = 1e-3) -> np.ndar
         e[i] = step
         jac[i] = (np.asarray(form(point + e)) - np.asarray(form(point - e))) / (2.0 * step)
     return jac - jac.T
-
-
-def guarded_log_abs(value: float, floor: float = 1e-12) -> float:
-    if abs(value) < floor:
-        raise SingularScalarError("singular scalar combination")
-    return float(np.log(abs(value)))

@@ -1,21 +1,27 @@
-"""Tensor fields carrying derivative jets, vectorized over components.
+"""Tensor fields carrying derivative jets of any order, vectorized over components.
 
 A ``JetTensor`` stores the component values of a tensor field at one point
 together with their coordinate derivatives up to a chosen order: ``data[k]``
 has the component shape followed by k derivative axes (each of length
-``dim``), symmetric in the derivative axes.  Products propagate derivatives
-by the Leibniz rule through ordinary float einsums, ``partial()`` peels one
-derivative level off (dropping the order by one), and matrix inverses are
-obtained by Newton iteration, which is exact on jets.
+``dim``), symmetric in the derivative axes.  Scalars are 0-d jet tensors.
+
+Products propagate derivatives by the order-k Leibniz rule through ordinary
+float einsums, ``partial()`` peels one derivative level off (dropping the
+order by one), and functions of a jet -- exp, sin, cos, ln, integer powers,
+the reciprocal and the matrix inverse -- follow from the recursion
+
+    f(u) = ( f(u0), the data of f'(u) * du one order lower ),
+
+which needs no table of higher derivatives and is exact at every order.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+from itertools import combinations
+from string import ascii_lowercase, ascii_uppercase
+
 import numpy as np
-
-from .exprs import Jet
-
-_DERIV_LETTERS = "VWXYZ"
 
 
 class JetOrderError(ValueError):
@@ -32,7 +38,7 @@ class JetTensor:
     # -- constructors -------------------------------------------------------
 
     @staticmethod
-    def constant(values: np.ndarray, dim: int, order: int) -> "JetTensor":
+    def constant(values, dim: int, order: int) -> "JetTensor":
         values = np.asarray(values, dtype=float)
         data = [values]
         for k in range(1, order + 1):
@@ -40,19 +46,12 @@ class JetTensor:
         return JetTensor(tuple(data), dim)
 
     @staticmethod
-    def from_jets(jets: np.ndarray, dim: int, order: int) -> "JetTensor":
-        """Assemble from an object array of scalar ``Jet`` results."""
-        jets = np.asarray(jets, dtype=object)
-        shape = jets.shape
-        data = [np.zeros(shape + (dim,) * k) for k in range(order + 1)]
-        for idx in np.ndindex(shape):
-            jet: Jet = jets[idx]
-            if jet.order < order:
-                raise JetOrderError(f"component jet has order {jet.order} < {order}")
-            parts = (jet.value, jet.grad, jet.hess, jet.third)
-            for k in range(order + 1):
-                data[k][idx] = parts[k]
-        return JetTensor(tuple(data), dim)
+    def variable(value: float, index: int, dim: int, order: int) -> "JetTensor":
+        """The coordinate function x_<index> (zero-based) as a 0-d jet."""
+        jet = JetTensor.constant(value, dim, order)
+        if order >= 1:
+            jet.data[1][index] = 1.0
+        return jet
 
     # -- basics --------------------------------------------------------------
 
@@ -67,6 +66,9 @@ class JetTensor:
     @property
     def shape(self) -> tuple[int, ...]:
         return self.data[0].shape
+
+    def truncated(self, order: int) -> "JetTensor":
+        return JetTensor(self.data[: order + 1], self.dim)
 
     def partial(self) -> "JetTensor":
         """Coordinate derivative: appends one axis to the component shape.
@@ -92,6 +94,14 @@ class JetTensor:
     def __neg__(self) -> "JetTensor":
         return JetTensor(tuple(-a for a in self.data), self.dim)
 
+    def __mul__(self, other: "JetTensor") -> "JetTensor":
+        """Componentwise product of two jets of the same component shape."""
+        letters = ascii_lowercase[: len(self.shape)]
+        return jt_einsum(f"{letters},{letters}->{letters}", self, other)
+
+    def __truediv__(self, other: "JetTensor") -> "JetTensor":
+        return self * other.reciprocal()
+
     def scaled(self, factor: float) -> "JetTensor":
         return JetTensor(tuple(factor * a for a in self.data), self.dim)
 
@@ -102,80 +112,102 @@ class JetTensor:
             tuple(np.einsum(f"{src}...->{dst}...", a) for a in self.data), self.dim
         )
 
+    # -- componentwise functions -------------------------------------------------
 
-def _sym_pair(m: np.ndarray) -> np.ndarray:
-    return m + m.swapaxes(-1, -2)
+    def _chain(self, value: np.ndarray, derivative) -> "JetTensor":
+        """Jet of f(self) from f's values and f' as a map of jets one order lower."""
+        if self.order == 0:
+            return JetTensor((value,), self.dim)
+        letters = ascii_lowercase[: len(self.shape)]
+        slope = derivative(self.truncated(self.order - 1))
+        rest = jt_einsum(f"{letters},{letters}z->{letters}z", slope, self.partial())
+        return JetTensor((value,) + rest.data, self.dim)
+
+    def exp(self) -> "JetTensor":
+        return self._chain(np.exp(self.values), JetTensor.exp)
+
+    def sin(self) -> "JetTensor":
+        return self._chain(np.sin(self.values), JetTensor.cos)
+
+    def cos(self) -> "JetTensor":
+        return self._chain(np.cos(self.values), lambda u: -u.sin())
+
+    def ln(self) -> "JetTensor":
+        """Natural logarithm; the caller keeps the values positive."""
+        return self._chain(np.log(self.values), JetTensor.reciprocal)
+
+    def reciprocal(self) -> "JetTensor":
+        """1 / self; the caller keeps the values nonzero."""
+
+        def derivative(u: JetTensor) -> JetTensor:
+            r = u.reciprocal()
+            return -(r * r)
+
+        return self._chain(1.0 / self.values, derivative)
+
+    def powi(self, k: int) -> "JetTensor":
+        """Integer power; a negative exponent needs nonzero values."""
+        if k == 0:
+            return JetTensor.constant(np.ones(self.shape), self.dim, self.order)
+        return self._chain(self.values**k, lambda u: u.powi(k - 1).scaled(k))
 
 
-def _sym_lone(m: np.ndarray) -> np.ndarray:
-    # (..., X, Y | Z) with symmetric (X, Y): sum over placements of Z.
-    return (
-        m
-        + np.einsum("...ikj->...ijk", m)
-        + np.einsum("...jki->...ijk", m)
-    )
+@lru_cache(maxsize=None)
+def _leibniz_plan(spec: str, order: int) -> tuple:
+    """Per derivative order k: (j, einsum spec, shuffles) for each split j + (k-j).
+
+    The einsum pairs a's j-th derivatives with b's (k-j)-th ones, a's
+    derivative axes first.  Each shuffle is one of the C(k, j) placements of
+    a's axes among the k output derivative axes, as a transpose (None for the
+    identity); the symmetric k-th derivative is the sum of those views.
+    """
+    lhs, out = spec.split("->")
+    sa, sb = lhs.split(",")
+    free = [c for c in ascii_uppercase if c not in spec]
+    lead = tuple(range(len(out)))
+    plan = []
+    for k in range(order + 1):
+        d = "".join(free[:k])
+        terms = []
+        for j in range(k + 1):
+            shuffles = []
+            for placed in combinations(range(k), j):
+                source = list(placed) + [p for p in range(k) if p not in placed]
+                axes = lead + tuple(len(out) + source.index(p) for p in range(k))
+                shuffles.append(None if source == list(range(k)) else axes)
+            terms.append((j, f"{sa}{d[:j]},{sb}{d[j:]}->{out}{d}", tuple(shuffles)))
+        plan.append(tuple(terms))
+    return tuple(plan)
 
 
 def jt_einsum(spec: str, a: JetTensor, b: JetTensor) -> JetTensor:
     """Two-operand einsum with Leibniz propagation of the derivative axes."""
-    lhs, out = spec.split("->")
-    sa, sb = lhs.split(",")
-    used = set(spec)
-    free = [c for c in _DERIV_LETTERS if c not in used]
-    x, y, z = free[0], free[1], free[2]
-    order = min(a.order, b.order)
-    es = np.einsum
-
-    data = [es(f"{sa},{sb}->{out}", a.data[0], b.data[0])]
-    if order >= 1:
-        data.append(
-            es(f"{sa}{x},{sb}->{out}{x}", a.data[1], b.data[0])
-            + es(f"{sa},{sb}{x}->{out}{x}", a.data[0], b.data[1])
-        )
-    if order >= 2:
-        mixed = es(f"{sa}{x},{sb}{y}->{out}{x}{y}", a.data[1], b.data[1])
-        data.append(
-            es(f"{sa}{x}{y},{sb}->{out}{x}{y}", a.data[2], b.data[0])
-            + es(f"{sa},{sb}{x}{y}->{out}{x}{y}", a.data[0], b.data[2])
-            + _sym_pair(mixed)
-        )
-    if order >= 3:
-        a2b1 = es(f"{sa}{x}{y},{sb}{z}->{out}{x}{y}{z}", a.data[2], b.data[1])
-        a1b2 = es(f"{sa}{z},{sb}{x}{y}->{out}{x}{y}{z}", a.data[1], b.data[2])
-        data.append(
-            es(f"{sa}{x}{y}{z},{sb}->{out}{x}{y}{z}", a.data[3], b.data[0])
-            + es(f"{sa},{sb}{x}{y}{z}->{out}{x}{y}{z}", a.data[0], b.data[3])
-            + _sym_lone(a2b1)
-            + _sym_lone(a1b2)
-        )
+    plan = _leibniz_plan(spec, min(a.order, b.order))
+    data = []
+    for k, terms in enumerate(plan):
+        total = None
+        for j, es, shuffles in terms:
+            product = np.einsum(es, a.data[j], b.data[k - j])
+            for axes in shuffles:
+                view = product if axes is None else product.transpose(axes)
+                # The first term is a fresh einsum output, so adding in place
+                # never writes into an array that a later view reads.
+                if total is None:
+                    total = view
+                else:
+                    total += view
+        data.append(total)
     return JetTensor(tuple(data), a.dim)
 
 
-def jt_matmul(a: JetTensor, b: JetTensor) -> JetTensor:
-    return jt_einsum("ab,bc->ac", a, b)
-
-
-def jt_inverse(a: JetTensor, newton_steps: int = 3) -> JetTensor:
-    """Inverse of a jet-valued square matrix via Newton iteration.
-
-    Starting from the exact value-level inverse, each step squares the error
-    grading, so two steps already suffice for order <= 3; one extra step is
-    run for slack and the residual is checked.
-    """
+def jt_inverse(a: JetTensor) -> JetTensor:
+    """Inverse X of a jet-valued square matrix A, by d X = -X (d A) X."""
     values = a.values
     if values.ndim != 2 or values.shape[0] != values.shape[1]:
         raise ValueError("jet inverse needs a square matrix of components")
-    eye2 = JetTensor.constant(2.0 * np.eye(values.shape[0]), a.dim, a.order)
-    x = JetTensor.constant(np.linalg.inv(values), a.dim, a.order)
-    for _ in range(newton_steps):
-        x = jt_matmul(x, eye2 - jt_matmul(a, x))
-    residual = jt_matmul(a, x)
-    err = max(
-        float(np.max(np.abs(part - ref)))
-        for part, ref in zip(
-            residual.data, JetTensor.constant(np.eye(values.shape[0]), a.dim, a.order).data
-        )
-    )
-    if not err < 1e-8:
-        raise ValueError(f"jet matrix inverse did not converge (residual {err:.3e})")
-    return x
+    inverse = np.linalg.inv(values)
+    if a.order == 0:
+        return JetTensor((inverse,), a.dim)
+    x = jt_inverse(a.truncated(a.order - 1))
+    rest = -jt_einsum("ab,bcz->acz", x, jt_einsum("abz,bc->acz", a.partial(), x))
+    return JetTensor((inverse,) + rest.data, a.dim)

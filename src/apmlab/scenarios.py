@@ -36,7 +36,6 @@ class Scenario:
     checks: list[str]
     expect_class: str | None = None
     tolerances: dict = field(default_factory=dict)
-    fd_step: float = 1e-4
     seed: int = 0
 
     def context(self, tol_scale: float = 1.0, seed: int | None = None) -> ScenarioContext:
@@ -45,7 +44,6 @@ class Scenario:
             point=self.base_point,
             connections=self.connections,
             seed=self.seed if seed is None else seed,
-            fd_step=self.fd_step,
             expect_class=self.expect_class,
             tolerances=self.tolerances,
             tol_scale=tol_scale,
@@ -156,9 +154,6 @@ def load_scenario(doc: dict, name: str = "scenario") -> Scenario:
     ):
         raise ScenarioError("$.expect_class", f"unknown class label {expect_class!r}")
 
-    fd_step = float(doc.get("fd_step", 1e-4))
-    if not 0 < fd_step < 0.1:
-        raise ScenarioError("$.fd_step", "step must lie in (0, 0.1)")
     seed = doc.get("seed", 0)
     if not isinstance(seed, int) or isinstance(seed, bool):
         raise ScenarioError("$.seed", "expected an integer")
@@ -171,7 +166,6 @@ def load_scenario(doc: dict, name: str = "scenario") -> Scenario:
         checks=checks,
         expect_class=expect_class,
         tolerances=tolerances,
-        fd_step=fd_step,
         seed=seed,
     )
 

@@ -143,11 +143,6 @@ def lee_form_from_f(ps: PointStructure, f: np.ndarray,
     return theta, ps.apply_p_form(theta)
 
 
-def omega_vector(ps: PointStructure, theta: np.ndarray) -> np.ndarray:
-    """Metric dual of the Lee form: g(Omega, x) = theta(x)."""
-    return ps.g_inv @ theta
-
-
 def w1_form(ps: PointStructure, theta: np.ndarray) -> np.ndarray:
     """Characteristic F of the conformal class W1 for a given Lee form."""
     g, gp = ps.g, ps.g_assoc

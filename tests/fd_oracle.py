@@ -11,11 +11,11 @@ import numpy as np
 
 
 def metric_at(germ, pt):
-    return np.array([[e.eval_jet(pt, 0).value for e in row] for row in germ.metric])
+    return np.array([[e.eval_jet(pt, 0).values for e in row] for row in germ.metric])
 
 
 def structure_at(germ, pt):
-    return np.array([[e.eval_jet(pt, 0).value for e in row] for row in germ.structure])
+    return np.array([[e.eval_jet(pt, 0).values for e in row] for row in germ.structure])
 
 
 def _grid_derivative(eval_fn, pt, step):

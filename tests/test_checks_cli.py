@@ -1,6 +1,7 @@
 import json
 import os
 import subprocess
+import sys
 
 import pytest
 
@@ -25,7 +26,7 @@ BUNDLED = [
 
 def run_cli(*args, **kwargs):
     return subprocess.run(
-        ["apmlab", *args], capture_output=True, text=True, check=False, **kwargs
+        [sys.executable, "-m", "apmlab", *args], capture_output=True, text=True, check=False, **kwargs
     )
 
 
@@ -283,3 +284,9 @@ def test_seed_determinism_of_run_scenario():
     assert a == b
     # different seed still passes but may change sampled residuals
     assert all(x["status"] != "fail" for x in c)
+
+
+def test_unknown_scenario_keys_are_ignored():
+    doc = {"germ": {"generator": "flat_product", "n": 2}, "checks": ["structure"],
+           "fd_step": 1e-4}
+    assert exit_code(run_scenario(load_scenario(doc))) == 0

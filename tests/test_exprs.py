@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from apmlab.exprs import EvalError, Jet, ParseError, eval_jet, parse_expr
+from apmlab.exprs import EvalError, ParseError, eval_jet, parse_expr
+from apmlab.jetfields import JetTensor
 
 # Golden corpus: expression, point, expected value (computed with math.*).
 POINT = np.array([0.4, -0.7, 1.3, 2.1])
@@ -58,7 +59,7 @@ def fd_hessian(expr, pt, h=1e-5):
         e = np.zeros(pt.shape[0])
         e[i] = h
         out[:, i] = (
-            eval_jet(expr, pt + e, 1).grad - eval_jet(expr, pt - e, 1).grad
+            eval_jet(expr, pt + e, 1).data[1] - eval_jet(expr, pt - e, 1).data[1]
         ) / (2 * h)
     return out
 
@@ -78,10 +79,10 @@ def test_corpus_jets_match_finite_differences(src, expected):
     expr = parse_expr(src, dim=4)
     jet = eval_jet(expr, POINT, 3)
     grad_fd = fd_gradient(expr, POINT)
-    scale = max(1.0, abs(jet.value))
-    assert np.abs(jet.grad - grad_fd).max() < 1e-6 * scale
+    scale = max(1.0, abs(jet.values))
+    assert np.abs(jet.data[1] - grad_fd).max() < 1e-6 * scale
     hess_fd = fd_hessian(expr, POINT)
-    assert np.abs(jet.hess - hess_fd).max() < 1e-6 * max(1.0, np.abs(jet.hess).max())
+    assert np.abs(jet.data[2] - hess_fd).max() < 1e-6 * max(1.0, np.abs(jet.data[2]).max())
 
 
 @pytest.mark.parametrize("src,expected", CORPUS, ids=[c[0] for c in CORPUS])
@@ -94,26 +95,26 @@ def test_corpus_round_trips_through_printer(src, expected):
 
 def test_polynomial_jet_values():
     jet = eval_jet(parse_expr("x1^2"), np.array([3.0, 0, 0, 0]), 3)
-    assert jet.value == 9.0
-    assert np.allclose(jet.grad, [6, 0, 0, 0])
-    assert np.allclose(jet.hess, np.diag([2.0, 0, 0, 0]))
-    assert np.allclose(jet.third, 0.0)
+    assert jet.values == 9.0
+    assert np.allclose(jet.data[1], [6, 0, 0, 0])
+    assert np.allclose(jet.data[2], np.diag([2.0, 0, 0, 0]))
+    assert np.allclose(jet.data[3], 0.0)
 
 
 def test_exponential_jet_at_origin():
     jet = eval_jet(parse_expr("exp(x1)"), np.zeros(4), 3)
-    assert jet.value == jet.grad[0] == jet.hess[0, 0] == jet.third[0, 0, 0] == 1.0
+    assert jet.values == jet.data[1][0] == jet.data[2][0, 0] == jet.data[3][0, 0, 0] == 1.0
 
 
 def test_mixed_partial_value():
     jet = eval_jet(parse_expr("sin(x1)*x2"), np.array([0.7, 1.3, 0, 0]), 2)
-    assert abs(jet.hess[0, 1] - math.cos(0.7)) < 1e-14
+    assert abs(jet.data[2][0, 1] - math.cos(0.7)) < 1e-14
 
 
 def test_third_derivatives_are_symmetric():
     expr = parse_expr("exp(x1)*sin(x2) + ln(x3 + 2)/x4 - (x1 - x2)^3", dim=4)
     jet = eval_jet(expr, np.array([0.3, -0.4, 0.5, 1.2]), 3)
-    third = jet.third
+    third = jet.data[3]
     for perm in [(1, 0, 2), (0, 2, 1), (2, 1, 0)]:
         assert np.abs(third - third.transpose(perm)).max() == 0.0
 
@@ -156,17 +157,17 @@ def test_eval_domain_errors():
 def test_jet_order_limits():
     expr = parse_expr("x1")
     with pytest.raises(ValueError):
-        eval_jet(expr, np.zeros(4), order=4)
+        eval_jet(expr, np.zeros(4), order=-1)
     jet = eval_jet(expr, np.zeros(4), order=0)
-    assert jet.grad is None and jet.order == 0
+    assert len(jet.data) == 1 and jet.order == 0
 
 
 def test_jet_constant_and_variable_seeds():
-    c = Jet.constant(2.5, 4, 3)
-    v = Jet.variable(1.5, 2, 4, 3)
+    c = JetTensor.constant(2.5, 4, 3)
+    v = JetTensor.variable(1.5, 2, 4, 3)
     s = c * v
-    assert s.value == 3.75
-    assert np.allclose(s.grad, [0, 0, 2.5, 0])
+    assert s.values == 3.75
+    assert np.allclose(s.data[1], [0, 0, 2.5, 0])
 
 
 @settings(max_examples=40, deadline=None)
@@ -180,5 +181,28 @@ def test_division_matches_multiplication_by_reciprocal(seed, denom):
     expr_div = parse_expr(f"(x1 + 2*x2)/{denom!r}", dim=4)
     expr_mul = parse_expr(f"(x1 + 2*x2)*{1.0 / denom!r}", dim=4)
     ja, jb = eval_jet(expr_div, pt, 3), eval_jet(expr_mul, pt, 3)
-    assert abs(ja.value - jb.value) < 1e-12 * max(1, abs(ja.value))
-    assert np.abs(ja.grad - jb.grad).max() < 1e-12
+    assert abs(ja.values - jb.values) < 1e-12 * max(1, abs(ja.values))
+    assert np.abs(ja.data[1] - jb.data[1]).max() < 1e-12
+
+
+@pytest.mark.parametrize("src,expected", CORPUS, ids=[c[0] for c in CORPUS])
+def test_corpus_order4_jets_match_differences_of_order3(src, expected):
+    expr = parse_expr(src, dim=4)
+    jet4 = eval_jet(expr, POINT, 4)
+    jet3 = eval_jet(expr, POINT, 3)
+    for lower, same in zip(jet4.data[:4], jet3.data):
+        assert np.abs(lower - same).max() < 1e-12 * max(1.0, np.abs(same).max())
+    h = 1e-4
+    fourth_fd = np.zeros((4,) * 4)
+    for m in range(4):
+        e = np.zeros(4)
+        e[m] = h
+        fourth_fd[..., m] = (
+            eval_jet(expr, POINT + e, 3).data[3] - eval_jet(expr, POINT - e, 3).data[3]
+        ) / (2 * h)
+    fourth = jet4.data[4]
+    assert np.abs(fourth - fourth_fd).max() < 1e-6 * max(1.0, np.abs(fourth).max())
+    for perm in [(1, 0, 2, 3), (0, 2, 1, 3), (0, 1, 3, 2), (3, 1, 2, 0)]:
+        assert np.abs(fourth - fourth.transpose(perm)).max() < 1e-12 * max(
+            1.0, np.abs(fourth).max()
+        )

@@ -13,17 +13,42 @@ from apmlab.germs import (
     ChartGerm,
     ConnectionParams,
     conformal_flat_product_germ,
-    contorsion,
     d_scalar,
     default_base_point,
     flat_product_germ,
     one_form_exterior_fd,
-    torsion_from_params,
 )
 from apmlab.structure import classify_f, f_symmetry_residuals
-from apmlab.tensors import frob
+from apmlab.tensors import PointStructure, frob
 
 from fd_oracle import curvature_fd, f_tensor_fd, lee_form_fd
+
+
+def torsion_from_params(ps: PointStructure, theta: np.ndarray,
+                        params: ConnectionParams) -> np.ndarray:
+    """Pointwise torsion of the natural-connection family, all indices down.
+
+    A plain-numpy oracle for the jet ``ConnectionFrame.torsion``.
+    """
+    g, gp = ps.g, ps.g_assoc
+    th = np.asarray(theta, dtype=float)
+    thp = ps.apply_p_form(th)
+    n = ps.n
+
+    def wedge(metric, form):
+        return np.einsum("jk,i->ijk", metric, form) - np.einsum("ik,j->ijk", metric, form)
+
+    t = wedge(g, thp) / (2 * n)
+    t = t + params.lam * (wedge(g, th) + wedge(gp, thp))
+    t = t + params.mu * (wedge(gp, th) + wedge(g, thp))
+    return t
+
+
+def contorsion(torsion: np.ndarray) -> np.ndarray:
+    """K(x,y,z) = {T(x,y,z) - T(y,z,x) + T(z,x,y)} / 2, oracle for the jet contorsion."""
+    return 0.5 * (
+        torsion - np.einsum("jki->ijk", torsion) + np.einsum("kij->ijk", torsion)
+    )
 
 
 @pytest.fixture(scope="module")
@@ -241,6 +266,17 @@ def test_d_tilde_contorsion_is_transposed_torsion(separable):
     cf = fr.connection(ConnectionParams.d_tilde(2))
     t = cf.torsion.values
     assert frob(cf.contorsion.values - np.einsum("kji->ijk", t)) < 1e-13
+
+
+def test_connection_frames_are_cached_per_params(separable):
+    fr = separable.frame()
+    cp = ConnectionParams(1.0, 0.0)
+    assert fr.connection(cp) is fr.connection(cp)
+    cf = fr.connection(cp)
+    r_prime = cf.curvature
+    assert fr.connection(ConnectionParams(1.0, 0.0)) is cf
+    assert fr.connection(cp).curvature is r_prime
+    assert fr.connection(ConnectionParams.d()) is not cf
 
 
 def test_flat_connection_is_levi_civita():

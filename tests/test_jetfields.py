@@ -13,11 +13,11 @@ M_EXPR = [["exp(x1) + 2", "x2*x3"], ["x2*x3", "cos(x4) + 3"]]
 
 
 def grid_tensor(grid, pt=POINT, order=3):
-    jets = np.array(
-        [[eval_jet(parse_expr(s, DIM), pt, order) for s in row] for row in grid],
-        dtype=object,
+    jets = [[eval_jet(parse_expr(s, DIM), pt, order) for s in row] for row in grid]
+    return JetTensor(
+        tuple(np.array([[j.data[k] for j in row] for row in jets]) for k in range(order + 1)),
+        DIM,
     )
-    return JetTensor.from_jets(jets, DIM, order)
 
 
 def grid_values(grid, pt):
@@ -31,10 +31,10 @@ def test_product_matches_scalar_jets():
         for k in range(2):
             src = " + ".join(f"({A_EXPR[i][j]})*({B_EXPR[j][k]})" for j in range(2))
             ref = eval_jet(parse_expr(src, DIM), POINT, 3)
-            assert abs(c.data[0][i, k] - ref.value) < 1e-12
-            assert np.abs(c.data[1][i, k] - ref.grad).max() < 1e-12
-            assert np.abs(c.data[2][i, k] - ref.hess).max() < 1e-11
-            assert np.abs(c.data[3][i, k] - ref.third).max() < 1e-11
+            assert abs(c.data[0][i, k] - ref.values) < 1e-12
+            assert np.abs(c.data[1][i, k] - ref.data[1]).max() < 1e-12
+            assert np.abs(c.data[2][i, k] - ref.data[2]).max() < 1e-11
+            assert np.abs(c.data[3][i, k] - ref.data[3]).max() < 1e-11
 
 
 def test_partial_matches_finite_differences():
@@ -100,3 +100,13 @@ def test_scalar_contraction_shapes():
     s = jt_einsum("ab,ab->", a, a)
     assert s.values.shape == ()
     assert s.data[1].shape == (DIM,)
+
+
+def test_inverse_exact_at_order_four():
+    m = grid_tensor(M_EXPR, order=4)
+    m_inv = jt_inverse(m)
+    assert m_inv.order == 4
+    prod = jt_einsum("ab,bc->ac", m, m_inv)
+    eye = JetTensor.constant(np.eye(2), DIM, 4)
+    for lhs, rhs in zip(prod.data, eye.data):
+        assert np.abs(lhs - rhs).max() < 1e-12
