@@ -812,23 +812,16 @@ def check_dim4_round_trip(ctx: ScenarioContext) -> list[CheckReport]:
         s_prime = 0.5 * (random_tensor2(4, seed + 3) + random_tensor2(4, seed + 3).T)
         s_dprime = random_tensor2(4, seed + 4) @ ps.p
         gv = ps.g
-        r_synth = (
-            l
-            - (p_vec @ gv @ p_vec) * pi1
-            - (q_vec @ gv @ q_vec) * pi2
-            - (p_vec @ gv @ q_vec) * pi3
-            - curv.psi1(ps, s_prime)
-            - curv.psi2(ps, s_dprime)
+        corrections = (
+            (p_vec @ gv @ p_vec) * pi1
+            + (q_vec @ gv @ q_vec) * pi2
+            + (p_vec @ gv @ q_vec) * pi3
+            + curv.psi1(ps, s_prime)
+            + curv.psi2(ps, s_dprime)
         )
+        r_synth = l - corrections
         inv_l = curv.curvature_invariants(ps, l)
-        rebuilt = (
-            (inv_l.tau * (pi1 + pi2) + inv_l.tau_star * pi3) / 8
-            - (p_vec @ gv @ p_vec) * pi1
-            - (q_vec @ gv @ q_vec) * pi2
-            - (p_vec @ gv @ q_vec) * pi3
-            - curv.psi1(ps, s_prime)
-            - curv.psi2(ps, s_dprime)
-        )
+        rebuilt = (inv_l.tau * (pi1 + pi2) + inv_l.tau_star * pi3) / 8 - corrections
         worst = max(worst, frob(r_synth - rebuilt))
     report.residuals["round_trip"] = worst
     return [report.finalize()]

@@ -7,6 +7,11 @@ Bianchi identity,
     L(x,y,z,w) + L(y,z,x,w) + L(z,x,y,w) = 0,
 
 and it is a Riemannian P-tensor when additionally L(x,y,Pz,Pw) = L(x,y,z,w).
+Those are exactly the curvature-like tensors on H plus those on V, the P = +1
+and P = -1 eigenspaces (pair symmetry and Bianchi kill the mixed block): a
+space of dimension 2 n^2 (n^2 - 1) / 12.  Masking to the HHHH and VVVV blocks
+of an orthonormal eigenframe commutes with every slot permutation, so the
+orthogonal projection onto it is the curvature-like projection of the mask.
 In dimension 4 every Riemannian P-tensor is a combination of pi1+pi2 and pi3
 with coefficients given by its scalar curvatures; the helpers here build the
 pi tensors, contract Ricci-type invariants, and test the identities.
@@ -21,14 +26,6 @@ import numpy as np
 from .report import CheckReport
 from .structure import adapted_orthonormal_basis, basis_residuals
 from .tensors import DEFAULT_TOL, PointStructure, frob, random_tensor4
-
-PROJECTION_MAX_ITER = 200
-PROJECTION_THRESHOLD = 1e-12
-
-
-class ProjectionError(RuntimeError):
-    """Raised when the P-tensor projection fails to converge."""
-
 
 @dataclass
 class CurvatureInvariants:
@@ -163,28 +160,36 @@ def random_curvature_like(dim: int, seed: int) -> np.ndarray:
     return l / norm if norm > 1e-8 else l
 
 
-def random_p_tensor(ps: PointStructure, seed: int,
-                    max_iter: int = PROJECTION_MAX_ITER,
-                    threshold: float = PROJECTION_THRESHOLD) -> np.ndarray:
-    """Random Riemannian P-tensor via alternating subspace projections.
+def _pull_back(t: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """t(m., m., m., m.) for a rank-4 t, as (m x m)^T t (m x m)."""
+    mm = np.kron(m, m)
+    return (mm.T @ t.reshape(mm.shape) @ mm).reshape(t.shape)
 
-    Alternates the exact curvature-like projection with averaging against the
-    P-twist until the joint residual drops below ``threshold``; the constraint
-    sets are linear subspaces, so the iteration converges.  Output is scaled
-    to unit Frobenius norm.
+
+def p_tensor_projection(ps: PointStructure, t: np.ndarray) -> np.ndarray:
+    """One-shot g-orthogonal projection of t onto the Riemannian P-tensors.
+
+    In the eigenframe Q = [E + PE | E - PE] / sqrt(2) project the HHHH and VVVV
+    blocks curvature-like, drop the rest, and map back with Q^-1 = Q^T g.
     """
-    t = random_tensor4(ps.dim, seed)
-    for _ in range(max_iter):
-        t = _curvature_like_projection(t)
-        t = 0.5 * (t + np.einsum("ijab,ak,bl->ijkl", t, ps.p, ps.p))
-        residuals = curvature_like_residuals(t)
-        residuals["p_invariance"] = p_invariance_residual(ps, t)
-        if max(residuals.values()) < threshold * max(1.0, frob(t)):
-            norm = frob(t)
-            return t / norm if norm > 1e-8 else t
-    raise ProjectionError(
-        f"P-tensor projection did not converge in {max_iter} iterations (seed {seed})"
-    )
+    n = ps.n
+    basis = adapted_orthonormal_basis(ps, tol=DEFAULT_TOL * max(1.0, frob(ps.g)))
+    e, pe = np.split(basis, 2, axis=1)
+    q = np.hstack([e + pe, e - pe]) / np.sqrt(2.0)
+    t_hat = _pull_back(t, q)
+    l_hat = np.zeros_like(t_hat)
+    l_hat[:n, :n, :n, :n] = _curvature_like_projection(t_hat[:n, :n, :n, :n])
+    l_hat[n:, n:, n:, n:] = _curvature_like_projection(t_hat[n:, n:, n:, n:])
+    return _pull_back(l_hat, q.T @ ps.g)
+
+
+def random_p_tensor(ps: PointStructure, seed: int) -> np.ndarray:
+    """Seeded random P-tensor of unit norm: block mask, then curvature-like projection.
+
+    Samples span the whole space, of dimension 2 n^2 (n^2 - 1) / 12.
+    """
+    l = p_tensor_projection(ps, random_tensor4(ps.dim, seed))
+    return l / frob(l)
 
 
 def decompose_dim4(ps: PointStructure, l: np.ndarray) -> tuple[float, float, float]:

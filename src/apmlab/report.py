@@ -21,8 +21,8 @@ class CheckReport:
 
     ``residuals`` maps residual names to nonnegative values, each compared
     against ``tolerances`` (same keys; missing keys fall back to ``tol``).
-    A skipped check records the violated hypothesis and never counts as a
-    failure.
+    A skipped check records the violated hypothesis, carries no residuals and
+    never counts as a failure.
     """
 
     name: str
@@ -54,6 +54,7 @@ class CheckReport:
     def skip(self, reason: str) -> "CheckReport":
         self.skip_reason = reason
         self.status = SKIPPED
+        self.residuals.clear()
         return self
 
     @property

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+import apmlab
 from apmlab.report import CheckReport, emit_report, exit_code, load_report, summarize
 from apmlab.scenarios import (
     ScenarioError,
@@ -24,9 +25,16 @@ BUNDLED = [
 ]
 
 
-def run_cli(*args, **kwargs):
+# The directory this apmlab was imported from, so a child interpreter finds
+# the same package without an install.
+PACKAGE_ROOT = os.path.dirname(os.path.dirname(apmlab.__file__))
+
+
+def run_cli(*args, env=None):
+    env = dict(os.environ if env is None else env)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [PACKAGE_ROOT, env.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-m", "apmlab", *args], capture_output=True, text=True, check=False, **kwargs
+        [sys.executable, "-m", "apmlab", *args], capture_output=True, text=True, check=False, env=env
     )
 
 
@@ -40,10 +48,11 @@ def test_bundled_scenarios_have_no_failures(name):
     reports = run_scenario(scenario)
     assert summarize(reports)["failed"] == 0
     assert exit_code(reports) == 0
-    # skips always carry a reason
+    # skips always carry a reason and never a residual
     for report in reports:
         if report.status == "skipped":
             assert report.skip_reason
+            assert report.residuals == {}, report.name
 
 
 def test_expect_class_mismatch_fails():

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from apmlab.curvature import (
-    ProjectionError,
     ab_forms,
     almost_einstein_check,
     curvature_invariants,
@@ -11,6 +10,7 @@ from apmlab.curvature import (
     is_curvature_like,
     is_p_tensor,
     p_slot_identities,
+    p_tensor_projection,
     pi_tensors,
     psi1,
     psi2,
@@ -21,12 +21,15 @@ from apmlab.curvature import (
 )
 from apmlab.structure import adapted_orthonormal_basis
 from apmlab.tensors import (
+    PointStructure,
     canonical_structure,
     frob,
     random_symmetric2,
     random_tensor2,
+    random_tensor4,
     split_structure,
 )
+from p_tensor_oracle import oracle_random_p_tensor
 
 
 @pytest.fixture(scope="module")
@@ -313,6 +316,56 @@ def test_zero_tensor_passes_predicates(ps4):
     assert is_p_tensor(ps4, zero).passed
 
 
-def test_random_p_tensor_projection_failure_reported(ps4):
-    with pytest.raises(ProjectionError, match="did not converge"):
-        random_p_tensor(ps4, 0, max_iter=1)
+def oblique_structure(dim, seed, scale=1.0):
+    """g = c A^T A and P = A^-1 P0 A: neither g nor P is orthonormal or symmetric."""
+    a = np.eye(dim) + 0.3 * random_tensor2(dim, seed)
+    return PointStructure(scale * a.T @ a, np.linalg.solve(a, split_structure(dim).p @ a))
+
+
+STRUCTURES = [
+    pytest.param(make, dim, id=f"{name}-{dim}")
+    for dim in (4, 6, 8)
+    for name, make in [
+        ("canonical", canonical_structure),
+        ("split", split_structure),
+        ("split_c1.7", lambda d: split_structure(d, 1.7)),
+        ("oblique", lambda d: oblique_structure(d, 3)),
+        ("oblique_1e8", lambda d: oblique_structure(d, 4, 1e8)),
+    ]
+]
+
+
+@pytest.mark.parametrize("make,dim", STRUCTURES)
+def test_random_p_tensor_matches_alternating_projection(make, dim):
+    ps = make(dim)
+    for seed in (0, 1):
+        assert frob(random_p_tensor(ps, seed) - oracle_random_p_tensor(ps, seed)) < 1e-11
+
+
+@pytest.mark.parametrize("make,dim", STRUCTURES)
+def test_p_tensor_projection_is_a_projection_fixing_pi(make, dim):
+    ps = make(dim)
+    t = random_tensor4(dim, 7)
+    pt = p_tensor_projection(ps, t)
+    assert max(is_p_tensor(ps, pt).residuals.values()) < 1e-12
+    assert frob(p_tensor_projection(ps, pt) - pt) < 1e-12 * frob(pt)
+    pi1, pi2, pi3 = pi_tensors(ps)
+    for pi in (pi1 + pi2, pi3):
+        assert frob(p_tensor_projection(ps, pi) - pi) < 1e-12 * frob(pi)
+
+
+@pytest.mark.parametrize("dim", [4, 6, 8])
+def test_p_tensor_projection_is_orthogonal(dim):
+    ps = canonical_structure(dim)
+    t, s = random_tensor4(dim, 1), random_tensor4(dim, 2)
+    pt, p_s = p_tensor_projection(ps, t), p_tensor_projection(ps, s)
+    assert abs(np.sum((t - pt) * p_s)) < 1e-12 * frob(t) * frob(p_s)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_p_tensor_space_dimension(n):
+    # Curv(H) + Curv(V): two copies of the n^2 (n^2 - 1) / 12 curvature-like
+    # tensors of an n-dimensional space.
+    for ps in (canonical_structure(2 * n), oblique_structure(2 * n, 5)):
+        samples = np.stack([random_p_tensor(ps, seed).ravel() for seed in range(60)])
+        assert np.linalg.matrix_rank(samples, tol=1e-9) == 2 * n * n * (n * n - 1) // 12
