@@ -173,7 +173,7 @@ def p_tensor_projection(ps: PointStructure, t: np.ndarray) -> np.ndarray:
     blocks curvature-like, drop the rest, and map back with Q^-1 = Q^T g.
     """
     n = ps.n
-    basis = adapted_orthonormal_basis(ps, tol=DEFAULT_TOL * max(1.0, frob(ps.g)))
+    basis = adapted_orthonormal_basis(ps)
     e, pe = np.split(basis, 2, axis=1)
     q = np.hstack([e + pe, e - pe]) / np.sqrt(2.0)
     t_hat = _pull_back(t, q)

@@ -10,7 +10,9 @@ two-parameter family of natural connections, whose torsion is
              + lam {g(y,z) th(x) - g(x,z) th(y) + g(y,Pz) th(Px) - g(x,Pz) th(Py)}
              + mu  {g(y,Pz) th(x) - g(x,Pz) th(y) + g(y,z) th(Px) - g(x,z) th(Py)}
 
-with th the Lee form.  The connection itself is realized through the
+with th the Lee form.  It is evaluated as T = g^a + g~^b, where
+(m^w)(x,y,z) = m(y,z) w(x) - m(x,z) w(y), a = (1/2n + mu) th o P + lam th and
+b = lam th o P + mu th.  The connection itself is realized through the
 contorsion K(x,y,z) = {T(x,y,z) - T(y,z,x) + T(z,x,y)} / 2, which is the
 unique metric connection with that torsion; parallelism of P is then a
 checked consequence on conformal-class germs, not an assumption.
@@ -24,6 +26,7 @@ from functools import cached_property
 
 import numpy as np
 
+from . import curvature as curv
 from .exprs import Binary, Const, Func, ScalarExpr, parse_expr
 from .jetfields import JetTensor, jt_einsum, jt_inverse
 from .tensors import PointStructure, StructureError, frob
@@ -346,17 +349,14 @@ class ConnectionFrame:
     # -- connection -----------------------------------------------------------
 
     def _torsion_at(self, order: int) -> JetTensor:
+        """The torsion as g^a + g~^b: two outer products H, then H_ijk - H_jik."""
         f = self.frame
         lam, mu = self.params.lam, self.params.mu
         theta, theta_p = f.theta.truncated(order), f.theta_p.truncated(order)
-
-        def wedge(metric: JetTensor, form: JetTensor) -> JetTensor:
-            return jt_einsum("jk,i->ijk", metric, form) - jt_einsum("ik,j->ijk", metric, form)
-
-        t = wedge(f.g, theta_p).scaled(1.0 / (2 * self.n))
-        t = t + (wedge(f.g, theta) + wedge(f.g_assoc, theta_p)).scaled(lam)
-        t = t + (wedge(f.g_assoc, theta) + wedge(f.g, theta_p)).scaled(mu)
-        return t
+        a = theta_p.scaled(1.0 / (2 * self.n) + mu) + theta.scaled(lam)
+        b = theta_p.scaled(lam) + theta.scaled(mu)
+        h = jt_einsum("jk,i->ijk", f.g, a) + jt_einsum("jk,i->ijk", f.g_assoc, b)
+        return h - h.transpose("jik->ijk")
 
     def _gamma_of(self, contorsion: JetTensor) -> JetTensor:
         """Gamma'^m_{ij} = Gamma^m_{ij} + g^{mk} K_{ijk}."""
@@ -417,6 +417,14 @@ class ConnectionFrame:
         return jt_einsum("mijk,ml->ijkl", _curvature_of(gamma), self.frame.g)
 
     @cached_property
+    def p_tensor_residual(self) -> float:
+        """Worst residual of "R' is a Riemannian P-tensor" at the frame's point."""
+        r = self.curvature.values
+        residuals = curv.curvature_like_residuals(r)
+        residuals["p_invariance"] = curv.p_invariance_residual(self.frame.structure, r)
+        return max(residuals.values())
+
+    @cached_property
     def nabla_curvature(self) -> np.ndarray:
         """(grad'_m R')(i,j,k,l) from exact jets, axes (m, i, j, k, l)."""
         r = self.curvature
@@ -448,8 +456,9 @@ class ConnectionFrame:
 
     @cached_property
     def tau_star(self) -> JetTensor:
-        rho_star = jt_einsum("ijkm,ml->ijkl", self.curvature, self.frame.p)
-        rho_star = jt_einsum("il,ijkl->jk", self.frame.g_inv, rho_star)
+        """tau*' = g^il g^jk R'_ijkm P^m_l, with P folded into g^-1 first."""
+        g_inv_p = jt_einsum("il,ml->im", self.frame.g_inv, self.frame.p)
+        rho_star = jt_einsum("im,ijkm->jk", g_inv_p, self.curvature)
         return jt_einsum("jk,jk->", self.frame.g_inv, rho_star)
 
     # -- transfer components -------------------------------------------------------

@@ -92,14 +92,12 @@ def adapted_orthonormal_basis(ps: PointStructure, tol: float = DEFAULT_TOL) -> n
 
     If the coordinate basis is itself adapted it is returned unchanged.
     """
-    if not ps.is_valid(tol):
-        raise StructureError("invalid almost product structure")
+    h, v = projectors(ps, tol)  # validates the structure
     n, dim = ps.n, ps.dim
     eye = np.eye(dim)
     coords_adapted = frob(ps.g - eye) < tol and frob(ps.p[:, :n] - eye[:, n:]) < tol
     if coords_adapted:
         return eye
-    h, v = projectors(ps, tol)
     a = _gram_schmidt(h, ps.g, n)
     x = _gram_schmidt(v, ps.g, n)
     e_half = (a + x) / np.sqrt(2.0)

@@ -85,15 +85,20 @@ class PointStructure:
         return np.asarray(omega, dtype=float) @ self.p
 
     def invariant_residuals(self) -> dict[str, float]:
-        """Residual norms of the defining invariants (zero for a valid structure)."""
+        """Residual norms of the defining invariants (zero for a valid structure).
+
+        The residuals in units of g are divided by max(1, |g|); the others
+        carry no units.
+        """
         eye = np.eye(self.dim)
         eigvals = np.linalg.eigvalsh(0.5 * (self.g + self.g.T))
+        g_scale = max(1.0, frob(self.g))
         return {
             "p_squared": frob(self.p @ self.p - eye),
-            "compatibility": frob(self.p.T @ self.g @ self.p - self.g),
+            "compatibility": frob(self.p.T @ self.g @ self.p - self.g) / g_scale,
             "trace_p": abs(float(np.trace(self.p))),
-            "g_symmetry": frob(self.g - self.g.T),
-            "g_positivity": max(0.0, -float(eigvals[0])),
+            "g_symmetry": frob(self.g - self.g.T) / g_scale,
+            "g_positivity": max(0.0, -float(eigvals[0])) / g_scale,
             "g_inverse": frob(self.g_inv @ self.g - eye),
         }
 

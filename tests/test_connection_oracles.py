@@ -1,0 +1,98 @@
+"""Torsion, Gamma', R', tau' and tau*' of the natural connections against
+the direct transcriptions in ``connection_oracle``, at every derivative level."""
+
+import numpy as np
+import pytest
+
+from apmlab import germs
+from apmlab.germs import KEPT_ORDER, ChartGerm, ConnectionParams, _contorsion_of
+from apmlab.tensors import frob
+
+from connection_oracle import (
+    oracle_curvature,
+    oracle_gamma,
+    oracle_tau,
+    oracle_tau_star,
+    oracle_torsion,
+)
+
+GERMS = {
+    "conformal_d4": germs.conformal_flat_product_germ(2, "exp(x1)*sin(2*x3) + x2*x4"),
+    "conformal_d6": germs.conformal_flat_product_germ(3, "ln(2 + x1^2 + x4^2) + x2*x5"),
+    "conformal_d8": germs.conformal_flat_product_germ(4, "x1^2*x5 + x2*x6 + sin(x3)"),
+    # Non-diagonal metric, block-diagonal against P = diag(1, 1, -1, -1).
+    "grid_d4": ChartGerm.from_strings(
+        4,
+        [
+            ["2 + sin(x1*x3)", "x2*x4/4", "0", "0"],
+            ["x2*x4/4", "exp(x3/3)", "0", "0"],
+            ["0", "0", "1 + x2^2", "cos(x1)/4"],
+            ["0", "0", "cos(x1)/4", "2 + x1*x4"],
+        ],
+        [["1", "0", "0", "0"], ["0", "1", "0", "0"],
+         ["0", "0", "-1", "0"], ["0", "0", "0", "-1"]],
+        name="grid_d4",
+    ),
+}
+
+
+def family(n):
+    """D, D_tilde, the generic (1, 0) and a degenerate lam^2 = mu^2 + mu/2n."""
+    mu = 0.5
+    degenerate = ConnectionParams(float(np.sqrt(mu**2 + mu / (2 * n))), mu)
+    assert degenerate.case(n) == "degenerate"
+    return [ConnectionParams.d(), ConnectionParams.d_tilde(n), ConnectionParams(1.0, 0.0),
+            degenerate]
+
+
+def assert_levels_match(jet, oracle):
+    assert jet.order == oracle.order
+    for k, (value, expected) in enumerate(zip(jet.data, oracle.data)):
+        assert frob(value - expected) <= 1e-12 * max(1.0, frob(expected)), f"level {k}"
+
+
+@pytest.mark.parametrize("order", [3, 4])
+@pytest.mark.parametrize("name", list(GERMS))
+def test_connection_jets_match_oracles(name, order):
+    fr = GERMS[name].frame(order=order)
+    full = fr.theta.order
+    for cp in family(fr.n):
+        cf = fr.connection(cp)
+        assert_levels_match(cf._torsion_at(full), oracle_torsion(cf, full))
+        assert_levels_match(cf.torsion, oracle_torsion(cf, KEPT_ORDER))
+        assert_levels_match(cf._gamma_of(_contorsion_of(cf._torsion_at(full))),
+                            oracle_gamma(cf, full))
+        assert_levels_match(cf.gamma, oracle_gamma(cf, KEPT_ORDER))
+        r_prime = oracle_curvature(cf)
+        assert_levels_match(cf.curvature, r_prime)
+        assert_levels_match(cf.tau, oracle_tau(cf, r_prime))
+        assert_levels_match(cf.tau_star, oracle_tau_star(cf, r_prime))
+
+
+def test_oracles_see_nonzero_curvature():
+    # On the non-diagonal grid every preset carries curvature, so the
+    # comparisons above are not between zeros.
+    fr = GERMS["grid_d4"].frame(order=4)
+    for cp in family(fr.n):
+        cf = fr.connection(cp)
+        assert frob(cf.curvature.values) > 1e-2
+        assert abs(float(cf.tau_star.values)) > 1e-3
+
+
+def test_torsion_takes_two_jet_products(monkeypatch):
+    calls = []
+    einsum = germs.jt_einsum
+
+    def counted(spec, a, b):
+        calls.append(spec)
+        return einsum(spec, a, b)
+
+    fr = GERMS["conformal_d6"].frame(order=4)
+    fr.theta_p, fr.g_assoc  # the frame's own fields are not the torsion's products
+    for cp in family(fr.n):
+        cf = fr.connection(cp)
+        monkeypatch.setattr(germs, "jt_einsum", counted)
+        cf._torsion_at(fr.theta.order)
+        monkeypatch.setattr(germs, "jt_einsum", einsum)
+        assert len(calls) <= 2, calls
+        calls.clear()

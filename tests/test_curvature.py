@@ -19,7 +19,7 @@ from apmlab.curvature import (
     random_p_tensor,
     sectional_curvatures,
 )
-from apmlab.structure import adapted_orthonormal_basis
+from apmlab.structure import adapted_orthonormal_basis, validate_structure
 from apmlab.tensors import (
     PointStructure,
     canonical_structure,
@@ -369,3 +369,11 @@ def test_p_tensor_space_dimension(n):
     for ps in (canonical_structure(2 * n), oblique_structure(2 * n, 5)):
         samples = np.stack([random_p_tensor(ps, seed).ravel() for seed in range(60)])
         assert np.linalg.matrix_rank(samples, tol=1e-9) == 2 * n * n * (n * n - 1) // 12
+
+
+def test_structure_residuals_are_relative_to_the_metric():
+    # |g| ~ 1e8: the residuals in units of g are measured against |g|, so a
+    # valid structure validates and its P-tensors pass the almost-Einstein check.
+    ps = oblique_structure(4, 4, 1e8)
+    assert validate_structure(ps).passed
+    assert almost_einstein_check(ps, random_p_tensor(ps, 0)).passed

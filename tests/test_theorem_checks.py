@@ -107,8 +107,9 @@ def test_ln_floor_raises_the_singular_error():
     assert abs(float(jet.values) - np.log(2.0)) < 1e-15
 
 
-def test_scenario_builds_each_connection_curvature_once(monkeypatch):
-    original = ConnectionFrame.__dict__["curvature"].func
+def connection_builds(monkeypatch, name: str) -> list:
+    """Params of each computation of ConnectionFrame.<name> in one scenario run."""
+    original = ConnectionFrame.__dict__[name].func
     built = []
 
     def counted(cf):
@@ -116,7 +117,35 @@ def test_scenario_builds_each_connection_curvature_once(monkeypatch):
         return original(cf)
 
     prop = cached_property(counted)
-    prop.__set_name__(ConnectionFrame, "curvature")
-    monkeypatch.setattr(ConnectionFrame, "curvature", prop)
+    prop.__set_name__(ConnectionFrame, name)
+    monkeypatch.setattr(ConnectionFrame, name, prop)
     run_scenario(load_bundled_scenario("conformal_w1_separable_4d"))
+    return built
+
+
+def test_scenario_builds_each_connection_curvature_once(monkeypatch):
+    built = connection_builds(monkeypatch, "curvature")
     assert len(built) == 3 and len(set(built)) == 3
+
+
+def test_scenario_gates_each_connection_p_tensor_once(monkeypatch):
+    # Seven checks read "R' is a Riemannian P-tensor"; it is computed once.
+    built = connection_builds(monkeypatch, "p_tensor_residual")
+    assert len(built) == 3 and len(set(built)) == 3
+
+
+@pytest.mark.parametrize("name", ["conformal_w1_separable_4d", "conformal_w1_separable_6d"])
+def test_lee_closedness_builds_one_frame_per_sample_point(name, monkeypatch):
+    # The FD oracles for d theta and d(theta o P) share the 2 * dim points.
+    ctx = context(name)
+    ctx.frame
+    orders = []
+    frame = ChartGerm.frame
+
+    def counted(germ, point=None, order=3):
+        orders.append(order)
+        return frame(germ, point, order)
+
+    monkeypatch.setattr(ChartGerm, "frame", counted)
+    checks.check_lee_closedness(ctx)
+    assert orders == [1] * (2 * ctx.germ.dim)
