@@ -3,16 +3,20 @@
 Each check inspects one germ at its base point and returns CheckReports.
 Derivatives come from the exact jets of one base frame; only
 ``levi_civita`` samples neighbouring points, and only ``lee_closedness``
-differences re-evaluated frames, as an independent oracle.  Theorem checks are
-implication-structured: numeric hypothesis flags are computed first and the
-conclusion is asserted only when the hypotheses hold; otherwise the check is
-skipped, carrying the violated hypothesis by name.
+differences re-evaluated frames, as an independent oracle.
+
+Theorem checks are implications.  Each hypothesis is declared once on
+``ScenarioContext`` (``closedness``, ``w1_outside_eigenclasses``,
+``r_prime_p_tensor``); a check states those it needs with ``requires``, which
+raises ``Skip`` when one fails, as ``_ln_abs`` raises ``SingularScalarError``.
+The one loop over connections, ``_per_connection``, turns a ``Skip`` into a
+skipped report that names the reason and carries no residuals.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -87,17 +91,67 @@ class ScenarioContext:
                 report.tolerances[key] = value * self.tol_scale
         return report
 
-    def not_in_eigenclasses(self) -> bool:
-        theta, theta_p = self.class_report.theta, self.class_report.theta_p
-        scale = max(1.0, frob(theta))
+    @cached_property
+    def closedness(self) -> dict[str, bool]:
+        """Flags ``theta_closed`` and ``theta_p_closed`` of the Lee forms."""
+        return self.frame.closedness(tol=CLOSED_TOL * self.tol_scale)
+
+    @cached_property
+    def w1_outside_eigenclasses(self) -> bool:
+        """The standing hypothesis: the germ is W1 but in neither W3bar nor W6bar."""
+        cls = self.class_report
+        scale = max(1.0, frob(cls.theta))
         return (
-            frob(theta - theta_p) / scale > 1e-6
-            and frob(theta + theta_p) / scale > 1e-6
+            cls.label == struct.CLASS_W1
+            and frob(cls.theta - cls.theta_p) / scale > 1e-6
+            and frob(cls.theta + cls.theta_p) / scale > 1e-6
         )
 
+    def r_prime_p_tensor(self, cf: ConnectionFrame) -> bool:
+        """Whether the curvature R' of ``cf`` is a Riemannian P-tensor."""
+        return cf.p_tensor_residual < self.tol(TOL_FIRST_DERIV)
 
-def _closed_tol(ctx: ScenarioContext) -> float:
-    return CLOSED_TOL * ctx.tol_scale
+
+# Skip reasons of the hypotheses shared by several checks.
+W1_GATE = "germ is not a W1-manifold outside W3bar u W6bar"
+P_TENSOR_GATE = "R' is not a Riemannian P-tensor"
+DEGENERATE_SCALARS = "degenerate scalar curvatures"
+
+
+class Skip(Exception):
+    """A hypothesis of a check does not hold; the message names it."""
+
+
+class SingularScalarError(Skip, ValueError):
+    """A scalar combination under ln is too close to zero."""
+
+
+def requires(holds: bool, reason: str) -> None:
+    """Skip the running check with ``reason`` unless ``holds``."""
+    if not holds:
+        raise Skip(reason)
+
+
+def _requires_p_tensor(ctx: ScenarioContext, report: CheckReport, cf: ConnectionFrame) -> None:
+    """Flag and require "R' is a Riemannian P-tensor"."""
+    report.hypothesis_flags["r_prime_p_tensor"] = ctx.r_prime_p_tensor(cf)
+    requires(report.hypothesis_flags["r_prime_p_tensor"], P_TENSOR_GATE)
+
+
+def _per_connection(ctx: ScenarioContext, name: str, base_tol: float, body) -> list[CheckReport]:
+    """One report ``name[label]`` per connection, filled by ``body(report, params)``.
+
+    A ``Skip`` raised by ``body`` marks that report skipped with its reason.
+    """
+    reports = []
+    for cp in ctx.connections:
+        report = ctx.new_report(f"{name}[{cp.label(ctx.germ.n)}]", base_tol)
+        try:
+            body(report, cp)
+        except Skip as exc:
+            report.skip(str(exc))
+        reports.append(report.finalize())
+    return reports
 
 
 # ---------------------------------------------------------------------------
@@ -135,16 +189,11 @@ def check_levi_civita(ctx: ScenarioContext) -> list[CheckReport]:
     ]
     worst_sym = worst_metric = 0.0
     for pt in points:
-        fr = ctx.germ.frame(pt, order=2)
+        # Gamma and its metric parallelism need only first derivatives of g.
+        fr = ctx.germ.frame(pt, order=1)
         gamma = fr.christoffel.values
         worst_sym = max(worst_sym, frob(gamma - gamma.transpose(0, 2, 1)))
-        dg = fr.g.partial().values
-        nabla_g = (
-            np.einsum("ijk->kij", dg)
-            - np.einsum("mki,mj->kij", gamma, fr.g.values)
-            - np.einsum("mkj,im->kij", gamma, fr.g.values)
-        )
-        worst_metric = max(worst_metric, frob(nabla_g))
+        worst_metric = max(worst_metric, fr.metric_parallel_residual(gamma))
     report.residuals["torsion_free"] = worst_sym
     report.residuals["metric_parallel"] = worst_metric
     return [report.finalize()]
@@ -167,27 +216,20 @@ def check_lee_closedness(ctx: ScenarioContext) -> list[CheckReport]:
     germ = ctx.germ
 
     # Both oracles difference the same points: one order-1 frame serves each.
-    frames: dict[tuple, GermFrame] = {}
-
-    def frame_at(pt) -> GermFrame:
-        key = tuple(pt)
-        if key not in frames:
-            frames[key] = germ.frame(pt, order=1)
-        return frames[key]
+    frame_at = cache(lambda key: germ.frame(np.array(key), order=1))
 
     def theta_field(pt):
-        return frame_at(pt).theta.values
+        return frame_at(tuple(pt)).theta.values
 
     def theta_p_field(pt):
-        f = frame_at(pt)
+        f = frame_at(tuple(pt))
         return f.theta.values @ f.p.values
 
     fd_d_theta = one_form_exterior_fd(theta_field, ctx.point, step=1e-4)
     fd_d_theta_p = one_form_exterior_fd(theta_p_field, ctx.point, step=1e-4)
     report.residuals["d_theta_vs_fd"] = frob(fr.d_theta - fd_d_theta)
     report.residuals["d_theta_p_vs_fd"] = frob(fr.d_theta_p - fd_d_theta_p)
-    flags = fr.closedness(tol=_closed_tol(ctx))
-    report.hypothesis_flags.update(flags)
+    report.hypothesis_flags.update(ctx.closedness)
     report.scalars["d_theta_norm"] = frob(fr.d_theta)
     report.scalars["d_theta_p_norm"] = frob(fr.d_theta_p)
     return [report.finalize()]
@@ -197,13 +239,24 @@ def check_lee_closedness(ctx: ScenarioContext) -> list[CheckReport]:
 # connection checks
 
 
+def _transfer_correction(ps, pis, tr) -> np.ndarray:
+    """g(p,p) pi1 + g(q,q) pi2 + g(p,q) pi3 + psi1(S') + psi2(S''): R' - R."""
+    pi1, pi2, pi3 = pis
+    return (
+        tr["g_pp"] * pi1
+        + tr["g_qq"] * pi2
+        + tr["g_pq"] * pi3
+        + curv.psi1(ps, tr["s_prime"])
+        + curv.psi2(ps, tr["s_dprime"])
+    )
+
+
 def check_natural_connection(ctx: ScenarioContext) -> list[CheckReport]:
-    reports = []
     fr = ctx.frame
     eye = np.eye(ctx.germ.dim)
-    for cp in ctx.connections:
+
+    def body(report: CheckReport, cp: ConnectionParams) -> None:
         cf = ctx.connection(cp)
-        report = ctx.new_report(f"natural_connection[{cp.label(fr.n)}]", TOL_ALGEBRA)
         report.tolerances.setdefault("torsion_match", ctx.tol(1e-12))
         report.tolerances.setdefault("contorsion_skew", ctx.tol(1e-12))
         report.tolerances.setdefault("torsion_p_identity", ctx.tol(1e-12))
@@ -239,35 +292,25 @@ def check_natural_connection(ctx: ScenarioContext) -> list[CheckReport]:
                 - np.einsum("ij,k->kij", fr.g_assoc.values, fr.omega.values)
             ) / (2 * fr.n)
             report.scalars["corrected_formula_residual"] = frob(cf.gamma.values - expl)
-        reports.append(report.finalize())
-    return reports
+
+    return _per_connection(ctx, "natural_connection", TOL_ALGEBRA, body)
 
 
 def check_curvature_relation(ctx: ScenarioContext) -> list[CheckReport]:
     """Reconstruction of the Levi-Civita curvature from a natural connection."""
-    reports = []
     fr = ctx.frame
     ps = fr.structure
-    pi1, pi2, pi3 = curv.pi_tensors(ps)
+    pis = curv.pi_tensors(ps)
     r = fr.curvature.values
-    for cp in ctx.connections:
+
+    def body(report: CheckReport, cp: ConnectionParams) -> None:
         cf = ctx.connection(cp)
-        report = ctx.new_report(f"curvature_relation[{cp.label(fr.n)}]", TOL_FIRST_DERIV)
         tr = cf.transfer
-        rebuilt = (
-            cf.curvature.values
-            - tr["g_pp"] * pi1
-            - tr["g_qq"] * pi2
-            - tr["g_pq"] * pi3
-            - curv.psi1(ps, tr["s_prime"])
-            - curv.psi2(ps, tr["s_dprime"])
-        )
+        rebuilt = cf.curvature.values - _transfer_correction(ps, pis, tr)
         report.residuals["curvature_relation"] = frob(r - rebuilt)
-        report.scalars.update(
-            {"g_pp": tr["g_pp"], "g_qq": tr["g_qq"], "g_pq": tr["g_pq"]}
-        )
-        reports.append(report.finalize())
-    return reports
+        report.scalars.update({key: tr[key] for key in ("g_pp", "g_qq", "g_pq")})
+
+    return _per_connection(ctx, "curvature_relation", TOL_FIRST_DERIV, body)
 
 
 def check_p_tensor_cases(ctx: ScenarioContext) -> list[CheckReport]:
@@ -283,42 +326,33 @@ def check_p_tensor_cases(ctx: ScenarioContext) -> list[CheckReport]:
     family is refutable there.  The remaining degenerate connections carry a
     necessary condition only.
     """
-    reports = []
-    fr = ctx.frame
-    flags = fr.closedness(_closed_tol(ctx))
-    theta_closed = flags["theta_closed"]
-    theta_p_closed = flags["theta_p_closed"]
-    hypothesis_ok = ctx.class_report.label == struct.CLASS_W1 and ctx.not_in_eigenclasses()
-    for cp in ctx.connections:
-        case = cp.case(fr.n)
-        report = ctx.new_report(f"p_tensor_cases[{cp.label(fr.n)}]", TOL_FIRST_DERIV)
+    n = ctx.germ.n
+    flags = ctx.closedness
+    theta_closed, theta_p_closed = flags["theta_closed"], flags["theta_p_closed"]
+    expected = {
+        "D": (not theta_closed) and theta_p_closed,
+        "D_tilde": theta_closed and not theta_p_closed,
+        "generic": theta_closed and theta_p_closed,
+    }
+
+    def body(report: CheckReport, cp: ConnectionParams) -> None:
+        case = cp.case(n)
         report.hypothesis_flags.update(flags)
         report.notes.append(f"case={case}")
-        if not hypothesis_ok:
-            reports.append(report.skip("germ is not a W1-manifold outside W3bar u W6bar"))
-            continue
+        requires(ctx.w1_outside_eigenclasses, W1_GATE)
         cf = ctx.connection(cp)
         residual = cf.p_tensor_residual
         curvature_scale = frob(cf.curvature.values)
         report.scalars["p_tensor_residual"] = residual
         report.scalars["r_prime_norm"] = curvature_scale
-        expected = {
-            "D": (not theta_closed) and theta_p_closed,
-            "D_tilde": theta_closed and not theta_p_closed,
-            "generic": theta_closed and theta_p_closed,
-        }
         if case in expected:
             if expected[case]:
                 report.residuals["p_tensor"] = residual
                 report.notes.append("closedness profile implies a P-tensor")
             elif curvature_scale < 1e-10:
-                reports.append(report.skip("refutation vacuous: R' vanishes"))
-                continue
+                raise Skip("refutation vacuous: R' vanishes")
             elif case != "generic" and theta_closed and theta_p_closed:
-                reports.append(
-                    report.skip("preset refutation degenerate: both Lee forms closed")
-                )
-                continue
+                raise Skip("preset refutation degenerate: both Lee forms closed")
             else:
                 report.residuals["p_tensor_refuted_margin"] = (
                     0.0 if residual > ctx.tol(P_TENSOR_FAIL_FLOOR) else 1.0
@@ -330,8 +364,8 @@ def check_p_tensor_cases(ctx: ScenarioContext) -> list[CheckReport]:
                     and curvature_scale > 1e-10:
                 report.residuals["necessary_condition"] = 1.0
             report.notes.append("degenerate case: necessary condition only")
-        reports.append(report.finalize())
-    return reports
+
+    return _per_connection(ctx, "p_tensor_cases", TOL_FIRST_DERIV, body)
 
 
 def check_second_bianchi(ctx: ScenarioContext) -> list[CheckReport]:
@@ -339,20 +373,19 @@ def check_second_bianchi(ctx: ScenarioContext) -> list[CheckReport]:
     for every connection of the family; the P-twisted derived identity and the
     scalar-curvature system require R' to be a P-tensor.
     """
-    reports = []
     fr = ctx.frame
     pv = fr.p.values
     theta, theta_p = fr.theta.values, fr.theta_p.values
-    for cp in ctx.connections:
+
+    def body(report: CheckReport, cp: ConnectionParams) -> None:
         cf = ctx.connection(cp)
-        report = ctx.new_report(f"second_bianchi[{cp.label(fr.n)}]", 1e-6)
         nr = cf.nabla_curvature
         rv = cf.curvature.values
         b = nr + np.einsum("ami,ajkl->mijkl", cf.torsion_mixed, rv)
         cyc = b + np.einsum("ijmkl->mijkl", b) + np.einsum("jmikl->mijkl", b)
         report.residuals["cyclic_identity"] = frob(cyc)
 
-        is_p = cf.p_tensor_residual < ctx.tol(TOL_FIRST_DERIV)
+        is_p = ctx.r_prime_p_tensor(cf)
         report.hypothesis_flags["r_prime_p_tensor"] = is_p
         if is_p:
             r_pz = np.einsum("iakl,aj->ijkl", rv, pv)
@@ -368,24 +401,19 @@ def check_second_bianchi(ctx: ScenarioContext) -> list[CheckReport]:
             report.residuals["p_twisted_identity"] = frob(derived)
         else:
             report.notes.append("P-twisted identity skipped: R' is not a P-tensor")
-        reports.append(report.finalize())
-    return reports
+
+    return _per_connection(ctx, "second_bianchi", 1e-6, body)
 
 
 def check_scalar_system(ctx: ScenarioContext) -> list[CheckReport]:
     """The linear system tying the Lee forms to the scalar curvatures of R'."""
-    reports = []
     fr = ctx.frame
     pv = fr.p.values
     theta, theta_p = fr.theta.values, fr.theta_p.values
-    for cp in ctx.connections:
+
+    def body(report: CheckReport, cp: ConnectionParams) -> None:
         cf = ctx.connection(cp)
-        report = ctx.new_report(f"scalar_system[{cp.label(fr.n)}]", TOL_FIRST_DERIV)
-        p_res = cf.p_tensor_residual
-        report.hypothesis_flags["r_prime_p_tensor"] = p_res < ctx.tol(TOL_FIRST_DERIV)
-        if not report.hypothesis_flags["r_prime_p_tensor"]:
-            reports.append(report.skip("R' is not a Riemannian P-tensor"))
-            continue
+        _requires_p_tensor(ctx, report, cf)
         tau = float(cf.tau.values)
         tau_star = float(cf.tau_star.values)
         d_tau = cf.tau.data[1]
@@ -394,23 +422,14 @@ def check_scalar_system(ctx: ScenarioContext) -> list[CheckReport]:
         r_swapped = d_tau @ pv - d_tau_star + (theta * tau - theta_p * tau_star) / fr.n
         report.residuals["system_direct"] = frob(r_direct)
         report.residuals["system_p_substituted"] = frob(r_swapped)
-        report.scalars.update(
-            {
-                "tau_prime": tau,
-                "tau_star_prime": tau_star,
-                "delta": tau_star**2 - tau**2,
-            }
-        )
-        reports.append(report.finalize())
-    return reports
+        delta = tau_star**2 - tau**2
+        report.scalars.update({"tau_prime": tau, "tau_star_prime": tau_star, "delta": delta})
+
+    return _per_connection(ctx, "scalar_system", TOL_FIRST_DERIV, body)
 
 
 # ---------------------------------------------------------------------------
 # Lee-form recovery from the scalar curvatures of R' (exact jets)
-
-
-class SingularScalarError(ValueError):
-    """A scalar combination under ln is too close to zero."""
 
 
 def _ln_abs(u: JetTensor) -> JetTensor:
@@ -442,196 +461,133 @@ def check_lee_recovery(ctx: ScenarioContext) -> list[CheckReport]:
     expresses theta through d ln of two tau-combinations; with Delta = 0 and
     tau' nonzero the degenerate combination is checked instead.
     """
-    reports = []
     fr = ctx.frame
     pv = fr.p.values
     theta, theta_p = fr.theta.values, fr.theta_p.values
     n = fr.n
-    hypothesis_ok = ctx.class_report.label == struct.CLASS_W1 and ctx.not_in_eigenclasses()
-    for cp in ctx.connections:
-        report = ctx.new_report(f"lee_recovery[{cp.label(n)}]", TOL_FIRST_DERIV)
-        if not hypothesis_ok:
-            reports.append(report.skip("germ is not a W1-manifold outside W3bar u W6bar"))
-            continue
+    theta_scale = max(1e-10, frob(theta))
+
+    def body(report: CheckReport, cp: ConnectionParams) -> None:
+        requires(ctx.w1_outside_eigenclasses, W1_GATE)
         cf = ctx.connection(cp)
-        p_res = cf.p_tensor_residual
-        report.hypothesis_flags["r_prime_p_tensor"] = p_res < ctx.tol(TOL_FIRST_DERIV)
-        if not report.hypothesis_flags["r_prime_p_tensor"]:
-            reports.append(report.skip("R' is not a Riemannian P-tensor"))
-            continue
+        _requires_p_tensor(ctx, report, cf)
         t, ts = cf.tau, cf.tau_star
         tau = float(t.values)
         tau_star = float(ts.values)
         delta = tau_star**2 - tau**2
         scale = max(1.0, tau**2 + tau_star**2)
         report.scalars.update({"tau_prime": tau, "tau_star_prime": tau_star, "delta": delta})
-        theta_scale = max(1e-10, frob(theta))
-        try:
-            if abs(delta) > 1e-8 * scale:
-                grad_ratio = (_ln_abs(ts + t) - _ln_abs(ts - t)).data[1]
-                grad_delta = _ln_abs(ts * ts - t * t).data[1]
-                theta_rec = 0.5 * n * (grad_ratio - grad_delta @ pv)
-                theta_p_rec = 0.5 * n * (grad_ratio @ pv - grad_delta)
-                report.residuals["theta_recovery"] = frob(theta_rec - theta) / theta_scale
-                report.residuals["theta_p_recovery"] = frob(theta_p_rec - theta_p) / theta_scale
-            elif abs(tau) > 1e-8 * np.sqrt(scale):
-                eps = 1.0 if tau_star * tau > 0 else -1.0
-                grad_ln_tau = _ln_abs(t).data[1]
-                if eps > 0:
-                    resid = (theta_p - theta) - n * (grad_ln_tau - grad_ln_tau @ pv)
-                else:
-                    resid = (theta_p + theta) + n * (grad_ln_tau + grad_ln_tau @ pv)
-                report.residuals["equal_magnitude_combination"] = frob(resid) / theta_scale
-            else:
-                reports.append(report.skip("degenerate scalar curvatures (delta = tau' = 0)"))
-                continue
-        except SingularScalarError as exc:
-            reports.append(report.skip(str(exc)))
-            continue
-        reports.append(report.finalize())
-    return reports
+        if abs(delta) > 1e-8 * scale:
+            grad_ratio = (_ln_abs(ts + t) - _ln_abs(ts - t)).data[1]
+            grad_delta = _ln_abs(ts * ts - t * t).data[1]
+            theta_rec = 0.5 * n * (grad_ratio - grad_delta @ pv)
+            theta_p_rec = 0.5 * n * (grad_ratio @ pv - grad_delta)
+            report.residuals["theta_recovery"] = frob(theta_rec - theta) / theta_scale
+            report.residuals["theta_p_recovery"] = frob(theta_p_rec - theta_p) / theta_scale
+        else:
+            requires(abs(tau) > 1e-8 * np.sqrt(scale), f"{DEGENERATE_SCALARS} (delta = tau' = 0)")
+            eps = 1.0 if tau_star * tau > 0 else -1.0  # tau*' = eps tau' != 0
+            grad_ln_tau = _ln_abs(t).data[1]
+            resid = (theta_p - eps * theta) - eps * n * (grad_ln_tau - eps * (grad_ln_tau @ pv))
+            report.residuals["equal_magnitude_combination"] = frob(resid) / theta_scale
+
+    return _per_connection(ctx, "lee_recovery", TOL_FIRST_DERIV, body)
+
+
+def _distinct_magnitudes(tau: float, tau_star: float) -> bool:
+    return abs(abs(tau_star) - abs(tau)) > 1e-8 * max(1.0, abs(tau), abs(tau_star))
 
 
 def check_tau_form_closedness(ctx: ScenarioContext) -> list[CheckReport]:
-    """Closedness of the P-composed tau-combination forms per connection case."""
-    reports = []
+    """Closedness of the P-composed tau-combination forms per connection case.
+
+    With |tau*'| != |tau'| the ratio form ln|(tau*' + tau')/(tau*' - tau')|
+    (D and generic) and the delta form ln|tau*'^2 - tau'^2| (D_tilde and
+    generic) are closed after composing their differential with P.  With
+    tau*' = eps tau' != 0 the exterior derivative of d(ln|tau'|) o P, times
+    eps n, is d theta for D, d(theta o P) for D_tilde and zero for generic.
+    """
     fr = ctx.frame
     n = fr.n
-    hypothesis_ok = ctx.class_report.label == struct.CLASS_W1 and ctx.not_in_eigenclasses()
-    for cp in ctx.connections:
+
+    def body(report: CheckReport, cp: ConnectionParams) -> None:
         case = cp.case(n)
-        report = ctx.new_report(f"tau_form_closedness[{cp.label(n)}]", TOL_FIRST_DERIV)
         report.notes.append(f"case={case}")
-        if not hypothesis_ok:
-            reports.append(report.skip("germ is not a W1-manifold outside W3bar u W6bar"))
-            continue
+        requires(ctx.w1_outside_eigenclasses, W1_GATE)
         cf = ctx.connection(cp)
-        p_res = cf.p_tensor_residual
-        report.hypothesis_flags["r_prime_p_tensor"] = p_res < ctx.tol(TOL_FIRST_DERIV)
-        if not report.hypothesis_flags["r_prime_p_tensor"]:
-            reports.append(report.skip("R' is not a Riemannian P-tensor"))
-            continue
+        _requires_p_tensor(ctx, report, cf)
+        requires(case != "degenerate", "degenerate connection family")
         t, ts = cf.tau, cf.tau_star
         tau = float(t.values)
         tau_star = float(ts.values)
-        distinct = abs(abs(tau_star) - abs(tau)) > 1e-8 * max(1.0, abs(tau), abs(tau_star))
-        nonzero = abs(tau) > 1e-8
+        if _distinct_magnitudes(tau, tau_star):
+            if case != "D_tilde":
+                ratio = _ln_abs(ts + t) - _ln_abs(ts - t)
+                report.residuals["ratio_form_closed"] = _closed_residual(ratio, fr)
+            if case != "D":
+                delta = _ln_abs(ts * ts - t * t)
+                report.residuals["delta_form_closed"] = _closed_residual(delta, fr)
+            return
+        requires(abs(tau) > 1e-8, DEGENERATE_SCALARS)
+        d_form = _exterior(_p_form(_ln_abs(t), fr))
         eps = 1.0 if tau_star * tau > 0 else -1.0
-        try:
-            if case == "D":
-                if distinct:
-                    report.residuals["ratio_form_closed"] = _closed_residual(
-                        _ln_abs(ts + t) - _ln_abs(ts - t), fr
-                    )
-                elif nonzero:
-                    d_form = _exterior(_p_form(_ln_abs(t), fr))
-                    report.residuals["d_theta_match"] = frob(fr.d_theta - eps * n * d_form)
-                else:
-                    reports.append(report.skip("degenerate scalar curvatures"))
-                    continue
-            elif case == "D_tilde":
-                if distinct:
-                    report.residuals["delta_form_closed"] = _closed_residual(
-                        _ln_abs(ts * ts - t * t), fr
-                    )
-                elif nonzero:
-                    d_form = _exterior(_p_form(_ln_abs(t), fr))
-                    report.residuals["d_theta_p_match"] = frob(fr.d_theta_p - eps * n * d_form)
-                else:
-                    reports.append(report.skip("degenerate scalar curvatures"))
-                    continue
-            elif case == "generic":
-                if distinct:
-                    report.residuals["ratio_form_closed"] = _closed_residual(
-                        _ln_abs(ts + t) - _ln_abs(ts - t), fr
-                    )
-                    report.residuals["delta_form_closed"] = _closed_residual(
-                        _ln_abs(ts * ts - t * t), fr
-                    )
-                elif nonzero:
-                    report.residuals["ln_tau_form_closed"] = _closed_residual(_ln_abs(t), fr)
-                else:
-                    reports.append(report.skip("degenerate scalar curvatures"))
-                    continue
-            else:
-                reports.append(report.skip("degenerate connection family"))
-                continue
-        except SingularScalarError as exc:
-            reports.append(report.skip(str(exc)))
-            continue
-        reports.append(report.finalize())
-    return reports
+        if case == "generic":
+            report.residuals["ln_tau_form_closed"] = frob(d_form)
+        elif case == "D":
+            report.residuals["d_theta_match"] = frob(fr.d_theta - eps * n * d_form)
+        else:
+            report.residuals["d_theta_p_match"] = frob(fr.d_theta_p - eps * n * d_form)
+
+    return _per_connection(ctx, "tau_form_closedness", TOL_FIRST_DERIV, body)
 
 
 def check_eigenclass_lee_recovery(ctx: ScenarioContext) -> list[CheckReport]:
-    """Lee-form recovery formulas for germs inside W3bar or W6bar."""
-    reports = []
+    """Lee-form recovery formulas for germs inside W3bar or W6bar.
+
+    With sign = +1 on W3bar and -1 on W6bar, and |tau*'| != |tau'|,
+    theta = sign n/2 {d phi - sign d phi o P} for phi = ln|tau*' + sign tau'|,
+    and tau*' - sign tau' has a closed P-composed differential.  With
+    tau*' = sign tau' != 0 the same recovery holds for phi = ln|tau'|.
+    """
     fr = ctx.frame
     pv = fr.p.values
     theta = fr.theta.values
     n = fr.n
     label = ctx.class_report.label
-    for cp in ctx.connections:
-        report = ctx.new_report(f"eigenclass_lee_recovery[{cp.label(n)}]", TOL_FIRST_DERIV)
-        if label not in (struct.CLASS_W3BAR, struct.CLASS_W6BAR):
-            reports.append(report.skip("germ is not in W3bar u W6bar"))
-            continue
+    sign = 1.0 if label == struct.CLASS_W3BAR else -1.0
+    theta_scale = max(1e-10, frob(theta))
+
+    def recovery_residual(phi: JetTensor) -> float:
+        grad = phi.data[1]
+        rec = 0.5 * sign * n * (grad - sign * (grad @ pv))
+        return frob(rec - theta) / theta_scale
+
+    def body(report: CheckReport, cp: ConnectionParams) -> None:
+        requires(label in (struct.CLASS_W3BAR, struct.CLASS_W6BAR), "germ is not in W3bar u W6bar")
         cf = ctx.connection(cp)
-        p_res = cf.p_tensor_residual
-        report.hypothesis_flags["r_prime_p_tensor"] = p_res < ctx.tol(TOL_FIRST_DERIV)
-        if not report.hypothesis_flags["r_prime_p_tensor"]:
-            reports.append(report.skip("R' is not a Riemannian P-tensor"))
-            continue
+        _requires_p_tensor(ctx, report, cf)
         t, ts = cf.tau, cf.tau_star
         tau = float(t.values)
         tau_star = float(ts.values)
-        d_tau = t.data[1]
-        d_tau_star = ts.data[1]
-        theta_scale = max(1e-10, frob(theta))
-        distinct = abs(abs(tau_star) - abs(tau)) > 1e-8 * max(1.0, abs(tau), abs(tau_star))
         report.scalars.update({"tau_prime": tau, "tau_star_prime": tau_star})
-        try:
-            if label == struct.CLASS_W3BAR:
-                # theta (tau*' + tau') = n {d tau*'(x) - d tau'(Px)}
-                resid = theta * (tau_star + tau) - n * (d_tau_star - d_tau @ pv)
-                report.residuals["lee_scalar_identity"] = frob(resid) / max(
-                    1.0, abs(tau) + abs(tau_star)
-                )
-                if distinct:
-                    grad = _ln_abs(ts + t).data[1]
-                    rec = 0.5 * n * (grad - grad @ pv)
-                    report.residuals["theta_recovery"] = frob(rec - theta) / theta_scale
-                    report.residuals["difference_form_closed"] = _closed_residual(ts - t, fr)
-                elif abs(tau) > 1e-8:
-                    if tau_star * tau > 0:  # tau*' = tau' != 0
-                        grad = _ln_abs(t).data[1]
-                        rec = 0.5 * n * (grad - grad @ pv)
-                        report.residuals["theta_recovery"] = frob(rec - theta) / theta_scale
-                    else:  # tau*' = -tau' != 0
-                        report.residuals["tau_form_closed"] = _closed_residual(t, fr)
-                else:
-                    reports.append(report.skip("degenerate scalar curvatures"))
-                    continue
-            else:  # W6bar
-                if distinct:
-                    grad = _ln_abs(ts - t).data[1]
-                    rec = -0.5 * n * (grad + grad @ pv)
-                    report.residuals["theta_recovery"] = frob(rec - theta) / theta_scale
-                    report.residuals["sum_form_closed"] = _closed_residual(ts + t, fr)
-                elif abs(tau) > 1e-8:
-                    report.residuals["tau_form_closed"] = _closed_residual(t, fr)
-                    if tau_star * tau < 0:  # tau*' = -tau' != 0
-                        grad = _ln_abs(t).data[1]
-                        rec = -0.5 * n * (grad + grad @ pv)
-                        report.residuals["theta_recovery"] = frob(rec - theta) / theta_scale
-                else:
-                    reports.append(report.skip("degenerate scalar curvatures"))
-                    continue
-        except SingularScalarError as exc:
-            reports.append(report.skip(str(exc)))
-            continue
-        reports.append(report.finalize())
-    return reports
+        if sign > 0:
+            # theta (tau*' + tau') = n {d tau*'(x) - d tau'(Px)}
+            resid = theta * (tau_star + tau) - n * (ts.data[1] - t.data[1] @ pv)
+            scale = max(1.0, abs(tau) + abs(tau_star))
+            report.residuals["lee_scalar_identity"] = frob(resid) / scale
+        if _distinct_magnitudes(tau, tau_star):
+            report.residuals["theta_recovery"] = recovery_residual(_ln_abs(ts + t.scaled(sign)))
+            closed_key = "difference_form_closed" if sign > 0 else "sum_form_closed"
+            report.residuals[closed_key] = _closed_residual(ts - t.scaled(sign), fr)
+            return
+        requires(abs(tau) > 1e-8, DEGENERATE_SCALARS)
+        recovers = sign * tau_star * tau > 0  # tau*' = sign tau'
+        if recovers:
+            report.residuals["theta_recovery"] = recovery_residual(_ln_abs(t))
+        if sign < 0 or not recovers:  # W6bar, or W3bar with tau*' = -tau'
+            report.residuals["tau_form_closed"] = _closed_residual(t, fr)
+
+    return _per_connection(ctx, "eigenclass_lee_recovery", TOL_FIRST_DERIV, body)
 
 
 # ---------------------------------------------------------------------------
@@ -691,106 +647,68 @@ def check_dim4_traces(ctx: ScenarioContext) -> list[CheckReport]:
     return [report.finalize()]
 
 
+def _from_scalars(pis, tau: float, tau_star: float) -> np.ndarray:
+    """{tau (pi1 + pi2) + tau* pi3} / 8: the dim-4 P-tensor with these scalar curvatures."""
+    pi1, pi2, pi3 = pis
+    return (tau * (pi1 + pi2) + tau_star * pi3) / 8
+
+
+# One coefficient row per preset connection: the index of the pi tensor that
+# carries theta(omega) / 16, the coefficient of theta(omega) in tau - tau', and
+# those of (div(P omega), theta(omega)) in tau' - tau and of
+# (div(omega), theta(P omega)) in tau*' - tau*.  S'' vanishes for D, so the
+# S'' terms of the formulas hold for both presets.
+_DIM4_PRESETS = {
+    "D": (0, -0.75, (1.5, 9 / 8), (0.5, -3 / 8)),
+    "D_tilde": (1, 0.25, (0.5, 5 / 8), (-0.5, 1 / 8)),
+}
+
+
 def check_dim4_reconstruction(ctx: ScenarioContext) -> list[CheckReport]:
     """Levi-Civita curvature reconstructed from R' scalar curvatures (dim 4).
 
     Conditional on R' being a Riemannian P-tensor; the preset connections
     additionally verify their explicit trace and scalar-curvature relations.
     """
-    reports = []
     if ctx.germ.dim != 4:
         return [ctx.new_report("dim4_reconstruction", 1e-6).skip("dimension is not 4")]
     fr = ctx.frame
     ps = fr.structure
-    pi1, pi2, pi3 = curv.pi_tensors(ps)
+    pis = curv.pi_tensors(ps)
     r = fr.curvature.values
     inv_r = curv.curvature_invariants(ps, r)
-    for cp in ctx.connections:
-        case = cp.case(fr.n)
-        report = ctx.new_report(f"dim4_reconstruction[{cp.label(fr.n)}]", 1e-6)
+
+    def body(report: CheckReport, cp: ConnectionParams) -> None:
         cf = ctx.connection(cp)
-        p_res = cf.p_tensor_residual
-        report.hypothesis_flags["r_prime_p_tensor"] = p_res < ctx.tol(TOL_FIRST_DERIV)
-        if not report.hypothesis_flags["r_prime_p_tensor"]:
-            reports.append(report.skip("R' is not a Riemannian P-tensor"))
-            continue
+        _requires_p_tensor(ctx, report, cf)
         tr = cf.transfer
         tau_p = float(cf.tau.values)
         tau_star_p = float(cf.tau_star.values)
-        base = (tau_p * (pi1 + pi2) + tau_star_p * pi3) / 8
-        rebuilt = (
-            base
-            - tr["g_pp"] * pi1
-            - tr["g_qq"] * pi2
-            - tr["g_pq"] * pi3
-            - curv.psi1(ps, tr["s_prime"])
-            - curv.psi2(ps, tr["s_dprime"])
-        )
+        rebuilt = _from_scalars(pis, tau_p, tau_star_p) - _transfer_correction(ps, pis, tr)
         report.residuals["curvature_from_scalars"] = frob(r - rebuilt)
+        if cp.case(fr.n) not in _DIM4_PRESETS:
+            return
+        k, c, (a, b), (a_star, b_star) = _DIM4_PRESETS[cp.case(fr.n)]
         s = _dim4_scalars(fr, cf)
-        if case == "D":
-            rebuilt_d = (
-                base - s["theta_omega"] / 16 * pi1 - curv.psi1(ps, tr["s_prime"])
-            )
-            report.residuals["preset_reconstruction"] = frob(r - rebuilt_d)
-            report.residuals["tau_transfer"] = abs(
-                inv_r.tau - (tau_p - 0.75 * s["theta_omega"] - 6 * s["tr_s_prime"])
-            )
-            report.residuals["tau_star_transfer"] = abs(
-                inv_r.tau_star - (tau_star_p - 2 * s["tr_s_prime_assoc"])
-            )
-            report.residuals["tau_from_traces"] = abs(
-                tau_p - (inv_r.tau + 1.5 * s["div_p_omega"] + 9 / 8 * s["theta_omega"])
-            )
-            report.residuals["tau_star_from_traces"] = abs(
-                tau_star_p
-                - (inv_r.tau_star + 0.5 * s["div_omega"] - 3 / 8 * s["theta_p_omega"])
-            )
-            final = (
-                (8 * inv_r.tau + 12 * s["div_p_omega"] + 9 * s["theta_omega"]) / 64 * (pi1 + pi2)
-                + (8 * inv_r.tau_star + 4 * s["div_omega"] - 3 * s["theta_p_omega"]) / 64 * pi3
-                - s["theta_omega"] / 16 * pi1
-                - curv.psi1(ps, tr["s_prime"])
-            )
-            report.residuals["final_display"] = frob(r - final)
-        elif case == "D_tilde":
-            rebuilt_dt = (
-                base
-                - s["theta_omega"] / 16 * pi2
-                - curv.psi1(ps, tr["s_prime"])
-                - curv.psi2(ps, tr["s_dprime"])
-            )
-            report.residuals["preset_reconstruction"] = frob(r - rebuilt_dt)
-            report.residuals["tau_transfer"] = abs(
-                inv_r.tau
-                - (
-                    tau_p
-                    + s["theta_omega"] / 4
-                    - 6 * s["tr_s_prime"]
-                    + 2 * s["tr_s_dprime"]
-                )
-            )
-            report.residuals["tau_star_transfer"] = abs(
-                inv_r.tau_star
-                - (tau_star_p - 2 * s["tr_s_prime_assoc"] - 2 * s["tr_s_dprime_assoc"])
-            )
-            report.residuals["tau_from_traces"] = abs(
-                tau_p - (inv_r.tau + 0.5 * s["div_p_omega"] + 5 / 8 * s["theta_omega"])
-            )
-            report.residuals["tau_star_from_traces"] = abs(
-                tau_star_p
-                - (inv_r.tau_star - 0.5 * s["div_omega"] + s["theta_p_omega"] / 8)
-            )
-            final = (
-                (8 * inv_r.tau + 4 * s["div_p_omega"] + 5 * s["theta_omega"]) / 64 * (pi1 + pi2)
-                + (8 * inv_r.tau_star - 4 * s["div_omega"] + s["theta_p_omega"]) / 64 * pi3
-                - s["theta_omega"] / 16 * pi2
-                - curv.psi1(ps, tr["s_prime"])
-                - curv.psi2(ps, tr["s_dprime"])
-            )
-            report.residuals["final_display"] = frob(r - final)
-        reports.append(report.finalize())
-    return reports
+        correction = (
+            s["theta_omega"] / 16 * pis[k]
+            + curv.psi1(ps, tr["s_prime"])
+            + curv.psi2(ps, tr["s_dprime"])
+        )
+        rebuilt = _from_scalars(pis, tau_p, tau_star_p) - correction
+        report.residuals["preset_reconstruction"] = frob(r - rebuilt)
+        tau = tau_p + c * s["theta_omega"] - 6 * s["tr_s_prime"] + 2 * s["tr_s_dprime"]
+        tau_star = tau_star_p - 2 * s["tr_s_prime_assoc"] - 2 * s["tr_s_dprime_assoc"]
+        report.residuals["tau_transfer"] = abs(inv_r.tau - tau)
+        report.residuals["tau_star_transfer"] = abs(inv_r.tau_star - tau_star)
+        tau_traces = inv_r.tau + a * s["div_p_omega"] + b * s["theta_omega"]
+        tau_star_traces = inv_r.tau_star + a_star * s["div_omega"] + b_star * s["theta_p_omega"]
+        report.residuals["tau_from_traces"] = abs(tau_p - tau_traces)
+        report.residuals["tau_star_from_traces"] = abs(tau_star_p - tau_star_traces)
+        final = _from_scalars(pis, tau_traces, tau_star_traces) - correction
+        report.residuals["final_display"] = frob(r - final)
+
+    return _per_connection(ctx, "dim4_reconstruction", 1e-6, body)
 
 
 def check_dim4_round_trip(ctx: ScenarioContext) -> list[CheckReport]:
@@ -804,26 +722,28 @@ def check_dim4_round_trip(ctx: ScenarioContext) -> list[CheckReport]:
     if ctx.germ.dim != 4:
         return [report.skip("dimension is not 4")]
     ps = ctx.frame.structure
-    pi1, pi2, pi3 = curv.pi_tensors(ps)
+    pis = curv.pi_tensors(ps)
+    gv = ps.g
     worst = 0.0
     for trial in range(5):
         seed = ctx.seed * 1000 + trial
         l = curv.random_p_tensor(ps, seed)
         p_vec = random_vector(4, seed + 1)
         q_vec = random_vector(4, seed + 2)
-        s_prime = 0.5 * (random_tensor2(4, seed + 3) + random_tensor2(4, seed + 3).T)
-        s_dprime = random_tensor2(4, seed + 4) @ ps.p
-        gv = ps.g
-        corrections = (
-            (p_vec @ gv @ p_vec) * pi1
-            + (q_vec @ gv @ q_vec) * pi2
-            + (p_vec @ gv @ q_vec) * pi3
-            + curv.psi1(ps, s_prime)
-            + curv.psi2(ps, s_dprime)
+        corrections = _transfer_correction(
+            ps,
+            pis,
+            {
+                "g_pp": p_vec @ gv @ p_vec,
+                "g_qq": q_vec @ gv @ q_vec,
+                "g_pq": p_vec @ gv @ q_vec,
+                "s_prime": 0.5 * (random_tensor2(4, seed + 3) + random_tensor2(4, seed + 3).T),
+                "s_dprime": random_tensor2(4, seed + 4) @ ps.p,
+            },
         )
         r_synth = l - corrections
         inv_l = curv.curvature_invariants(ps, l)
-        rebuilt = (inv_l.tau * (pi1 + pi2) + inv_l.tau_star * pi3) / 8 - corrections
+        rebuilt = _from_scalars(pis, inv_l.tau, inv_l.tau_star) - corrections
         worst = max(worst, frob(r_synth - rebuilt))
     report.residuals["round_trip"] = worst
     return [report.finalize()]

@@ -10,7 +10,7 @@ import numpy as np
 
 from .checks import CHECKS
 from .curvature import decompose_dim4, is_p_tensor
-from .exprs import ParseError
+from .exprs import EvalError, ParseError
 from .report import CheckReport, emit_report, exit_code, summarize
 from .scenarios import (
     ScenarioError,
@@ -47,7 +47,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     try:
         scenario = resolve_scenario(args.scenario)
         reports = run_scenario(scenario, tol_scale=args.tol_scale, seed=args.seed)
-    except (ScenarioError, ParseError, StructureError) as exc:
+    except (ScenarioError, ParseError, EvalError, StructureError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     _print_check_lines(reports)
@@ -119,6 +119,16 @@ def cmd_list_checks(_args: argparse.Namespace) -> int:
     return 0
 
 
+def _tol_scale(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = float("nan")
+    if not (np.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="apmlab",
@@ -130,7 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--scenario", required=True,
                          help="scenario file path or bundled scenario name")
     p_check.add_argument("--out", help="write the JSON report here")
-    p_check.add_argument("--tol-scale", type=float, default=1.0,
+    p_check.add_argument("--tol-scale", type=_tol_scale, default=1.0,
                          help="multiply every tolerance by this factor")
     p_check.add_argument("--seed", type=int, default=None,
                          help="override the scenario seed")

@@ -292,6 +292,17 @@ class GermFrame:
             "theta_p_closed": frob(self.d_theta_p) / scale < tol,
         }
 
+    def metric_parallel_residual(self, gamma: np.ndarray) -> float:
+        """|grad g| at the point for the connection Gamma^m_{ij} (values)."""
+        dg = self.g.partial().values  # dg[i, j, k] = d_k g_ij
+        g = self.g.values
+        nabla_g = (
+            np.einsum("ijk->kij", dg)
+            - np.einsum("mki,mj->kij", gamma, g)
+            - np.einsum("mkj,im->kij", gamma, g)
+        )
+        return frob(nabla_g)
+
     def connection(self, params: ConnectionParams) -> "ConnectionFrame":
         """The natural connection ``params`` on this frame.
 
@@ -387,15 +398,7 @@ class ConnectionFrame:
         return frob(gamma - gamma.transpose(0, 2, 1) - self.torsion_mixed)
 
     def metric_parallel_residual(self) -> float:
-        f = self.frame
-        dg = f.g.partial().values  # dg[i, j, k] = d_k g_ij
-        gamma = self.gamma.values
-        nabla_g = (
-            np.einsum("ijk->kij", dg)
-            - np.einsum("mki,mj->kij", gamma, f.g.values)
-            - np.einsum("mkj,im->kij", gamma, f.g.values)
-        )
-        return frob(nabla_g)
+        return self.frame.metric_parallel_residual(self.gamma.values)
 
     def structure_parallel_residual(self) -> float:
         f = self.frame

@@ -149,6 +149,26 @@ def test_cli_malformed_expression_exits_2(tmp_path):
     assert "offset" in proc.stderr
 
 
+def test_cli_evaluation_error_exits_2(tmp_path):
+    # Parses, but ln(x1 - 1) is undefined at the base point.
+    scenario = tmp_path / "ln.json"
+    scenario.write_text(
+        json.dumps({"germ": {"generator": "conformal_flat_product", "n": 2, "u": "ln(x1 - 1)"}})
+    )
+    proc = run_cli("check", "--scenario", str(scenario))
+    assert proc.returncode == 2
+    assert "error: ln of non-positive value" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("scale", ["0", "-1", "nan", "inf"])
+def test_cli_rejects_tol_scale_not_finite_positive(scale):
+    proc = run_cli("check", "--scenario", "flat_product_4d", "--tol-scale", scale)
+    assert proc.returncode == 2
+    assert "--tol-scale: must be a finite number > 0" in proc.stderr
+    assert proc.stdout == ""
+
+
 def test_cli_unknown_scenario_exits_2():
     proc = run_cli("check", "--scenario", "no_such_scenario")
     assert proc.returncode == 2

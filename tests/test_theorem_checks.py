@@ -149,3 +149,37 @@ def test_lee_closedness_builds_one_frame_per_sample_point(name, monkeypatch):
     monkeypatch.setattr(ChartGerm, "frame", counted)
     checks.check_lee_closedness(ctx)
     assert orders == [1] * (2 * ctx.germ.dim)
+
+
+def test_levi_civita_builds_one_order_1_frame_per_sample_point(monkeypatch):
+    # Gamma and grad g read first derivatives of g only.
+    ctx = context("conformal_w1_separable_4d")
+    orders = []
+    frame = ChartGerm.frame
+
+    def counted(germ, point=None, order=3):
+        orders.append(order)
+        return frame(germ, point, order)
+
+    monkeypatch.setattr(ChartGerm, "frame", counted)
+    [report] = checks.check_levi_civita(ctx)
+    assert orders == [1] * 10
+    assert report.status == "pass"
+
+
+def test_per_connection_turns_a_skip_into_a_named_skipped_report():
+    ctx = context("conformal_w1_separable_4d")
+    assert issubclass(checks.SingularScalarError, checks.Skip)
+    assert issubclass(checks.SingularScalarError, ValueError)
+
+    def body(report, cp):
+        report.residuals["r"] = 0.0
+        report.scalars["s"] = 1.0
+        checks.requires(cp.case(ctx.germ.n) == "D", "not D")
+
+    reports = checks._per_connection(ctx, "demo", 1e-10, body)
+    assert [r.name for r in reports] == ["demo[D]", "demo[D_tilde]", "demo[lam=1,mu=0]"]
+    assert [r.status for r in reports] == ["pass", "skipped", "skipped"]
+    for report in reports[1:]:
+        assert report.skip_reason == "not D"
+        assert report.residuals == {} and report.scalars == {"s": 1.0}

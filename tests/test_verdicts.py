@@ -1,9 +1,9 @@
 """Verdict manifest of the bundled scenarios.
 
 ``golden/bundled_verdicts.json`` records, for every check of every bundled
-scenario, its status, skip reason and sorted residual keys.  Residual values
-stay out of it, so changes at rounding level pass while any change of verdict
-fails.  Regenerate it (only for an intended verdict change) with
+scenario, its status, skip reason, sorted residual keys, hypothesis flags and
+notes.  Residual values stay out of it, so changes at rounding level pass
+while any change of verdict fails.  Regenerate it (only for an intended verdict change) with
 
     python tests/test_verdicts.py --write
 """
@@ -26,6 +26,8 @@ def scenario_verdicts(name: str) -> dict[str, dict]:
             "status": report.status,
             "skip_reason": report.skip_reason,
             "residual_keys": sorted(report.residuals),
+            "hypothesis_flags": dict(report.hypothesis_flags),
+            "notes": list(report.notes),
         }
     return verdicts
 
