@@ -2,11 +2,9 @@
 
 from .curvature import (
     CurvatureInvariants,
-    ab_forms,
     almost_einstein_check,
     curvature_invariants,
     decompose_dim4,
-    is_curvature_like,
     is_p_tensor,
     p_slot_identities,
     pi_tensors,
@@ -22,10 +20,9 @@ from .germs import (
     ConnectionParams,
     GermFrame,
     conformal_flat_product_germ,
-    d_scalar,
     flat_product_germ,
 )
-from .report import CheckReport, emit_report, load_report
+from .report import CheckReport, emit_report
 from .scenarios import (
     Scenario,
     ScenarioError,
@@ -41,20 +38,14 @@ from .structure import (
     f_symmetry_residuals,
     lee_form_from_f,
     projectors,
-    validate_structure,
     w1_form,
-    w3bar_form,
-    w6bar_form,
 )
 from .tensors import (
     PointStructure,
     StructureError,
     canonical_structure,
-    contract,
     frob,
-    lower_last,
     metric_inverse,
-    raise_last,
     random_symmetric2,
     random_tensor4,
     split_structure,

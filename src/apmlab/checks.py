@@ -33,7 +33,7 @@ from .germs import (  # noqa: F401
 )
 from .jetfields import JetTensor, jt_einsum
 from .report import CheckReport
-from .tensors import frob, random_tensor2, random_vector
+from .tensors import frob, random_symmetric2, random_tensor2, random_vector
 
 # Tolerance ladder: pointwise algebra / first-derivative pipelines.
 TOL_ALGEBRA = 1e-10
@@ -458,8 +458,10 @@ def check_lee_recovery(ctx: ScenarioContext) -> list[CheckReport]:
     """Recovery of the Lee form from the scalar curvatures of R'.
 
     With Delta = tau*'^2 - tau'^2 nonzero the solution of the linear system
-    expresses theta through d ln of two tau-combinations; with Delta = 0 and
-    tau' nonzero the degenerate combination is checked instead.
+    expresses theta through d ln of two tau-combinations.  With Delta = 0 and
+    tau*' = eps tau' != 0 the system gives only the combination
+
+        theta o P - eps theta = -n {d ln|tau'| - eps d ln|tau'| o P}.
     """
     fr = ctx.frame
     pv = fr.p.values
@@ -488,7 +490,7 @@ def check_lee_recovery(ctx: ScenarioContext) -> list[CheckReport]:
             requires(abs(tau) > 1e-8 * np.sqrt(scale), f"{DEGENERATE_SCALARS} (delta = tau' = 0)")
             eps = 1.0 if tau_star * tau > 0 else -1.0  # tau*' = eps tau' != 0
             grad_ln_tau = _ln_abs(t).data[1]
-            resid = (theta_p - eps * theta) - eps * n * (grad_ln_tau - eps * (grad_ln_tau @ pv))
+            resid = (theta_p - eps * theta) + n * (grad_ln_tau - eps * (grad_ln_tau @ pv))
             report.residuals["equal_magnitude_combination"] = frob(resid) / theta_scale
 
     return _per_connection(ctx, "lee_recovery", TOL_FIRST_DERIV, body)
@@ -504,8 +506,11 @@ def check_tau_form_closedness(ctx: ScenarioContext) -> list[CheckReport]:
     With |tau*'| != |tau'| the ratio form ln|(tau*' + tau')/(tau*' - tau')|
     (D and generic) and the delta form ln|tau*'^2 - tau'^2| (D_tilde and
     generic) are closed after composing their differential with P.  With
-    tau*' = eps tau' != 0 the exterior derivative of d(ln|tau'|) o P, times
-    eps n, is d theta for D, d(theta o P) for D_tilde and zero for generic.
+    tau*' = eps tau' != 0, d of the combination checked by ``lee_recovery``
+    gives d(theta o P) - eps d theta = eps n d(d ln|tau'| o P).  So d theta is
+    -n d(d ln|tau'| o P) for D (theta o P closed), d(theta o P) is
+    eps n d(d ln|tau'| o P) for D_tilde (theta closed), and
+    d(d ln|tau'| o P) is zero for generic (both closed).
     """
     fr = ctx.frame
     n = fr.n
@@ -534,7 +539,7 @@ def check_tau_form_closedness(ctx: ScenarioContext) -> list[CheckReport]:
         if case == "generic":
             report.residuals["ln_tau_form_closed"] = frob(d_form)
         elif case == "D":
-            report.residuals["d_theta_match"] = frob(fr.d_theta - eps * n * d_form)
+            report.residuals["d_theta_match"] = frob(fr.d_theta + n * d_form)
         else:
             report.residuals["d_theta_p_match"] = frob(fr.d_theta_p - eps * n * d_form)
 
@@ -547,7 +552,8 @@ def check_eigenclass_lee_recovery(ctx: ScenarioContext) -> list[CheckReport]:
     With sign = +1 on W3bar and -1 on W6bar, and |tau*'| != |tau'|,
     theta = sign n/2 {d phi - sign d phi o P} for phi = ln|tau*' + sign tau'|,
     and tau*' - sign tau' has a closed P-composed differential.  With
-    tau*' = sign tau' != 0 the same recovery holds for phi = ln|tau'|.
+    tau*' = sign tau' != 0 the same recovery holds for phi = ln|tau'|: it is
+    the ``lee_recovery`` combination with eps = sign, on theta o P = -sign theta.
     """
     fr = ctx.frame
     pv = fr.p.values
@@ -647,12 +653,6 @@ def check_dim4_traces(ctx: ScenarioContext) -> list[CheckReport]:
     return [report.finalize()]
 
 
-def _from_scalars(pis, tau: float, tau_star: float) -> np.ndarray:
-    """{tau (pi1 + pi2) + tau* pi3} / 8: the dim-4 P-tensor with these scalar curvatures."""
-    pi1, pi2, pi3 = pis
-    return (tau * (pi1 + pi2) + tau_star * pi3) / 8
-
-
 # One coefficient row per preset connection: the index of the pi tensor that
 # carries theta(omega) / 16, the coefficient of theta(omega) in tau - tau', and
 # those of (div(P omega), theta(omega)) in tau' - tau and of
@@ -684,7 +684,8 @@ def check_dim4_reconstruction(ctx: ScenarioContext) -> list[CheckReport]:
         tr = cf.transfer
         tau_p = float(cf.tau.values)
         tau_star_p = float(cf.tau_star.values)
-        rebuilt = _from_scalars(pis, tau_p, tau_star_p) - _transfer_correction(ps, pis, tr)
+        from_scalars = curv.dim4_from_scalars(pis, tau_p, tau_star_p)
+        rebuilt = from_scalars - _transfer_correction(ps, pis, tr)
         report.residuals["curvature_from_scalars"] = frob(r - rebuilt)
         if cp.case(fr.n) not in _DIM4_PRESETS:
             return
@@ -695,7 +696,7 @@ def check_dim4_reconstruction(ctx: ScenarioContext) -> list[CheckReport]:
             + curv.psi1(ps, tr["s_prime"])
             + curv.psi2(ps, tr["s_dprime"])
         )
-        rebuilt = _from_scalars(pis, tau_p, tau_star_p) - correction
+        rebuilt = from_scalars - correction
         report.residuals["preset_reconstruction"] = frob(r - rebuilt)
         tau = tau_p + c * s["theta_omega"] - 6 * s["tr_s_prime"] + 2 * s["tr_s_dprime"]
         tau_star = tau_star_p - 2 * s["tr_s_prime_assoc"] - 2 * s["tr_s_dprime_assoc"]
@@ -705,7 +706,7 @@ def check_dim4_reconstruction(ctx: ScenarioContext) -> list[CheckReport]:
         tau_star_traces = inv_r.tau_star + a_star * s["div_omega"] + b_star * s["theta_p_omega"]
         report.residuals["tau_from_traces"] = abs(tau_p - tau_traces)
         report.residuals["tau_star_from_traces"] = abs(tau_star_p - tau_star_traces)
-        final = _from_scalars(pis, tau_traces, tau_star_traces) - correction
+        final = curv.dim4_from_scalars(pis, tau_traces, tau_star_traces) - correction
         report.residuals["final_display"] = frob(r - final)
 
     return _per_connection(ctx, "dim4_reconstruction", 1e-6, body)
@@ -737,13 +738,13 @@ def check_dim4_round_trip(ctx: ScenarioContext) -> list[CheckReport]:
                 "g_pp": p_vec @ gv @ p_vec,
                 "g_qq": q_vec @ gv @ q_vec,
                 "g_pq": p_vec @ gv @ q_vec,
-                "s_prime": 0.5 * (random_tensor2(4, seed + 3) + random_tensor2(4, seed + 3).T),
+                "s_prime": random_symmetric2(4, seed + 3),
                 "s_dprime": random_tensor2(4, seed + 4) @ ps.p,
             },
         )
         r_synth = l - corrections
         inv_l = curv.curvature_invariants(ps, l)
-        rebuilt = _from_scalars(pis, inv_l.tau, inv_l.tau_star) - corrections
+        rebuilt = curv.dim4_from_scalars(pis, inv_l.tau, inv_l.tau_star) - corrections
         worst = max(worst, frob(r_synth - rebuilt))
     report.residuals["round_trip"] = worst
     return [report.finalize()]
@@ -757,7 +758,7 @@ def check_pointwise_algebra(ctx: ScenarioContext) -> list[CheckReport]:
     worst_sym = worst_identity = 0.0
     min_asym = np.inf
     for seed in rng_seeds:
-        s_sym = 0.5 * (random_tensor2(ps.dim, seed) + random_tensor2(ps.dim, seed).T)
+        s_sym = random_symmetric2(ps.dim, seed)
         worst_sym = max(
             worst_sym, max(curv.curvature_like_residuals(curv.psi1(ps, s_sym)).values())
         )

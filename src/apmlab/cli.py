@@ -15,6 +15,7 @@ from .report import CheckReport, emit_report, exit_code, summarize
 from .scenarios import (
     ScenarioError,
     bundled_scenario_names,
+    finite_positive,
     germ_from_spec,
     resolve_scenario,
     run_scenario,
@@ -121,12 +122,9 @@ def cmd_list_checks(_args: argparse.Namespace) -> int:
 
 def _tol_scale(text: str) -> float:
     try:
-        value = float(text)
-    except ValueError:
-        value = float("nan")
-    if not (np.isfinite(value) and value > 0):
-        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text!r}")
-    return value
+        return finite_positive(float(text), "--tol-scale")
+    except ValueError:  # not a number, or a ScenarioError
+        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text!r}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:

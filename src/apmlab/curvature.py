@@ -46,22 +46,22 @@ def curvature_like_residuals(l: np.ndarray) -> dict[str, float]:
     }
 
 
-def is_curvature_like(l: np.ndarray, tol: float = DEFAULT_TOL) -> CheckReport:
-    report = CheckReport(name="curvature_like", tol=tol)
-    report.residuals.update(curvature_like_residuals(l))
-    return report.finalize()
-
-
 def p_invariance_residual(ps: PointStructure, l: np.ndarray) -> float:
     """Residual of L(x,y,Pz,Pw) = L(x,y,z,w)."""
     twisted = np.einsum("ijab,ak,bl->ijkl", l, ps.p, ps.p)
     return frob(twisted - l)
 
 
+def p_tensor_residuals(ps: PointStructure, l: np.ndarray) -> dict[str, float]:
+    """The curvature-like residuals of L plus its ``p_invariance``."""
+    residuals = curvature_like_residuals(l)
+    residuals["p_invariance"] = p_invariance_residual(ps, l)
+    return residuals
+
+
 def is_p_tensor(ps: PointStructure, l: np.ndarray, tol: float = DEFAULT_TOL) -> CheckReport:
     report = CheckReport(name="p_tensor", tol=tol)
-    report.residuals.update(curvature_like_residuals(l))
-    report.residuals["p_invariance"] = p_invariance_residual(ps, l)
+    report.residuals.update(p_tensor_residuals(ps, l))
     return report.finalize()
 
 
@@ -110,15 +110,6 @@ def psi1(ps: PointStructure, s: np.ndarray) -> np.ndarray:
 def psi2(ps: PointStructure, s: np.ndarray) -> np.ndarray:
     """psi2(S)(x,y,z,w) = psi1(S)(x,y,Pz,Pw); curvature-like iff S(x,Py) = S(y,Px)."""
     return np.einsum("ijab,ak,bl->ijkl", psi1(ps, s), ps.p, ps.p)
-
-
-def psi_preconditions(ps: PointStructure, s: np.ndarray) -> dict[str, float]:
-    """Residuals of the conditions under which psi1(S) / psi2(S) are curvature-like."""
-    sp = s @ ps.p
-    return {
-        "psi1_symmetric": frob(s - s.T),
-        "psi2_p_compatible": frob(sp - sp.T),
-    }
 
 
 def pi_tensors(ps: PointStructure) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -202,9 +193,14 @@ def decompose_dim4(ps: PointStructure, l: np.ndarray) -> tuple[float, float, flo
     if ps.dim != 4:
         raise ValueError("decomposition by scalar curvatures requires dimension 4")
     inv = curvature_invariants(ps, l)
-    pi1, pi2, pi3 = pi_tensors(ps)
-    rebuilt = (inv.tau * (pi1 + pi2) + inv.tau_star * pi3) / 8.0
+    rebuilt = dim4_from_scalars(pi_tensors(ps), inv.tau, inv.tau_star)
     return inv.tau, inv.tau_star, frob(l - rebuilt)
+
+
+def dim4_from_scalars(pis, tau: float, tau_star: float) -> np.ndarray:
+    """{tau (pi1 + pi2) + tau* pi3} / 8: the dim-4 P-tensor with these scalar curvatures."""
+    pi1, pi2, pi3 = pis
+    return (tau * (pi1 + pi2) + tau_star * pi3) / 8
 
 
 def sectional_curvatures(ps: PointStructure, l: np.ndarray,
@@ -257,19 +253,3 @@ def almost_einstein_check(ps: PointStructure, l: np.ndarray,
         {"tau": inv.tau, "tau_star": inv.tau_star, "nu": curvatures[0]}
     )
     return report.finalize()
-
-
-def ab_forms(x: np.ndarray, y: np.ndarray, basis: np.ndarray) -> tuple[float, float]:
-    """The two antisymmetric coordinate 2-forms of the dim-4 canonical shape.
-
-    Vectors are re-expressed in the adapted basis (E1, E2, PE1, PE2); then
-    a(x,y) = x1 y2 + x3 y4 - x2 y1 - x4 y3 and
-    b(x,y) = x1 y4 + x3 y2 - x2 y3 - x4 y1.
-    """
-    if basis.shape != (4, 4):
-        raise ValueError("the a/b forms are defined for dimension 4 only")
-    cx = np.linalg.solve(basis, np.asarray(x, dtype=float))
-    cy = np.linalg.solve(basis, np.asarray(y, dtype=float))
-    a = cx[0] * cy[1] + cx[2] * cy[3] - cx[1] * cy[0] - cx[3] * cy[2]
-    b = cx[0] * cy[3] + cx[2] * cy[1] - cx[1] * cy[2] - cx[3] * cy[0]
-    return float(a), float(b)

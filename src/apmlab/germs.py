@@ -29,7 +29,7 @@ import numpy as np
 from . import curvature as curv
 from .exprs import Binary, Const, Func, ScalarExpr, parse_expr
 from .jetfields import JetTensor, jt_einsum, jt_inverse
-from .tensors import PointStructure, StructureError, frob
+from .tensors import PointStructure, StructureError, frob, split_structure
 
 
 def default_base_point(dim: int) -> np.ndarray:
@@ -132,11 +132,10 @@ def _const_grid(values: np.ndarray) -> tuple[tuple[ScalarExpr, ...], ...]:
 def flat_product_germ(n: int, name: str = "flat_product") -> ChartGerm:
     """Flat product metric with the constant split structure diag(+I_n, -I_n)."""
     dim = 2 * n
-    p = np.diag(np.concatenate([np.ones(n), -np.ones(n)]))
     return ChartGerm(
         dim,
         _const_grid(np.eye(dim)),
-        _const_grid(p),
+        _const_grid(split_structure(dim).p),
         tuple(default_base_point(dim)),
         name,
     )
@@ -154,11 +153,10 @@ def conformal_flat_product_germ(n: int, u, name: str | None = None) -> ChartGerm
     metric = tuple(
         tuple(factor if i == j else Const(0.0) for j in range(dim)) for i in range(dim)
     )
-    p = np.diag(np.concatenate([np.ones(n), -np.ones(n)]))
     return ChartGerm(
         dim,
         metric,
-        _const_grid(p),
+        _const_grid(split_structure(dim).p),
         tuple(default_base_point(dim)),
         name or f"conformal_flat_product[u={u}]",
     )
@@ -422,10 +420,7 @@ class ConnectionFrame:
     @cached_property
     def p_tensor_residual(self) -> float:
         """Worst residual of "R' is a Riemannian P-tensor" at the frame's point."""
-        r = self.curvature.values
-        residuals = curv.curvature_like_residuals(r)
-        residuals["p_invariance"] = curv.p_invariance_residual(self.frame.structure, r)
-        return max(residuals.values())
+        return max(curv.p_tensor_residuals(self.frame.structure, self.curvature.values).values())
 
     @cached_property
     def nabla_curvature(self) -> np.ndarray:
@@ -468,7 +463,7 @@ class ConnectionFrame:
 
     @cached_property
     def transfer(self) -> dict[str, np.ndarray | float]:
-        """Vectors p, q and tensors S', S'' relating R to R'."""
+        """S', S'' and g(p,p), g(q,q), g(p,q) for the vectors p, q relating R to R'."""
         f = self.frame
         lam, mu = self.params.lam, self.params.mu
         two_n = 2.0 * self.n
@@ -493,8 +488,6 @@ class ConnectionFrame:
         )
         gv = f.g.values
         return {
-            "p": p_vec,
-            "q": q_vec,
             "s_prime": s_prime,
             "s_dprime": s_dprime,
             "g_pp": float(p_vec @ gv @ p_vec),

@@ -1,4 +1,4 @@
-"""Check reports: named residuals, hypothesis flags, pass/fail status, JSON I/O."""
+"""Check reports: named residuals, hypothesis flags, pass/fail status, JSON output."""
 
 from __future__ import annotations
 
@@ -107,11 +107,6 @@ def emit_report(reports: list[CheckReport], path: str, scenario: str = "",
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return doc
-
-
-def load_report(path: str) -> dict[str, Any]:
-    with open(path) as fh:
-        return json.load(fh)
 
 
 def summarize(reports: list[CheckReport]) -> dict[str, int]:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from importlib import resources
 
@@ -48,6 +49,14 @@ class Scenario:
             tolerances=self.tolerances,
             tol_scale=tol_scale,
         )
+
+
+def finite_positive(value, path: str) -> float:
+    """``value`` as a float if it is a finite number > 0, else a ScenarioError at ``path``."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or not (math.isfinite(value) and value > 0):
+        raise ScenarioError(path, f"must be a finite number > 0, got {value!r}")
+    return float(value)
 
 
 def _require(doc: dict, key: str, kind, path: str):
@@ -147,6 +156,8 @@ def load_scenario(doc: dict, name: str = "scenario") -> Scenario:
             raise ScenarioError(f"$.tolerances.{check_name}", "unknown check")
         if not isinstance(overrides, dict):
             raise ScenarioError(f"$.tolerances.{check_name}", "expected an object of residual: tol")
+        for key, value in overrides.items():
+            finite_positive(value, f"$.tolerances.{check_name}.{key}")
 
     expect_class = doc.get("expect_class")
     if expect_class is not None and expect_class not in (
@@ -203,5 +214,5 @@ def resolve_scenario(ref: str) -> Scenario:
 
 def run_scenario(scenario: Scenario, tol_scale: float = 1.0,
                  seed: int | None = None) -> list[CheckReport]:
-    ctx = scenario.context(tol_scale=tol_scale, seed=seed)
+    ctx = scenario.context(tol_scale=finite_positive(tol_scale, "tol_scale"), seed=seed)
     return run_checks(ctx, scenario.checks)

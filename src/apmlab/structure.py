@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .report import CheckReport
 from .tensors import DEFAULT_TOL, PointStructure, StructureError, frob
 
 CLASS_W0 = "W0"
@@ -55,13 +54,6 @@ class ClassReport:
             "theta": [float(x) for x in self.theta],
             "theta_p": [float(x) for x in self.theta_p],
         }
-
-
-def validate_structure(ps: PointStructure, tol: float = DEFAULT_TOL) -> CheckReport:
-    """Report the residuals of all defining (g, P) invariants."""
-    report = CheckReport(name="structure", tol=tol)
-    report.residuals.update(ps.invariant_residuals())
-    return report.finalize()
 
 
 def projectors(ps: PointStructure, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
@@ -155,25 +147,13 @@ def w1_form(ps: PointStructure, theta: np.ndarray) -> np.ndarray:
 
 
 def _eigenclass_form(ps: PointStructure, theta: np.ndarray, sign: float) -> np.ndarray:
+    """Characteristic F of W3bar (sign = +1) or W6bar (sign = -1).
+
+    It lies in its class when theta o P = -sign theta.
+    """
     base = ps.g + sign * ps.g_assoc
     f = np.einsum("ij,k->ijk", base, theta) + np.einsum("ik,j->ijk", base, theta)
     return f / ps.dim
-
-
-def w3bar_form(ps: PointStructure, theta: np.ndarray, tol: float = 1e-8) -> np.ndarray:
-    """Characteristic F of W3bar; requires theta o P = -theta."""
-    theta_p = ps.apply_p_form(theta)
-    if frob(theta_p + theta) / max(1.0, frob(theta)) > tol:
-        raise StructureError("theta is not in the P = -1 eigenspace required for W3bar")
-    return _eigenclass_form(ps, theta, +1.0)
-
-
-def w6bar_form(ps: PointStructure, theta: np.ndarray, tol: float = 1e-8) -> np.ndarray:
-    """Characteristic F of W6bar; requires theta o P = +theta."""
-    theta_p = ps.apply_p_form(theta)
-    if frob(theta_p - theta) / max(1.0, frob(theta)) > tol:
-        raise StructureError("theta is not in the P = +1 eigenspace required for W6bar")
-    return _eigenclass_form(ps, theta, -1.0)
 
 
 def classify_f(ps: PointStructure, f: np.ndarray, tol: float = CLASS_TOL) -> ClassReport:

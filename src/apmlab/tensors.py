@@ -1,9 +1,9 @@
 """Dense multilinear algebra over a 2n-dimensional real inner-product space.
 
 All tensors are stored with every index covariant, as plain numpy arrays of
-rank 1..4; mixed-index views are produced on demand by raising against the
-inverse metric.  Dimensions of interest are small (4..8), so storage is dense
-row-major throughout.
+rank 1..4; an index is raised by contracting with the inverse metric where a
+formula needs it.  Dimensions of interest are small (4..8), so storage is
+dense row-major throughout.
 """
 
 from __future__ import annotations
@@ -124,32 +124,6 @@ def split_structure(dim: int, conformal_factor: float = 1.0) -> PointStructure:
     n = dim // 2
     p = np.diag(np.concatenate([np.ones(n), -np.ones(n)]))
     return PointStructure(conformal_factor * np.eye(dim), p)
-
-
-def contract(t: np.ndarray, g_inv: np.ndarray, slot_a: int, slot_b: int) -> np.ndarray:
-    """Trace two covariant slots against the inverse metric.
-
-    result_{...} = g^{ij} T_{... i ... j ...} with i at ``slot_a``, j at ``slot_b``.
-    """
-    t = np.asarray(t, dtype=float)
-    rank = t.ndim
-    if not (0 <= slot_a < rank and 0 <= slot_b < rank) or slot_a == slot_b:
-        raise ValueError(f"invalid contraction slots ({slot_a}, {slot_b}) for rank {rank}")
-    lifted = np.tensordot(g_inv, t, axes=([1], [slot_a]))
-    # g^{ij} now occupies axis 0; original slot_b moved left by one if it was
-    # after slot_a.
-    b = slot_b if slot_b < slot_a else slot_b - 1
-    return np.trace(lifted, axis1=0, axis2=1 + b)
-
-
-def raise_last(t: np.ndarray, g_inv: np.ndarray) -> np.ndarray:
-    """Raise the last index: T_{...k} -> T_{...}{}^m = T_{...k} g^{km}."""
-    return np.tensordot(np.asarray(t, dtype=float), g_inv, axes=([-1], [0]))
-
-
-def lower_last(t: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Lower the last index: T_{...}{}^m -> T_{...k} = T_{...}{}^m g_{mk}."""
-    return np.tensordot(np.asarray(t, dtype=float), g, axes=([-1], [0]))
 
 
 def random_symmetric2(dim: int, seed: int) -> np.ndarray:

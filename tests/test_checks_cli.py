@@ -6,7 +6,7 @@ import sys
 import pytest
 
 import apmlab
-from apmlab.report import CheckReport, emit_report, exit_code, load_report, summarize
+from apmlab.report import CheckReport, emit_report, exit_code, summarize
 from apmlab.scenarios import (
     ScenarioError,
     bundled_scenario_names,
@@ -22,6 +22,8 @@ BUNDLED = [
     "conformal_w1_separable_4d",
     "conformal_w1_mixed_4d",
     "conformal_w1_separable_6d",
+    "twisted_equal_tau_plus_4d",
+    "twisted_equal_tau_minus_4d",
 ]
 
 
@@ -96,7 +98,7 @@ def test_emit_report_round_trip(tmp_path):
     ]
     path = tmp_path / "report.json"
     doc = emit_report(reports, str(path), scenario="demo", timestamp="2026-01-01T00:00:00Z")
-    loaded = load_report(str(path))
+    loaded = json.loads(path.read_text())
     assert loaded == doc
     assert loaded["summary"] == {"passed": 1, "failed": 0, "skipped": 1}
     assert loaded["checks"][1]["skip_reason"] == "hypothesis violated"
@@ -106,7 +108,7 @@ def test_emit_empty_report(tmp_path):
     path = tmp_path / "empty.json"
     doc = emit_report([], str(path), scenario="empty", timestamp="2026-01-01T00:00:00Z")
     assert doc["checks"] == []
-    assert load_report(str(path))["summary"]["failed"] == 0
+    assert json.loads(path.read_text())["summary"]["failed"] == 0
 
 
 def test_report_bytes_stable_with_pinned_epoch(tmp_path):
@@ -261,6 +263,38 @@ def test_tolerance_overrides_apply():
     }
     reports = run_scenario(load_scenario(doc))
     assert exit_code(reports) == 1  # impossible tolerance now fails
+
+
+@pytest.mark.parametrize("value", ["abc", -1, 0, float("nan"), True])
+def test_tolerance_override_must_be_finite_positive(value):
+    doc = {
+        "germ": {"generator": "flat_product", "n": 2},
+        "tolerances": {"scalar_system": {"*": value}},
+    }
+    with pytest.raises(ScenarioError, match=r"\$\.tolerances\.scalar_system\.\*: must be a finite"):
+        load_scenario(doc)
+
+
+@pytest.mark.parametrize("value", ["abc", -1, 0, float("nan")])
+def test_cli_malformed_tolerance_override_exits_2(tmp_path, value):
+    scenario = tmp_path / "tol.json"
+    # json writes NaN bare, and Python's json reads it back as a float.
+    scenario.write_text(json.dumps({
+        "germ": {"generator": "flat_product", "n": 2},
+        "tolerances": {"lee_recovery": {"theta_recovery": value}},
+    }))
+    proc = run_cli("check", "--scenario", str(scenario))
+    assert proc.returncode == 2
+    assert "error: $.tolerances.lee_recovery.theta_recovery: must be a finite" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("scale", [0.0, -1.0, float("nan"), float("inf")])
+def test_run_scenario_rejects_tol_scale_not_finite_positive(scale):
+    scenario = load_scenario({"germ": {"generator": "flat_product", "n": 2},
+                              "checks": ["structure"]})
+    with pytest.raises(ScenarioError, match="tol_scale: must be a finite number > 0"):
+        run_scenario(scenario, tol_scale=scale)
 
 
 def test_tol_scale_loosens():

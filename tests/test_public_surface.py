@@ -1,0 +1,61 @@
+"""Every name the package exports serves the package or a documented library use.
+
+A name exported by ``apmlab/__init__.py`` must be read somewhere in
+``src/apmlab`` outside its own definition and the export, or be named in the
+README's "Library entry points" section.  A name that only its own tests call
+fails here.
+"""
+
+import ast
+import os
+import re
+
+import apmlab
+
+PACKAGE_DIR = os.path.dirname(apmlab.__file__)
+README = os.path.join(os.path.dirname(os.path.dirname(PACKAGE_DIR)), "README.md")
+
+
+def exported_names() -> list[str]:
+    with open(os.path.join(PACKAGE_DIR, "__init__.py")) as fh:
+        tree = ast.parse(fh.read())
+    return [
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    ]
+
+
+def names_read_in_package() -> set[str]:
+    """Names loaded or read as attributes in the package's modules, imports excluded."""
+    read = set()
+    for entry in os.listdir(PACKAGE_DIR):
+        if not entry.endswith(".py") or entry == "__init__.py":
+            continue
+        with open(os.path.join(PACKAGE_DIR, entry)) as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return read
+
+
+def library_entry_points_section() -> str:
+    with open(README) as fh:
+        text = fh.read()
+    match = re.search(r"^## Library entry points\n(.*?)(?=^## |\Z)", text, re.M | re.S)
+    assert match, "README has no 'Library entry points' section"
+    return match.group(1)
+
+
+def test_every_export_is_used_or_documented():
+    read = names_read_in_package()
+    section = library_entry_points_section()
+    unserved = [
+        name for name in exported_names()
+        if name not in read and not re.search(rf"\b{re.escape(name)}\b", section)
+    ]
+    assert unserved == []

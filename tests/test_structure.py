@@ -8,16 +8,14 @@ from apmlab.structure import (
     CLASS_W1,
     CLASS_W3BAR,
     CLASS_W6BAR,
+    _eigenclass_form,
     adapted_orthonormal_basis,
     basis_residuals,
     classify_f,
     f_symmetry_residuals,
     lee_form_from_f,
     projectors,
-    validate_structure,
     w1_form,
-    w3bar_form,
-    w6bar_form,
 )
 from apmlab.tensors import PointStructure, StructureError, canonical_structure, frob
 
@@ -28,22 +26,21 @@ def random_theta(ps, seed):
 
 
 def test_validate_canonical_structure():
-    report = validate_structure(canonical_structure(4))
-    assert report.passed
-    assert max(report.residuals.values()) == 0.0
+    ps = canonical_structure(4)
+    assert ps.is_valid()
+    assert max(ps.invariant_residuals().values()) == 0.0
 
 
 def test_validate_flags_nonzero_trace():
     ps = PointStructure(np.eye(4), np.eye(4), g_inv=np.eye(4))
-    report = validate_structure(ps)
-    assert not report.passed
-    assert report.residuals["trace_p"] == 4.0
+    assert not ps.is_valid()
+    assert ps.invariant_residuals()["trace_p"] == 4.0
 
 
 def test_validate_conformal_scaling_preserves_compatibility():
     for u in (-0.7, 0.0, 1.3):
         ps = canonical_structure(4, conformal_factor=np.exp(2 * u))
-        assert validate_structure(ps).passed
+        assert ps.is_valid()
 
 
 def test_projectors_properties():
@@ -142,12 +139,8 @@ def test_eigenclass_forms_require_eigen_theta():
     h = 0.5 * (np.eye(4) + ps.p)
     v = 0.5 * (np.eye(4) - ps.p)
     theta = random_theta(ps, 3)
-    with pytest.raises(StructureError, match="eigenspace"):
-        w3bar_form(ps, theta)
-    with pytest.raises(StructureError, match="eigenspace"):
-        w6bar_form(ps, theta)
-    f3 = w3bar_form(ps, v @ theta)
-    f6 = w6bar_form(ps, h @ theta)
+    f3 = _eigenclass_form(ps, v @ theta, +1.0)
+    f6 = _eigenclass_form(ps, h @ theta, -1.0)
     assert max(f_symmetry_residuals(ps, f3).values()) < 1e-12
     assert max(f_symmetry_residuals(ps, f6).values()) < 1e-12
 
@@ -162,9 +155,9 @@ def test_classify_eigenclasses_round_trip():
     h = 0.5 * (np.eye(4) + ps.p)
     v = 0.5 * (np.eye(4) - ps.p)
     theta = random_theta(ps, 4)
-    rep3 = classify_f(ps, w3bar_form(ps, v @ theta))
+    rep3 = classify_f(ps, _eigenclass_form(ps, v @ theta, +1.0))
     assert rep3.label == CLASS_W3BAR and rep3.residual_w3bar < 1e-12
-    rep6 = classify_f(ps, w6bar_form(ps, h @ theta))
+    rep6 = classify_f(ps, _eigenclass_form(ps, h @ theta, -1.0))
     assert rep6.label == CLASS_W6BAR and rep6.residual_w6bar < 1e-12
 
 
@@ -235,7 +228,7 @@ def test_eigenclass_outputs_have_exact_eigen_theta():
     h = 0.5 * (np.eye(4) + ps.p)
     v = 0.5 * (np.eye(4) - ps.p)
     theta = random_theta(ps, 6)
-    t3, t3p = lee_form_from_f(ps, w3bar_form(ps, v @ theta))
+    t3, t3p = lee_form_from_f(ps, _eigenclass_form(ps, v @ theta, +1.0))
     assert frob(t3p + t3) < 1e-12
-    t6, t6p = lee_form_from_f(ps, w6bar_form(ps, h @ theta))
+    t6, t6p = lee_form_from_f(ps, _eigenclass_form(ps, h @ theta, -1.0))
     assert frob(t6p - t6) < 1e-12

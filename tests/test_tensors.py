@@ -1,40 +1,16 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from apmlab.tensors import (
     PointStructure,
     StructureError,
     canonical_structure,
-    contract,
     frob,
-    lower_last,
     metric_inverse,
-    raise_last,
     random_symmetric2,
     random_tensor4,
     split_structure,
 )
-from apmlab.curvature import pi_tensors
-
-
-def brute_force_contract(t, g_inv, slot_a, slot_b):
-    dim = t.shape[0]
-    out_rank = t.ndim - 2
-    out = np.zeros((dim,) * out_rank)
-    for idx in np.ndindex(*out.shape):
-        total = 0.0
-        for i in range(dim):
-            for j in range(dim):
-                full = list(idx)
-                full.insert(min(slot_a, slot_b), None)
-                full.insert(max(slot_a, slot_b), None)
-                full[slot_a] = i
-                full[slot_b] = j
-                total += g_inv[i, j] * t[tuple(full)]
-        out[idx] = total
-    return out
 
 
 def test_metric_inverse_identity():
@@ -65,63 +41,6 @@ def test_metric_inverse_involution():
     a = rng.normal(size=(6, 6))
     g = a @ a.T + 6 * np.eye(6)
     assert frob(metric_inverse(metric_inverse(g)) - g) < 1e-10 * frob(g)
-
-
-def test_contract_ricci_of_pi1_matches_brute_force():
-    ps = canonical_structure(4)
-    pi1, _, _ = pi_tensors(ps)
-    rho = contract(pi1, ps.g_inv, 0, 3)
-    assert np.allclose(rho, 3.0 * ps.g, atol=1e-12)
-    assert np.allclose(rho, brute_force_contract(pi1, ps.g_inv, 0, 3), atol=1e-12)
-
-
-def test_contract_zero_tensor():
-    assert np.allclose(contract(np.zeros((4,) * 4), np.eye(4), 0, 3), 0.0)
-
-
-def test_contract_metric_outer_product_trace():
-    rng = np.random.default_rng(5)
-    a = rng.normal(size=(4, 4))
-    g = a @ a.T + 4 * np.eye(4)
-    g_inv = metric_inverse(g)
-    t = np.einsum("ij,kl->ijkl", g, g)
-    assert np.allclose(contract(t, g_inv, 0, 1), 4.0 * g, atol=1e-10)
-
-
-def test_contract_rejects_bad_slots():
-    t = np.zeros((4, 4, 4))
-    with pytest.raises(ValueError):
-        contract(t, np.eye(4), 1, 1)
-    with pytest.raises(ValueError):
-        contract(t, np.eye(4), 0, 3)
-
-
-@settings(max_examples=25, deadline=None)
-@given(st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1),
-       st.floats(-3, 3), st.floats(-3, 3))
-def test_contract_is_linear(seed_a, seed_b, alpha, beta):
-    g_inv = metric_inverse(random_symmetric2(4, 11) * 0.2 + np.eye(4))
-    t1 = random_tensor4(4, seed_a)
-    t2 = random_tensor4(4, seed_b)
-    lhs = contract(alpha * t1 + beta * t2, g_inv, 1, 3)
-    rhs = alpha * contract(t1, g_inv, 1, 3) + beta * contract(t2, g_inv, 1, 3)
-    assert frob(lhs - rhs) < 1e-12 * max(1.0, frob(lhs))
-
-
-def test_raise_lower_round_trip_identity_metric():
-    t = random_tensor4(4, 0)[0]
-    assert np.allclose(raise_last(t, np.eye(4)), t)
-
-
-@settings(max_examples=25, deadline=None)
-@given(st.integers(0, 2**32 - 1))
-def test_raise_lower_round_trip(seed):
-    rng = np.random.default_rng(seed)
-    a = rng.normal(size=(4, 4))
-    g = a @ a.T + 4 * np.eye(4)
-    g_inv = metric_inverse(g)
-    for t in (rng.normal(size=(4, 4, 4)), rng.normal(size=(4, 4, 4, 4))):
-        assert frob(lower_last(raise_last(t, g_inv), g) - t) < 1e-12 * max(1, frob(t))
 
 
 def test_random_generators_deterministic_and_bounded():

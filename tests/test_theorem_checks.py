@@ -79,6 +79,36 @@ def test_opposite_scalar_curvatures_take_the_equal_magnitude_branch():
         assert "theta_recovery" not in report.residuals
 
 
+def twisted_product_context(alpha: str, beta: str) -> ScenarioContext:
+    """g = e^{2 alpha} (dx1^2 + dx2^2) + e^{2 beta} (dx3^2 + dx4^2), P = diag(1, 1, -1, -1)."""
+    a, b = f"exp(2*({alpha}))", f"exp(2*({beta}))"
+    metric = [[a, "0", "0", "0"], ["0", a, "0", "0"], ["0", "0", b, "0"], ["0", "0", "0", b]]
+    structure = [["1", "0", "0", "0"], ["0", "1", "0", "0"],
+                 ["0", "0", "-1", "0"], ["0", "0", "0", "-1"]]
+    germ = ChartGerm.from_strings(4, metric, structure)
+    return ScenarioContext(germ=germ, point=np.asarray(germ.base_point),
+                           connections=[ConnectionParams.d()])
+
+
+@pytest.mark.parametrize("eps,alpha,beta", [
+    (1.0, "x1*x3", "x1*x3 + x1^2 + x2^2"),
+    (-1.0, "x1*x3 + x3^2 + x4^2", "x1*x3"),
+])
+def test_equal_magnitude_branch_of_d_for_either_sign(eps, alpha, beta):
+    # theta o P is closed and R'(D) is a P-tensor with tau*' = eps tau' != 0:
+    # the scalar system gives theta o P - eps theta = -n {d ln|tau'| - eps d ln|tau'| o P}.
+    ctx = twisted_product_context(alpha, beta)
+    cf = ctx.connection(ConnectionParams.d())
+    tau, tau_star = float(cf.tau.values), float(cf.tau_star.values)
+    assert ctx.w1_outside_eigenclasses and ctx.r_prime_p_tensor(cf)
+    assert abs(tau) > 1.0 and abs(tau_star - eps * tau) < 1e-12
+    [recovery] = check_lee_recovery(ctx)
+    [closedness] = check_tau_form_closedness(ctx)
+    assert recovery.residuals["equal_magnitude_combination"] < 1e-12
+    assert closedness.residuals["d_theta_match"] < 1e-12
+    assert recovery.status == closedness.status == "pass"
+
+
 def test_singular_scalar_combination_is_a_named_skip():
     # tau' = 0 and tau*' = 1e-6 are distinct in magnitude, but
     # tau*'^2 - tau'^2 = 1e-12 lies below the ln floor.
