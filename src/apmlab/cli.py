@@ -8,7 +8,7 @@ import sys
 
 import numpy as np
 
-from .checks import CHECKS
+from .checks import CHECKS, UNMATCHED_OVERRIDE
 from .curvature import decompose_dim4, is_p_tensor
 from .exprs import EvalError, ParseError
 from .report import CheckReport, emit_report, exit_code, summarize
@@ -28,7 +28,6 @@ USAGE_ERROR = 2
 
 def _print_check_lines(reports: list[CheckReport]) -> None:
     for report in reports:
-        report.finalize()
         line = f"[{report.status.upper():7s}] {report.name}"
         if report.status == "fail":
             worst = max(report.residuals.items(), key=lambda kv: kv[1], default=None)
@@ -42,6 +41,9 @@ def _print_check_lines(reports: list[CheckReport]) -> None:
         elif report.status == "skipped":
             line += f"  ({report.skip_reason})"
         print(line)
+        for note in report.notes:
+            if note.endswith(UNMATCHED_OVERRIDE):
+                print(f"warning: {report.name}: {note}", file=sys.stderr)
 
 
 def cmd_check(args: argparse.Namespace) -> int:

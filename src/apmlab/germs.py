@@ -178,6 +178,22 @@ def _grid_jets(grid, point: np.ndarray, order: int, dim: int) -> JetTensor:
     )
 
 
+def exterior_derivative(form: JetTensor) -> np.ndarray:
+    """(d form)_ij = d_i form_j - d_j form_i of a 1-form jet, at its point."""
+    jac = form.partial().values  # jac[j, i] = d_i form_j
+    return jac.T - jac
+
+
+def _covariant_p(p: JetTensor, gamma: JetTensor) -> JetTensor:
+    """(grad_i P)^m_j for the connection Gamma^m_{ij}, axes (i, m, j)."""
+    dp = p.truncated(gamma.order + 1).partial()  # dp[m, j, i] = d_i P^m_j
+    return (
+        dp.transpose("mji->imj")
+        + jt_einsum("mik,kj->imj", gamma, p)
+        - jt_einsum("kij,mk->imj", gamma, p)
+    )
+
+
 class GermFrame:
     """Levi-Civita pipeline of a germ at one point, on derivative jets.
 
@@ -239,12 +255,7 @@ class GermFrame:
     @cached_property
     def nabla_p(self) -> JetTensor:
         """(grad_i P)^m_j, axes (i, m, j)."""
-        dp = self.p.partial()  # dp[m, j, i] = d_i P^m_j
-        return (
-            dp.transpose("mji->imj")
-            + jt_einsum("mik,kj->imj", self.christoffel, self.p)
-            - jt_einsum("kij,mk->imj", self.christoffel, self.p)
-        )
+        return _covariant_p(self.p, self.christoffel)
 
     @cached_property
     def f_tensor(self) -> JetTensor:
@@ -273,15 +284,11 @@ class GermFrame:
 
     @cached_property
     def d_theta(self) -> np.ndarray:
-        nt = self.nabla_theta.values
-        return nt - nt.T
+        return exterior_derivative(self.theta)
 
     @cached_property
     def d_theta_p(self) -> np.ndarray:
-        # full exterior derivative of theta o P, including the grad P term
-        nt = self.nabla_theta.values
-        ntp = nt @ self.p.values + np.einsum("m,imj->ij", self.theta.values, self.nabla_p.values)
-        return ntp - ntp.T
+        return exterior_derivative(self.theta_p)
 
     def closedness(self, tol: float = 1e-8) -> dict[str, bool]:
         scale = max(1.0, frob(self.theta.values))
@@ -399,15 +406,7 @@ class ConnectionFrame:
         return self.frame.metric_parallel_residual(self.gamma.values)
 
     def structure_parallel_residual(self) -> float:
-        f = self.frame
-        dp = f.p.partial().values  # dp[i, j, k] = d_k P^i_j
-        gamma = self.gamma.values
-        nabla_p = (
-            np.einsum("ijk->kij", dp)
-            + np.einsum("ikm,mj->kij", gamma, f.p.values)
-            - np.einsum("mkj,im->kij", gamma, f.p.values)
-        )
-        return frob(nabla_p)
+        return frob(_covariant_p(self.frame.p, self.gamma.truncated(0)).values)
 
     # -- curvature --------------------------------------------------------------
 

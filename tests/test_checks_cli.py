@@ -265,6 +265,39 @@ def test_tolerance_overrides_apply():
     assert exit_code(reports) == 1  # impossible tolerance now fails
 
 
+@pytest.mark.parametrize("key,code", [("d_theta_vs_fd", 1), ("d_theta_vs_fdd", 0)])
+def test_cli_warns_of_an_override_that_matches_no_residual(tmp_path, key, code):
+    scenario = tmp_path / "override.json"
+    scenario.write_text(json.dumps({
+        "germ": {"generator": "conformal_flat_product", "n": 2, "u": "x1^2 + x3^2"},
+        "checks": ["lee_closedness"],
+        "tolerances": {"lee_closedness": {key: 1e-30}},
+    }))
+    out = tmp_path / "report.json"
+    proc = run_cli("check", "--scenario", str(scenario), "--out", str(out))
+    assert proc.returncode == code  # a misspelt key changes no status
+    note = f"tolerance override '{key}' matched no residual"
+    unmatched = key == "d_theta_vs_fdd"
+    assert (f"warning: lee_closedness: {note}" in proc.stderr) == unmatched
+    [report] = json.loads(out.read_text())["checks"]
+    assert report.get("notes", []) == ([note] if unmatched else [])
+
+
+def test_unmatched_override_is_noted_on_the_first_report_of_its_check():
+    doc = {
+        "germ": {"generator": "flat_product", "n": 2},
+        "checks": ["scalar_system"],
+        "tolerances": {"scalar_system": {"*": 1.0, "system_direct": 1.0, "nope": 1.0}},
+    }
+    reports = run_scenario(load_scenario(doc))
+    assert [r.name for r in reports] == [
+        "scalar_system[D]", "scalar_system[D_tilde]", "scalar_system[lam=1,mu=0]"
+    ]
+    assert reports[0].notes == ["tolerance override 'nope' matched no residual"]
+    assert all(r.notes == [] for r in reports[1:])
+    assert exit_code(reports) == 0
+
+
 @pytest.mark.parametrize("value", ["abc", -1, 0, float("nan"), True])
 def test_tolerance_override_must_be_finite_positive(value):
     doc = {

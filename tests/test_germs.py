@@ -414,6 +414,31 @@ def test_one_form_exterior_fd_on_gradient_field():
     assert abs(d2[0, 2] + 1.0) < 1e-8
 
 
+def test_lee_form_exterior_derivatives_on_a_varying_structure():
+    # g = I and P = [[cos phi, sin phi], [sin phi, -cos phi]] + diag(1, -1), phi = x1*x3:
+    # d(theta o P) carries the derivative of P.
+    c, s = "cos(x1*x3)", "sin(x1*x3)"
+    structure = [[c, s, "0", "0"], [s, f"-{c}", "0", "0"], ["0", "0", "1", "0"],
+                 ["0", "0", "0", "-1"]]
+    metric = [["1" if i == j else "0" for j in range(4)] for i in range(4)]
+    germ = ChartGerm.from_strings(4, metric, structure)
+    fr = germ.frame(order=3)
+    point = np.asarray(germ.base_point)
+
+    def theta_p(pt):
+        f = germ.frame(pt, order=1)
+        return f.theta.values @ f.p.values
+
+    fd_d_theta = one_form_exterior_fd(lambda pt: germ.frame(pt, order=1).theta.values,
+                                      point, step=1e-4)
+    fd_d_theta_p = one_form_exterior_fd(theta_p, point, step=1e-4)
+    assert frob(fr.d_theta - fd_d_theta) < 1e-8
+    assert frob(fr.d_theta_p - fd_d_theta_p) < 1e-8
+    # Without the d P term, (d theta) o P misses the oracle by far more.
+    jac_p = fr.theta.partial().values.T @ fr.p.values  # [i, k] = d_i theta_j P^j_k
+    assert frob(jac_p - jac_p.T - fd_d_theta_p) > 1e-2
+
+
 def test_contorsion_helper_matches_frame(separable):
     fr = separable.frame()
     cp = ConnectionParams(0.3, -0.6)

@@ -122,12 +122,10 @@ def test_singular_scalar_combination_is_a_named_skip():
         cf.tau_star = JetTensor.constant(1e-6, dim, order)
     reports = {report.name: report for report in run_theorem_checks(ctx)}
     for label in ("D_tilde", "lam=1,mu=0"):
-        report = reports[f"tau_form_closedness[{label}]"]
-        assert report.status == "skipped"
-        assert report.skip_reason == "singular scalar combination"
-        assert reports[f"lee_recovery[{label}]"].skip_reason == (
-            "degenerate scalar curvatures (delta = tau' = 0)"
-        )
+        for name in ("tau_form_closedness", "lee_recovery"):
+            report = reports[f"{name}[{label}]"]
+            assert report.status == "skipped"
+            assert report.skip_reason == "singular scalar combination"
 
 
 def test_ln_floor_raises_the_singular_error():
@@ -202,14 +200,39 @@ def test_per_connection_turns_a_skip_into_a_named_skipped_report():
     assert issubclass(checks.SingularScalarError, checks.Skip)
     assert issubclass(checks.SingularScalarError, ValueError)
 
-    def body(report, cp):
+    def body(ctx, report, cf):
         report.residuals["r"] = 0.0
         report.scalars["s"] = 1.0
-        checks.requires(cp.case(ctx.germ.n) == "D", "not D")
+        checks.requires(cf.params.case(ctx.germ.n) == "D", "not D")
 
-    reports = checks._per_connection(ctx, "demo", 1e-10, body)
+    reports = checks.drive(ctx, "demo", 1e-10, body, per_connection=True)
     assert [r.name for r in reports] == ["demo[D]", "demo[D_tilde]", "demo[lam=1,mu=0]"]
     assert [r.status for r in reports] == ["pass", "skipped", "skipped"]
     for report in reports[1:]:
         assert report.skip_reason == "not D"
         assert report.residuals == {} and report.scalars == {"s": 1.0}
+
+
+def test_run_checks_calls_the_current_checks_entry(monkeypatch):
+    # perfbench/tracing.py times each check by swapping its CHECKS entry.
+    ctx = context("flat_product_4d")
+    fn, description = checks.CHECKS["structure"]
+    calls = []
+
+    def wrapped(ctx):
+        calls.append(ctx)
+        return fn(ctx)
+
+    monkeypatch.setitem(checks.CHECKS, "structure", (wrapped, description))
+    assert [r.name for r in checks.run_checks(ctx, ["structure"])] == ["structure"]
+    checks.run_checks(ctx)
+    assert calls == [ctx, ctx]
+
+
+def test_degenerate_scalar_curvatures_skip_with_one_reason():
+    # On this germ R'(D) is a P-tensor with tau' = tau*' = 0.
+    reports = {report.name: report for report in run_theorem_checks(context(
+        "conformal_w1_separable_4d"))}
+    for name in ("lee_recovery[D]", "tau_form_closedness[D]"):
+        assert reports[name].status == "skipped"
+        assert reports[name].skip_reason == checks.DEGENERATE_SCALARS
