@@ -1,9 +1,9 @@
 """Named verification checks run by the scenario harness.
 
 Each check inspects one germ at its base point and returns CheckReports.
-Derivatives come from the exact jets of one base frame; only
-``levi_civita`` samples neighbouring points, and only ``lee_closedness``
-differences re-evaluated frames, as an independent oracle.
+Derivatives come from the exact jets of one base frame; only ``structure``
+and ``levi_civita`` read the seeded neighbourhood frames, and only
+``lee_closedness`` differences re-evaluated frames, as an independent oracle.
 
 ``@check`` declares each check once and registers it in ``CHECKS``; one
 function, ``drive``, runs every check.  Theorem checks are implications: each
@@ -34,7 +34,7 @@ from .germs import (  # noqa: F401
 )
 from .jetfields import JetTensor, jt_einsum
 from .report import CheckReport
-from .tensors import frob, random_symmetric2, random_tensor2, random_vector
+from .tensors import frob, random_symmetric2, random_tensor2
 
 # Tolerance ladder: pointwise algebra / first-derivative pipelines.
 TOL_ALGEBRA = 1e-10
@@ -56,25 +56,42 @@ CLOSED_TOL = 1e-8
 @dataclass
 class ScenarioContext:
     germ: ChartGerm
-    point: np.ndarray
     connections: list[ConnectionParams] = field(default_factory=list)
     seed: int = 0
     expect_class: str | None = None
     tolerances: dict = field(default_factory=dict)
     tol_scale: float = 1.0
-    _held: dict = field(default_factory=dict, init=False, repr=False)
+    _connections: dict = field(default_factory=dict, init=False, repr=False)
 
     @cached_property
     def frame(self) -> GermFrame:
-        return self.germ.frame(self.point, order=BASE_ORDER)
+        return self.germ.frame(order=BASE_ORDER)
 
     def connection(self, params: ConnectionParams) -> ConnectionFrame:
-        """The base frame's connection ``params``, held for the life of the context.
+        """The base frame's connection ``params``, built once per context.
 
-        The frame refers to its connections weakly; holding them here lets
-        every check reuse one torsion, R' and tau' per connection.
+        Every check then reuses one torsion, R' and tau' per connection.
         """
-        return self._held.setdefault(params, self.frame.connection(params))
+        if params not in self._connections:
+            self._connections[params] = self.frame.connection(params)
+        return self._connections[params]
+
+    @cached_property
+    def neighbourhood(self) -> list[GermFrame]:
+        """Order-1 frames at the base point and nine seeded points within 0.05 of it.
+
+        Order 1 serves both readers: the structure invariants read values, and
+        Gamma with grad g first derivatives of g.
+        """
+        rng = np.random.default_rng(self.seed)
+        base = np.asarray(self.germ.base_point, dtype=float)
+        points = [base] + [base + rng.uniform(-0.05, 0.05, size=self.germ.dim) for _ in range(9)]
+        return [self.germ.frame(pt, order=1) for pt in points]
+
+    @cached_property
+    def curvature_invariants(self) -> curv.CurvatureInvariants:
+        """tau and tau* of the Levi-Civita curvature at the base point."""
+        return curv.curvature_invariants(self.frame.structure, self.frame.curvature.values)
 
     @cached_property
     def class_report(self) -> struct.ClassReport:
@@ -195,7 +212,9 @@ def check(name: str, base_tol: float, description: str,
 
 @check("structure", TOL_ALGEBRA, "Structure invariants at and near the base point")
 def check_structure(ctx: ScenarioContext, report: CheckReport):
-    report.residuals.update(ctx.germ.validate(seed=ctx.seed))
+    for fr in ctx.neighbourhood:
+        for key, value in fr.structure.invariant_residuals().items():
+            report.residuals[key] = max(report.residuals.get(key, 0.0), value)
 
 
 @check("classification", 1e-9, "F symmetries and W-class label")
@@ -216,14 +235,8 @@ def check_classification(ctx: ScenarioContext, report: CheckReport):
 
 @check("levi_civita", TOL_ALGEBRA, "Torsion-free metric connection residuals")
 def check_levi_civita(ctx: ScenarioContext, report: CheckReport):
-    rng = np.random.default_rng(ctx.seed)
-    points = [ctx.point] + [
-        ctx.point + rng.uniform(-0.05, 0.05, size=ctx.germ.dim) for _ in range(9)
-    ]
     worst_sym = worst_metric = 0.0
-    for pt in points:
-        # Gamma and its metric parallelism need only first derivatives of g.
-        fr = ctx.germ.frame(pt, order=1)
+    for fr in ctx.neighbourhood:
         gamma = fr.christoffel.values
         worst_sym = max(worst_sym, frob(gamma - gamma.transpose(0, 2, 1)))
         worst_metric = max(worst_metric, fr.metric_parallel_residual(gamma))
@@ -236,7 +249,7 @@ def check_curvature_like(ctx: ScenarioContext, report: CheckReport):
     r = ctx.frame.curvature.values
     report.residuals.update(curv.curvature_like_residuals(r))
     report.residuals["pair_symmetry"] = frob(r - np.einsum("klij->ijkl", r))
-    inv = curv.curvature_invariants(ctx.frame.structure, r)
+    inv = ctx.curvature_invariants
     report.scalars.update({"tau": inv.tau, "tau_star": inv.tau_star})
 
 
@@ -256,8 +269,8 @@ def check_lee_closedness(ctx: ScenarioContext, report: CheckReport):
         f = frame_at(tuple(pt))
         return f.theta.values @ f.p.values
 
-    fd_d_theta = one_form_exterior_fd(theta_field, ctx.point, step=1e-4)
-    fd_d_theta_p = one_form_exterior_fd(theta_p_field, ctx.point, step=1e-4)
+    fd_d_theta = one_form_exterior_fd(theta_field, fr.point, step=1e-4)
+    fd_d_theta_p = one_form_exterior_fd(theta_p_field, fr.point, step=1e-4)
     report.residuals["d_theta_vs_fd"] = frob(fr.d_theta - fd_d_theta)
     report.residuals["d_theta_p_vs_fd"] = frob(fr.d_theta_p - fd_d_theta_p)
     report.hypothesis_flags.update(ctx.closedness)
@@ -666,7 +679,7 @@ def check_dim4_reconstruction(ctx: ScenarioContext, report: CheckReport, cf: Con
         return
     k, c, (a, b), (a_star, b_star) = _DIM4_PRESETS[cf.params.case(fr.n)]
     s = _dim4_scalars(fr, cf)
-    inv_r = curv.curvature_invariants(ps, r)
+    inv_r = ctx.curvature_invariants
     correction = (
         s["theta_omega"] / 16 * pis[k]
         + curv.psi1(ps, tr["s_prime"])
@@ -686,37 +699,20 @@ def check_dim4_reconstruction(ctx: ScenarioContext, report: CheckReport, cf: Con
     report.residuals["final_display"] = frob(r - final)
 
 
-@check("dim4_round_trip", TOL_ALGEBRA, "Synthetic two-path formula consistency", dim=4)
+@check("dim4_round_trip", TOL_ALGEBRA, "Random P-tensors rebuilt from their scalar curvatures",
+       dim=4)
 def check_dim4_round_trip(ctx: ScenarioContext, report: CheckReport):
-    """Synthetic consistency of the two curvature-relation formula paths.
+    """Random Riemannian P-tensors rebuilt from their scalar curvatures.
 
-    A random Riemannian P-tensor plays R'; the Levi-Civita curvature built
-    through the transfer formula must be reproduced exactly by the
-    scalar-curvature reconstruction.
+    In dimension 4 a Riemannian P-tensor L is {tau (pi1 + pi2) + tau* pi3} / 8
+    with tau, tau* its scalar curvatures; ``decompose_dim4`` returns the
+    distance of L from that rebuild.
     """
     ps = ctx.frame.structure
-    gv = ps.g
-    worst = 0.0
-    for trial in range(5):
-        seed = ctx.seed * 1000 + trial
-        l = curv.random_p_tensor(ps, seed)
-        p_vec = random_vector(4, seed + 1)
-        q_vec = random_vector(4, seed + 2)
-        corrections = _transfer_correction(
-            ctx,
-            {
-                "g_pp": p_vec @ gv @ p_vec,
-                "g_qq": q_vec @ gv @ q_vec,
-                "g_pq": p_vec @ gv @ q_vec,
-                "s_prime": random_symmetric2(4, seed + 3),
-                "s_dprime": random_tensor2(4, seed + 4) @ ps.p,
-            },
-        )
-        r_synth = l - corrections
-        inv_l = curv.curvature_invariants(ps, l)
-        rebuilt = curv.dim4_from_scalars(ctx.pi_tensors, inv_l.tau, inv_l.tau_star) - corrections
-        worst = max(worst, frob(r_synth - rebuilt))
-    report.residuals["round_trip"] = worst
+    report.residuals["round_trip"] = max(
+        curv.decompose_dim4(ps, curv.random_p_tensor(ps, ctx.seed * 1000 + trial))[2]
+        for trial in range(5)
+    )
 
 
 @check("pointwise_algebra", 1e-12, "psi/pi identities at the base structure")

@@ -20,7 +20,6 @@ checked consequence on conformal-class germs, not an assumption.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -108,37 +107,14 @@ class ChartGerm:
     def frame(self, point=None, order: int = 3) -> "GermFrame":
         return GermFrame(self, self.base_point if point is None else point, order)
 
-    def structure_at(self, point=None) -> PointStructure:
-        return self.frame(point, order=0).structure
-
-    def validate(self, samples: int = 4, seed: int = 0, scale: float = 0.05) -> dict[str, float]:
-        """Worst structure-invariant residuals at base point and nearby samples."""
-        rng = np.random.default_rng(seed)
-        points = [np.asarray(self.base_point, float)]
-        points += [
-            points[0] + rng.uniform(-scale, scale, size=self.dim) for _ in range(samples)
-        ]
-        worst: dict[str, float] = {}
-        for pt in points:
-            for key, val in self.structure_at(pt).invariant_residuals().items():
-                worst[key] = max(worst.get(key, 0.0), val)
-        return worst
-
 
 def _const_grid(values: np.ndarray) -> tuple[tuple[ScalarExpr, ...], ...]:
     return tuple(tuple(Const(float(v)) for v in row) for row in values)
 
 
 def flat_product_germ(n: int, name: str = "flat_product") -> ChartGerm:
-    """Flat product metric with the constant split structure diag(+I_n, -I_n)."""
-    dim = 2 * n
-    return ChartGerm(
-        dim,
-        _const_grid(np.eye(dim)),
-        _const_grid(split_structure(dim).p),
-        tuple(default_base_point(dim)),
-        name,
-    )
+    """Flat product metric with the constant split structure diag(+I_n, -I_n): u = 0."""
+    return conformal_flat_product_germ(n, "0", name)
 
 
 def conformal_flat_product_germ(n: int, u, name: str | None = None) -> ChartGerm:
@@ -210,7 +186,6 @@ class GermFrame:
         self.order = order
         self.dim = germ.dim
         self.n = germ.n
-        self._connections = weakref.WeakValueDictionary()
 
     # -- fields ---------------------------------------------------------------
 
@@ -309,19 +284,8 @@ class GermFrame:
         return frob(nabla_g)
 
     def connection(self, params: ConnectionParams) -> "ConnectionFrame":
-        """The natural connection ``params`` on this frame.
-
-        While a caller holds the result, equal params return the same object,
-        so its torsion, R' and tau' are computed once.  The frame refers to its
-        connections weakly: each connection refers to its frame, and links both
-        ways would form a cycle that keeps large jets alive until the garbage
-        collector runs.
-        """
-        cf = self._connections.get(params)
-        if cf is None:
-            cf = ConnectionFrame(self, params)
-            self._connections[params] = cf
-        return cf
+        """A new frame of the natural connection ``params`` on this frame."""
+        return ConnectionFrame(self, params)
 
 
 def _curvature_of(gamma: JetTensor) -> JetTensor:

@@ -7,16 +7,9 @@ import math
 from dataclasses import dataclass, field
 from importlib import resources
 
-import numpy as np
-
 from .checks import CHECKS, ScenarioContext, run_checks
 from .exprs import ParseError
-from .germs import (
-    ChartGerm,
-    ConnectionParams,
-    conformal_flat_product_germ,
-    flat_product_germ,
-)
+from .germs import ChartGerm, ConnectionParams, conformal_flat_product_germ
 from .report import CheckReport
 
 
@@ -32,7 +25,6 @@ class ScenarioError(ValueError):
 class Scenario:
     name: str
     germ: ChartGerm
-    base_point: np.ndarray
     connections: list[ConnectionParams]
     checks: list[str]
     expect_class: str | None = None
@@ -42,7 +34,6 @@ class Scenario:
     def context(self, tol_scale: float = 1.0, seed: int | None = None) -> ScenarioContext:
         return ScenarioContext(
             germ=self.germ,
-            point=self.base_point,
             connections=self.connections,
             seed=self.seed if seed is None else seed,
             expect_class=self.expect_class,
@@ -59,14 +50,25 @@ def finite_positive(value, path: str) -> float:
     return float(value)
 
 
+def _seed(value, path: str) -> int:
+    """``value`` if it is an integer >= 0, as numpy seeds are, else a ScenarioError at ``path``."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise ScenarioError(path, f"must be an integer >= 0, got {value!r}")
+    return value
+
+
+def _number(value, path: str) -> float:
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise ScenarioError(path, f"expected a number, got {type(value).__name__}")
+    return float(value)
+
+
 def _require(doc: dict, key: str, kind, path: str):
     if key not in doc:
         raise ScenarioError(f"{path}.{key}", "missing required field")
     value = doc[key]
     if kind is float:
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise ScenarioError(f"{path}.{key}", f"expected a number, got {type(value).__name__}")
-        return float(value)
+        return _number(value, f"{path}.{key}")
     if not isinstance(value, kind):
         raise ScenarioError(f"{path}.{key}", f"expected {kind.__name__}, got {type(value).__name__}")
     return value
@@ -86,12 +88,9 @@ def germ_from_spec(spec: dict, path: str = "germ", name: str = "germ") -> ChartG
         raise ScenarioError(path, "expected an object")
     generator = spec.get("generator")
     try:
-        if generator == "flat_product":
+        if generator in ("flat_product", "conformal_flat_product"):
             n = int(_require(spec, "n", int, path))
-            germ = flat_product_germ(n, name=name)
-        elif generator == "conformal_flat_product":
-            n = int(_require(spec, "n", int, path))
-            u = _require(spec, "u", str, path)
+            u = "0" if generator == "flat_product" else _require(spec, "u", str, path)
             germ = conformal_flat_product_germ(n, u, name=name)
         elif generator is None:
             dim = int(_require(spec, "dim", int, path))
@@ -108,8 +107,8 @@ def germ_from_spec(spec: dict, path: str = "germ", name: str = "germ") -> ChartG
     if base is not None:
         if not isinstance(base, list) or len(base) != germ.dim:
             raise ScenarioError(f"{path}.base_point", f"expected {germ.dim} coordinates")
-        germ = ChartGerm(germ.dim, germ.metric, germ.structure,
-                         tuple(float(v) for v in base), germ.name)
+        point = tuple(_number(v, f"{path}.base_point[{i}]") for i, v in enumerate(base))
+        germ = ChartGerm(germ.dim, germ.metric, germ.structure, point, germ.name)
     return germ
 
 
@@ -130,9 +129,10 @@ def load_scenario(doc: dict, name: str = "scenario") -> Scenario:
         raise ScenarioError("$", "scenario document must be an object")
     name = doc.get("name", name)
     germ = germ_from_spec(_require(doc, "germ", dict, "$"), "$.germ", name=name)
-    base_point = np.asarray(germ.base_point, dtype=float)
 
     raw_connections = doc.get("connections", ["D", "D_tilde", {"lambda": 1.0, "mu": 0.0}])
+    if not isinstance(raw_connections, list):
+        raise ScenarioError("$.connections", "expected a list of connections")
     connections = [
         _connection(entry, germ.n, f"$.connections[{i}]")
         for i, entry in enumerate(raw_connections)
@@ -145,7 +145,7 @@ def load_scenario(doc: dict, name: str = "scenario") -> Scenario:
         if not isinstance(checks, list):
             raise ScenarioError("$.checks", "expected a list of check names")
         for i, check in enumerate(checks):
-            if check not in CHECKS:
+            if not isinstance(check, str) or check not in CHECKS:
                 raise ScenarioError(f"$.checks[{i}]", f"unknown check {check!r}")
 
     tolerances = doc.get("tolerances", {})
@@ -165,14 +165,11 @@ def load_scenario(doc: dict, name: str = "scenario") -> Scenario:
     ):
         raise ScenarioError("$.expect_class", f"unknown class label {expect_class!r}")
 
-    seed = doc.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise ScenarioError("$.seed", "expected an integer")
+    seed = _seed(doc.get("seed", 0), "$.seed")
 
     return Scenario(
         name=name,
         germ=germ,
-        base_point=base_point,
         connections=connections,
         checks=checks,
         expect_class=expect_class,
@@ -214,5 +211,6 @@ def resolve_scenario(ref: str) -> Scenario:
 
 def run_scenario(scenario: Scenario, tol_scale: float = 1.0,
                  seed: int | None = None) -> list[CheckReport]:
-    ctx = scenario.context(tol_scale=finite_positive(tol_scale, "tol_scale"), seed=seed)
+    ctx = scenario.context(tol_scale=finite_positive(tol_scale, "tol_scale"),
+                           seed=None if seed is None else _seed(seed, "seed"))
     return run_checks(ctx, scenario.checks)

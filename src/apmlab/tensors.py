@@ -143,8 +143,3 @@ def random_tensor4(dim: int, seed: int) -> np.ndarray:
     """Deterministic random (0,4)-tensor with entries in [-1, 1]."""
     rng = np.random.default_rng(seed)
     return rng.uniform(-1.0, 1.0, size=(dim, dim, dim, dim))
-
-
-def random_vector(dim: int, seed: int) -> np.ndarray:
-    rng = np.random.default_rng(seed)
-    return rng.uniform(-1.0, 1.0, size=dim)

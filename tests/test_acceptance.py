@@ -34,10 +34,13 @@ from apmlab.tensors import (
     frob,
     random_symmetric2,
     random_tensor2,
-    random_vector,
 )
 
 from test_exprs import CORPUS, POINT, fd_gradient
+
+
+def random_vector(dim: int, seed: int) -> np.ndarray:
+    return np.random.default_rng(seed).uniform(-1.0, 1.0, size=dim)
 
 
 @contextmanager
@@ -203,8 +206,7 @@ def test_criterion_5_differential_identity_suite():
         assert abs(delta) > 1e-6  # recovery branch applies on this germ
         from apmlab.checks import check_lee_recovery, ScenarioContext
 
-        ctx = ScenarioContext(germ=germ, point=np.asarray(germ.base_point),
-                              connections=[case_iii])
+        ctx = ScenarioContext(germ=germ, connections=[case_iii])
         (recovery,) = check_lee_recovery(ctx)
         assert recovery.status == "pass"
         assert recovery.residuals["theta_recovery"] < 1e-3
@@ -242,8 +244,7 @@ def test_criterion_6_dim4_suite():
         reconstruction_ran = 0
         for name in names:
             germ = load_bundled_scenario(name).germ
-            ctx = ScenarioContext(germ=germ, point=np.asarray(germ.base_point),
-                                  connections=connections)
+            ctx = ScenarioContext(germ=germ, connections=connections)
             (traces,) = check_dim4_traces(ctx)
             assert traces.status == "pass", name
             assert max(traces.residuals.values()) < 1e-5

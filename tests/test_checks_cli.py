@@ -151,6 +151,34 @@ def test_cli_malformed_expression_exits_2(tmp_path):
     assert "offset" in proc.stderr
 
 
+@pytest.mark.parametrize("field,value,path", [
+    ("connections", 5, "$.connections"),
+    ("connections", "D", "$.connections"),
+    ("base_point", ["a", 0, 0, 0], "$.germ.base_point[0]"),
+    ("base_point", [0.1, True, 0.3, 0.4], "$.germ.base_point[1]"),
+    ("checks", [["structure"]], "$.checks[0]"),
+    ("seed", -1, "$.seed"),
+])
+def test_cli_malformed_scenario_field_exits_2(tmp_path, field, value, path):
+    doc = {"germ": {"generator": "flat_product", "n": 2}, "checks": ["structure"]}
+    if field == "base_point":
+        doc["germ"]["base_point"] = value
+    else:
+        doc[field] = value
+    scenario = tmp_path / "bad.json"
+    scenario.write_text(json.dumps(doc))
+    proc = run_cli("check", "--scenario", str(scenario))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(f"error: {path}: ")
+    assert "Traceback" not in proc.stderr
+
+
+def test_cli_negative_seed_exits_2():
+    proc = run_cli("check", "--scenario", "flat_product_4d", "--seed", "-1")
+    assert proc.returncode == 2
+    assert proc.stderr == "error: seed: must be an integer >= 0, got -1\n"
+
+
 def test_cli_evaluation_error_exits_2(tmp_path):
     # Parses, but ln(x1 - 1) is undefined at the base point.
     scenario = tmp_path / "ln.json"
@@ -380,6 +408,17 @@ def test_seed_determinism_of_run_scenario():
     assert a == b
     # different seed still passes but may change sampled residuals
     assert all(x["status"] != "fail" for x in c)
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_no_cached_state_leaks_into_the_next_run(name):
+    # Each run builds a fresh context; frames and connections cached on one
+    # must not change the reports of the next, at the same or another seed.
+    scenario = load_bundled_scenario(name)
+    first, _, third = (
+        [r.as_dict() for r in run_scenario(scenario, seed=seed)] for seed in (0, 9001, 0)
+    )
+    assert first == third
 
 
 def test_unknown_scenario_keys_are_ignored():

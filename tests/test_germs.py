@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from apmlab.checks import ScenarioContext
 from apmlab.curvature import (
     curvature_like_residuals,
     is_p_tensor,
@@ -78,7 +79,7 @@ def test_flat_product_is_trivial():
 def test_flat_product_6d():
     fr = flat_product_germ(3).frame()
     assert frob(fr.curvature.values) == 0.0
-    assert max(flat_product_germ(3).validate().values()) < 1e-12
+    assert max(fr.structure.invariant_residuals().values()) < 1e-12
 
 
 def test_default_base_point_offsets():
@@ -269,14 +270,18 @@ def test_d_tilde_contorsion_is_transposed_torsion(separable):
 
 
 def test_connection_frames_are_cached_per_params(separable):
-    fr = separable.frame()
+    # The scenario context keeps the only connection cache; a germ frame
+    # builds a new connection frame on every call.
+    ctx = ScenarioContext(germ=separable)
     cp = ConnectionParams(1.0, 0.0)
-    assert fr.connection(cp) is fr.connection(cp)
-    cf = fr.connection(cp)
+    cf = ctx.connection(cp)
     r_prime = cf.curvature
-    assert fr.connection(ConnectionParams(1.0, 0.0)) is cf
-    assert fr.connection(cp).curvature is r_prime
-    assert fr.connection(ConnectionParams.d()) is not cf
+    assert ctx.connection(ConnectionParams(1.0, 0.0)) is cf
+    assert ctx.connection(cp).curvature is r_prime
+    assert ctx.connection(ConnectionParams.d()) is not cf
+    fr = ctx.frame
+    assert fr.connection(cp) is not fr.connection(cp)
+    assert fr.connection(cp) is not cf and fr.connection(cp).frame is fr
 
 
 def test_flat_connection_is_levi_civita():
@@ -455,7 +460,7 @@ def test_germ_validation_detects_incompatibility():
          ["0", "0", "1", "0"], ["0", "0", "0", "-1"]],
         name="bad_trace",
     )
-    assert bad.validate()["trace_p"] == 2.0
+    assert bad.frame(order=0).structure.invariant_residuals()["trace_p"] == 2.0
 
 
 def test_christoffel_coordinate_permutation_equivariance():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from apmlab import checks
+from apmlab import curvature as curv
 from apmlab.checks import (
     ScenarioContext,
     check_eigenclass_lee_recovery,
@@ -86,8 +87,7 @@ def twisted_product_context(alpha: str, beta: str) -> ScenarioContext:
     structure = [["1", "0", "0", "0"], ["0", "1", "0", "0"],
                  ["0", "0", "-1", "0"], ["0", "0", "0", "-1"]]
     germ = ChartGerm.from_strings(4, metric, structure)
-    return ScenarioContext(germ=germ, point=np.asarray(germ.base_point),
-                           connections=[ConnectionParams.d()])
+    return ScenarioContext(germ=germ, connections=[ConnectionParams.d()])
 
 
 @pytest.mark.parametrize("eps,alpha,beta", [
@@ -162,6 +162,24 @@ def test_scenario_gates_each_connection_p_tensor_once(monkeypatch):
     assert len(built) == 3 and len(set(built)) == 3
 
 
+def test_scenario_computes_the_levi_civita_invariants_once(monkeypatch):
+    # curvature_like and both preset dim4_reconstruction reports read tau, tau* of R.
+    ctx = context("conformal_w1_separable_4d")
+    r = ctx.frame.curvature.values
+    original = curv.curvature_invariants
+    calls = []
+
+    def counted(ps, l):
+        if l is r:
+            calls.append(ps)
+        return original(ps, l)
+
+    monkeypatch.setattr(curv, "curvature_invariants", counted)
+    reports = checks.run_checks(ctx)
+    assert len(calls) == 1
+    assert sum("preset_reconstruction" in rep.residuals for rep in reports) == 2
+
+
 @pytest.mark.parametrize("name", ["conformal_w1_separable_4d", "conformal_w1_separable_6d"])
 def test_lee_closedness_builds_one_frame_per_sample_point(name, monkeypatch):
     # The FD oracles for d theta and d(theta o P) share the 2 * dim points.
@@ -180,7 +198,8 @@ def test_lee_closedness_builds_one_frame_per_sample_point(name, monkeypatch):
 
 
 def test_levi_civita_builds_one_order_1_frame_per_sample_point(monkeypatch):
-    # Gamma and grad g read first derivatives of g only.
+    # Gamma and grad g read first derivatives of g only; the structure
+    # invariants read the same ten neighbourhood frames.
     ctx = context("conformal_w1_separable_4d")
     orders = []
     frame = ChartGerm.frame
@@ -190,9 +209,10 @@ def test_levi_civita_builds_one_order_1_frame_per_sample_point(monkeypatch):
         return frame(germ, point, order)
 
     monkeypatch.setattr(ChartGerm, "frame", counted)
+    [structure] = checks.check_structure(ctx)
     [report] = checks.check_levi_civita(ctx)
     assert orders == [1] * 10
-    assert report.status == "pass"
+    assert structure.status == report.status == "pass"
 
 
 def test_per_connection_turns_a_skip_into_a_named_skipped_report():
