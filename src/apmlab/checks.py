@@ -97,11 +97,6 @@ class ScenarioContext:
     def class_report(self) -> struct.ClassReport:
         return struct.classify_f(self.frame.structure, self.frame.f_tensor.values)
 
-    @cached_property
-    def pi_tensors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """pi1, pi2, pi3 of the base point structure."""
-        return curv.pi_tensors(self.frame.structure)
-
     def tol(self, base: float) -> float:
         return base * self.tol_scale
 
@@ -285,7 +280,7 @@ def check_lee_closedness(ctx: ScenarioContext, report: CheckReport):
 def _transfer_correction(ctx: ScenarioContext, tr) -> np.ndarray:
     """g(p,p) pi1 + g(q,q) pi2 + g(p,q) pi3 + psi1(S') + psi2(S''): R' - R."""
     ps = ctx.frame.structure
-    pi1, pi2, pi3 = ctx.pi_tensors
+    pi1, pi2, pi3 = curv.pi_tensors(ps)
     return (
         tr["g_pp"] * pi1
         + tr["g_qq"] * pi2
@@ -666,7 +661,8 @@ def check_dim4_reconstruction(ctx: ScenarioContext, report: CheckReport, cf: Con
     additionally verify their explicit trace and scalar-curvature relations.
     """
     fr = ctx.frame
-    ps, pis = fr.structure, ctx.pi_tensors
+    ps = fr.structure
+    pis = curv.pi_tensors(ps)
     r = fr.curvature.values
     requires(_p_tensor_flag(ctx, report, cf), P_TENSOR_GATE)
     tr = cf.transfer
@@ -736,7 +732,7 @@ def check_pointwise_algebra(ctx: ScenarioContext, report: CheckReport):
                 min_asym,
                 max(curv.curvature_like_residuals(curv.psi1(ps, s_any)).values()),
             )
-    pi1, pi2, pi3 = ctx.pi_tensors
+    pi1, pi2, pi3 = curv.pi_tensors(ps)
     report.residuals["psi1_symmetric_curvature_like"] = worst_sym
     report.residuals["psi2_p_twist_identity"] = worst_identity
     report.residuals["pi_sum_p_tensor"] = max(

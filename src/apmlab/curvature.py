@@ -113,11 +113,18 @@ def psi2(ps: PointStructure, s: np.ndarray) -> np.ndarray:
 
 
 def pi_tensors(ps: PointStructure) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The invariant tensors pi1 = psi1(g)/2, pi2 = psi2(g)/2, pi3 = psi1(g~)."""
-    pi1 = 0.5 * psi1(ps, ps.g)
-    pi2 = 0.5 * psi2(ps, ps.g)
-    pi3 = psi1(ps, ps.g_assoc)
-    return pi1, pi2, pi3
+    """The invariant tensors pi1 = psi1(g)/2, pi2 = psi2(g)/2, pi3 = psi1(g~).
+
+    Built once per point structure and kept on it, read-only, as a cached
+    property would be: every reader of one structure shares them.
+    """
+    pis = vars(ps).get("_pi_tensors")
+    if pis is None:
+        pis = (0.5 * psi1(ps, ps.g), 0.5 * psi2(ps, ps.g), psi1(ps, ps.g_assoc))
+        for t in pis:
+            t.flags.writeable = False
+        vars(ps)["_pi_tensors"] = pis
+    return pis
 
 
 def curvature_invariants(ps: PointStructure, l: np.ndarray) -> CurvatureInvariants:

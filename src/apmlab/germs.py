@@ -16,6 +16,12 @@ b = lam th o P + mu th.  The connection itself is realized through the
 contorsion K(x,y,z) = {T(x,y,z) - T(y,z,x) + T(z,x,y)} / 2, which is the
 unique metric connection with that torsion; parallelism of P is then a
 checked consequence on conformal-class germs, not an assumption.
+
+Every jet is carried only to the derivative levels some reader takes: the
+Levi-Civita curvature R as values, a connection's R' to the one derivative
+the second Bianchi identity needs, its scalar curvatures tau' and tau*' at
+the frame's full order (their Hessians on order-4 frames), and omega and
+grad theta as values.
 """
 
 from __future__ import annotations
@@ -138,20 +144,27 @@ def conformal_flat_product_germ(n: int, u, name: str | None = None) -> ChartGerm
     )
 
 
-def _grid_jets(grid, point: np.ndarray, order: int, dim: int) -> JetTensor:
-    """Stack the jets of a grid of expressions, evaluating each distinct entry once."""
+def _grid_jets(grid, point: np.ndarray, order: int, dim: int, label: str) -> JetTensor:
+    """Stack the jets of a grid of expressions, evaluating each distinct entry once.
+
+    A value or derivative that is not finite (an overflowing exponential, say)
+    raises StructureError naming ``label`` and the point.
+    """
     jets: dict[ScalarExpr, JetTensor] = {}
     for row in grid:
         for entry in row:
             if entry not in jets:
                 jets[entry] = entry.eval_jet(point, order)
-    return JetTensor(
+    stacked = JetTensor(
         tuple(
             np.array([[jets[entry].data[k] for entry in row] for row in grid])
             for k in range(order + 1)
         ),
         dim,
     )
+    if not all(np.isfinite(level).all() for level in stacked.data):
+        raise StructureError(f"{label} not finite at point {tuple(point.tolist())}")
+    return stacked
 
 
 def exterior_derivative(form: JetTensor) -> np.ndarray:
@@ -174,10 +187,13 @@ class GermFrame:
     """Levi-Civita pipeline of a germ at one point, on derivative jets.
 
     Each derivative taken along the pipeline costs one jet order: the
-    Christoffel symbols carry order - 1 and the curvature tensors order - 2.
-    Order 3 leaves one exact derivative of curvature, so covariant derivatives
-    of curvature need no finite differencing; order 4 leaves exact Hessians
-    of the scalar curvatures.
+    Christoffel symbols and the Lee form carry order - 1.  Fields are carried
+    only to the levels some reader takes: the Levi-Civita curvature, the
+    metric dual ``omega`` and ``nabla_theta`` are values (order 0).  A
+    connection's curvature R' is built at order - 2 and kept to KEPT_ORDER
+    levels, so order 3 leaves the one exact derivative of R' that the second
+    Bianchi identity needs; its scalar curvatures keep order - 2, so order 4
+    leaves their exact Hessians.
     """
 
     def __init__(self, germ: ChartGerm, point, order: int = 3):
@@ -191,11 +207,11 @@ class GermFrame:
 
     @cached_property
     def g(self) -> JetTensor:
-        return _grid_jets(self.germ.metric, self.point, self.order, self.dim)
+        return _grid_jets(self.germ.metric, self.point, self.order, self.dim, "metric")
 
     @cached_property
     def p(self) -> JetTensor:
-        return _grid_jets(self.germ.structure, self.point, self.order, self.dim)
+        return _grid_jets(self.germ.structure, self.point, self.order, self.dim, "structure P")
 
     @cached_property
     def g_inv(self) -> JetTensor:
@@ -207,6 +223,12 @@ class GermFrame:
     def g_assoc(self) -> JetTensor:
         # g~(y, z) = g(y, Pz)
         return jt_einsum("im,mj->ij", self.g.truncated(max(self.order - 1, 0)), self.p)
+
+    @cached_property
+    def p_adjoint(self) -> JetTensor:
+        """Q^i_a = g^il P^m_l g_ma, the g-adjoint of P, shared by every connection's rho*'."""
+        g_inv_p = jt_einsum("il,ml->im", self.g_inv, self.p)
+        return jt_einsum("im,ma->ia", g_inv_p, self.g)
 
     @cached_property
     def structure(self) -> PointStructure:
@@ -223,8 +245,8 @@ class GermFrame:
 
     @cached_property
     def curvature(self) -> JetTensor:
-        """Levi-Civita curvature, all indices down: R(e_i,e_j,e_k,e_l)."""
-        up = _curvature_of(self.christoffel)
+        """Levi-Civita curvature, all indices down: R(e_i,e_j,e_k,e_l), as values."""
+        up = _curvature_of(self.christoffel.truncated(1))
         return jt_einsum("mijk,ml->ijkl", up, self.g)
 
     @cached_property
@@ -248,14 +270,15 @@ class GermFrame:
 
     @cached_property
     def omega(self) -> JetTensor:
-        """Metric dual of the Lee form."""
-        return jt_einsum("kl,l->k", self.g_inv, self.theta)
+        """Metric dual of the Lee form, as values."""
+        return jt_einsum("kl,l->k", self.g_inv, self.theta.truncated(0))
 
     @cached_property
     def nabla_theta(self) -> JetTensor:
-        """(grad theta)(y, z) with axes (direction y, argument z)."""
-        dtheta = self.theta.partial()  # dtheta[j, i] = d_i theta_j
-        return dtheta.transpose("ji->ij") - jt_einsum("kij,k->ij", self.christoffel, self.theta)
+        """(grad theta)(y, z) with axes (direction y, argument z), as values."""
+        dtheta = self.theta.truncated(1).partial()  # dtheta[j, i] = d_i theta_j
+        theta = self.theta.truncated(0)
+        return dtheta.transpose("ji->ij") - jt_einsum("kij,k->ij", self.christoffel, theta)
 
     @cached_property
     def d_theta(self) -> np.ndarray:
@@ -307,17 +330,20 @@ def _contorsion_of(t: JetTensor) -> JetTensor:
     return (t - t.transpose("jki->ijk") + t.transpose("kij->ijk")).scaled(0.5)
 
 
-# Derivative levels kept by a connection's cached torsion, contorsion and Gamma'.
+# Derivative levels kept by a connection's cached torsion, contorsion, Gamma'
+# and R': the one derivative of R' that ``nabla_curvature`` reads.
 KEPT_ORDER = 1
 
 
 class ConnectionFrame:
     """A natural connection (lambda, mu) attached to an evaluated germ frame.
 
-    The cached torsion, contorsion and Gamma' keep KEPT_ORDER derivative
-    levels: apart from R', their consumers read values only.  ``curvature``
-    builds Gamma' at the frame's full order itself and drops it, so a frame
-    holding several connections stays small.
+    The cached torsion, contorsion, Gamma' and R' keep KEPT_ORDER derivative
+    levels: apart from the first derivative of R', their consumers read values
+    only.  One builder makes Gamma' and R'^m_ijk at the frame's full order,
+    derives the lowered R', Ricci' and rho*' from it and drops both, so a
+    frame holding several connections stays small.  tau' and tau*' keep the
+    full order, for their Hessians.
     """
 
     def __init__(self, frame: GermFrame, params: ConnectionParams):
@@ -375,10 +401,21 @@ class ConnectionFrame:
     # -- curvature --------------------------------------------------------------
 
     @cached_property
+    def _curvatures(self) -> tuple[JetTensor, JetTensor, JetTensor]:
+        """R'_ijkl to KEPT_ORDER, and Ricci'_jk = R'^i_ijk, rho*'_jk = Q^i_a R'^a_ijk.
+
+        All three come from one R'^m_ijk at the frame's full order; the two
+        contractions keep that order.
+        """
+        f = self.frame
+        up = _curvature_of(self._gamma_of(_contorsion_of(self._torsion_at(f.theta.order))))
+        lowered = jt_einsum("mijk,ml->ijkl", up.truncated(KEPT_ORDER), f.g)
+        return lowered, up.transpose("iijk->jk"), jt_einsum("ia,aijk->jk", f.p_adjoint, up)
+
+    @cached_property
     def curvature(self) -> JetTensor:
-        """Curvature of the natural connection, all indices down."""
-        gamma = self._gamma_of(_contorsion_of(self._torsion_at(self.frame.theta.order)))
-        return jt_einsum("mijk,ml->ijkl", _curvature_of(gamma), self.frame.g)
+        """Curvature of the natural connection, all indices down, to KEPT_ORDER."""
+        return self._curvatures[0]
 
     @cached_property
     def p_tensor_residual(self) -> float:
@@ -401,7 +438,7 @@ class ConnectionFrame:
 
     @cached_property
     def nabla_theta(self) -> JetTensor:
-        """(grad' theta)(y, z) through the contorsion correction."""
+        """(grad' theta)(y, z) through the contorsion correction, as values."""
         correction = jt_einsum("ijk,k->ij", self.contorsion, self.frame.omega)
         return self.frame.nabla_theta - correction
 
@@ -409,7 +446,8 @@ class ConnectionFrame:
 
     @cached_property
     def ricci(self) -> JetTensor:
-        return jt_einsum("il,ijkl->jk", self.frame.g_inv, self.curvature)
+        """Ricci'_jk = g^il R'_ijkl, taken as the trace R'^i_ijk."""
+        return self._curvatures[1]
 
     @cached_property
     def tau(self) -> JetTensor:
@@ -417,10 +455,8 @@ class ConnectionFrame:
 
     @cached_property
     def tau_star(self) -> JetTensor:
-        """tau*' = g^il g^jk R'_ijkm P^m_l, with P folded into g^-1 first."""
-        g_inv_p = jt_einsum("il,ml->im", self.frame.g_inv, self.frame.p)
-        rho_star = jt_einsum("im,ijkm->jk", g_inv_p, self.curvature)
-        return jt_einsum("jk,jk->", self.frame.g_inv, rho_star)
+        """tau*' = g^jk rho*'_jk, where rho*'_jk = g^il R'_ijkm P^m_l."""
+        return jt_einsum("jk,jk->", self.frame.g_inv, self._curvatures[2])
 
     # -- transfer components -------------------------------------------------------
 

@@ -106,7 +106,10 @@ class JetTensor:
         return JetTensor(tuple(factor * a for a in self.data), self.dim)
 
     def transpose(self, spec: str) -> "JetTensor":
-        """Permute component axes with an einsum-style spec like 'kij->ijk'."""
+        """Permute or trace component axes with an einsum-style spec like 'kij->ijk'.
+
+        A repeated letter on the left ('iijk->jk') takes the trace over those axes.
+        """
         src, dst = spec.split("->")
         return JetTensor(
             tuple(np.einsum(f"{src}...->{dst}...", a) for a in self.data), self.dim

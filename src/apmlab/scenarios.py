@@ -69,7 +69,8 @@ def _require(doc: dict, key: str, kind, path: str):
     value = doc[key]
     if kind is float:
         return _number(value, f"{path}.{key}")
-    if not isinstance(value, kind):
+    # bool is a subclass of int, but true is not a count.
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
         raise ScenarioError(f"{path}.{key}", f"expected {kind.__name__}, got {type(value).__name__}")
     return value
 

@@ -1,10 +1,12 @@
 """Direct transcriptions of the natural-connection formulas, on jets.
 
 The torsion is built term by term from the formula in ``apmlab.germs``: five
-wedges of a metric with a Lee form, each two outer products.  tau*' is traced
-along the route of its definition, through the rank-4 R'_ijkm P^m_l and the
-Ricci-like rho*'.  ``ConnectionFrame`` groups the same products differently
-(g^a + g~^b, and P folded into g^-1), which these oracles check to rounding.
+wedges of a metric with a Lee form, each two outer products.  R' is lowered
+at the frame's full order, Ricci' and tau' contract it with g^-1, and tau*'
+is traced along the route of its definition, through the rank-4
+R'_ijkm P^m_l and the Ricci-like rho*'.  ``ConnectionFrame`` groups the same
+products differently (g^a + g~^b, Ricci' as the trace R'^i_ijk, and rho*'
+through the g-adjoint of P), which these oracles check to rounding.
 Contorsion, Gamma' and the curvature of Gamma' are shared with apmlab: only
 the regrouped products are under test.
 """
@@ -41,9 +43,13 @@ def oracle_curvature(cf):
     return jt_einsum("mijk,ml->ijkl", _curvature_of(gamma), cf.frame.g)
 
 
+def oracle_ricci(cf, r):
+    """Ricci'_jk = g^il R'_ijkl, contracted through g^-1."""
+    return jt_einsum("il,ijkl->jk", cf.frame.g_inv, r)
+
+
 def oracle_tau(cf, r):
-    ricci = jt_einsum("il,ijkl->jk", cf.frame.g_inv, r)
-    return jt_einsum("jk,jk->", cf.frame.g_inv, ricci)
+    return jt_einsum("jk,jk->", cf.frame.g_inv, oracle_ricci(cf, r))
 
 
 def oracle_tau_star(cf, r):

@@ -158,11 +158,12 @@ def test_cli_malformed_expression_exits_2(tmp_path):
     ("base_point", [0.1, True, 0.3, 0.4], "$.germ.base_point[1]"),
     ("checks", [["structure"]], "$.checks[0]"),
     ("seed", -1, "$.seed"),
+    ("n", True, "$.germ.n"),
 ])
 def test_cli_malformed_scenario_field_exits_2(tmp_path, field, value, path):
     doc = {"germ": {"generator": "flat_product", "n": 2}, "checks": ["structure"]}
-    if field == "base_point":
-        doc["germ"]["base_point"] = value
+    if field in ("base_point", "n"):
+        doc["germ"][field] = value
     else:
         doc[field] = value
     scenario = tmp_path / "bad.json"
@@ -188,6 +189,20 @@ def test_cli_evaluation_error_exits_2(tmp_path):
     proc = run_cli("check", "--scenario", str(scenario))
     assert proc.returncode == 2
     assert "error: ln of non-positive value" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_cli_overflowing_metric_exits_2(tmp_path):
+    # e^{800} overflows: the metric is not finite at the base point.
+    scenario = tmp_path / "overflow.json"
+    scenario.write_text(json.dumps({
+        "germ": {"generator": "conformal_flat_product", "n": 2, "u": "400*x1",
+                 "base_point": [1, 0, 0, 0]},
+        "checks": ["structure"],
+    }))
+    proc = run_cli("check", "--scenario", str(scenario))
+    assert proc.returncode == 2
+    assert "error: metric not finite at point (1.0, 0.0, 0.0, 0.0)" in proc.stderr
     assert "Traceback" not in proc.stderr
 
 

@@ -1,5 +1,6 @@
-"""Torsion, Gamma', R', tau' and tau*' of the natural connections against
-the direct transcriptions in ``connection_oracle``, at every derivative level."""
+"""Torsion, Gamma', R', Ricci', tau' and tau*' of the natural connections
+against the direct transcriptions in ``connection_oracle``, at every
+derivative level each one keeps, and the levels each frame field keeps."""
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from apmlab.tensors import frob
 from connection_oracle import (
     oracle_curvature,
     oracle_gamma,
+    oracle_ricci,
     oracle_tau,
     oracle_tau_star,
     oracle_torsion,
@@ -64,9 +66,24 @@ def test_connection_jets_match_oracles(name, order):
                             oracle_gamma(cf, full))
         assert_levels_match(cf.gamma, oracle_gamma(cf, KEPT_ORDER))
         r_prime = oracle_curvature(cf)
-        assert_levels_match(cf.curvature, r_prime)
+        assert_levels_match(cf.curvature, r_prime.truncated(KEPT_ORDER))
+        assert_levels_match(cf.ricci, oracle_ricci(cf, r_prime))
         assert_levels_match(cf.tau, oracle_tau(cf, r_prime))
         assert_levels_match(cf.tau_star, oracle_tau_star(cf, r_prime))
+
+
+@pytest.mark.parametrize("order", [3, 4])
+def test_jets_keep_only_the_levels_their_readers_take(order):
+    fr = GERMS["grid_d4"].frame(order=order)
+    assert fr.curvature.order == 0
+    assert fr.nabla_theta.order == 0
+    assert fr.omega.order == 0
+    for cp in family(fr.n):
+        cf = fr.connection(cp)
+        assert cf.curvature.order == KEPT_ORDER
+        assert cf.tau.order == order - 2
+        assert cf.tau_star.order == order - 2
+        assert cf.ricci.order == order - 2
 
 
 def test_oracles_see_nonzero_curvature():

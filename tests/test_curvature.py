@@ -196,6 +196,23 @@ def test_decompose_known_combinations(ps4):
     assert residual > 1e-3
 
 
+def test_pi_tensors_are_built_once_per_structure(monkeypatch):
+    import apmlab.curvature as curvature
+
+    calls = []
+    original = curvature.psi1
+    monkeypatch.setattr(curvature, "psi1", lambda ps, s: calls.append(s) or original(ps, s))
+    ps = canonical_structure(4)
+    pis = pi_tensors(ps)
+    built = len(calls)
+    for seed in range(5):
+        decompose_dim4(ps, random_p_tensor(ps, seed))
+    assert pi_tensors(ps) is pis and len(calls) == built
+    assert not any(t.flags.writeable for t in pis)
+    # A new structure gets its own tensors.
+    assert pi_tensors(canonical_structure(4, 2.0)) is not pis
+
+
 def test_decompose_requires_dim4():
     ps = canonical_structure(6)
     with pytest.raises(ValueError, match="dimension 4"):

@@ -20,7 +20,7 @@ from apmlab.germs import (
     one_form_exterior_fd,
 )
 from apmlab.structure import classify_f, f_symmetry_residuals
-from apmlab.tensors import PointStructure, frob
+from apmlab.tensors import PointStructure, StructureError, frob
 
 from fd_oracle import curvature_fd, f_tensor_fd, lee_form_fd
 
@@ -80,6 +80,18 @@ def test_flat_product_6d():
     fr = flat_product_germ(3).frame()
     assert frob(fr.curvature.values) == 0.0
     assert max(fr.structure.invariant_residuals().values()) < 1e-12
+
+
+def test_non_finite_metric_or_structure_is_a_structure_error():
+    overflowing = conformal_flat_product_germ(2, "400*x1")
+    with np.errstate(over="ignore"), pytest.raises(StructureError, match="metric not finite"):
+        overflowing.frame((1.0, 0.0, 0.0, 0.0)).structure
+    identity = [["1" if i == j else "0" for j in range(4)] for i in range(4)]
+    structure = [row[:] for row in identity]
+    structure[0][1] = "exp(1000*x1)"
+    germ = ChartGerm.from_strings(4, identity, structure)
+    with np.errstate(over="ignore"), pytest.raises(StructureError, match="structure P not finite"):
+        germ.frame((1.0, 0.2, 0.3, 0.4)).p
 
 
 def test_default_base_point_offsets():
