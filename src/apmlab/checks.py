@@ -157,8 +157,9 @@ def drive(ctx: ScenarioContext, name: str, base_tol: float, body,
     ``body(ctx, report, cf)`` that of each connection frame ``cf``.  A ``Skip``
     raised by ``body`` marks its report skipped with the reason; a germ whose
     dimension is not ``dim`` gets one bare-named skipped report.  The
-    scenario's tolerance overrides of ``name`` apply to every report, and each
-    override key that matches no residual is noted on the first report.
+    scenario's tolerance overrides of ``name`` apply to every report, and when
+    some report ran, each override key that matches no residual is noted on
+    the first report.
     """
     off_dim = dim is not None and ctx.germ.dim != dim
     runs = [(name, ())]
@@ -176,8 +177,9 @@ def drive(ctx: ScenarioContext, name: str, base_tol: float, body,
         except Skip as exc:
             report.skip(str(exc))
         reports.append(report.finalize())
+    ran = any(r.status != "skipped" for r in reports)
     for key in overrides:
-        if reports and key != "*" and not any(key in r.residuals for r in reports):
+        if ran and key != "*" and not any(key in r.residuals for r in reports):
             reports[0].notes.append(f"tolerance override '{key}' {UNMATCHED_OVERRIDE}")
     return reports
 

@@ -21,7 +21,7 @@ from .scenarios import (
     run_scenario,
 )
 from .structure import classify_f
-from .tensors import PointStructure, StructureError, canonical_structure, frob
+from .tensors import DEFAULT_TOL, PointStructure, StructureError, canonical_structure, frob
 
 USAGE_ERROR = 2
 
@@ -87,6 +87,8 @@ def cmd_decompose4(args: argparse.Namespace) -> int:
     try:
         with open(args.tensor) as fh:
             doc = json.load(fh)
+        if not isinstance(doc, dict):
+            raise ValueError("tensor file must hold a JSON object")
         dim = int(doc.get("dim", 4))
         if dim != 4:
             raise ValueError("scalar-curvature decomposition requires dim = 4")
@@ -95,10 +97,17 @@ def cmd_decompose4(args: argparse.Namespace) -> int:
             raise ValueError("components must form a 4x4x4x4 array")
         if "g" in doc or "p" in doc:
             ps = PointStructure(np.asarray(doc["g"], float), np.asarray(doc["p"], float))
+            failed = [key for key, value in ps.invariant_residuals().items()
+                      if not value < DEFAULT_TOL]
+            if failed:
+                raise StructureError(f"invalid almost product structure: {', '.join(failed)}")
         else:
             ps = canonical_structure(4)
         tau, tau_star, residual = decompose_dim4(ps, components)
-    except (OSError, json.JSONDecodeError, KeyError, ValueError, StructureError) as exc:
+    except KeyError as exc:
+        print(f"error: tensor file has no key {exc}", file=sys.stderr)
+        return USAGE_ERROR
+    except (OSError, json.JSONDecodeError, ValueError, StructureError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     out = {

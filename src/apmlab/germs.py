@@ -17,11 +17,12 @@ contorsion K(x,y,z) = {T(x,y,z) - T(y,z,x) + T(z,x,y)} / 2, which is the
 unique metric connection with that torsion; parallelism of P is then a
 checked consequence on conformal-class germs, not an assumption.
 
-Every jet is carried only to the derivative levels some reader takes: the
-Levi-Civita curvature R as values, a connection's R' to the one derivative
-the second Bianchi identity needs, its scalar curvatures tau' and tau*' at
-the frame's full order (their Hessians on order-4 frames), and omega and
-grad theta as values.
+Each frame quantity has one producer: g^-1 extends the one validated inversion
+of the point structure, and each connection builds T -> K -> Gamma' -> R' once.
+Every jet is carried only to the derivative levels some reader takes: R,
+omega, grad theta and a connection's T, K and Gamma' as values, its R' to the
+one derivative the second Bianchi identity needs, and its scalar curvatures
+tau' and tau*' at the frame's full order (Hessians on order-4 frames).
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ class ConnectionParams:
 
     def discriminant(self, n: int) -> float:
         """lambda^2 - mu^2 - mu/(2n); nonzero exactly for the generic case."""
-        return self.lam**2 - self.mu**2 - self.mu / (2 * n)
+        return self.lam * self.lam - self.mu * self.mu - self.mu / (2 * n)
 
     def case(self, n: int, eps: float = 1e-12) -> str:
         """Classify into 'D', 'D_tilde', 'generic' or 'degenerate'."""
@@ -67,7 +68,7 @@ class ConnectionParams:
             return "D"
         if abs(self.lam) < eps and abs(self.mu + 1.0 / (2 * n)) < eps:
             return "D_tilde"
-        if abs(self.discriminant(n)) > eps * max(1.0, self.lam**2 + self.mu**2):
+        if abs(self.discriminant(n)) > eps * max(1.0, self.lam * self.lam + self.mu * self.mu):
             return "generic"
         return "degenerate"
 
@@ -186,14 +187,15 @@ def _covariant_p(p: JetTensor, gamma: JetTensor) -> JetTensor:
 class GermFrame:
     """Levi-Civita pipeline of a germ at one point, on derivative jets.
 
-    Each derivative taken along the pipeline costs one jet order: the
-    Christoffel symbols and the Lee form carry order - 1.  Fields are carried
-    only to the levels some reader takes: the Levi-Civita curvature, the
-    metric dual ``omega`` and ``nabla_theta`` are values (order 0).  A
-    connection's curvature R' is built at order - 2 and kept to KEPT_ORDER
-    levels, so order 3 leaves the one exact derivative of R' that the second
-    Bianchi identity needs; its scalar curvatures keep order - 2, so order 4
-    leaves their exact Hessians.
+    Each derivative taken along the pipeline costs one jet order: g^-1, the
+    Christoffel symbols and the Lee form carry order - 1.  g^-1 extends the
+    inverse ``structure`` validates, so a singular or indefinite metric raises
+    StructureError naming the point, whichever field is read first.  The
+    Levi-Civita curvature, the metric dual ``omega`` and ``nabla_theta`` are
+    values (order 0).  A connection's curvature R' is built at order - 2 and
+    kept to KEPT_ORDER levels, so order 3 leaves the one exact derivative of
+    R' that the second Bianchi identity needs; its scalar curvatures keep
+    order - 2, so order 4 leaves their exact Hessians.
     """
 
     def __init__(self, germ: ChartGerm, point, order: int = 3):
@@ -215,9 +217,9 @@ class GermFrame:
 
     @cached_property
     def g_inv(self) -> JetTensor:
-        # One order below g, like g_assoc: every consumer pairs them with
-        # derivatives of g or with the Lee form.
-        return jt_inverse(self.g.truncated(max(self.order - 1, 0)))
+        # The validated inverse of the metric values, one order below g like
+        # g_assoc: every consumer pairs them with derivatives of g or the Lee form.
+        return jt_inverse(self.g.truncated(max(self.order - 1, 0)), self.structure.g_inv)
 
     @cached_property
     def g_assoc(self) -> JetTensor:
@@ -232,7 +234,11 @@ class GermFrame:
 
     @cached_property
     def structure(self) -> PointStructure:
-        return PointStructure(self.g.values, self.p.values)
+        """(g, P) at the point, with the one inversion of the metric values."""
+        try:
+            return PointStructure(self.g.values, self.p.values)
+        except StructureError as exc:
+            raise StructureError(f"{exc} at point {tuple(self.point.tolist())}") from None
 
     @cached_property
     def christoffel(self) -> JetTensor:
@@ -330,20 +336,20 @@ def _contorsion_of(t: JetTensor) -> JetTensor:
     return (t - t.transpose("jki->ijk") + t.transpose("kij->ijk")).scaled(0.5)
 
 
-# Derivative levels kept by a connection's cached torsion, contorsion, Gamma'
-# and R': the one derivative of R' that ``nabla_curvature`` reads.
+# Derivative levels kept by a connection's R': the one derivative that
+# ``nabla_curvature`` reads.
 KEPT_ORDER = 1
 
 
 class ConnectionFrame:
     """A natural connection (lambda, mu) attached to an evaluated germ frame.
 
-    The cached torsion, contorsion, Gamma' and R' keep KEPT_ORDER derivative
-    levels: apart from the first derivative of R', their consumers read values
-    only.  One builder makes Gamma' and R'^m_ijk at the frame's full order,
-    derives the lowered R', Ricci' and rho*' from it and drops both, so a
-    frame holding several connections stays small.  tau' and tau*' keep the
-    full order, for their Hessians.
+    One chain, built once at the frame's full order, makes T, K, Gamma' and
+    R'^m_ijk.  It keeps T, K and Gamma' as values, all their readers take, the
+    lowered R' to KEPT_ORDER levels, and Ricci' and rho*' at full order; the
+    full-order T and K are released before R' is built and Gamma' right after,
+    so a frame holding several connections stays small.  tau' and tau*' keep
+    the full order.
     """
 
     def __init__(self, frame: GermFrame, params: ConnectionParams):
@@ -354,34 +360,42 @@ class ConnectionFrame:
 
     # -- connection -----------------------------------------------------------
 
-    def _torsion_at(self, order: int) -> JetTensor:
-        """The torsion as g^a + g~^b: two outer products H, then H_ijk - H_jik."""
+    def _torsion(self) -> JetTensor:
+        """T = g^a + g~^b at full order: two outer products H, then H_ijk - H_jik."""
         f = self.frame
         lam, mu = self.params.lam, self.params.mu
-        theta, theta_p = f.theta.truncated(order), f.theta_p.truncated(order)
-        a = theta_p.scaled(1.0 / (2 * self.n) + mu) + theta.scaled(lam)
-        b = theta_p.scaled(lam) + theta.scaled(mu)
+        a = f.theta_p.scaled(1.0 / (2 * self.n) + mu) + f.theta.scaled(lam)
+        b = f.theta_p.scaled(lam) + f.theta.scaled(mu)
         h = jt_einsum("jk,i->ijk", f.g, a) + jt_einsum("jk,i->ijk", f.g_assoc, b)
         return h - h.transpose("jik->ijk")
 
-    def _gamma_of(self, contorsion: JetTensor) -> JetTensor:
-        """Gamma'^m_{ij} = Gamma^m_{ij} + g^{mk} K_{ijk}."""
-        return self.frame.christoffel.truncated(contorsion.order) + jt_einsum(
-            "mk,ijk->mij", self.frame.g_inv, contorsion
-        )
-
     @cached_property
+    def _chain(self) -> tuple[JetTensor, ...]:
+        """T, K, Gamma' = Gamma + g^-1 K, R'_ijkl, Ricci' = R'^i_ijk and rho*' = Q^i_a R'^a_ijk."""
+        f = self.frame
+        torsion = self._torsion()
+        contorsion = _contorsion_of(torsion)
+        torsion = torsion.truncated(0)  # each full-order jet is released once read
+        gamma = f.christoffel + jt_einsum("mk,ijk->mij", f.g_inv, contorsion)
+        contorsion = contorsion.truncated(0)
+        up = _curvature_of(gamma)
+        gamma = gamma.truncated(0)
+        lowered = jt_einsum("mijk,ml->ijkl", up.truncated(KEPT_ORDER), f.g)
+        return (torsion, contorsion, gamma, lowered, up.transpose("iijk->jk"),
+                jt_einsum("ia,aijk->jk", f.p_adjoint, up))
+
+    @property
     def torsion(self) -> JetTensor:
-        return self._torsion_at(KEPT_ORDER)
+        return self._chain[0]
 
-    @cached_property
+    @property
     def contorsion(self) -> JetTensor:
-        return _contorsion_of(self.torsion)
+        return self._chain[1]
 
-    @cached_property
+    @property
     def gamma(self) -> JetTensor:
         """Gamma'^m_{ij}, axes (m; direction i, argument j)."""
-        return self._gamma_of(self.contorsion)
+        return self._chain[2]
 
     @cached_property
     def torsion_mixed(self) -> np.ndarray:
@@ -396,26 +410,14 @@ class ConnectionFrame:
         return self.frame.metric_parallel_residual(self.gamma.values)
 
     def structure_parallel_residual(self) -> float:
-        return frob(_covariant_p(self.frame.p, self.gamma.truncated(0)).values)
+        return frob(_covariant_p(self.frame.p, self.gamma).values)
 
     # -- curvature --------------------------------------------------------------
 
-    @cached_property
-    def _curvatures(self) -> tuple[JetTensor, JetTensor, JetTensor]:
-        """R'_ijkl to KEPT_ORDER, and Ricci'_jk = R'^i_ijk, rho*'_jk = Q^i_a R'^a_ijk.
-
-        All three come from one R'^m_ijk at the frame's full order; the two
-        contractions keep that order.
-        """
-        f = self.frame
-        up = _curvature_of(self._gamma_of(_contorsion_of(self._torsion_at(f.theta.order))))
-        lowered = jt_einsum("mijk,ml->ijkl", up.truncated(KEPT_ORDER), f.g)
-        return lowered, up.transpose("iijk->jk"), jt_einsum("ia,aijk->jk", f.p_adjoint, up)
-
-    @cached_property
+    @property
     def curvature(self) -> JetTensor:
         """Curvature of the natural connection, all indices down, to KEPT_ORDER."""
-        return self._curvatures[0]
+        return self._chain[3]
 
     @cached_property
     def p_tensor_residual(self) -> float:
@@ -444,10 +446,10 @@ class ConnectionFrame:
 
     # -- scalar curvatures -------------------------------------------------------
 
-    @cached_property
+    @property
     def ricci(self) -> JetTensor:
         """Ricci'_jk = g^il R'_ijkl, taken as the trace R'^i_ijk."""
-        return self._curvatures[1]
+        return self._chain[4]
 
     @cached_property
     def tau(self) -> JetTensor:
@@ -456,7 +458,7 @@ class ConnectionFrame:
     @cached_property
     def tau_star(self) -> JetTensor:
         """tau*' = g^jk rho*'_jk, where rho*'_jk = g^il R'_ijkm P^m_l."""
-        return jt_einsum("jk,jk->", self.frame.g_inv, self._curvatures[2])
+        return jt_einsum("jk,jk->", self.frame.g_inv, self._chain[5])
 
     # -- transfer components -------------------------------------------------------
 

@@ -7,12 +7,14 @@ has the component shape followed by k derivative axes (each of length
 
 Products propagate derivatives by the order-k Leibniz rule through ordinary
 float einsums, ``partial()`` peels one derivative level off (dropping the
-order by one), and functions of a jet -- exp, sin, cos, ln, integer powers,
-the reciprocal and the matrix inverse -- follow from the recursion
+order by one), and functions of a jet -- exp, sin, cos, ln, integer powers
+and the reciprocal -- follow from the recursion
 
     f(u) = ( f(u0), the data of f'(u) * du one order lower ),
 
-which needs no table of higher derivatives and is exact at every order.
+which needs no table of higher derivatives and is exact at every order.  The
+matrix inverse extends the inverse of the values, which its caller supplies,
+the same way, by dX = -X dA X.
 """
 
 from __future__ import annotations
@@ -203,14 +205,10 @@ def jt_einsum(spec: str, a: JetTensor, b: JetTensor) -> JetTensor:
     return JetTensor(tuple(data), a.dim)
 
 
-def jt_inverse(a: JetTensor) -> JetTensor:
-    """Inverse X of a jet-valued square matrix A, by d X = -X (d A) X."""
-    values = a.values
-    if values.ndim != 2 or values.shape[0] != values.shape[1]:
-        raise ValueError("jet inverse needs a square matrix of components")
-    inverse = np.linalg.inv(values)
+def jt_inverse(a: JetTensor, inverse: np.ndarray) -> JetTensor:
+    """Inverse X of a jet-valued square matrix A from X's values ``inverse``, by dX = -X dA X."""
     if a.order == 0:
         return JetTensor((inverse,), a.dim)
-    x = jt_inverse(a.truncated(a.order - 1))
+    x = jt_inverse(a.truncated(a.order - 1), inverse)
     rest = -jt_einsum("ab,bcz->acz", x, jt_einsum("abz,bc->acz", a.partial(), x))
     return JetTensor((inverse,) + rest.data, a.dim)

@@ -42,12 +42,23 @@ class Scenario:
         )
 
 
+def _finite_float(value) -> float | None:
+    """``value`` as a float if it is a finite number (a bool is not one), else None."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return None
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond the float range
+        return None
+    return number if math.isfinite(number) else None
+
+
 def finite_positive(value, path: str) -> float:
     """``value`` as a float if it is a finite number > 0, else a ScenarioError at ``path``."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) \
-            or not (math.isfinite(value) and value > 0):
+    number = _finite_float(value)
+    if number is None or not number > 0:
         raise ScenarioError(path, f"must be a finite number > 0, got {value!r}")
-    return float(value)
+    return number
 
 
 def _seed(value, path: str) -> int:
@@ -60,7 +71,10 @@ def _seed(value, path: str) -> int:
 def _number(value, path: str) -> float:
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise ScenarioError(path, f"expected a number, got {type(value).__name__}")
-    return float(value)
+    number = _finite_float(value)
+    if number is None:
+        raise ScenarioError(path, f"must be a finite number, got {value!r}")
+    return number
 
 
 def _require(doc: dict, key: str, kind, path: str):

@@ -7,8 +7,9 @@ is traced along the route of its definition, through the rank-4
 R'_ijkm P^m_l and the Ricci-like rho*'.  ``ConnectionFrame`` groups the same
 products differently (g^a + g~^b, Ricci' as the trace R'^i_ijk, and rho*'
 through the g-adjoint of P), which these oracles check to rounding.
-Contorsion, Gamma' and the curvature of Gamma' are shared with apmlab: only
-the regrouped products are under test.
+Gamma' = Gamma + g^-1 K is written out here; the contorsion and the
+curvature of Gamma' are shared with apmlab: only the regrouped products are
+under test.
 """
 
 from __future__ import annotations
@@ -33,8 +34,10 @@ def oracle_torsion(cf, order):
 
 
 def oracle_gamma(cf, order):
-    """Gamma' of ``cf`` to ``order`` from the oracle torsion."""
-    return cf._gamma_of(_contorsion_of(oracle_torsion(cf, order)))
+    """Gamma'^m_ij = Gamma^m_ij + g^mk K_ijk of ``cf`` to ``order`` from the oracle torsion."""
+    f = cf.frame
+    contorsion = _contorsion_of(oracle_torsion(cf, order))
+    return f.christoffel.truncated(order) + jt_einsum("mk,ijk->mij", f.g_inv, contorsion)
 
 
 def oracle_curvature(cf):

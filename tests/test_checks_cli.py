@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import apmlab
@@ -206,6 +207,66 @@ def test_cli_overflowing_metric_exits_2(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+SINGULAR_GERM = {"generator": "conformal_flat_product", "n": 2, "u": "-400*x1",
+                 "base_point": [1, 0, 0, 0]}
+INDEFINITE_GERM = {
+    "dim": 4,
+    "metric": [["1", "0", "0", "0"], ["0", "1", "0", "0"], ["0", "0", "1", "0"],
+               ["0", "0", "0", "-1"]],
+    "structure": [["1", "0", "0", "0"], ["0", "1", "0", "0"], ["0", "0", "-1", "0"],
+                  ["0", "0", "0", "-1"]],
+}
+
+
+@pytest.mark.parametrize("check", ["levi_civita", "lee_closedness"])
+@pytest.mark.parametrize("germ", [SINGULAR_GERM, INDEFINITE_GERM], ids=["singular", "indefinite"])
+def test_cli_metric_not_positive_definite_exits_2(tmp_path, germ, check):
+    # e^{-800} underflows to a zero metric.  The point named is the first
+    # frame the check evaluates: the base point, or an FD sample next to it.
+    scenario = tmp_path / "metric.json"
+    scenario.write_text(json.dumps({"germ": germ, "checks": [check]}))
+    proc = run_cli("check", "--scenario", str(scenario))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: metric not positive definite at point (")
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("field,value,path", [
+    ("lambda", float("nan"), "$.connections[0].lambda"),
+    ("mu", float("-inf"), "$.connections[0].mu"),
+    ("base_point", [float("inf"), 0, 0, 0], "$.germ.base_point[0]"),
+    pytest.param("lambda", 10**400, "$.connections[0].lambda", id="int_beyond_float"),
+])
+def test_cli_non_finite_scenario_number_exits_2(tmp_path, field, value, path):
+    doc = {"germ": {"generator": "flat_product", "n": 2}, "checks": ["structure"],
+           "connections": [{"lambda": 1.0, "mu": 0.0}]}
+    if field == "base_point":
+        doc["germ"][field] = value
+    else:
+        doc["connections"][0][field] = value
+    scenario = tmp_path / "bad.json"
+    scenario.write_text(json.dumps(doc))  # json writes NaN and Infinity, and reads them back
+    proc = run_cli("check", "--scenario", str(scenario))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(f"error: {path}: must be a finite number, got ")
+    assert "Traceback" not in proc.stderr
+
+
+def test_cli_huge_connection_parameter_gives_a_report(tmp_path):
+    # lambda^2 overflows a float: the discriminant is inf, not an OverflowError.
+    scenario = tmp_path / "huge.json"
+    scenario.write_text(json.dumps({
+        "germ": {"generator": "conformal_flat_product", "n": 2, "u": "x1^2 + x3^2"},
+        "connections": [{"lambda": 1e200, "mu": 0}],
+    }))
+    out = tmp_path / "report.json"
+    proc = run_cli("check", "--scenario", str(scenario), "--out", str(out))
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert json.loads(out.read_text())["summary"]["failed"] > 0
+
+
 @pytest.mark.parametrize("scale", ["0", "-1", "nan", "inf"])
 def test_cli_rejects_tol_scale_not_finite_positive(scale):
     proc = run_cli("check", "--scenario", "flat_product_4d", "--tol-scale", scale)
@@ -277,6 +338,24 @@ def test_cli_decompose4_explicit_structure(tmp_path):
     assert payload["reconstruction_residual"] < 1e-10
 
 
+@pytest.mark.parametrize("keys,message", [
+    ({"g": np.eye(4), "p": np.eye(4)}, "invalid almost product structure: trace_p"),
+    ({"g": np.eye(4)}, "tensor file has no key 'p'"),
+    ({"p": np.diag([1.0, 1.0, -1.0, -1.0])}, "tensor file has no key 'g'"),
+    (None, "tensor file must hold a JSON object"),
+])
+def test_cli_decompose4_rejects_a_bad_structure(tmp_path, keys, message):
+    doc = [] if keys is None else {
+        "dim": 4, "components": np.zeros((4,) * 4).tolist(),
+        **{key: value.tolist() for key, value in keys.items()},
+    }
+    tensor_file = tmp_path / "t.json"
+    tensor_file.write_text(json.dumps(doc))
+    proc = run_cli("decompose4", "--tensor", str(tensor_file))
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: {message}\n"
+
+
 def test_cli_list_checks():
     proc = run_cli("list-checks")
     assert proc.returncode == 0
@@ -326,6 +405,24 @@ def test_cli_warns_of_an_override_that_matches_no_residual(tmp_path, key, code):
     assert report.get("notes", []) == ([note] if unmatched else [])
 
 
+def test_cli_does_not_warn_of_an_override_on_a_check_that_skips_every_report(tmp_path):
+    # On the flat product every lee_recovery report skips (not W1), so
+    # theta_recovery, a key the check does produce, is not reported unmatched.
+    scenario = tmp_path / "override.json"
+    scenario.write_text(json.dumps({
+        "germ": {"generator": "flat_product", "n": 2},
+        "checks": ["lee_recovery"],
+        "tolerances": {"lee_recovery": {"theta_recovery": 0.005, "theta_recoveryy": 0.005}},
+    }))
+    out = tmp_path / "report.json"
+    proc = run_cli("check", "--scenario", str(scenario), "--out", str(out))
+    assert proc.returncode == 0
+    assert "warning" not in proc.stderr
+    reports = json.loads(out.read_text())["checks"]
+    assert {r["status"] for r in reports} == {"skipped"}
+    assert all(not r.get("notes") for r in reports)
+
+
 def test_unmatched_override_is_noted_on_the_first_report_of_its_check():
     doc = {
         "germ": {"generator": "flat_product", "n": 2},
@@ -341,7 +438,8 @@ def test_unmatched_override_is_noted_on_the_first_report_of_its_check():
     assert exit_code(reports) == 0
 
 
-@pytest.mark.parametrize("value", ["abc", -1, 0, float("nan"), True])
+@pytest.mark.parametrize("value", ["abc", -1, 0, float("nan"), True,
+                                   pytest.param(10**400, id="int_beyond_float")])
 def test_tolerance_override_must_be_finite_positive(value):
     doc = {
         "germ": {"generator": "flat_product", "n": 2},

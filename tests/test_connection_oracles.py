@@ -1,12 +1,13 @@
 """Torsion, Gamma', R', Ricci', tau' and tau*' of the natural connections
 against the direct transcriptions in ``connection_oracle``, at every
-derivative level each one keeps, and the levels each frame field keeps."""
+derivative level each one keeps or is built at, and the levels each frame
+field keeps."""
 
 import numpy as np
 import pytest
 
 from apmlab import germs
-from apmlab.germs import KEPT_ORDER, ChartGerm, ConnectionParams, _contorsion_of
+from apmlab.germs import KEPT_ORDER, ChartGerm, ConnectionParams
 from apmlab.tensors import frob
 
 from connection_oracle import (
@@ -53,18 +54,37 @@ def assert_levels_match(jet, oracle):
         assert frob(value - expected) <= 1e-12 * max(1.0, frob(expected)), f"level {k}"
 
 
+def built_chain(cf, monkeypatch):
+    """The full-order T and Gamma' that the one chain of ``cf`` builds, seen as it builds them."""
+    seen = {"torsion": [], "gamma": []}
+    contorsion_of, curvature_of = germs._contorsion_of, germs._curvature_of
+
+    def keep(key, fn):
+        def kept(jet):
+            seen[key].append(jet)
+            return fn(jet)
+        return kept
+
+    with monkeypatch.context() as patch:
+        patch.setattr(germs, "_contorsion_of", keep("torsion", contorsion_of))
+        patch.setattr(germs, "_curvature_of", keep("gamma", curvature_of))
+        cf.curvature
+    [torsion], [gamma] = seen["torsion"], seen["gamma"]
+    return torsion, gamma
+
+
 @pytest.mark.parametrize("order", [3, 4])
 @pytest.mark.parametrize("name", list(GERMS))
-def test_connection_jets_match_oracles(name, order):
+def test_connection_jets_match_oracles(name, order, monkeypatch):
     fr = GERMS[name].frame(order=order)
     full = fr.theta.order
     for cp in family(fr.n):
         cf = fr.connection(cp)
-        assert_levels_match(cf._torsion_at(full), oracle_torsion(cf, full))
-        assert_levels_match(cf.torsion, oracle_torsion(cf, KEPT_ORDER))
-        assert_levels_match(cf._gamma_of(_contorsion_of(cf._torsion_at(full))),
-                            oracle_gamma(cf, full))
-        assert_levels_match(cf.gamma, oracle_gamma(cf, KEPT_ORDER))
+        torsion, gamma = built_chain(cf, monkeypatch)
+        assert_levels_match(torsion, oracle_torsion(cf, full))
+        assert_levels_match(gamma, oracle_gamma(cf, full))
+        assert_levels_match(cf.torsion, oracle_torsion(cf, 0))
+        assert_levels_match(cf.gamma, oracle_gamma(cf, 0))
         r_prime = oracle_curvature(cf)
         assert_levels_match(cf.curvature, r_prime.truncated(KEPT_ORDER))
         assert_levels_match(cf.ricci, oracle_ricci(cf, r_prime))
@@ -80,6 +100,7 @@ def test_jets_keep_only_the_levels_their_readers_take(order):
     assert fr.omega.order == 0
     for cp in family(fr.n):
         cf = fr.connection(cp)
+        assert cf.torsion.order == cf.contorsion.order == cf.gamma.order == 0
         assert cf.curvature.order == KEPT_ORDER
         assert cf.tau.order == order - 2
         assert cf.tau_star.order == order - 2
@@ -109,7 +130,7 @@ def test_torsion_takes_two_jet_products(monkeypatch):
     for cp in family(fr.n):
         cf = fr.connection(cp)
         monkeypatch.setattr(germs, "jt_einsum", counted)
-        cf._torsion_at(fr.theta.order)
+        cf._torsion()
         monkeypatch.setattr(germs, "jt_einsum", einsum)
         assert len(calls) <= 2, calls
         calls.clear()

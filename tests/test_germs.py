@@ -94,6 +94,48 @@ def test_non_finite_metric_or_structure_is_a_structure_error():
         germ.frame((1.0, 0.2, 0.3, 0.4)).p
 
 
+DIAGONAL_P = [["1", "0", "0", "0"], ["0", "1", "0", "0"],
+              ["0", "0", "-1", "0"], ["0", "0", "0", "-1"]]
+
+
+@pytest.mark.parametrize("field", ["g_inv", "christoffel", "theta", "structure"])
+def test_singular_or_indefinite_metric_is_a_structure_error_naming_the_point(field):
+    # e^{-800} underflows to 0, so the metric is singular; diag(1, 1, 1, -1) is indefinite.
+    singular = conformal_flat_product_germ(2, "-400*x1").frame((1.0, 0.0, 0.0, 0.0), order=4)
+    indefinite = ChartGerm.from_strings(
+        4, [["1", "0", "0", "0"], ["0", "1", "0", "0"],
+            ["0", "0", "1", "0"], ["0", "0", "0", "-1"]],
+        DIAGONAL_P).frame(order=4)
+    for fr in (singular, indefinite):
+        point = str(tuple(fr.point.tolist()))
+        with pytest.raises(StructureError) as err:
+            getattr(fr, field)
+        assert str(err.value) == f"metric not positive definite at point {point}"
+
+
+def test_an_order_4_frame_inverts_its_metric_once(monkeypatch):
+    calls = []
+    inv = np.linalg.inv
+
+    def counted(a):
+        calls.append(a.shape)
+        return inv(a)
+
+    monkeypatch.setattr(np.linalg, "inv", counted)
+    germ = ChartGerm.from_strings(
+        4, [["2 + sin(x1*x3)", "x2*x4/4", "0", "0"], ["x2*x4/4", "exp(x3/3)", "0", "0"],
+            ["0", "0", "1 + x2^2", "cos(x1)/4"], ["0", "0", "cos(x1)/4", "2 + x1*x4"]],
+        DIAGONAL_P)
+    fr = germ.frame(order=4)
+    fr.christoffel, fr.theta, fr.omega, fr.p_adjoint, fr.curvature
+    for cp in (ConnectionParams.d(), ConnectionParams.d_tilde(2), ConnectionParams(1.0, 0.0)):
+        cf = fr.connection(cp)
+        cf.torsion_mixed, cf.tau, cf.tau_star, cf.p_tensor_residual
+    assert calls == [(4, 4)]
+    assert fr.g_inv.order == 3
+    assert fr.g_inv.values is fr.structure.g_inv
+
+
 def test_default_base_point_offsets():
     assert np.allclose(default_base_point(4), [0.1, 0.2, 0.3, 0.4])
 

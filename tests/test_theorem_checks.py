@@ -5,7 +5,7 @@ from functools import cached_property
 import numpy as np
 import pytest
 
-from apmlab import checks
+from apmlab import checks, germs
 from apmlab import curvature as curv
 from apmlab.checks import (
     ScenarioContext,
@@ -152,8 +152,35 @@ def connection_builds(monkeypatch, name: str) -> list:
 
 
 def test_scenario_builds_each_connection_curvature_once(monkeypatch):
-    built = connection_builds(monkeypatch, "curvature")
+    # The one chain T -> K -> Gamma' -> R' is the only producer of R'.
+    built = connection_builds(monkeypatch, "_chain")
     assert len(built) == 3 and len(set(built)) == 3
+
+
+def test_scenario_builds_one_torsion_chain_per_connection(monkeypatch):
+    # No second, shorter torsion chain: one T and one K per connection, and
+    # one curvature of a connection per connection besides the Levi-Civita R.
+    calls = {"torsion": [], "contorsion": 0, "curvature": 0}
+    torsion, contorsion_of, curvature_of = (
+        ConnectionFrame._torsion, germs._contorsion_of, germs._curvature_of)
+
+    def counted_torsion(cf):
+        calls["torsion"].append(cf.params)
+        return torsion(cf)
+
+    def counted(key, fn):
+        def run(jet):
+            calls[key] += 1
+            return fn(jet)
+        return run
+
+    monkeypatch.setattr(ConnectionFrame, "_torsion", counted_torsion)
+    monkeypatch.setattr(germs, "_contorsion_of", counted("contorsion", contorsion_of))
+    monkeypatch.setattr(germs, "_curvature_of", counted("curvature", curvature_of))
+    run_scenario(load_bundled_scenario("conformal_w1_separable_4d"))
+    assert len(calls["torsion"]) == 3 and len(set(calls["torsion"])) == 3
+    assert calls["contorsion"] == 3
+    assert calls["curvature"] == 1 + 3
 
 
 def test_scenario_gates_each_connection_p_tensor_once(monkeypatch):
