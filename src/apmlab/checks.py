@@ -6,7 +6,11 @@ and ``levi_civita`` read the seeded neighbourhood frames, and only
 ``lee_closedness`` differences re-evaluated frames, as an independent oracle.
 
 ``@check`` declares each check once and registers it in ``CHECKS``; one
-function, ``drive``, runs every check.  Theorem checks are implications: each
+function, ``drive``, runs every check.  The declaration lists the check's
+residual keys, and the base tolerance of each key that has its own, in
+``RESIDUALS``: scenario overrides are validated against it at load,
+``drive`` builds each report's tolerances from it, and ``apmlab
+list-checks`` prints it.  Theorem checks are implications: each
 hypothesis is declared once, on ``ScenarioContext`` (``closedness``,
 ``w1_outside_eigenclasses``, ``r_prime_p_tensor``) or on the check (its
 dimension), and a body states those it needs with ``requires``, which raises
@@ -125,8 +129,6 @@ class ScenarioContext:
 W1_GATE = "germ is not a W1-manifold outside W3bar u W6bar"
 P_TENSOR_GATE = "R' is not a Riemannian P-tensor"
 DEGENERATE_SCALARS = "degenerate scalar curvatures"
-# End of the note on a tolerance override whose key no residual of its check has.
-UNMATCHED_OVERRIDE = "matched no residual"
 
 
 class Skip(Exception):
@@ -156,46 +158,54 @@ def drive(ctx: ScenarioContext, name: str, base_tol: float, body,
     ``body(ctx, report)`` fills the report, or with ``per_connection``
     ``body(ctx, report, cf)`` that of each connection frame ``cf``.  A ``Skip``
     raised by ``body`` marks its report skipped with the reason; a germ whose
-    dimension is not ``dim`` gets one bare-named skipped report.  The
-    scenario's tolerance overrides of ``name`` apply to every report, and when
-    some report ran, each override key that matches no residual is noted on
-    the first report.
+    dimension is not ``dim`` gets one bare-named skipped report.  Every
+    report, skipped ones included, carries the per-key tolerances ``name``
+    declares in ``RESIDUALS``, updated by the scenario's overrides of
+    ``name``.  A residual key ``name`` does not declare raises RuntimeError.
     """
     off_dim = dim is not None and ctx.germ.dim != dim
     runs = [(name, ())]
     if per_connection and not off_dim:
         runs = [(f"{name}[{cp.label(ctx.germ.n)}]", (ctx.connection(cp),))
                 for cp in ctx.connections]
+    declared = RESIDUALS[name]
     overrides = ctx.tolerances.get(name, {})
+    own = {key: tol for key, tol in declared.items() if tol is not None}
+    tolerances = {key: ctx.tol(tol) for key, tol in {**own, **overrides}.items() if key != "*"}
     reports = []
     for label, args in runs:
-        report = CheckReport(name=label, tol=ctx.tol(overrides.get("*", base_tol)))
-        report.tolerances.update({k: ctx.tol(v) for k, v in overrides.items() if k != "*"})
+        report = CheckReport(name=label, tol=ctx.tol(overrides.get("*", base_tol)),
+                             tolerances=dict(tolerances))
         try:
             requires(not off_dim, f"dimension is not {dim}")
             body(ctx, report, *args)
         except Skip as exc:
             report.skip(str(exc))
+        undeclared = sorted(report.residuals.keys() - declared.keys())
+        if undeclared:
+            raise RuntimeError(f"check {name} wrote undeclared residuals {undeclared}")
         reports.append(report.finalize())
-    ran = any(r.status != "skipped" for r in reports)
-    for key in overrides:
-        if ran and key != "*" and not any(key in r.residuals for r in reports):
-            reports[0].notes.append(f"tolerance override '{key}' {UNMATCHED_OVERRIDE}")
     return reports
 
 
 # name -> (fn(ctx) -> reports, description), in declaration order.
 CHECKS: dict = {}
+# name -> {residual key: the key's own base tolerance, or None}, kept apart from
+# CHECKS, whose entries perfbench/tracing.py swaps during a traced run.
+RESIDUALS: dict[str, dict[str, float | None]] = {}
 
 
-def check(name: str, base_tol: float, description: str,
+def check(name: str, base_tol: float, description: str, *, residuals: tuple,
           per_connection: bool = False, dim: int | None = None):
     """Register the decorated body as check ``name`` in ``CHECKS``, run by ``drive``.
 
-    The decorated name is bound to the check, ``fn(ctx)``.
+    ``residuals`` lists every key the body can write, over all its branches; a
+    ``(key, tol)`` pair gives that key its own base tolerance.  The decorated
+    name is bound to the check, ``fn(ctx)``.
     """
 
     def declare(body):
+        RESIDUALS[name] = dict(key if isinstance(key, tuple) else (key, None) for key in residuals)
         run = wraps(body)(lambda ctx: drive(ctx, name, base_tol, body, per_connection, dim))
         CHECKS[name] = (run, description)
         return run
@@ -207,14 +217,17 @@ def check(name: str, base_tol: float, description: str,
 # basic checks
 
 
-@check("structure", TOL_ALGEBRA, "Structure invariants at and near the base point")
+@check("structure", TOL_ALGEBRA, "Structure invariants at and near the base point",
+       residuals=("p_squared", "compatibility", "trace_p", "g_symmetry", "g_positivity",
+                  "g_inverse"))
 def check_structure(ctx: ScenarioContext, report: CheckReport):
     for fr in ctx.neighbourhood:
         for key, value in fr.structure.invariant_residuals().items():
             report.residuals[key] = max(report.residuals.get(key, 0.0), value)
 
 
-@check("classification", 1e-9, "F symmetries and W-class label")
+@check("classification", 1e-9, "F symmetries and W-class label",
+       residuals=("f_last_two_symmetry", "f_double_p_skew", "f_single_p_skew"))
 def check_classification(ctx: ScenarioContext, report: CheckReport):
     fr = ctx.frame
     scale = max(1.0, frob(fr.f_tensor.values))
@@ -230,7 +243,8 @@ def check_classification(ctx: ScenarioContext, report: CheckReport):
         report.notes.append(f"expected class {ctx.expect_class}")
 
 
-@check("levi_civita", TOL_ALGEBRA, "Torsion-free metric connection residuals")
+@check("levi_civita", TOL_ALGEBRA, "Torsion-free metric connection residuals",
+       residuals=("torsion_free", "metric_parallel"))
 def check_levi_civita(ctx: ScenarioContext, report: CheckReport):
     worst_sym = worst_metric = 0.0
     for fr in ctx.neighbourhood:
@@ -241,7 +255,8 @@ def check_levi_civita(ctx: ScenarioContext, report: CheckReport):
     report.residuals["metric_parallel"] = worst_metric
 
 
-@check("curvature_like", 1e-9, "Curvature identities of the Levi-Civita tensor")
+@check("curvature_like", 1e-9, "Curvature identities of the Levi-Civita tensor",
+       residuals=("first_pair_skew", "last_pair_skew", "first_bianchi", "pair_symmetry"))
 def check_curvature_like(ctx: ScenarioContext, report: CheckReport):
     r = ctx.frame.curvature.values
     report.residuals.update(curv.curvature_like_residuals(r))
@@ -250,7 +265,8 @@ def check_curvature_like(ctx: ScenarioContext, report: CheckReport):
     report.scalars.update({"tau": inv.tau, "tau_star": inv.tau_star})
 
 
-@check("lee_closedness", 1e-6, "Lee-form exterior derivatives vs FD oracle")
+@check("lee_closedness", 1e-6, "Lee-form exterior derivatives vs FD oracle",
+       residuals=("d_theta_vs_fd", "d_theta_p_vs_fd"))
 def check_lee_closedness(ctx: ScenarioContext, report: CheckReport):
     """Exterior derivatives of the Lee form from jets against an FD oracle."""
     fr = ctx.frame
@@ -293,14 +309,12 @@ def _transfer_correction(ctx: ScenarioContext, tr) -> np.ndarray:
 
 
 @check("natural_connection", TOL_ALGEBRA, "Torsion family and parallelism residuals",
+       residuals=(("torsion_match", 1e-12), "metric_parallel", ("structure_parallel", 1e-8),
+                  ("contorsion_skew", 1e-12), ("torsion_p_identity", 1e-12), "explicit_formula"),
        per_connection=True)
 def check_natural_connection(ctx: ScenarioContext, report: CheckReport, cf: ConnectionFrame):
     fr = ctx.frame
     eye = np.eye(ctx.germ.dim)
-    report.tolerances.setdefault("torsion_match", ctx.tol(1e-12))
-    report.tolerances.setdefault("contorsion_skew", ctx.tol(1e-12))
-    report.tolerances.setdefault("torsion_p_identity", ctx.tol(1e-12))
-    report.tolerances.setdefault("structure_parallel", ctx.tol(1e-8))
     report.residuals["torsion_match"] = cf.torsion_residual()
     report.residuals["metric_parallel"] = cf.metric_parallel_residual()
     report.residuals["structure_parallel"] = cf.structure_parallel_residual()
@@ -335,7 +349,7 @@ def check_natural_connection(ctx: ScenarioContext, report: CheckReport, cf: Conn
 
 
 @check("curvature_relation", TOL_FIRST_DERIV, "Curvature transfer between connections",
-       per_connection=True)
+       residuals=("curvature_relation",), per_connection=True)
 def check_curvature_relation(ctx: ScenarioContext, report: CheckReport, cf: ConnectionFrame):
     """Reconstruction of the Levi-Civita curvature from a natural connection."""
     tr = cf.transfer
@@ -345,6 +359,7 @@ def check_curvature_relation(ctx: ScenarioContext, report: CheckReport, cf: Conn
 
 
 @check("p_tensor_cases", TOL_FIRST_DERIV, "Which connections give Riemannian P-tensors",
+       residuals=("p_tensor", "p_tensor_refuted_margin", "necessary_condition"),
        per_connection=True)
 def check_p_tensor_cases(ctx: ScenarioContext, report: CheckReport, cf: ConnectionFrame):
     """Case analysis of which natural connections make R' a Riemannian P-tensor.
@@ -395,7 +410,8 @@ def check_p_tensor_cases(ctx: ScenarioContext, report: CheckReport, cf: Connecti
         report.notes.append("degenerate case: necessary condition only")
 
 
-@check("second_bianchi", 1e-6, "Differential curvature identities", per_connection=True)
+@check("second_bianchi", 1e-6, "Differential curvature identities",
+       residuals=("cyclic_identity", "p_twisted_identity"), per_connection=True)
 def check_second_bianchi(ctx: ScenarioContext, report: CheckReport, cf: ConnectionFrame):
     """Differential identities of R': the cyclic (second Bianchi) identity holds
     for every connection of the family; the P-twisted derived identity and the
@@ -425,7 +441,8 @@ def check_second_bianchi(ctx: ScenarioContext, report: CheckReport, cf: Connecti
         report.notes.append("P-twisted identity skipped: R' is not a P-tensor")
 
 
-@check("scalar_system", TOL_FIRST_DERIV, "Linear system for the Lee forms", per_connection=True)
+@check("scalar_system", TOL_FIRST_DERIV, "Linear system for the Lee forms",
+       residuals=("system_direct", "system_p_substituted"), per_connection=True)
 def check_scalar_system(ctx: ScenarioContext, report: CheckReport, cf: ConnectionFrame):
     """The linear system tying the Lee forms to the scalar curvatures of R'."""
     fr = ctx.frame
@@ -472,7 +489,9 @@ def _tau_branch(cf: ConnectionFrame) -> float:
     return 1.0 if tau_star * tau > 0 else -1.0
 
 
-@check("lee_recovery", TOL_FIRST_DERIV, "Lee form from scalar curvatures", per_connection=True)
+@check("lee_recovery", TOL_FIRST_DERIV, "Lee form from scalar curvatures",
+       residuals=("theta_recovery", "theta_p_recovery", "equal_magnitude_combination"),
+       per_connection=True)
 def check_lee_recovery(ctx: ScenarioContext, report: CheckReport, cf: ConnectionFrame):
     """Recovery of the Lee form from the scalar curvatures of R'.
 
@@ -509,6 +528,8 @@ def check_lee_recovery(ctx: ScenarioContext, report: CheckReport, cf: Connection
 
 
 @check("tau_form_closedness", TOL_FIRST_DERIV, "Closedness of tau-combination forms",
+       residuals=("ratio_form_closed", "delta_form_closed", "ln_tau_form_closed",
+                  "d_theta_match", "d_theta_p_match"),
        per_connection=True)
 def check_tau_form_closedness(ctx: ScenarioContext, report: CheckReport, cf: ConnectionFrame):
     """Closedness of the P-composed tau-combination forms per connection case.
@@ -549,6 +570,8 @@ def check_tau_form_closedness(ctx: ScenarioContext, report: CheckReport, cf: Con
 
 
 @check("eigenclass_lee_recovery", TOL_FIRST_DERIV, "Lee-form formulas inside W3bar / W6bar",
+       residuals=("lee_scalar_identity", "theta_recovery", "difference_form_closed",
+                  "sum_form_closed", "tau_form_closed"),
        per_connection=True)
 def check_eigenclass_lee_recovery(ctx: ScenarioContext, report: CheckReport, cf: ConnectionFrame):
     """Lee-form recovery formulas for germs inside W3bar or W6bar.
@@ -640,7 +663,8 @@ _DIM4_TRACES = {
 }
 
 
-@check("dim4_traces", 1e-5, "Unconditional dim-4 trace identities", dim=4)
+@check("dim4_traces", 1e-5, "Unconditional dim-4 trace identities",
+       residuals=tuple(_DIM4_TRACES), dim=4)
 def check_dim4_traces(ctx: ScenarioContext, report: CheckReport):
     """Trace identities of the transfer tensors for the two preset connections.
 
@@ -655,6 +679,9 @@ def check_dim4_traces(ctx: ScenarioContext, report: CheckReport):
 
 
 @check("dim4_reconstruction", 1e-6, "Dim-4 curvature reconstruction from scalar curvatures",
+       residuals=("curvature_from_scalars", "preset_reconstruction", "tau_transfer",
+                  "tau_star_transfer", "tau_from_traces", "tau_star_from_traces",
+                  "final_display"),
        per_connection=True, dim=4)
 def check_dim4_reconstruction(ctx: ScenarioContext, report: CheckReport, cf: ConnectionFrame):
     """Levi-Civita curvature reconstructed from R' scalar curvatures (dim 4).
@@ -698,7 +725,7 @@ def check_dim4_reconstruction(ctx: ScenarioContext, report: CheckReport, cf: Con
 
 
 @check("dim4_round_trip", TOL_ALGEBRA, "Random P-tensors rebuilt from their scalar curvatures",
-       dim=4)
+       residuals=("round_trip",), dim=4)
 def check_dim4_round_trip(ctx: ScenarioContext, report: CheckReport):
     """Random Riemannian P-tensors rebuilt from their scalar curvatures.
 
@@ -713,7 +740,9 @@ def check_dim4_round_trip(ctx: ScenarioContext, report: CheckReport):
     )
 
 
-@check("pointwise_algebra", 1e-12, "psi/pi identities at the base structure")
+@check("pointwise_algebra", 1e-12, "psi/pi identities at the base structure",
+       residuals=("psi1_symmetric_curvature_like", "psi2_p_twist_identity", "pi_sum_p_tensor",
+                  "pi3_p_tensor", "psi1_g_is_two_pi1", "psi1_asymmetric_detected"))
 def check_pointwise_algebra(ctx: ScenarioContext, report: CheckReport):
     """psi/pi identities at the germ's point structure."""
     ps = ctx.frame.structure
@@ -748,7 +777,7 @@ def check_pointwise_algebra(ctx: ScenarioContext, report: CheckReport):
 
 def run_checks(ctx: ScenarioContext, names: list[str] | None = None) -> list[CheckReport]:
     reports: list[CheckReport] = []
-    for name in names or CHECKS:
+    for name in CHECKS if names is None else names:
         fn, _ = CHECKS[name]
         reports.extend(fn(ctx))
     return reports

@@ -8,7 +8,7 @@ import sys
 
 import numpy as np
 
-from .checks import CHECKS, UNMATCHED_OVERRIDE
+from .checks import CHECKS, RESIDUALS
 from .curvature import decompose_dim4, is_p_tensor
 from .exprs import EvalError, ParseError
 from .report import CheckReport, emit_report, exit_code, summarize
@@ -41,9 +41,6 @@ def _print_check_lines(reports: list[CheckReport]) -> None:
         elif report.status == "skipped":
             line += f"  ({report.skip_reason})"
         print(line)
-        for note in report.notes:
-            if note.endswith(UNMATCHED_OVERRIDE):
-                print(f"warning: {report.name}: {note}", file=sys.stderr)
 
 
 def cmd_check(args: argparse.Namespace) -> int:
@@ -125,6 +122,8 @@ def cmd_list_checks(_args: argparse.Namespace) -> int:
     print("checks:")
     for name, (_fn, description) in CHECKS.items():
         print(f"  {name:24s} {description}")
+        keys = (key if tol is None else f"{key} ({tol:g})" for key, tol in RESIDUALS[name].items())
+        print(f"  {'':24s} residuals: {', '.join(keys)}")
     print("bundled scenarios:")
     for name in bundled_scenario_names():
         print(f"  {name}")

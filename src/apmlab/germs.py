@@ -58,17 +58,21 @@ class ConnectionParams:
     def d_tilde(n: int) -> "ConnectionParams":
         return ConnectionParams(0.0, -1.0 / (2 * n))
 
-    def discriminant(self, n: int) -> float:
-        """lambda^2 - mu^2 - mu/(2n); nonzero exactly for the generic case."""
-        return self.lam * self.lam - self.mu * self.mu - self.mu / (2 * n)
-
     def case(self, n: int, eps: float = 1e-12) -> str:
-        """Classify into 'D', 'D_tilde', 'generic' or 'degenerate'."""
+        """Classify into 'D', 'D_tilde', 'generic' or 'degenerate'.
+
+        'generic' is a discriminant lambda^2 - mu^2 - mu/(2n) above ``eps``
+        relative to max(1, lambda^2 + mu^2).  Both sides are divided by s^2,
+        s = max(1, |lambda|, |mu|), so no parameter overflows the test.
+        """
         if abs(self.lam) < eps and abs(self.mu) < eps:
             return "D"
         if abs(self.lam) < eps and abs(self.mu + 1.0 / (2 * n)) < eps:
             return "D_tilde"
-        if abs(self.discriminant(n)) > eps * max(1.0, self.lam * self.lam + self.mu * self.mu):
+        s = max(1.0, abs(self.lam), abs(self.mu))
+        lam, mu = self.lam / s, self.mu / s
+        scale = max(1.0 / s / s, lam * lam + mu * mu)
+        if abs(lam * lam - mu * mu - mu / (2 * n * s)) > eps * scale:
             return "generic"
         return "degenerate"
 
@@ -163,9 +167,14 @@ def _grid_jets(grid, point: np.ndarray, order: int, dim: int, label: str) -> Jet
         ),
         dim,
     )
-    if not all(np.isfinite(level).all() for level in stacked.data):
+    return _finite(stacked, label, point)
+
+
+def _finite(jet: JetTensor, label: str, point: np.ndarray) -> JetTensor:
+    """``jet``, or a StructureError naming ``label`` and ``point`` if a level is not finite."""
+    if not all(np.isfinite(level).all() for level in jet.data):
         raise StructureError(f"{label} not finite at point {tuple(point.tolist())}")
-    return stacked
+    return jet
 
 
 def exterior_derivative(form: JetTensor) -> np.ndarray:
@@ -371,14 +380,20 @@ class ConnectionFrame:
 
     @cached_property
     def _chain(self) -> tuple[JetTensor, ...]:
-        """T, K, Gamma' = Gamma + g^-1 K, R'_ijkl, Ricci' = R'^i_ijk and rho*' = Q^i_a R'^a_ijk."""
+        """T, K, Gamma' = Gamma + g^-1 K, R'_ijkl, Ricci' = R'^i_ijk and rho*' = Q^i_a R'^a_ijk.
+
+        A T or R' that is not finite (a huge lambda or mu) raises StructureError
+        naming the connection and the point.
+        """
         f = self.frame
-        torsion = self._torsion()
-        contorsion = _contorsion_of(torsion)
-        torsion = torsion.truncated(0)  # each full-order jet is released once read
-        gamma = f.christoffel + jt_einsum("mk,ijk->mij", f.g_inv, contorsion)
-        contorsion = contorsion.truncated(0)
-        up = _curvature_of(gamma)
+        label = f"connection {self.params.label(self.n)}"
+        with np.errstate(over="ignore", invalid="ignore"):  # reported by _finite instead
+            torsion = _finite(self._torsion(), f"torsion T of {label}", f.point)
+            contorsion = _contorsion_of(torsion)
+            torsion = torsion.truncated(0)  # each full-order jet is released once read
+            gamma = f.christoffel + jt_einsum("mk,ijk->mij", f.g_inv, contorsion)
+            contorsion = contorsion.truncated(0)
+            up = _finite(_curvature_of(gamma), f"curvature R' of {label}", f.point)
         gamma = gamma.truncated(0)
         lowered = jt_einsum("mijk,ml->ijkl", up.truncated(KEPT_ORDER), f.g)
         return (torsion, contorsion, gamma, lowered, up.transpose("iijk->jk"),

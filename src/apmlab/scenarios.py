@@ -7,7 +7,7 @@ import math
 from dataclasses import dataclass, field
 from importlib import resources
 
-from .checks import CHECKS, ScenarioContext, run_checks
+from .checks import CHECKS, RESIDUALS, ScenarioContext, run_checks
 from .exprs import ParseError
 from .germs import ChartGerm, ConnectionParams, conformal_flat_product_germ
 from .report import CheckReport
@@ -157,11 +157,13 @@ def load_scenario(doc: dict, name: str = "scenario") -> Scenario:
     if checks is None:
         checks = list(CHECKS)
     else:
-        if not isinstance(checks, list):
-            raise ScenarioError("$.checks", "expected a list of check names")
+        if not isinstance(checks, list) or not checks:
+            raise ScenarioError("$.checks", "expected a non-empty list of check names")
         for i, check in enumerate(checks):
             if not isinstance(check, str) or check not in CHECKS:
                 raise ScenarioError(f"$.checks[{i}]", f"unknown check {check!r}")
+            if check in checks[:i]:
+                raise ScenarioError(f"$.checks[{i}]", f"check {check!r} is already listed")
 
     tolerances = doc.get("tolerances", {})
     if not isinstance(tolerances, dict):
@@ -172,7 +174,11 @@ def load_scenario(doc: dict, name: str = "scenario") -> Scenario:
         if not isinstance(overrides, dict):
             raise ScenarioError(f"$.tolerances.{check_name}", "expected an object of residual: tol")
         for key, value in overrides.items():
-            finite_positive(value, f"$.tolerances.{check_name}.{key}")
+            path = f"$.tolerances.{check_name}.{key}"
+            if key != "*" and key not in RESIDUALS[check_name]:
+                raise ScenarioError(path, f"not '*' or a residual of {check_name} "
+                                          f"({', '.join(RESIDUALS[check_name])})")
+            finite_positive(value, path)
 
     expect_class = doc.get("expect_class")
     if expect_class is not None and expect_class not in (

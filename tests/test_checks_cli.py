@@ -253,18 +253,18 @@ def test_cli_non_finite_scenario_number_exits_2(tmp_path, field, value, path):
     assert "Traceback" not in proc.stderr
 
 
-def test_cli_huge_connection_parameter_gives_a_report(tmp_path):
-    # lambda^2 overflows a float: the discriminant is inf, not an OverflowError.
+def test_cli_huge_connection_parameter_exits_2(tmp_path):
+    # The case is generic, and R' overflows: a named error, not NaN residuals.
     scenario = tmp_path / "huge.json"
     scenario.write_text(json.dumps({
         "germ": {"generator": "conformal_flat_product", "n": 2, "u": "x1^2 + x3^2"},
         "connections": [{"lambda": 1e200, "mu": 0}],
     }))
-    out = tmp_path / "report.json"
-    proc = run_cli("check", "--scenario", str(scenario), "--out", str(out))
-    assert proc.returncode == 1
-    assert "Traceback" not in proc.stderr
-    assert json.loads(out.read_text())["summary"]["failed"] > 0
+    proc = run_cli("check", "--scenario", str(scenario))
+    assert proc.returncode == 2
+    assert proc.stderr == ("error: curvature R' of connection lam=1e+200,mu=0 not finite "
+                           "at point (0.1, 0.2, 0.30000000000000004, 0.4)\n")
+    assert proc.stdout == ""
 
 
 @pytest.mark.parametrize("scale", ["0", "-1", "nan", "inf"])
@@ -361,6 +361,7 @@ def test_cli_list_checks():
     assert proc.returncode == 0
     for token in ("structure", "lee_recovery", "dim4_traces", "flat_product_4d"):
         assert token in proc.stdout
+    assert "residuals: torsion_match (1e-12), metric_parallel," in proc.stdout
 
 
 def test_golden_report_snapshot(tmp_path):
@@ -387,55 +388,77 @@ def test_tolerance_overrides_apply():
     assert exit_code(reports) == 1  # impossible tolerance now fails
 
 
-@pytest.mark.parametrize("key,code", [("d_theta_vs_fd", 1), ("d_theta_vs_fdd", 0)])
-def test_cli_warns_of_an_override_that_matches_no_residual(tmp_path, key, code):
+@pytest.mark.parametrize("key,code", [("d_theta_vs_fd", 1), ("d_theta_vs_fdd", 2)])
+def test_cli_override_key_must_be_declared(tmp_path, key, code):
     scenario = tmp_path / "override.json"
     scenario.write_text(json.dumps({
         "germ": {"generator": "conformal_flat_product", "n": 2, "u": "x1^2 + x3^2"},
         "checks": ["lee_closedness"],
         "tolerances": {"lee_closedness": {key: 1e-30}},
     }))
-    out = tmp_path / "report.json"
-    proc = run_cli("check", "--scenario", str(scenario), "--out", str(out))
-    assert proc.returncode == code  # a misspelt key changes no status
-    note = f"tolerance override '{key}' matched no residual"
-    unmatched = key == "d_theta_vs_fdd"
-    assert (f"warning: lee_closedness: {note}" in proc.stderr) == unmatched
-    [report] = json.loads(out.read_text())["checks"]
-    assert report.get("notes", []) == ([note] if unmatched else [])
+    proc = run_cli("check", "--scenario", str(scenario))
+    # The declared key fails the check; the misspelt one is a schema error.
+    assert proc.returncode == code
+    if code == 2:
+        assert proc.stderr == (
+            "error: $.tolerances.lee_closedness.d_theta_vs_fdd: not '*' or a residual of "
+            "lee_closedness (d_theta_vs_fd, d_theta_p_vs_fd)\n"
+        )
+        assert proc.stdout == ""
+    else:
+        assert proc.stderr == ""
 
 
-def test_cli_does_not_warn_of_an_override_on_a_check_that_skips_every_report(tmp_path):
-    # On the flat product every lee_recovery report skips (not W1), so
-    # theta_recovery, a key the check does produce, is not reported unmatched.
+def test_cli_rejects_an_undeclared_override_on_a_check_that_skips_every_report(tmp_path):
+    # On the flat product every lee_recovery report skips (not W1): a declared
+    # key loads and runs, and a misspelt one is rejected all the same.
     scenario = tmp_path / "override.json"
-    scenario.write_text(json.dumps({
+    doc = {
         "germ": {"generator": "flat_product", "n": 2},
         "checks": ["lee_recovery"],
-        "tolerances": {"lee_recovery": {"theta_recovery": 0.005, "theta_recoveryy": 0.005}},
-    }))
+        "tolerances": {"lee_recovery": {"theta_recovery": 0.005}},
+    }
+    scenario.write_text(json.dumps(doc))
     out = tmp_path / "report.json"
     proc = run_cli("check", "--scenario", str(scenario), "--out", str(out))
-    assert proc.returncode == 0
-    assert "warning" not in proc.stderr
+    assert proc.returncode == 0 and proc.stderr == ""
     reports = json.loads(out.read_text())["checks"]
     assert {r["status"] for r in reports} == {"skipped"}
-    assert all(not r.get("notes") for r in reports)
+    assert all(r["tolerances"] == {"theta_recovery": 0.005} for r in reports)
+
+    doc["tolerances"]["lee_recovery"]["theta_recoveryy"] = 0.005
+    scenario.write_text(json.dumps(doc))
+    proc = run_cli("check", "--scenario", str(scenario))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: $.tolerances.lee_recovery.theta_recoveryy: ")
+    assert "Traceback" not in proc.stderr
 
 
-def test_unmatched_override_is_noted_on_the_first_report_of_its_check():
+def test_undeclared_override_key_is_rejected_at_load():
     doc = {
         "germ": {"generator": "flat_product", "n": 2},
         "checks": ["scalar_system"],
         "tolerances": {"scalar_system": {"*": 1.0, "system_direct": 1.0, "nope": 1.0}},
     }
-    reports = run_scenario(load_scenario(doc))
-    assert [r.name for r in reports] == [
-        "scalar_system[D]", "scalar_system[D_tilde]", "scalar_system[lam=1,mu=0]"
-    ]
-    assert reports[0].notes == ["tolerance override 'nope' matched no residual"]
-    assert all(r.notes == [] for r in reports[1:])
+    with pytest.raises(ScenarioError, match=r"^\$\.tolerances\.scalar_system\.nope: not '\*'"):
+        load_scenario(doc)
+    del doc["tolerances"]["scalar_system"]["nope"]
+    reports = run_scenario(load_scenario(doc))  # "*" and a declared key load
+    assert [(r.tol, r.tolerances) for r in reports] == [(1.0, {"system_direct": 1.0})] * 3
+    assert all(r.notes == [] for r in reports)
     assert exit_code(reports) == 0
+
+
+@pytest.mark.parametrize("checks,path,message", [
+    ([], "$.checks", "expected a non-empty list of check names"),
+    (["structure", "levi_civita", "structure"], "$.checks[2]",
+     "check 'structure' is already listed"),
+])
+def test_checks_must_be_a_non_empty_list_of_distinct_names(checks, path, message):
+    doc = {"germ": {"generator": "flat_product", "n": 2}, "checks": checks}
+    with pytest.raises(ScenarioError) as info:
+        load_scenario(doc)
+    assert str(info.value) == f"{path}: {message}"
 
 
 @pytest.mark.parametrize("value", ["abc", -1, 0, float("nan"), True,

@@ -386,6 +386,19 @@ def test_r_prime_p_tensor_on_separable_case_iii(separable):
     assert frob(cf.curvature.values) > 1.0
 
 
+@pytest.mark.parametrize("lam,mu,case", [
+    (0.0, 0.0, "D"),
+    (0.0, -0.25, "D_tilde"),
+    (1.0, 0.0, "generic"),
+    (1.25 ** 0.5, 1.0, "degenerate"),  # lambda^2 = mu^2 + mu/2n at n = 2
+    (1e200, 0.0, "generic"),  # lambda^2 overflows a float
+    (0.0, 1e200, "generic"),
+    (1e200, 1e200, "degenerate"),  # relative discriminant 1/(4e200)
+])
+def test_connection_case_is_decided_on_a_relative_discriminant(lam, mu, case):
+    assert ConnectionParams(lam, mu).case(2) == case
+
+
 def test_r_prime_not_p_tensor_on_mixed_case_iii(mixed):
     fr = mixed.frame()
     cf = fr.connection(ConnectionParams(1.0, 0.0))

@@ -242,8 +242,9 @@ def test_levi_civita_builds_one_order_1_frame_per_sample_point(monkeypatch):
     assert structure.status == report.status == "pass"
 
 
-def test_per_connection_turns_a_skip_into_a_named_skipped_report():
+def test_per_connection_turns_a_skip_into_a_named_skipped_report(monkeypatch):
     ctx = context("conformal_w1_separable_4d")
+    monkeypatch.setitem(checks.RESIDUALS, "demo", {"r": None})
     assert issubclass(checks.SingularScalarError, checks.Skip)
     assert issubclass(checks.SingularScalarError, ValueError)
 
@@ -274,6 +275,33 @@ def test_run_checks_calls_the_current_checks_entry(monkeypatch):
     assert [r.name for r in checks.run_checks(ctx, ["structure"])] == ["structure"]
     checks.run_checks(ctx)
     assert calls == [ctx, ctx]
+
+
+def test_run_checks_runs_every_check_only_when_names_is_none():
+    ctx = context("flat_product_4d")
+    assert checks.run_checks(ctx, []) == []
+    assert {r.name.split("[")[0] for r in checks.run_checks(ctx)} == set(checks.CHECKS)
+
+
+def test_drive_raises_on_a_residual_key_its_check_does_not_declare(monkeypatch):
+    ctx = context("flat_product_4d")
+
+    def body(ctx, report):
+        report.residuals["torsion_free"] = 0.0
+        report.residuals["torsion_fre"] = 0.0
+
+    run = lambda ctx: checks.drive(ctx, "levi_civita", checks.TOL_ALGEBRA, body)
+    monkeypatch.setitem(checks.CHECKS, "levi_civita", (run, "misspelt residual"))
+    with pytest.raises(RuntimeError, match=r"levi_civita wrote undeclared residuals \['torsion_fre"):
+        checks.run_checks(ctx, ["levi_civita"])
+
+
+def test_natural_connection_declares_its_per_key_tolerances():
+    reports = checks.check_natural_connection(context("conformal_w1_separable_4d"))
+    own = {"torsion_match": 1e-12, "contorsion_skew": 1e-12, "torsion_p_identity": 1e-12,
+           "structure_parallel": 1e-8}
+    assert {k: v for k, v in checks.RESIDUALS["natural_connection"].items() if v} == own
+    assert all(r.tolerances == own for r in reports)
 
 
 def test_degenerate_scalar_curvatures_skip_with_one_reason():

@@ -14,6 +14,7 @@ import sys
 
 import pytest
 
+from apmlab.checks import RESIDUALS
 from apmlab.scenarios import bundled_scenario_names, load_bundled_scenario, run_scenario
 
 MANIFEST = os.path.join(os.path.dirname(__file__), "golden", "bundled_verdicts.json")
@@ -39,6 +40,13 @@ def load_manifest() -> dict[str, dict]:
 
 def test_manifest_covers_the_bundled_scenarios():
     assert sorted(load_manifest()) == sorted(bundled_scenario_names())
+
+
+def test_every_manifest_residual_key_is_declared_by_its_check():
+    for verdicts in load_manifest().values():
+        for report_name, verdict in verdicts.items():
+            declared = RESIDUALS[report_name.split("[")[0]]
+            assert set(verdict["residual_keys"]) <= declared.keys(), report_name
 
 
 @pytest.mark.parametrize("name", sorted(bundled_scenario_names()))
