@@ -38,7 +38,7 @@ from .germs import (  # noqa: F401
 )
 from .jetfields import JetTensor, jt_einsum
 from .report import CheckReport
-from .tensors import frob, random_symmetric2, random_tensor2
+from .tensors import einsum, frob, random_symmetric2, random_tensor2
 
 # Tolerance ladder: pointwise algebra / first-derivative pipelines.
 TOL_ALGEBRA = 1e-10
@@ -260,7 +260,7 @@ def check_levi_civita(ctx: ScenarioContext, report: CheckReport):
 def check_curvature_like(ctx: ScenarioContext, report: CheckReport):
     r = ctx.frame.curvature.values
     report.residuals.update(curv.curvature_like_residuals(r))
-    report.residuals["pair_symmetry"] = frob(r - np.einsum("klij->ijkl", r))
+    report.residuals["pair_symmetry"] = frob(r - einsum("klij->ijkl", r))
     inv = ctx.curvature_invariants
     report.scalars.update({"tau": inv.tau, "tau_star": inv.tau_star})
 
@@ -324,26 +324,26 @@ def check_natural_connection(ctx: ScenarioContext, report: CheckReport, cf: Conn
     # T(x,y) - P T(Px,y) = {th(Px) y - th(x) Py} / 2n, for every (lam, mu)
     tm = cf.torsion_mixed
     pv = fr.p.values
-    lhs = tm - np.einsum("ma,abj,bi->mij", pv, tm, pv)
+    lhs = tm - einsum("ma,abj,bi->mij", pv, tm, pv)
     rhs = (
-        np.einsum("i,mj->mij", fr.theta_p.values, eye)
-        - np.einsum("i,mj->mij", fr.theta.values, pv)
+        einsum("i,mj->mij", fr.theta_p.values, eye)
+        - einsum("i,mj->mij", fr.theta.values, pv)
     ) / (2 * fr.n)
     report.residuals["torsion_p_identity"] = frob(lhs - rhs)
 
     case = cf.params.case(fr.n)
     if case == "D":
         expl = fr.christoffel.values + (
-            np.einsum("ij,k->kij", fr.g.values, pv @ fr.omega.values)
-            - np.einsum("j,ki->kij", fr.theta_p.values, eye)
+            einsum("ij,k->kij", fr.g.values, pv @ fr.omega.values)
+            - einsum("j,ki->kij", fr.theta_p.values, eye)
         ) / (2 * fr.n)
         report.residuals["explicit_formula"] = frob(cf.gamma.values - expl)
     elif case == "D_tilde":
         # Diagnostic only: the printed formula read with a vector-valued
         # last term, g(y,Pz) Omega.
         expl = fr.christoffel.values + (
-            np.einsum("j,ki->kij", fr.theta.values, pv)
-            - np.einsum("ij,k->kij", fr.g_assoc.values, fr.omega.values)
+            einsum("j,ki->kij", fr.theta.values, pv)
+            - einsum("ij,k->kij", fr.g_assoc.values, fr.omega.values)
         ) / (2 * fr.n)
         report.scalars["corrected_formula_residual"] = frob(cf.gamma.values - expl)
 
@@ -421,18 +421,18 @@ def check_second_bianchi(ctx: ScenarioContext, report: CheckReport, cf: Connecti
     pv = fr.p.values
     nr = cf.nabla_curvature
     rv = cf.curvature.values
-    b = nr + np.einsum("ami,ajkl->mijkl", cf.torsion_mixed, rv)
-    cyc = b + np.einsum("ijmkl->mijkl", b) + np.einsum("jmikl->mijkl", b)
+    b = nr + einsum("ami,ajkl->mijkl", cf.torsion_mixed, rv)
+    cyc = b + einsum("ijmkl->mijkl", b) + einsum("jmikl->mijkl", b)
     report.residuals["cyclic_identity"] = frob(cyc)
 
     if _p_tensor_flag(ctx, report, cf):
-        r_pz = np.einsum("iakl,aj->ijkl", rv, pv)
+        r_pz = einsum("iakl,aj->ijkl", rv, pv)
         derived = (
             nr
-            - np.einsum("aijkb,am,bl->mijkl", nr, pv, pv)
+            - einsum("aijkb,am,bl->mijkl", nr, pv, pv)
             + (
-                np.einsum("m,ijkl->mijkl", fr.theta_p.values, rv)
-                - np.einsum("m,ijkl->mijkl", fr.theta.values, r_pz)
+                einsum("m,ijkl->mijkl", fr.theta_p.values, rv)
+                - einsum("m,ijkl->mijkl", fr.theta.values, r_pz)
             )
             / fr.n
         )
@@ -623,14 +623,14 @@ def _dim4_scalars(fr: GermFrame, cf: ConnectionFrame) -> dict[str, float]:
     omega = fr.omega.values
     nt = fr.nabla_theta.values
     tr = cf.transfer
-    tr_s = lambda s: float(np.einsum("ij,ij->", gi, s))
-    tr_s_assoc = lambda s: float(np.einsum("ij,im,mj->", gi, s, pv))
+    tr_s = lambda s: float(einsum("ij,ij->", gi, s))
+    tr_s_assoc = lambda s: float(einsum("ij,im,mj->", gi, s, pv))
     return {
         "theta_omega": float(theta @ omega),
         "theta_p_omega": float(fr.theta_p.values @ omega),
         # Trace of the Lee-form covariant derivative, plain and against P.
-        "div_omega": float(np.einsum("ij,ij->", gi, nt)),
-        "div_p_omega": float(np.einsum("ij,im,mj->", gi, nt, pv)),
+        "div_omega": float(einsum("ij,ij->", gi, nt)),
+        "div_p_omega": float(einsum("ij,im,mj->", gi, nt, pv)),
         "tr_s_prime": tr_s(tr["s_prime"]),
         "tr_s_prime_assoc": tr_s_assoc(tr["s_prime"]),
         "tr_s_dprime": tr_s(tr["s_dprime"]),
@@ -755,7 +755,7 @@ def check_pointwise_algebra(ctx: ScenarioContext, report: CheckReport):
             worst_sym, max(curv.curvature_like_residuals(curv.psi1(ps, s_sym)).values())
         )
         s_any = random_tensor2(ps.dim, seed + 7)
-        lhs = np.einsum("ijab,ak,bl->ijkl", curv.psi2(ps, s_any), ps.p, ps.p)
+        lhs = einsum("ijab,ak,bl->ijkl", curv.psi2(ps, s_any), ps.p, ps.p)
         worst_identity = max(worst_identity, frob(lhs - curv.psi1(ps, s_any)))
         asym = s_any - s_any.T
         if frob(asym) > 1e-6:

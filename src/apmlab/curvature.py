@@ -25,7 +25,7 @@ import numpy as np
 
 from .report import CheckReport
 from .structure import adapted_orthonormal_basis, basis_residuals
-from .tensors import DEFAULT_TOL, PointStructure, frob, random_tensor4
+from .tensors import DEFAULT_TOL, PointStructure, einsum, frob, random_tensor4
 
 @dataclass
 class CurvatureInvariants:
@@ -38,17 +38,17 @@ class CurvatureInvariants:
 
 
 def curvature_like_residuals(l: np.ndarray) -> dict[str, float]:
-    bianchi = l + np.einsum("jkil->ijkl", l) + np.einsum("kijl->ijkl", l)
+    bianchi = l + einsum("jkil->ijkl", l) + einsum("kijl->ijkl", l)
     return {
-        "first_pair_skew": frob(l + np.einsum("jikl->ijkl", l)),
-        "last_pair_skew": frob(l + np.einsum("ijlk->ijkl", l)),
+        "first_pair_skew": frob(l + einsum("jikl->ijkl", l)),
+        "last_pair_skew": frob(l + einsum("ijlk->ijkl", l)),
         "first_bianchi": frob(bianchi),
     }
 
 
 def p_invariance_residual(ps: PointStructure, l: np.ndarray) -> float:
     """Residual of L(x,y,Pz,Pw) = L(x,y,z,w)."""
-    twisted = np.einsum("ijab,ak,bl->ijkl", l, ps.p, ps.p)
+    twisted = einsum("ijab,ak,bl->ijkl", l, ps.p, ps.p)
     return frob(twisted - l)
 
 
@@ -75,17 +75,17 @@ def p_slot_identities(ps: PointStructure, l: np.ndarray,
         raise ValueError("prerequisite failed: L is not a Riemannian P-tensor")
     p = ps.p
     one_p = [
-        np.einsum("ajkl,ai->ijkl", l, p),
-        np.einsum("ibkl,bj->ijkl", l, p),
-        np.einsum("ijcl,ck->ijkl", l, p),
-        np.einsum("ijkd,dl->ijkl", l, p),
+        einsum("ajkl,ai->ijkl", l, p),
+        einsum("ibkl,bj->ijkl", l, p),
+        einsum("ijcl,ck->ijkl", l, p),
+        einsum("ijkd,dl->ijkl", l, p),
     ]
     report = CheckReport(name="p_slot_identities", tol=tol)
     report.residuals["middle_pair_p"] = frob(
-        np.einsum("ibcl,bj,ck->ijkl", l, p, p) - l
+        einsum("ibcl,bj,ck->ijkl", l, p, p) - l
     )
     report.residuals["first_pair_p"] = frob(
-        np.einsum("abkl,ai,bj->ijkl", l, p, p) - l
+        einsum("abkl,ai,bj->ijkl", l, p, p) - l
     )
     for idx in range(3):
         key = f"single_p_slots_{idx + 1}{idx + 2}"
@@ -100,16 +100,16 @@ def psi1(ps: PointStructure, s: np.ndarray) -> np.ndarray:
     """
     g = ps.g
     return (
-        np.einsum("jk,il->ijkl", g, s)
-        - np.einsum("ik,jl->ijkl", g, s)
-        + np.einsum("jk,il->ijkl", s, g)
-        - np.einsum("ik,jl->ijkl", s, g)
+        einsum("jk,il->ijkl", g, s)
+        - einsum("ik,jl->ijkl", g, s)
+        + einsum("jk,il->ijkl", s, g)
+        - einsum("ik,jl->ijkl", s, g)
     )
 
 
 def psi2(ps: PointStructure, s: np.ndarray) -> np.ndarray:
     """psi2(S)(x,y,z,w) = psi1(S)(x,y,Pz,Pw); curvature-like iff S(x,Py) = S(y,Px)."""
-    return np.einsum("ijab,ak,bl->ijkl", psi1(ps, s), ps.p, ps.p)
+    return einsum("ijab,ak,bl->ijkl", psi1(ps, s), ps.p, ps.p)
 
 
 def pi_tensors(ps: PointStructure) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -129,10 +129,10 @@ def pi_tensors(ps: PointStructure) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def curvature_invariants(ps: PointStructure, l: np.ndarray) -> CurvatureInvariants:
     """Ricci contractions rho(y,z) = g^{il} L(e_i,y,z,e_l) and their P-twists."""
-    rho = np.einsum("il,ijkl->jk", ps.g_inv, l)
-    tau = float(np.einsum("jk,jk->", ps.g_inv, rho))
-    rho_star = np.einsum("il,ijkm,ml->jk", ps.g_inv, l, ps.p)
-    tau_star = float(np.einsum("jk,jk->", ps.g_inv, rho_star))
+    rho = einsum("il,ijkl->jk", ps.g_inv, l)
+    tau = float(einsum("jk,jk->", ps.g_inv, rho))
+    rho_star = einsum("il,ijkm,ml->jk", ps.g_inv, l, ps.p)
+    tau_star = float(einsum("jk,jk->", ps.g_inv, rho_star))
     return CurvatureInvariants(rho=rho, tau=tau, rho_star=rho_star, tau_star=tau_star)
 
 
@@ -142,12 +142,12 @@ def _curvature_like_projection(t: np.ndarray) -> np.ndarray:
     # skews and the first Bianchi identity exactly.
     t = 0.25 * (
         t
-        - np.einsum("jikl->ijkl", t)
-        - np.einsum("ijlk->ijkl", t)
-        + np.einsum("jilk->ijkl", t)
+        - einsum("jikl->ijkl", t)
+        - einsum("ijlk->ijkl", t)
+        + einsum("jilk->ijkl", t)
     )
-    t = 0.5 * (t + np.einsum("klij->ijkl", t))
-    cyc = t + np.einsum("jkil->ijkl", t) + np.einsum("kijl->ijkl", t)
+    t = 0.5 * (t + einsum("klij->ijkl", t))
+    cyc = t + einsum("jkil->ijkl", t) + einsum("kijl->ijkl", t)
     return t - cyc / 3.0
 
 
@@ -221,8 +221,8 @@ def sectional_curvatures(ps: PointStructure, l: np.ndarray,
     if max(res.values()) > tol:
         raise ValueError(f"basis is not adapted orthonormal: {res}")
     e1, e2, pe2 = basis[:, 0], basis[:, 1], basis[:, ps.n + 1]
-    nu = float(np.einsum("ijkl,i,j,k,l->", l, e1, e2, e1, e2))
-    nu_star = float(np.einsum("ijkl,i,j,k,l->", l, e1, e2, e1, pe2))
+    nu = float(einsum("ijkl,i,j,k,l->", l, e1, e2, e1, e2))
+    nu_star = float(einsum("ijkl,i,j,k,l->", l, e1, e2, e1, pe2))
     return nu, nu_star
 
 
@@ -245,10 +245,10 @@ def almost_einstein_check(ps: PointStructure, l: np.ndarray,
     e1, e2, pe1, pe2 = basis.T
     planes = [(e1, e2), (e1, pe2), (pe1, e2), (pe1, pe2)]
     curvatures = [
-        float(np.einsum("ijkl,i,j,k,l->", l, x, y, x, y)) for x, y in planes
+        float(einsum("ijkl,i,j,k,l->", l, x, y, x, y)) for x, y in planes
     ]
     invariant = [
-        abs(float(np.einsum("ijkl,i,j,k,l->", l, x, y, x, y)))
+        abs(float(einsum("ijkl,i,j,k,l->", l, x, y, x, y)))
         for x, y in [(e1, pe1), (e2, pe2)]
     ]
 

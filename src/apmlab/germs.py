@@ -35,7 +35,7 @@ import numpy as np
 from . import curvature as curv
 from .exprs import Binary, Const, Func, ScalarExpr, parse_expr
 from .jetfields import JetTensor, jt_einsum, jt_inverse
-from .tensors import PointStructure, StructureError, frob, split_structure
+from .tensors import PointStructure, StructureError, einsum, frob, split_structure
 
 
 def default_base_point(dim: int) -> np.ndarray:
@@ -315,9 +315,9 @@ class GermFrame:
         dg = self.g.partial().values  # dg[i, j, k] = d_k g_ij
         g = self.g.values
         nabla_g = (
-            np.einsum("ijk->kij", dg)
-            - np.einsum("mki,mj->kij", gamma, g)
-            - np.einsum("mkj,im->kij", gamma, g)
+            einsum("ijk->kij", dg)
+            - einsum("mki,mj->kij", gamma, g)
+            - einsum("mkj,im->kij", gamma, g)
         )
         return frob(nabla_g)
 
@@ -415,7 +415,7 @@ class ConnectionFrame:
     @cached_property
     def torsion_mixed(self) -> np.ndarray:
         """T^m_{ij} from the covariant torsion (values)."""
-        return np.einsum("ijk,km->mij", self.torsion.values, self.frame.g_inv.values)
+        return einsum("ijk,km->mij", self.torsion.values, self.frame.g_inv.values)
 
     def torsion_residual(self) -> float:
         gamma = self.gamma.values
@@ -446,11 +446,11 @@ class ConnectionFrame:
         dr = r.partial().values  # dr[i,j,k,l,m] = d_m R'_{ijkl}
         gamma = self.gamma.values
         rv = r.values
-        out = np.einsum("ijklm->mijkl", dr)
-        out = out - np.einsum("ami,ajkl->mijkl", gamma, rv)
-        out = out - np.einsum("amj,iakl->mijkl", gamma, rv)
-        out = out - np.einsum("amk,ijal->mijkl", gamma, rv)
-        out = out - np.einsum("aml,ijka->mijkl", gamma, rv)
+        out = einsum("ijklm->mijkl", dr)
+        out = out - einsum("ami,ajkl->mijkl", gamma, rv)
+        out = out - einsum("amj,iakl->mijkl", gamma, rv)
+        out = out - einsum("amk,ijal->mijkl", gamma, rv)
+        out = out - einsum("aml,ijka->mijkl", gamma, rv)
         return out
 
     @cached_property

@@ -5,10 +5,17 @@ together with their coordinate derivatives up to a chosen order: ``data[k]``
 has the component shape followed by k derivative axes (each of length
 ``dim``), symmetric in the derivative axes.  Scalars are 0-d jet tensors.
 
-Products propagate derivatives by the order-k Leibniz rule through ordinary
-float einsums, ``partial()`` peels one derivative level off (dropping the
-order by one), and functions of a jet -- exp, sin, cos, ln, integer powers
-and the reciprocal -- follow from the recursion
+Products propagate derivatives by the order-k Leibniz rule: each split of k
+derivatives between the two factors is one float contraction, planned once
+per (spec, order, dim) by ``tensors.contraction``.  A contraction with at
+least ``tensors.MATMUL_MIN_TERMS`` terms (the product of its index lengths)
+that sums an index and keeps indices of both factors runs as one matmul on
+transposed, reshaped operands; smaller ones, and outer or Hadamard products,
+stay one np.einsum call.  That crossover was measured per call against
+np.einsum on a 2-core x86-64 machine with OpenBLAS, as its comment in
+``tensors`` states.  ``partial()`` peels one derivative level off (dropping
+the order by one), and functions of a jet -- exp, sin, cos, ln, integer
+powers and the reciprocal -- follow from the recursion
 
     f(u) = ( f(u0), the data of f'(u) * du one order lower ),
 
@@ -24,6 +31,8 @@ from itertools import combinations
 from string import ascii_lowercase, ascii_uppercase
 
 import numpy as np
+
+from .tensors import contraction, einsum
 
 
 class JetOrderError(ValueError):
@@ -113,9 +122,8 @@ class JetTensor:
         A repeated letter on the left ('iijk->jk') takes the trace over those axes.
         """
         src, dst = spec.split("->")
-        return JetTensor(
-            tuple(np.einsum(f"{src}...->{dst}...", a) for a in self.data), self.dim
-        )
+        spec = f"{src}...->{dst}..."
+        return JetTensor(tuple(einsum(spec, a) for a in self.data), self.dim)
 
     # -- componentwise functions -------------------------------------------------
 
@@ -158,11 +166,12 @@ class JetTensor:
 
 
 @lru_cache(maxsize=None)
-def _leibniz_plan(spec: str, order: int) -> tuple:
-    """Per derivative order k: (j, einsum spec, shuffles) for each split j + (k-j).
+def _leibniz_plan(spec: str, order: int, dim: int) -> tuple:
+    """Per derivative order k: (j, product, shuffles) for each split j + (k-j).
 
-    The einsum pairs a's j-th derivatives with b's (k-j)-th ones, a's
-    derivative axes first.  Each shuffle is one of the C(k, j) placements of
+    The product pairs a's j-th derivatives with b's (k-j)-th ones, a's
+    derivative axes first; it is the contraction planned for operands whose
+    every axis has length ``dim``.  Each shuffle is one of the C(k, j) placements of
     a's axes among the k output derivative axes, as a transpose (None for the
     identity); the symmetric k-th derivative is the sum of those views.
     """
@@ -180,23 +189,27 @@ def _leibniz_plan(spec: str, order: int) -> tuple:
                 source = list(placed) + [p for p in range(k) if p not in placed]
                 axes = lead + tuple(len(out) + source.index(p) for p in range(k))
                 shuffles.append(None if source == list(range(k)) else axes)
-            terms.append((j, f"{sa}{d[:j]},{sb}{d[j:]}->{out}{d}", tuple(shuffles)))
+            sa_j, sb_j = sa + d[:j], sb + d[j:]
+            product = contraction(f"{sa_j},{sb_j}->{out}{d}",
+                                  ((dim,) * len(sa_j), (dim,) * len(sb_j)))
+            terms.append((j, product, tuple(shuffles)))
         plan.append(tuple(terms))
     return tuple(plan)
 
 
 def jt_einsum(spec: str, a: JetTensor, b: JetTensor) -> JetTensor:
     """Two-operand einsum with Leibniz propagation of the derivative axes."""
-    plan = _leibniz_plan(spec, min(a.order, b.order))
+    plan = _leibniz_plan(spec, min(a.order, b.order), a.dim)
     data = []
     for k, terms in enumerate(plan):
         total = None
-        for j, es, shuffles in terms:
-            product = np.einsum(es, a.data[j], b.data[k - j])
+        for j, run, shuffles in terms:
+            product = run(a.data[j], b.data[k - j])
             for axes in shuffles:
                 view = product if axes is None else product.transpose(axes)
-                # The first term is a fresh einsum output, so adding in place
-                # never writes into an array that a later view reads.
+                # The first term is a fresh product (an einsum output or a
+                # view of a fresh matmul output), so adding in place never
+                # writes into an operand or an array that a later view reads.
                 if total is None:
                     total = view
                 else:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensors import DEFAULT_TOL, PointStructure, StructureError, frob
+from .tensors import DEFAULT_TOL, PointStructure, StructureError, einsum, frob
 
 CLASS_W0 = "W0"
 CLASS_W1 = "W1"
@@ -109,9 +109,9 @@ def basis_residuals(ps: PointStructure, basis: np.ndarray) -> dict[str, float]:
 def f_symmetry_residuals(ps: PointStructure, f: np.ndarray) -> dict[str, float]:
     """Residuals of the three defining F identities."""
     p = ps.p
-    f_pp = np.einsum("iab,aj,bk->ijk", f, p, p)
-    f_zp = np.einsum("ija,ak->ijk", f, p)
-    f_py = np.einsum("iak,aj->ijk", f, p)
+    f_pp = einsum("iab,aj,bk->ijk", f, p, p)
+    f_zp = einsum("ija,ak->ijk", f, p)
+    f_py = einsum("iak,aj->ijk", f, p)
     return {
         "last_two_symmetry": frob(f - f.transpose(0, 2, 1)),
         "double_p_skew": frob(f + f_pp),
@@ -129,7 +129,7 @@ def lee_form_from_f(ps: PointStructure, f: np.ndarray,
     for name, res in f_symmetry_residuals(ps, f).items():
         if res / scale > tol:
             raise StructureError(f"F symmetry violated: {name} residual {res:.3e}")
-    theta = np.einsum("ij,ijk->k", ps.g_inv, f)
+    theta = einsum("ij,ijk->k", ps.g_inv, f)
     return theta, ps.apply_p_form(theta)
 
 
@@ -138,10 +138,10 @@ def w1_form(ps: PointStructure, theta: np.ndarray) -> np.ndarray:
     g, gp = ps.g, ps.g_assoc
     theta_p = ps.apply_p_form(theta)
     f = (
-        np.einsum("ij,k->ijk", g, theta)
-        - np.einsum("ij,k->ijk", gp, theta_p)
-        + np.einsum("ik,j->ijk", g, theta)
-        - np.einsum("ik,j->ijk", gp, theta_p)
+        einsum("ij,k->ijk", g, theta)
+        - einsum("ij,k->ijk", gp, theta_p)
+        + einsum("ik,j->ijk", g, theta)
+        - einsum("ik,j->ijk", gp, theta_p)
     )
     return f / ps.dim
 
@@ -152,7 +152,7 @@ def _eigenclass_form(ps: PointStructure, theta: np.ndarray, sign: float) -> np.n
     It lies in its class when theta o P = -sign theta.
     """
     base = ps.g + sign * ps.g_assoc
-    f = np.einsum("ij,k->ijk", base, theta) + np.einsum("ik,j->ijk", base, theta)
+    f = einsum("ij,k->ijk", base, theta) + einsum("ik,j->ijk", base, theta)
     return f / ps.dim
 
 

@@ -9,11 +9,22 @@ dense row-major throughout.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache, partial
+from math import prod
 
 import numpy as np
 
 # Default tolerance for pointwise algebraic identities.
 DEFAULT_TOL = 1e-10
+
+# The matmul/einsum crossover: a contraction whose index lengths multiply to
+# fewer terms than this stays one np.einsum call, whose C loop then beats the
+# transposes, reshapes and Python frame around a matmul.  Measured over every
+# contraction of three bundled scenarios and of order-3 frames in dims 4, 6
+# and 8, on a shared 2-core x86-64 Xeon (numpy 2.4, OpenBLAS 0.3.31, one
+# thread): the median per-call speed-up of the matmul plan over np.einsum is
+# 0.82 at 512 terms, 1.19 at 1024 and 1.63 at 4096.
+MATMUL_MIN_TERMS = 1024
 
 
 class StructureError(ValueError):
@@ -21,8 +32,132 @@ class StructureError(ValueError):
 
 
 def frob(t: np.ndarray) -> float:
-    """Frobenius norm of a dense tensor of any rank."""
-    return float(np.sqrt(np.sum(np.asarray(t, dtype=float) ** 2)))
+    """Frobenius norm of a dense tensor of any rank.
+
+    The plain sum of squares, unless it overflows: then the entries are
+    scaled by the largest |entry| first, so a finite tensor has a finite norm.
+    """
+    t = np.asarray(t, dtype=float)
+    total = np.vdot(t, t)
+    if np.isfinite(total):
+        return float(np.sqrt(total))
+    scale = np.abs(t).max()
+    if not np.isfinite(scale):
+        return float(total)
+    t = t / scale
+    return float(scale * np.sqrt(np.vdot(t, t)))
+
+
+def einsum(spec: str, *operands: np.ndarray):
+    """np.einsum(spec, *operands) for arrays, on the plan cached for their shapes."""
+    return contraction(spec, tuple([op.shape for op in operands]))(*operands)
+
+
+@lru_cache(maxsize=None)
+def contraction(spec: str, shapes: tuple[tuple[int, ...], ...]):
+    """The function of the operands that evaluates einsum(spec, *operands) for ``shapes``.
+
+    A two-operand product that contracts an index and keeps free indices on
+    both sides runs as one matmul on transposed, reshaped operands; a
+    product of three or more operands runs as two-operand steps in the
+    order np.einsum_path(optimize="greedy") picks (Smith & Gray, "opt_einsum",
+    JOSS 3(26), 2018).  Each needs at least MATMUL_MIN_TERMS terms, the
+    product of the lengths of the spec's indices.  Everything else -- outer
+    and Hadamard products, traces, permutations, scalars, specs with an
+    ellipsis -- is one plain np.einsum.  The returned function works for
+    operands of any shape with the same ranks; ``shapes`` only picks the path.
+    """
+    plain = partial(np.einsum, spec)
+    if "->" not in spec or "." in spec:
+        return plain
+    lhs, out = spec.split("->")
+    terms = lhs.split(",")
+    size = {c: n for term, shape in zip(terms, shapes) for c, n in zip(term, shape)}
+    if len(terms) < 2 or prod(size.values()) < MATMUL_MIN_TERMS:
+        return plain
+    if len(terms) == 2:
+        return _matmul(*terms, out, size) or plain
+    return _pairwise(spec, terms, out, shapes, size)
+
+
+def _matmul(sa: str, sb: str, out: str, size: dict[str, int]):
+    """einsum(f"{sa},{sb}->{out}") as one matmul, or None if it is not that shape.
+
+    It is when every index the operands share is summed, every other one is
+    kept, no operand or the output repeats an index, and each operand keeps
+    at least one.  The operand with more entries, x, is not copied when its
+    summed axes are adjacent: x = (lead, summed, trail) is multiplied as
+    s (kept, summed) @ x (lead, summed, trail), broadcast over lead, or as
+    x (lead, summed) @ s^T when trail is empty.  Otherwise x's summed axes
+    are moved last, which copies it.
+    """
+    con = set(sa) & set(sb)
+    if (not con or con & set(out) or set(sa) ^ set(sb) != set(out)
+            or not set(sa) - con or not set(sb) - con
+            or len(set(sa)) < len(sa) or len(set(sb)) < len(sb) or len(set(out)) < len(out)):
+        return None
+
+    def adjacent(term):
+        at = [i for i, c in enumerate(term) if c in con]
+        return at[-1] - at[0] < len(con)
+
+    by_size = sorted((sa, sb), key=lambda term: -prod(size[c] for c in term))
+    sx = next((term for term in by_size if adjacent(term)), by_size[0])
+    ss = sb if sx == sa else sa
+    nc = len(con)
+    if adjacent(sx):
+        i0, order = min(sx.index(c) for c in con), sx
+    else:
+        i0 = len(sx) - nc
+        order = "".join(c for c in sx if c not in con) + "".join(c for c in sx if c in con)
+    fs = "".join(c for c in out if c in ss)
+    px = tuple(sx.index(c) for c in order)
+    ps = tuple(ss.index(c) for c in fs + order[i0:i0 + nc])
+    axes = order[:i0] + fs + order[i0 + nc:]
+    po = tuple(axes.index(c) for c in out)
+    nfs, x_first, trail = len(fs), sx == sa, i0 + nc < len(sx)
+
+    def run(a, b):
+        x, s = (a, b) if x_first else (b, a)
+        x, s = x.transpose(px), s.transpose(ps)
+        k = prod(s.shape[nfs:])
+        lead = x.shape[:i0]
+        if trail:
+            product = s.reshape(-1, k) @ x.reshape(prod(lead), k, -1)
+        else:
+            product = x.reshape(-1, k) @ s.reshape(-1, k).T
+        return product.reshape(lead + s.shape[:nfs] + x.shape[i0 + nc:]).transpose(po)
+
+    return run
+
+
+def _pairwise(spec: str, terms: list[str], out: str, shapes, size: dict[str, int]):
+    """einsum(spec) over three or more operands as two-operand steps, each planned once.
+
+    Follows np.einsum_path's greedy order: each step pops its operands and
+    appends its result, which keeps the indices that a later step or the
+    output reads.
+    """
+    path = np.einsum_path(spec, *[np.empty(s) for s in shapes], optimize="greedy")[0][1:]
+    live, steps = list(terms), []
+    for inds in path:
+        inds = tuple(sorted(inds, reverse=True))
+        picked = [live.pop(i) for i in inds]
+        keep = set(out).union(*live)
+        result = out if not live else "".join(
+            dict.fromkeys(c for term in picked for c in term if c in keep))
+        step = f"{','.join(picked)}->{result}"
+        step_shapes = tuple(tuple(size[c] for c in term) for term in picked)
+        steps.append((inds, contraction(step, step_shapes)))
+        live.append(result)
+
+    def run(*operands):
+        stack = list(operands)
+        for inds, step in steps:
+            stack.append(step(*[stack.pop(i) for i in inds]))
+        return stack[0]
+
+    return run
 
 
 def metric_inverse(g: np.ndarray) -> np.ndarray:

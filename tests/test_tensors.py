@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -70,3 +72,11 @@ def test_point_structure_rejects_odd_or_small_dims():
         PointStructure(np.eye(3), np.eye(3))
     with pytest.raises(StructureError):
         PointStructure(np.eye(2), np.eye(2))
+
+
+def test_frob_does_not_overflow_on_finite_input():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert frob(np.full(4, 1e200)) == pytest.approx(2e200, rel=1e-15)
+        assert frob(np.array([3.0, -4.0])) == 5.0
+        assert frob(np.array([np.inf, 1.0])) == np.inf
