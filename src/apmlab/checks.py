@@ -2,8 +2,8 @@
 
 Each check inspects one germ at its base point and returns CheckReports.
 Derivatives come from the exact jets of one base frame; only ``structure``
-and ``levi_civita`` read the seeded neighbourhood frames, and only
-``lee_closedness`` differences re-evaluated frames, as an independent oracle.
+and ``levi_civita`` read the seeded neighbourhood frames, and no check
+re-evaluates frames to difference them.
 
 ``@check`` declares each check once and registers it in ``CHECKS``; one
 function, ``drive``, runs every check.  The declaration lists the check's
@@ -12,21 +12,23 @@ residual keys, and the base tolerance of each key that has its own, in
 ``drive`` builds each report's tolerances from it, and ``apmlab
 list-checks`` prints it.  Theorem checks are implications: each
 hypothesis is declared once, on ``ScenarioContext`` (``closedness``,
-``w1_outside_eigenclasses``, ``r_prime_p_tensor``) or on the check (its
-dimension), and a body states those it needs with ``requires``, which raises
-``Skip`` when one fails, as ``_ln_abs`` raises ``SingularScalarError``.
+``in_w1``, ``w1_outside_eigenclasses``, ``r_prime_p_tensor``) or on the
+check (its dimension), and a body states those it needs with ``requires``,
+which raises ``Skip`` when one fails, as ``_ln_abs`` raises
+``SingularScalarError``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache, cached_property, wraps
+from functools import cached_property, wraps
 
 import numpy as np
 
 from . import curvature as curv
 from . import structure as struct
-# d_scalar is unused here but stays bound: perfbench/tracing.py wraps both FD names.
+# d_scalar and one_form_exterior_fd run in no check: they stay bound here only
+# because perfbench/tracing.py wraps both FD oracles as attributes of this module.
 from .germs import (  # noqa: F401
     ChartGerm,
     ConnectionFrame,
@@ -53,8 +55,6 @@ SINGULAR_FLOOR = 1e-10
 
 # Residual above which "R' is a Riemannian P-tensor" is considered refuted.
 P_TENSOR_FAIL_FLOOR = 1e-3
-# Relative threshold below which a 1-form is accepted as closed.
-CLOSED_TOL = 1e-8
 
 
 @dataclass
@@ -107,7 +107,12 @@ class ScenarioContext:
     @cached_property
     def closedness(self) -> dict[str, bool]:
         """Flags ``theta_closed`` and ``theta_p_closed`` of the Lee forms."""
-        return self.frame.closedness(tol=CLOSED_TOL * self.tol_scale)
+        return self.frame.closedness(self.tol_scale)
+
+    @cached_property
+    def in_w1(self) -> bool:
+        """The natural family's hypothesis: F is W1 or a subclass (W0, W3bar, W6bar)."""
+        return self.class_report.label != struct.CLASS_OUTSIDE
 
     @cached_property
     def w1_outside_eigenclasses(self) -> bool:
@@ -126,6 +131,7 @@ class ScenarioContext:
 
 
 # Skip reasons of the hypotheses shared by several checks.
+IN_W1_GATE = "germ is not in W1 or a subclass"
 W1_GATE = "germ is not a W1-manifold outside W3bar u W6bar"
 P_TENSOR_GATE = "R' is not a Riemannian P-tensor"
 DEGENERATE_SCALARS = "degenerate scalar curvatures"
@@ -226,15 +232,19 @@ def check_structure(ctx: ScenarioContext, report: CheckReport):
             report.residuals[key] = max(report.residuals.get(key, 0.0), value)
 
 
-@check("classification", 1e-9, "F symmetries and W-class label",
+@check("classification", 1e-9, "F symmetries, W-class label and Lee-form closedness",
        residuals=("f_last_two_symmetry", "f_double_p_skew", "f_single_p_skew"))
 def check_classification(ctx: ScenarioContext, report: CheckReport):
+    """F symmetries, class label and Lee-form closedness: the germ-level hypotheses."""
     fr = ctx.frame
     scale = max(1.0, frob(fr.f_tensor.values))
     for key, value in struct.f_symmetry_residuals(fr.structure, fr.f_tensor.values).items():
         report.residuals[f"f_{key}"] = value / scale
     cls = ctx.class_report
     report.scalars["theta_norm"] = frob(cls.theta)
+    report.scalars["d_theta_norm"] = frob(fr.d_theta)
+    report.scalars["d_theta_p_norm"] = frob(fr.d_theta_p)
+    report.hypothesis_flags.update(ctx.closedness)
     report.notes.append(f"label={cls.label}")
     for name, value in cls.as_dict()["residuals"].items():
         report.scalars[f"class_residual_{name}"] = value
@@ -265,32 +275,6 @@ def check_curvature_like(ctx: ScenarioContext, report: CheckReport):
     report.scalars.update({"tau": inv.tau, "tau_star": inv.tau_star})
 
 
-@check("lee_closedness", 1e-6, "Lee-form exterior derivatives vs FD oracle",
-       residuals=("d_theta_vs_fd", "d_theta_p_vs_fd"))
-def check_lee_closedness(ctx: ScenarioContext, report: CheckReport):
-    """Exterior derivatives of the Lee form from jets against an FD oracle."""
-    fr = ctx.frame
-    germ = ctx.germ
-
-    # Both oracles difference the same points: one order-1 frame serves each.
-    frame_at = cache(lambda key: germ.frame(np.array(key), order=1))
-
-    def theta_field(pt):
-        return frame_at(tuple(pt)).theta.values
-
-    def theta_p_field(pt):
-        f = frame_at(tuple(pt))
-        return f.theta.values @ f.p.values
-
-    fd_d_theta = one_form_exterior_fd(theta_field, fr.point, step=1e-4)
-    fd_d_theta_p = one_form_exterior_fd(theta_p_field, fr.point, step=1e-4)
-    report.residuals["d_theta_vs_fd"] = frob(fr.d_theta - fd_d_theta)
-    report.residuals["d_theta_p_vs_fd"] = frob(fr.d_theta_p - fd_d_theta_p)
-    report.hypothesis_flags.update(ctx.closedness)
-    report.scalars["d_theta_norm"] = frob(fr.d_theta)
-    report.scalars["d_theta_p_norm"] = frob(fr.d_theta_p)
-
-
 # ---------------------------------------------------------------------------
 # connection checks
 
@@ -317,7 +301,11 @@ def check_natural_connection(ctx: ScenarioContext, report: CheckReport, cf: Conn
     eye = np.eye(ctx.germ.dim)
     report.residuals["torsion_match"] = cf.torsion_residual()
     report.residuals["metric_parallel"] = cf.metric_parallel_residual()
-    report.residuals["structure_parallel"] = cf.structure_parallel_residual()
+    # P is parallel for the family only on W1; the other residuals hold on any germ.
+    if ctx.in_w1:
+        report.residuals["structure_parallel"] = cf.structure_parallel_residual()
+    else:
+        report.notes.append(f"structure parallelism skipped: {IN_W1_GATE}")
     k = cf.contorsion.values
     report.residuals["contorsion_skew"] = frob(k + k.transpose(0, 2, 1))
 
@@ -352,6 +340,7 @@ def check_natural_connection(ctx: ScenarioContext, report: CheckReport, cf: Conn
        residuals=("curvature_relation",), per_connection=True)
 def check_curvature_relation(ctx: ScenarioContext, report: CheckReport, cf: ConnectionFrame):
     """Reconstruction of the Levi-Civita curvature from a natural connection."""
+    requires(ctx.in_w1, IN_W1_GATE)
     tr = cf.transfer
     rebuilt = cf.curvature.values - _transfer_correction(ctx, tr)
     report.residuals["curvature_relation"] = frob(ctx.frame.curvature.values - rebuilt)

@@ -14,6 +14,7 @@ from .exprs import EvalError, ParseError
 from .report import CheckReport, emit_report, exit_code, summarize
 from .scenarios import (
     ScenarioError,
+    _finite_float,
     bundled_scenario_names,
     finite_positive,
     germ_from_spec,
@@ -68,6 +69,8 @@ def cmd_classify(args: argparse.Namespace) -> int:
             spec = json.load(fh)
         germ = germ_from_spec(spec, path="$", name=args.germ)
         point = np.array([float(v) for v in args.point.split(",")])
+        if any(_finite_float(v) is None for v in point):
+            raise ScenarioError("--point", f"must be finite numbers, got {args.point!r}")
         if point.shape[0] != germ.dim:
             raise ScenarioError("--point", f"expected {germ.dim} coordinates")
         frame = germ.frame(point, order=1)
@@ -92,6 +95,8 @@ def cmd_decompose4(args: argparse.Namespace) -> int:
         components = np.asarray(doc["components"], dtype=float)
         if components.shape != (4, 4, 4, 4):
             raise ValueError("components must form a 4x4x4x4 array")
+        if any(_finite_float(value) is None for value in components.flat):
+            raise ScenarioError("components", "entries must be finite numbers")
         if "g" in doc or "p" in doc:
             ps = PointStructure(np.asarray(doc["g"], float), np.asarray(doc["p"], float))
             failed = [key for key, value in ps.invariant_residuals().items()

@@ -38,6 +38,10 @@ from .jetfields import JetTensor, jt_einsum, jt_inverse
 from .tensors import PointStructure, StructureError, einsum, frob, split_structure
 
 
+# Relative threshold below which a Lee form's exterior derivative counts as zero.
+CLOSED_TOL = 1e-8
+
+
 def default_base_point(dim: int) -> np.ndarray:
     """Offset sample point (0.1, 0.2, ...) avoiding coordinate symmetries."""
     return 0.1 * np.arange(1, dim + 1)
@@ -303,7 +307,9 @@ class GermFrame:
     def d_theta_p(self) -> np.ndarray:
         return exterior_derivative(self.theta_p)
 
-    def closedness(self, tol: float = 1e-8) -> dict[str, bool]:
+    def closedness(self, tol_scale: float = 1.0) -> dict[str, bool]:
+        """Lee-form closedness flags: |d form| / max(1, |theta|) below CLOSED_TOL * tol_scale."""
+        tol = CLOSED_TOL * tol_scale
         scale = max(1.0, frob(self.theta.values))
         return {
             "theta_closed": frob(self.d_theta) / scale < tol,

@@ -25,6 +25,7 @@ BUNDLED = [
     "conformal_w1_separable_6d",
     "twisted_equal_tau_plus_4d",
     "twisted_equal_tau_minus_4d",
+    "rotating_structure_outside_w1_4d",
 ]
 
 
@@ -218,11 +219,12 @@ INDEFINITE_GERM = {
 }
 
 
-@pytest.mark.parametrize("check", ["levi_civita", "lee_closedness"])
+@pytest.mark.parametrize("check", ["levi_civita", "classification"])
 @pytest.mark.parametrize("germ", [SINGULAR_GERM, INDEFINITE_GERM], ids=["singular", "indefinite"])
 def test_cli_metric_not_positive_definite_exits_2(tmp_path, germ, check):
     # e^{-800} underflows to a zero metric.  The point named is the first
-    # frame the check evaluates: the base point, or an FD sample next to it.
+    # frame the check evaluates: the order-1 neighbourhood frame or the
+    # order-4 base frame at the base point.
     scenario = tmp_path / "metric.json"
     scenario.write_text(json.dumps({"germ": germ, "checks": [check]}))
     proc = run_cli("check", "--scenario", str(scenario))
@@ -300,6 +302,15 @@ def test_cli_classify_rejects_wrong_point_length(tmp_path):
     assert proc.returncode == 2
 
 
+def test_cli_classify_rejects_a_point_that_is_not_finite(tmp_path):
+    germ_file = tmp_path / "germ.json"
+    germ_file.write_text(json.dumps({"generator": "flat_product", "n": 2}))
+    proc = run_cli("classify", "--germ", str(germ_file), "--point", "nan,0,0,0")
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: --point: ")
+    assert proc.stdout == ""
+
+
 def test_cli_decompose4(tmp_path):
     from apmlab.curvature import pi_tensors
     from apmlab.tensors import canonical_structure
@@ -356,12 +367,37 @@ def test_cli_decompose4_rejects_a_bad_structure(tmp_path, keys, message):
     assert proc.stderr == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("entries,value", [((0, 1, 0, 1), np.nan), (Ellipsis, np.inf)],
+                         ids=["one_nan", "all_inf"])
+def test_cli_decompose4_rejects_components_not_finite(tmp_path, entries, value):
+    # Rejected before any product: no NaN in the output, no numpy warning.
+    components = np.zeros((4,) * 4)
+    components[entries] = value
+    tensor_file = tmp_path / "t.json"
+    tensor_file.write_text(json.dumps({"dim": 4, "components": components.tolist()}))
+    proc = run_cli("decompose4", "--tensor", str(tensor_file))
+    assert proc.returncode == 2
+    assert proc.stderr == "error: components: entries must be finite numbers\n"
+    assert proc.stdout == ""
+
+
 def test_cli_list_checks():
     proc = run_cli("list-checks")
     assert proc.returncode == 0
     for token in ("structure", "lee_recovery", "dim4_traces", "flat_product_4d"):
         assert token in proc.stdout
     assert "residuals: torsion_match (1e-12), metric_parallel," in proc.stdout
+    assert "lee_closedness" not in proc.stdout
+
+
+def test_cli_rejects_the_removed_lee_closedness_check(tmp_path):
+    # Its closedness flags moved to classification; the name is an unknown check.
+    scenario = tmp_path / "old.json"
+    scenario.write_text(json.dumps({"germ": {"generator": "flat_product", "n": 2},
+                                    "checks": ["structure", "lee_closedness"]}))
+    proc = run_cli("check", "--scenario", str(scenario))
+    assert proc.returncode == 2
+    assert proc.stderr == "error: $.checks[1]: unknown check 'lee_closedness'\n"
 
 
 def test_golden_report_snapshot(tmp_path):
@@ -381,28 +417,28 @@ def test_golden_report_snapshot(tmp_path):
 def test_tolerance_overrides_apply():
     doc = {
         "germ": {"generator": "conformal_flat_product", "n": 2, "u": "x1^2 + x3^2"},
-        "checks": ["lee_closedness"],
-        "tolerances": {"lee_closedness": {"d_theta_vs_fd": 1e-30}},
+        "checks": ["levi_civita"],
+        "tolerances": {"levi_civita": {"metric_parallel": 1e-30}},
     }
     reports = run_scenario(load_scenario(doc))
     assert exit_code(reports) == 1  # impossible tolerance now fails
 
 
-@pytest.mark.parametrize("key,code", [("d_theta_vs_fd", 1), ("d_theta_vs_fdd", 2)])
+@pytest.mark.parametrize("key,code", [("metric_parallel", 1), ("metric_paralel", 2)])
 def test_cli_override_key_must_be_declared(tmp_path, key, code):
     scenario = tmp_path / "override.json"
     scenario.write_text(json.dumps({
         "germ": {"generator": "conformal_flat_product", "n": 2, "u": "x1^2 + x3^2"},
-        "checks": ["lee_closedness"],
-        "tolerances": {"lee_closedness": {key: 1e-30}},
+        "checks": ["levi_civita"],
+        "tolerances": {"levi_civita": {key: 1e-30}},
     }))
     proc = run_cli("check", "--scenario", str(scenario))
     # The declared key fails the check; the misspelt one is a schema error.
     assert proc.returncode == code
     if code == 2:
         assert proc.stderr == (
-            "error: $.tolerances.lee_closedness.d_theta_vs_fdd: not '*' or a residual of "
-            "lee_closedness (d_theta_vs_fd, d_theta_p_vs_fd)\n"
+            "error: $.tolerances.levi_civita.metric_paralel: not '*' or a residual of "
+            "levi_civita (torsion_free, metric_parallel)\n"
         )
         assert proc.stdout == ""
     else:
@@ -497,8 +533,8 @@ def test_run_scenario_rejects_tol_scale_not_finite_positive(scale):
 def test_tol_scale_loosens():
     doc = {
         "germ": {"generator": "conformal_flat_product", "n": 2, "u": "x1^2 + x3^2"},
-        "checks": ["lee_closedness"],
-        "tolerances": {"lee_closedness": {"d_theta_vs_fd": 1e-30}},
+        "checks": ["levi_civita"],
+        "tolerances": {"levi_civita": {"metric_parallel": 1e-30}},
     }
     reports = run_scenario(load_scenario(doc), tol_scale=1e25)
     assert exit_code(reports) == 0

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from apmlab.checks import ScenarioContext
+from apmlab.checks import BASE_ORDER, ScenarioContext
 from apmlab.curvature import (
     curvature_like_residuals,
     is_p_tensor,
@@ -19,6 +19,7 @@ from apmlab.germs import (
     flat_product_germ,
     one_form_exterior_fd,
 )
+from apmlab.scenarios import bundled_scenario_names, load_bundled_scenario
 from apmlab.structure import classify_f, f_symmetry_residuals
 from apmlab.tensors import PointStructure, StructureError, frob
 
@@ -486,15 +487,22 @@ def test_one_form_exterior_fd_on_gradient_field():
     assert abs(d2[0, 2] + 1.0) < 1e-8
 
 
-def test_lee_form_exterior_derivatives_on_a_varying_structure():
+def varying_p_germ() -> ChartGerm:
     # g = I and P = [[cos phi, sin phi], [sin phi, -cos phi]] + diag(1, -1), phi = x1*x3:
     # d(theta o P) carries the derivative of P.
     c, s = "cos(x1*x3)", "sin(x1*x3)"
     structure = [[c, s, "0", "0"], [s, f"-{c}", "0", "0"], ["0", "0", "1", "0"],
                  ["0", "0", "0", "-1"]]
     metric = [["1" if i == j else "0" for j in range(4)] for i in range(4)]
-    germ = ChartGerm.from_strings(4, metric, structure)
-    fr = germ.frame(order=3)
+    return ChartGerm.from_strings(4, metric, structure)
+
+
+@pytest.mark.parametrize("name", ["varying_p", *bundled_scenario_names()])
+def test_lee_form_exterior_derivatives_on_a_varying_structure(name):
+    # The jets of d theta and d(theta o P) that classification's closedness
+    # flags read, against central differences (step 1e-4) over order-1 frames.
+    germ = varying_p_germ() if name == "varying_p" else load_bundled_scenario(name).germ
+    fr = germ.frame(order=BASE_ORDER)
     point = np.asarray(germ.base_point)
 
     def theta_p(pt):
@@ -506,9 +514,10 @@ def test_lee_form_exterior_derivatives_on_a_varying_structure():
     fd_d_theta_p = one_form_exterior_fd(theta_p, point, step=1e-4)
     assert frob(fr.d_theta - fd_d_theta) < 1e-8
     assert frob(fr.d_theta_p - fd_d_theta_p) < 1e-8
-    # Without the d P term, (d theta) o P misses the oracle by far more.
-    jac_p = fr.theta.partial().values.T @ fr.p.values  # [i, k] = d_i theta_j P^j_k
-    assert frob(jac_p - jac_p.T - fd_d_theta_p) > 1e-2
+    if name == "varying_p":
+        # Without the d P term, (d theta) o P misses the oracle by far more.
+        jac_p = fr.theta.partial().values.T @ fr.p.values  # [i, k] = d_i theta_j P^j_k
+        assert frob(jac_p - jac_p.T - fd_d_theta_p) > 1e-2
 
 
 def test_contorsion_helper_matches_frame(separable):

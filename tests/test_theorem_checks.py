@@ -15,7 +15,7 @@ from apmlab.checks import (
 )
 from apmlab.germs import ChartGerm, ConnectionFrame, ConnectionParams
 from apmlab.jetfields import JetTensor
-from apmlab.scenarios import load_bundled_scenario, run_scenario
+from apmlab.scenarios import bundled_scenario_names, load_bundled_scenario, run_scenario
 
 THEOREM_CHECKS = (check_lee_recovery, check_tau_form_closedness, check_eigenclass_lee_recovery)
 
@@ -28,12 +28,12 @@ def run_theorem_checks(ctx: ScenarioContext):
     return [report for check in THEOREM_CHECKS for report in check(ctx)]
 
 
-@pytest.mark.parametrize(
-    "name", ["conformal_w1_separable_4d", "conformal_w3_4d", "conformal_w6_4d"]
-)
+@pytest.mark.parametrize("name", bundled_scenario_names())
 def test_theorem_checks_use_no_finite_differences(name, monkeypatch):
+    # A full run takes every derivative from jets: it builds the base frame
+    # and the ten order-1 neighbourhood frames, and differences nothing.
     def forbidden(*args, **kwargs):
-        raise AssertionError("finite differences inside a theorem check")
+        raise AssertionError("finite differences inside a check")
 
     monkeypatch.setattr(checks, "d_scalar", forbidden)
     monkeypatch.setattr(checks, "one_form_exterior_fd", forbidden)
@@ -45,10 +45,11 @@ def test_theorem_checks_use_no_finite_differences(name, monkeypatch):
         return frame(germ, point, order)
 
     monkeypatch.setattr(ChartGerm, "frame", counted)
-    reports = run_theorem_checks(context(name))
-    assert orders == [checks.BASE_ORDER]  # the base frame is the only frame built
+    ctx = context(name)
+    reports = checks.run_checks(ctx)
+    assert sorted(orders) == [1] * 10 + [checks.BASE_ORDER]
     assert all(report.status != "fail" for report in reports)
-    for report in reports:
+    for report in run_theorem_checks(ctx):
         for key, value in report.residuals.items():
             assert value <= 1e-10, (report.name, key, value)
 
@@ -207,21 +208,22 @@ def test_scenario_computes_the_levi_civita_invariants_once(monkeypatch):
     assert sum("preset_reconstruction" in rep.residuals for rep in reports) == 2
 
 
-@pytest.mark.parametrize("name", ["conformal_w1_separable_4d", "conformal_w1_separable_6d"])
-def test_lee_closedness_builds_one_frame_per_sample_point(name, monkeypatch):
-    # The FD oracles for d theta and d(theta o P) share the 2 * dim points.
-    ctx = context(name)
-    ctx.frame
-    orders = []
-    frame = ChartGerm.frame
-
-    def counted(germ, point=None, order=3):
-        orders.append(order)
-        return frame(germ, point, order)
-
-    monkeypatch.setattr(ChartGerm, "frame", counted)
-    checks.check_lee_closedness(ctx)
-    assert orders == [1] * (2 * ctx.germ.dim)
+def test_outside_w1_gates_structure_parallelism_and_curvature_transfer():
+    # P rotates in the x1-x3 plane by x1*x3: a valid structure whose F is
+    # outside W1, where the natural family does not keep P parallel.
+    ctx = context("rotating_structure_outside_w1_4d")
+    assert ctx.class_report.label == "outside_W1" and not ctx.in_w1
+    reports = checks.check_natural_connection(ctx)
+    for cp, report in zip(ctx.connections, reports):
+        assert report.status == "pass", report.name
+        assert "structure_parallel" not in report.residuals
+        assert f"structure parallelism skipped: {checks.IN_W1_GATE}" in report.notes
+        for key in ("torsion_match", "metric_parallel", "contorsion_skew", "torsion_p_identity"):
+            assert report.residuals[key] < 1e-12, (report.name, key)
+        assert ctx.connection(cp).structure_parallel_residual() > 0.5
+    for report in checks.check_curvature_relation(ctx):
+        assert report.status == "skipped"
+        assert report.skip_reason == checks.IN_W1_GATE
 
 
 def test_levi_civita_builds_one_order_1_frame_per_sample_point(monkeypatch):
