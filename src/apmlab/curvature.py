@@ -15,6 +15,11 @@ orthogonal projection onto it is the curvature-like projection of the mask.
 In dimension 4 every Riemannian P-tensor is a combination of pi1+pi2 and pi3
 with coefficients given by its scalar curvatures; the helpers here build the
 pi tensors, contract Ricci-type invariants, and test the identities.
+
+The helpers that take a tensor S or L -- psi1, psi2, the curvature-like and
+P-tensor projections, ``curvature_like_residuals``, ``curvature_invariants``
+and ``decompose_dim4`` -- also take a stack of them over leading sample axes
+and return their results stacked the same way, so a sample loop runs once.
 """
 
 from __future__ import annotations
@@ -25,24 +30,30 @@ import numpy as np
 
 from .report import CheckReport
 from .structure import adapted_orthonormal_basis, basis_residuals
-from .tensors import DEFAULT_TOL, PointStructure, einsum, frob, random_tensor4
+from .tensors import DEFAULT_TOL, PointStructure, einsum, frob, lead, random_tensor4
+
 
 @dataclass
 class CurvatureInvariants:
-    """Ricci tensor, scalar curvature and their P-twisted companions."""
+    """Ricci tensor, scalar curvature and their P-twisted companions.
+
+    The scalars are floats, or arrays over the sample axes of a stacked L.
+    """
 
     rho: np.ndarray
-    tau: float
+    tau: float | np.ndarray
     rho_star: np.ndarray
-    tau_star: float
+    tau_star: float | np.ndarray
 
 
-def curvature_like_residuals(l: np.ndarray) -> dict[str, float]:
-    bianchi = l + einsum("jkil->ijkl", l) + einsum("kijl->ijkl", l)
+def curvature_like_residuals(l: np.ndarray) -> dict[str, float | np.ndarray]:
+    """Pair skews and first Bianchi residuals of L, one value per sample of a stacked L."""
+    b = lead(l, 4)
+    bianchi = l + einsum(f"{b}jkil->{b}ijkl", l) + einsum(f"{b}kijl->{b}ijkl", l)
     return {
-        "first_pair_skew": frob(l + einsum("jikl->ijkl", l)),
-        "last_pair_skew": frob(l + einsum("ijlk->ijkl", l)),
-        "first_bianchi": frob(bianchi),
+        "first_pair_skew": frob(l + einsum(f"{b}jikl->{b}ijkl", l), 4),
+        "last_pair_skew": frob(l + einsum(f"{b}ijlk->{b}ijkl", l), 4),
+        "first_bianchi": frob(bianchi, 4),
     }
 
 
@@ -99,17 +110,19 @@ def psi1(ps: PointStructure, s: np.ndarray) -> np.ndarray:
     Curvature-like exactly when S is symmetric.
     """
     g = ps.g
+    b = lead(s, 2)
     return (
-        einsum("jk,il->ijkl", g, s)
-        - einsum("ik,jl->ijkl", g, s)
-        + einsum("jk,il->ijkl", s, g)
-        - einsum("ik,jl->ijkl", s, g)
+        einsum(f"jk,{b}il->{b}ijkl", g, s)
+        - einsum(f"ik,{b}jl->{b}ijkl", g, s)
+        + einsum(f"{b}jk,il->{b}ijkl", s, g)
+        - einsum(f"{b}ik,jl->{b}ijkl", s, g)
     )
 
 
 def psi2(ps: PointStructure, s: np.ndarray) -> np.ndarray:
     """psi2(S)(x,y,z,w) = psi1(S)(x,y,Pz,Pw); curvature-like iff S(x,Py) = S(y,Px)."""
-    return einsum("ijab,ak,bl->ijkl", psi1(ps, s), ps.p, ps.p)
+    b = lead(s, 2)
+    return einsum(f"{b}ijab,ak,bl->{b}ijkl", psi1(ps, s), ps.p, ps.p)
 
 
 def pi_tensors(ps: PointStructure) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -129,10 +142,13 @@ def pi_tensors(ps: PointStructure) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def curvature_invariants(ps: PointStructure, l: np.ndarray) -> CurvatureInvariants:
     """Ricci contractions rho(y,z) = g^{il} L(e_i,y,z,e_l) and their P-twists."""
-    rho = einsum("il,ijkl->jk", ps.g_inv, l)
-    tau = float(einsum("jk,jk->", ps.g_inv, rho))
-    rho_star = einsum("il,ijkm,ml->jk", ps.g_inv, l, ps.p)
-    tau_star = float(einsum("jk,jk->", ps.g_inv, rho_star))
+    b = lead(l, 4)
+    rho = einsum(f"il,{b}ijkl->{b}jk", ps.g_inv, l)
+    tau = einsum(f"jk,{b}jk->{b}", ps.g_inv, rho)
+    rho_star = einsum(f"il,{b}ijkm,ml->{b}jk", ps.g_inv, l, ps.p)
+    tau_star = einsum(f"jk,{b}jk->{b}", ps.g_inv, rho_star)
+    if not b:
+        tau, tau_star = float(tau), float(tau_star)
     return CurvatureInvariants(rho=rho, tau=tau, rho_star=rho_star, tau_star=tau_star)
 
 
@@ -140,14 +156,15 @@ def _curvature_like_projection(t: np.ndarray) -> np.ndarray:
     # Antisymmetrize both index pairs, symmetrize pair exchange, then remove
     # the totally antisymmetric (cyclic) part; the result satisfies the pair
     # skews and the first Bianchi identity exactly.
+    b = lead(t, 4)
     t = 0.25 * (
         t
-        - einsum("jikl->ijkl", t)
-        - einsum("ijlk->ijkl", t)
-        + einsum("jilk->ijkl", t)
+        - einsum(f"{b}jikl->{b}ijkl", t)
+        - einsum(f"{b}ijlk->{b}ijkl", t)
+        + einsum(f"{b}jilk->{b}ijkl", t)
     )
-    t = 0.5 * (t + einsum("klij->ijkl", t))
-    cyc = t + einsum("jkil->ijkl", t) + einsum("kijl->ijkl", t)
+    t = 0.5 * (t + einsum(f"{b}klij->{b}ijkl", t))
+    cyc = t + einsum(f"{b}jkil->{b}ijkl", t) + einsum(f"{b}kijl->{b}ijkl", t)
     return t - cyc / 3.0
 
 
@@ -161,7 +178,7 @@ def random_curvature_like(dim: int, seed: int) -> np.ndarray:
 def _pull_back(t: np.ndarray, m: np.ndarray) -> np.ndarray:
     """t(m., m., m., m.) for a rank-4 t, as (m x m)^T t (m x m)."""
     mm = np.kron(m, m)
-    return (mm.T @ t.reshape(mm.shape) @ mm).reshape(t.shape)
+    return (mm.T @ t.reshape(t.shape[:-4] + mm.shape) @ mm).reshape(t.shape)
 
 
 def p_tensor_projection(ps: PointStructure, t: np.ndarray) -> np.ndarray:
@@ -176,18 +193,19 @@ def p_tensor_projection(ps: PointStructure, t: np.ndarray) -> np.ndarray:
     q = np.hstack([e + pe, e - pe]) / np.sqrt(2.0)
     t_hat = _pull_back(t, q)
     l_hat = np.zeros_like(t_hat)
-    l_hat[:n, :n, :n, :n] = _curvature_like_projection(t_hat[:n, :n, :n, :n])
-    l_hat[n:, n:, n:, n:] = _curvature_like_projection(t_hat[n:, n:, n:, n:])
+    l_hat[..., :n, :n, :n, :n] = _curvature_like_projection(t_hat[..., :n, :n, :n, :n])
+    l_hat[..., n:, n:, n:, n:] = _curvature_like_projection(t_hat[..., n:, n:, n:, n:])
     return _pull_back(l_hat, q.T @ ps.g)
 
 
-def random_p_tensor(ps: PointStructure, seed: int) -> np.ndarray:
+def random_p_tensor(ps: PointStructure, seed) -> np.ndarray:
     """Seeded random P-tensor of unit norm: block mask, then curvature-like projection.
 
-    Samples span the whole space, of dimension 2 n^2 (n^2 - 1) / 12.
+    Samples span the whole space, of dimension 2 n^2 (n^2 - 1) / 12.  A
+    sequence of seeds gives one tensor per seed, stacked on a leading axis.
     """
     l = p_tensor_projection(ps, random_tensor4(ps.dim, seed))
-    return l / frob(l)
+    return l / np.expand_dims(frob(l, 4), (-4, -3, -2, -1))
 
 
 def decompose_dim4(ps: PointStructure, l: np.ndarray) -> tuple[float, float, float]:
@@ -195,19 +213,22 @@ def decompose_dim4(ps: PointStructure, l: np.ndarray) -> tuple[float, float, flo
 
     Returns (tau, tau_star, residual) where the residual measures
     | L - {tau (pi1+pi2) + tau_star pi3} / 8 |; it vanishes exactly when L is
-    a Riemannian P-tensor.
+    a Riemannian P-tensor.  A stacked L gives all three per sample.
     """
     if ps.dim != 4:
         raise ValueError("decomposition by scalar curvatures requires dimension 4")
     inv = curvature_invariants(ps, l)
     rebuilt = dim4_from_scalars(pi_tensors(ps), inv.tau, inv.tau_star)
-    return inv.tau, inv.tau_star, frob(l - rebuilt)
+    return inv.tau, inv.tau_star, frob(l - rebuilt, 4)
 
 
-def dim4_from_scalars(pis, tau: float, tau_star: float) -> np.ndarray:
-    """{tau (pi1 + pi2) + tau* pi3} / 8: the dim-4 P-tensor with these scalar curvatures."""
+def dim4_from_scalars(pis, tau, tau_star) -> np.ndarray:
+    """{tau (pi1 + pi2) + tau* pi3} / 8: the dim-4 P-tensor with these scalar curvatures.
+
+    Arrays of scalar curvatures give one tensor per entry, stacked on their axes.
+    """
     pi1, pi2, pi3 = pis
-    return (tau * (pi1 + pi2) + tau_star * pi3) / 8
+    return (np.multiply.outer(tau, pi1 + pi2) + np.multiply.outer(tau_star, pi3)) / 8
 
 
 def sectional_curvatures(ps: PointStructure, l: np.ndarray,

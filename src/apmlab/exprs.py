@@ -10,9 +10,11 @@ Grammar (recursive descent, standard precedence ^ > unary - > *,/ > +,-):
     func   := 'exp' | 'sin' | 'cos' | 'ln'
     ident  := 'x1' .. 'x<dim>'
 
-Evaluation produces a 0-d ``JetTensor`` carrying the value together with
-the derivatives up to any requested order, computed by jet arithmetic rather
-than finite differencing.
+Evaluation produces a ``JetTensor`` carrying the value together with the
+derivatives up to any requested order, computed by jet arithmetic rather
+than finite differencing.  A point array of shape (..., dim) evaluates the
+expression at every point at once: the jet's component shape is then the
+points' leading shape, and a single point gives a 0-d jet.
 """
 
 from __future__ import annotations
@@ -47,6 +49,7 @@ class ScalarExpr:
     """Immutable expression node; subclasses implement _eval and _fmt."""
 
     def eval_jet(self, point: np.ndarray, order: int = 3) -> JetTensor:
+        """The jet at ``point``, or at each row of a point array of shape (..., dim)."""
         if order < 0:
             raise ValueError("jet order must be non-negative")
         point = np.asarray(point, dtype=float)
@@ -74,7 +77,7 @@ class Const(ScalarExpr):
     value: float
 
     def _eval(self, point, order):
-        return JetTensor.constant(self.value, point.shape[0], order)
+        return JetTensor.constant(np.full(point.shape[:-1], self.value), point.shape[-1], order)
 
     def _fmt(self, parent_prec):
         v = self.value
@@ -89,9 +92,9 @@ class Var(ScalarExpr):
     index: int  # zero-based; prints as x<index+1>
 
     def _eval(self, point, order):
-        if self.index >= point.shape[0]:
+        if self.index >= point.shape[-1]:
             raise EvalError(f"coordinate x{self.index + 1} out of range for point")
-        return JetTensor.variable(point[self.index], self.index, point.shape[0], order)
+        return JetTensor.variable(point[..., self.index], self.index, point.shape[-1], order)
 
     def _fmt(self, parent_prec):
         return f"x{self.index + 1}"
@@ -114,7 +117,7 @@ class Binary(ScalarExpr):
             return a - b
         if self.op == "*":
             return a * b
-        if b.values == 0.0:
+        if np.any(b.values == 0.0):
             raise EvalError("division by zero")
         return a / b
 
@@ -144,7 +147,7 @@ class Pow(ScalarExpr):
 
     def _eval(self, point, order):
         base = self.base._eval(point, order)
-        if self.exponent < 0 and base.values == 0.0:
+        if self.exponent < 0 and np.any(base.values == 0.0):
             raise EvalError("division by zero")
         return base.powi(self.exponent)
 
@@ -159,7 +162,7 @@ class Func(ScalarExpr):
 
     def _eval(self, point, order):
         argument = self.argument._eval(point, order)
-        if self.name == "ln" and argument.values <= 0.0:
+        if self.name == "ln" and np.any(argument.values <= 0.0):
             raise EvalError("ln of non-positive value")
         return getattr(argument, self.name)()
 

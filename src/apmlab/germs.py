@@ -23,6 +23,9 @@ Every jet is carried only to the derivative levels some reader takes: R,
 omega, grad theta and a connection's T, K and Gamma' as values, its R' to the
 one derivative the second Bianchi identity needs, and its scalar curvatures
 tau' and tau*' at the frame's full order (Hessians on order-4 frames).
+``frames_at`` builds frames at many points from one evaluation of the metric
+and P grids over all of them, by the grid evaluator a single frame runs at
+its one point.
 """
 
 from __future__ import annotations
@@ -153,30 +156,38 @@ def conformal_flat_product_germ(n: int, u, name: str | None = None) -> ChartGerm
     )
 
 
-def _grid_jets(grid, point: np.ndarray, order: int, dim: int, label: str) -> JetTensor:
-    """Stack the jets of a grid of expressions, evaluating each distinct entry once.
+def _grid_jets(grid, points: np.ndarray, order: int, dim: int, label: str) -> JetTensor:
+    """The jets of a grid of expressions at a point, or at each row of points (..., dim).
 
-    A value or derivative that is not finite (an overflowing exponential, say)
-    raises StructureError naming ``label`` and the point.
+    Each distinct entry is evaluated once, over all the points together; the
+    levels carry the points' leading axes, then the grid's two axes.  A value
+    or derivative that is not finite (an overflowing exponential, say) raises
+    StructureError naming ``label`` and the first such point.
     """
-    jets: dict[ScalarExpr, JetTensor] = {}
-    for row in grid:
-        for entry in row:
-            if entry not in jets:
-                jets[entry] = entry.eval_jet(point, order)
+    distinct: dict[ScalarExpr, int] = {}
+    index = np.array([[distinct.setdefault(entry, len(distinct)) for entry in row]
+                      for row in grid])
+    with np.errstate(over="ignore", invalid="ignore"):  # reported by _finite instead
+        jets = [entry.eval_jet(points, order) for entry in distinct]
+    lead = points.ndim - 1
+    at = (slice(None),) * lead + (index,)
     stacked = JetTensor(
-        tuple(
-            np.array([[jets[entry].data[k] for entry in row] for row in grid])
-            for k in range(order + 1)
-        ),
+        tuple(np.stack([jet.data[k] for jet in jets], axis=lead)[at] for k in range(order + 1)),
         dim,
     )
-    return _finite(stacked, label, point)
+    return _finite(stacked, label, points)
 
 
-def _finite(jet: JetTensor, label: str, point: np.ndarray) -> JetTensor:
-    """``jet``, or a StructureError naming ``label`` and ``point`` if a level is not finite."""
-    if not all(np.isfinite(level).all() for level in jet.data):
+def _finite(jet: JetTensor, label: str, points: np.ndarray) -> JetTensor:
+    """``jet``, or a StructureError naming ``label`` and the first point where a level is not finite.
+
+    ``points`` is the jet's point, or the points (..., dim) its leading axes run over.
+    """
+    finite = np.ones(points.shape[:-1], dtype=bool)
+    for level in jet.data:
+        finite &= np.isfinite(level.reshape(finite.shape + (-1,))).all(axis=-1)
+    if not finite.all():
+        point = points.reshape(-1, points.shape[-1])[np.argmin(finite.ravel())]
         raise StructureError(f"{label} not finite at point {tuple(point.tolist())}")
     return jet
 
@@ -248,8 +259,9 @@ class GermFrame:
     @cached_property
     def structure(self) -> PointStructure:
         """(g, P) at the point, with the one inversion of the metric values."""
+        g, p = self.g.values, self.p.values  # a non-finite jet's error names the point
         try:
-            return PointStructure(self.g.values, self.p.values)
+            return PointStructure(g, p)
         except StructureError as exc:
             raise StructureError(f"{exc} at point {tuple(self.point.tolist())}") from None
 
@@ -332,6 +344,33 @@ class GermFrame:
         return ConnectionFrame(self, params)
 
 
+def frames_at(germ: ChartGerm, points: np.ndarray,
+              order: int) -> tuple[PointStructure, list[GermFrame]]:
+    """Frames of ``germ`` at each row of ``points``, from one evaluation over all of them.
+
+    Each distinct metric and P entry is evaluated once over every point, and
+    the metrics are validated and inverted together.  Returns that stacked
+    structure, and the frames, each starting from its slice of the jets and
+    of the structure.  A failure raises the error that the first failing
+    point's own frame raises.
+    """
+    points = np.asarray(points, dtype=float)
+    g = _grid_jets(germ.metric, points, order, germ.dim, "metric")
+    p = _grid_jets(germ.structure, points, order, germ.dim, "structure P")
+    frames = [GermFrame(germ, x, order) for x in points]
+    for k, frame in enumerate(frames):
+        vars(frame).update(g=g[k], p=p[k])
+    try:
+        structure = PointStructure(g.values, p.values)
+    except StructureError:
+        for frame in frames:
+            frame.structure  # raises naming its point
+        raise
+    for k, frame in enumerate(frames):
+        vars(frame)["structure"] = structure[k]
+    return structure, frames
+
+
 def _curvature_of(gamma: JetTensor) -> JetTensor:
     """R^l_{ijk} of a coordinate connection Gamma^l_{ij} (direction-first)."""
     dgamma = gamma.partial()  # dgamma[l, a, b, c] = d_c Gamma^l_{ab}
@@ -376,12 +415,18 @@ class ConnectionFrame:
     # -- connection -----------------------------------------------------------
 
     def _torsion(self) -> JetTensor:
-        """T = g^a + g~^b at full order: two outer products H, then H_ijk - H_jik."""
+        """T = g^a + g~^b at full order: outer products H, then H_ijk - H_jik.
+
+        A wedge whose Lee-form coefficients are both exactly zero is not
+        built: g~^b for D, and g^a for D_tilde, where 1/2n + mu cancels.
+        """
         f = self.frame
         lam, mu = self.params.lam, self.params.mu
-        a = f.theta_p.scaled(1.0 / (2 * self.n) + mu) + f.theta.scaled(lam)
-        b = f.theta_p.scaled(lam) + f.theta.scaled(mu)
-        h = jt_einsum("jk,i->ijk", f.g, a) + jt_einsum("jk,i->ijk", f.g_assoc, b)
+        h = None
+        for metric, c_p, c in ((f.g, 1.0 / (2 * self.n) + mu, lam), (f.g_assoc, lam, mu)):
+            if c_p or c:
+                outer = jt_einsum("jk,i->ijk", metric, f.theta_p.scaled(c_p) + f.theta.scaled(c))
+                h = outer if h is None else h + outer
         return h - h.transpose("jik->ijk")
 
     @cached_property

@@ -57,11 +57,11 @@ class JetTensor:
         return JetTensor(tuple(data), dim)
 
     @staticmethod
-    def variable(value: float, index: int, dim: int, order: int) -> "JetTensor":
-        """The coordinate function x_<index> (zero-based) as a 0-d jet."""
+    def variable(value, index: int, dim: int, order: int) -> "JetTensor":
+        """The coordinate function x_<index> (zero-based) at ``value``, a number or an array of them."""
         jet = JetTensor.constant(value, dim, order)
         if order >= 1:
-            jet.data[1][index] = 1.0
+            jet.data[1][..., index] = 1.0
         return jet
 
     # -- basics --------------------------------------------------------------
@@ -77,6 +77,10 @@ class JetTensor:
     @property
     def shape(self) -> tuple[int, ...]:
         return self.data[0].shape
+
+    def __getitem__(self, index) -> "JetTensor":
+        """The jet of the components at ``index`` along the leading component axes."""
+        return JetTensor(tuple(a[index] for a in self.data), self.dim)
 
     def truncated(self, order: int) -> "JetTensor":
         return JetTensor(self.data[: order + 1], self.dim)

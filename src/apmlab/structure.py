@@ -82,8 +82,20 @@ def _gram_schmidt(columns: np.ndarray, g: np.ndarray, count: int) -> np.ndarray:
 def adapted_orthonormal_basis(ps: PointStructure, tol: float = DEFAULT_TOL) -> np.ndarray:
     """g-orthonormal basis {E_1..E_n, PE_1..PE_n}, returned as matrix columns.
 
-    If the coordinate basis is itself adapted it is returned unchanged.
+    If the coordinate basis is itself adapted it is returned unchanged.  Built
+    once per point structure and tolerance and kept on the structure,
+    read-only, as ``curvature.pi_tensors`` is: every reader of one structure
+    shares it, and validates the structure once.
     """
+    cache = vars(ps).setdefault("_adapted_basis", {})
+    if tol not in cache:
+        basis = _adapted_basis(ps, tol)
+        basis.flags.writeable = False
+        cache[tol] = basis
+    return cache[tol]
+
+
+def _adapted_basis(ps: PointStructure, tol: float) -> np.ndarray:
     h, v = projectors(ps, tol)  # validates the structure
     n, dim = ps.n, ps.dim
     eye = np.eye(dim)

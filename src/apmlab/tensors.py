@@ -31,13 +31,27 @@ class StructureError(ValueError):
     """Raised when a (g, P) pair violates an almost product structure invariant."""
 
 
-def frob(t: np.ndarray) -> float:
+def frob(t: np.ndarray, rank: int | None = None):
     """Frobenius norm of a dense tensor of any rank.
 
-    The plain sum of squares, unless it overflows: then the entries are
-    scaled by the largest |entry| first, so a finite tensor has a finite norm.
+    With ``rank``, the norms of the trailing rank-``rank`` tensors that
+    ``t`` stacks over its leading sample axes, as an array over those axes
+    (a float when there are none).  Each is the plain sum of squares, unless
+    it overflows: then the entries are scaled by the largest |entry| first,
+    so a finite tensor has a finite norm.
     """
     t = np.asarray(t, dtype=float)
+    if rank is not None and t.ndim > rank:
+        samples = t.shape[: t.ndim - rank]
+        blocks = t.reshape(prod(samples), -1)
+        norms = np.sqrt(np.einsum("si,si->s", blocks, blocks))
+        if not np.isfinite(norms).all():
+            scale = np.abs(blocks).max(axis=1)
+            with np.errstate(invalid="ignore", divide="ignore"):
+                scaled = blocks / scale[:, None]
+                rescaled = scale * np.sqrt(np.einsum("si,si->s", scaled, scaled))
+            norms = np.where(np.isfinite(norms) | ~np.isfinite(scale), norms, rescaled)
+        return norms.reshape(samples)
     total = np.vdot(t, t)
     if np.isfinite(total):
         return float(np.sqrt(total))
@@ -46,6 +60,16 @@ def frob(t: np.ndarray) -> float:
         return float(total)
     t = t / scale
     return float(scale * np.sqrt(np.vdot(t, t)))
+
+
+def lead(t: np.ndarray, rank: int) -> str:
+    """Einsum letters for the sample axes of ``t``: those before its trailing rank-``rank`` tensor.
+
+    Upper-case, so they never meet a slot letter; a spec names them
+    explicitly, never as an ellipsis, which ``contraction`` leaves to
+    np.einsum.
+    """
+    return "ABCDEFGH"[: t.ndim - rank]
 
 
 def einsum(spec: str, *operands: np.ndarray):
@@ -161,29 +185,38 @@ def _pairwise(spec: str, terms: list[str], out: str, shapes, size: dict[str, int
 
 
 def metric_inverse(g: np.ndarray) -> np.ndarray:
-    """Invert a symmetric positive-definite metric.
+    """Invert a symmetric positive-definite metric, or each of a stack of them.
 
-    Raises StructureError("metric not positive definite") for symmetric inputs
-    that are singular or indefinite.
+    Raises StructureError("metric not positive definite") when a symmetric
+    input is singular or indefinite, and "metric not symmetric" when one is
+    not symmetric.
     """
     g = np.asarray(g, dtype=float)
-    if g.ndim != 2 or g.shape[0] != g.shape[1]:
+    if g.ndim < 2 or g.shape[-1] != g.shape[-2]:
         raise StructureError("metric must be a square matrix")
-    if frob(g - g.T) > 1e-9 * max(1.0, frob(g)):
+    if np.any(frob(g - _t(g), 2) > 1e-9 * np.maximum(1.0, frob(g, 2))):
         raise StructureError("metric not symmetric")
     eigvals = np.linalg.eigvalsh(g)
-    if eigvals[0] <= 0:
+    if np.any(eigvals[..., 0] <= 0):
         raise StructureError("metric not positive definite")
     g_inv = np.linalg.inv(g)
-    return 0.5 * (g_inv + g_inv.T)
+    return 0.5 * (g_inv + _t(g_inv))
+
+
+def _t(m: np.ndarray) -> np.ndarray:
+    """The transpose of each matrix of a stack."""
+    return np.swapaxes(m, -1, -2)
 
 
 @dataclass(frozen=True)
 class PointStructure:
-    """An almost product structure (g, P) on one tangent space.
+    """An almost product structure (g, P) on one tangent space, or a stack of them.
 
     g is the metric, P the (1,1) product tensor with P*P = I, trace P = 0 and
-    g(Px, Py) = g(x, y).  ``g_inv`` is filled in automatically.
+    g(Px, Py) = g(x, y).  ``g_inv`` is filled in automatically.  Leading axes
+    of g and P stack structures at several points: they are inverted
+    together, ``invariant_residuals`` holds one value per structure, and
+    ``ps[k]`` is the k-th structure.  Every other reader takes one structure.
     """
 
     g: np.ndarray
@@ -195,16 +228,19 @@ class PointStructure:
         p = np.asarray(self.p, dtype=float)
         object.__setattr__(self, "g", g)
         object.__setattr__(self, "p", p)
-        if g.shape != p.shape or g.ndim != 2:
+        if g.shape != p.shape or g.ndim < 2 or g.shape[-1] != g.shape[-2]:
             raise StructureError("g and P must be square matrices of equal shape")
-        if g.shape[0] % 2 != 0 or g.shape[0] < 4:
+        if g.shape[-1] % 2 != 0 or g.shape[-1] < 4:
             raise StructureError("dimension must be an even integer >= 4")
         if self.g_inv is None:
             object.__setattr__(self, "g_inv", metric_inverse(g))
 
+    def __getitem__(self, index) -> "PointStructure":
+        return PointStructure(self.g[index], self.p[index], self.g_inv[index])
+
     @property
     def dim(self) -> int:
-        return self.g.shape[0]
+        return self.g.shape[-1]
 
     @property
     def n(self) -> int:
@@ -223,18 +259,19 @@ class PointStructure:
         """Residual norms of the defining invariants (zero for a valid structure).
 
         The residuals in units of g are divided by max(1, |g|); the others
-        carry no units.
+        carry no units.  A stack of structures has one value per structure.
         """
+        g, p = self.g, self.p
         eye = np.eye(self.dim)
-        eigvals = np.linalg.eigvalsh(0.5 * (self.g + self.g.T))
-        g_scale = max(1.0, frob(self.g))
+        eigvals = np.linalg.eigvalsh(0.5 * (g + _t(g)))
+        g_scale = np.maximum(1.0, frob(g, 2))
         return {
-            "p_squared": frob(self.p @ self.p - eye),
-            "compatibility": frob(self.p.T @ self.g @ self.p - self.g) / g_scale,
-            "trace_p": abs(float(np.trace(self.p))),
-            "g_symmetry": frob(self.g - self.g.T) / g_scale,
-            "g_positivity": max(0.0, -float(eigvals[0])) / g_scale,
-            "g_inverse": frob(self.g_inv @ self.g - eye),
+            "p_squared": frob(p @ p - eye, 2),
+            "compatibility": frob(_t(p) @ g @ p - g, 2) / g_scale,
+            "trace_p": np.abs(np.trace(p, axis1=-2, axis2=-1)),
+            "g_symmetry": frob(g - _t(g), 2) / g_scale,
+            "g_positivity": np.maximum(0.0, -eigvals[..., 0]) / g_scale,
+            "g_inverse": frob(self.g_inv @ g - eye, 2),
         }
 
     def is_valid(self, tol: float = DEFAULT_TOL) -> bool:
@@ -261,20 +298,36 @@ def split_structure(dim: int, conformal_factor: float = 1.0) -> PointStructure:
     return PointStructure(conformal_factor * np.eye(dim), p)
 
 
-def random_symmetric2(dim: int, seed: int) -> np.ndarray:
-    """Deterministic random symmetric (0,2)-tensor with entries in [-1, 1]."""
-    rng = np.random.default_rng(seed)
-    a = rng.uniform(-1.0, 1.0, size=(dim, dim))
-    return 0.5 * (a + a.T)
+def _uniform(shape: tuple[int, ...], seed) -> np.ndarray:
+    """Entries uniform in [-1, 1] drawn from default_rng(seed).
+
+    A sequence of seeds stacks one draw per seed on a leading sample axis.
+    """
+    if np.ndim(seed):
+        return np.stack([_uniform(shape, s) for s in seed])
+    return np.random.default_rng(seed).uniform(-1.0, 1.0, size=shape)
 
 
-def random_tensor2(dim: int, seed: int) -> np.ndarray:
-    """Deterministic random (0,2)-tensor with entries in [-1, 1], no symmetry."""
-    rng = np.random.default_rng(seed)
-    return rng.uniform(-1.0, 1.0, size=(dim, dim))
+def random_symmetric2(dim: int, seed) -> np.ndarray:
+    """Deterministic random symmetric (0,2)-tensor with entries in [-1, 1].
+
+    A sequence of seeds gives one tensor per seed, stacked on a leading axis.
+    """
+    a = _uniform((dim, dim), seed)
+    return 0.5 * (a + _t(a))
 
 
-def random_tensor4(dim: int, seed: int) -> np.ndarray:
-    """Deterministic random (0,4)-tensor with entries in [-1, 1]."""
-    rng = np.random.default_rng(seed)
-    return rng.uniform(-1.0, 1.0, size=(dim, dim, dim, dim))
+def random_tensor2(dim: int, seed) -> np.ndarray:
+    """Deterministic random (0,2)-tensor with entries in [-1, 1], no symmetry.
+
+    A sequence of seeds gives one tensor per seed, stacked on a leading axis.
+    """
+    return _uniform((dim, dim), seed)
+
+
+def random_tensor4(dim: int, seed) -> np.ndarray:
+    """Deterministic random (0,4)-tensor with entries in [-1, 1].
+
+    A sequence of seeds gives one tensor per seed, stacked on a leading axis.
+    """
+    return _uniform((dim, dim, dim, dim), seed)

@@ -311,6 +311,17 @@ def test_cli_classify_rejects_a_point_that_is_not_finite(tmp_path):
     assert proc.stdout == ""
 
 
+def test_cli_classify_names_an_overflowing_point_once(tmp_path):
+    # The metric overflows at the point: one named error, no numpy warning.
+    germ_file = tmp_path / "germ.json"
+    germ_file.write_text(json.dumps(
+        {"generator": "conformal_flat_product", "n": 2, "u": "x1^2 + x3^2"}))
+    proc = run_cli("classify", "--germ", str(germ_file), "--point", "1e200,0,0,0")
+    assert proc.returncode == 2
+    assert proc.stderr == "error: metric not finite at point (1e+200, 0.0, 0.0, 0.0)\n"
+    assert proc.stdout == ""
+
+
 def test_cli_decompose4(tmp_path):
     from apmlab.curvature import pi_tensors
     from apmlab.tensors import canonical_structure

@@ -386,6 +386,65 @@ def test_p_tensor_space_dimension(n):
         assert np.linalg.matrix_rank(samples, tol=1e-9) == 2 * n * n * (n * n - 1) // 12
 
 
+def assert_close(batched, single):
+    assert np.shape(batched) == np.shape(single)
+    assert frob(np.asarray(batched) - single) <= 1e-14 * max(1.0, frob(single))
+
+
+@pytest.mark.parametrize("make,dim", STRUCTURES)
+def test_helpers_take_leading_sample_axes(make, dim):
+    # A stack of samples gives each sample what it gives alone, to rounding.
+    ps = make(dim)
+    seeds = range(3, 6)
+    s, t, l = random_tensor2(dim, seeds), random_tensor4(dim, seeds), random_p_tensor(ps, seeds)
+    sym = random_symmetric2(dim, seeds)
+    residuals = curvature_like_residuals(t)
+    invariants = curvature_invariants(ps, l)
+    for k, seed in enumerate(seeds):
+        assert s[k].tobytes() == random_tensor2(dim, seed).tobytes()
+        assert t[k].tobytes() == random_tensor4(dim, seed).tobytes()
+        assert sym[k].tobytes() == random_symmetric2(dim, seed).tobytes()
+        assert_close(psi1(ps, s)[k], psi1(ps, s[k]))
+        assert_close(psi2(ps, s)[k], psi2(ps, s[k]))
+        assert_close(p_tensor_projection(ps, t)[k], p_tensor_projection(ps, t[k]))
+        assert_close(l[k], random_p_tensor(ps, seed))
+        for key, value in curvature_like_residuals(t[k]).items():
+            assert_close(residuals[key][k], value)
+        own = curvature_invariants(ps, l[k])
+        assert_close(invariants.tau[k], own.tau)
+        assert_close(invariants.tau_star[k], own.tau_star)
+        assert_close(invariants.rho_star[k], own.rho_star)
+        if dim == 4:
+            for batched, single in zip(decompose_dim4(ps, l), decompose_dim4(ps, l[k])):
+                assert abs(batched[k] - single) <= 1e-14
+    # Any number of sample axes.
+    stacked = curvature_like_residuals(t.reshape((3, 1) + t.shape[1:]))
+    assert all(value.shape == (3, 1) for value in stacked.values())
+
+
+def test_adapted_basis_is_built_once_per_structure_and_tolerance(monkeypatch):
+    import apmlab.structure as structure
+
+    calls = []
+    original = structure.projectors
+    monkeypatch.setattr(structure, "projectors",
+                        lambda ps, tol: calls.append(tol) or original(ps, tol))
+    ps = oblique_structure(4, 3)
+    basis = adapted_orthonormal_basis(ps)
+    assert adapted_orthonormal_basis(ps) is basis and calls == [1e-10]
+    assert not basis.flags.writeable
+    with pytest.raises(ValueError):
+        basis[0, 0] = 1.0
+    random_p_tensor(ps, 0)
+    almost_einstein_check(ps, random_p_tensor(ps, 1))
+    assert len(calls) == 1
+    # Another tolerance recomputes; a new structure gets its own basis.
+    other = adapted_orthonormal_basis(ps, tol=1e-8)
+    assert other is not basis and calls == [1e-10, 1e-8]
+    assert other.tobytes() == basis.tobytes()
+    assert adapted_orthonormal_basis(PointStructure(ps.g, ps.p)) is not basis
+
+
 def test_structure_residuals_are_relative_to_the_metric():
     # |g| ~ 1e8: the residuals in units of g are measured against |g|, so a
     # valid structure validates and its P-tensors pass the almost-Einstein check.

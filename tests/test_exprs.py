@@ -154,6 +154,27 @@ def test_eval_domain_errors():
         eval_jet(parse_expr("x1^-1"), np.zeros(4))
 
 
+@pytest.mark.parametrize("src", ["x1*exp(x2) - sin(x3)^2/(2 + x4)", "ln(3 + x1*x4) * cos(x2)", "7"])
+def test_point_arrays_evaluate_each_point_bit_for_bit(src):
+    # A point array of shape (..., dim) evaluates every point at once; each
+    # point's jet is the one that point alone gives.
+    expr = parse_expr(src)
+    points = np.random.default_rng(5).uniform(-1, 1, size=(2, 3, 4))
+    batched = eval_jet(expr, points, order=3)
+    for index in np.ndindex(2, 3):
+        single = eval_jet(expr, points[index], order=3)
+        for level, own in zip(batched.data, single.data):
+            assert level[index].tobytes() == own.tobytes()
+
+
+def test_a_point_array_outside_the_domain_raises_the_per_point_error():
+    points = np.array([[1.0, 0, 0, 0], [-1.0, 0, 0, 0], [2.0, 0, 0, 0]])
+    with pytest.raises(EvalError, match="ln of non-positive value"):
+        eval_jet(parse_expr("ln(x1)"), points)
+    with pytest.raises(EvalError, match="division by zero"):
+        eval_jet(parse_expr("1/(x1 + 1)"), points)
+
+
 def test_jet_order_limits():
     expr = parse_expr("x1")
     with pytest.raises(ValueError):

@@ -16,6 +16,7 @@ from apmlab.checks import (
 from apmlab.germs import ChartGerm, ConnectionFrame, ConnectionParams
 from apmlab.jetfields import JetTensor
 from apmlab.scenarios import bundled_scenario_names, load_bundled_scenario, run_scenario
+from apmlab.tensors import einsum, frob, random_symmetric2, random_tensor2
 
 THEOREM_CHECKS = (check_lee_recovery, check_tau_form_closedness, check_eigenclass_lee_recovery)
 
@@ -28,6 +29,19 @@ def run_theorem_checks(ctx: ScenarioContext):
     return [report for check in THEOREM_CHECKS for report in check(ctx)]
 
 
+def count_frames(monkeypatch) -> list[int]:
+    """The order of every GermFrame built from now on, however it is built."""
+    orders = []
+    init = germs.GermFrame.__init__
+
+    def counted(frame, germ, point, order=3):
+        orders.append(order)
+        init(frame, germ, point, order)
+
+    monkeypatch.setattr(germs.GermFrame, "__init__", counted)
+    return orders
+
+
 @pytest.mark.parametrize("name", bundled_scenario_names())
 def test_theorem_checks_use_no_finite_differences(name, monkeypatch):
     # A full run takes every derivative from jets: it builds the base frame
@@ -37,14 +51,7 @@ def test_theorem_checks_use_no_finite_differences(name, monkeypatch):
 
     monkeypatch.setattr(checks, "d_scalar", forbidden)
     monkeypatch.setattr(checks, "one_form_exterior_fd", forbidden)
-    orders = []
-    frame = ChartGerm.frame
-
-    def counted(germ, point=None, order=3):
-        orders.append(order)
-        return frame(germ, point, order)
-
-    monkeypatch.setattr(ChartGerm, "frame", counted)
+    orders = count_frames(monkeypatch)
     ctx = context(name)
     reports = checks.run_checks(ctx)
     assert sorted(orders) == [1] * 10 + [checks.BASE_ORDER]
@@ -230,18 +237,46 @@ def test_levi_civita_builds_one_order_1_frame_per_sample_point(monkeypatch):
     # Gamma and grad g read first derivatives of g only; the structure
     # invariants read the same ten neighbourhood frames.
     ctx = context("conformal_w1_separable_4d")
-    orders = []
-    frame = ChartGerm.frame
-
-    def counted(germ, point=None, order=3):
-        orders.append(order)
-        return frame(germ, point, order)
-
-    monkeypatch.setattr(ChartGerm, "frame", counted)
+    orders = count_frames(monkeypatch)
     [structure] = checks.check_structure(ctx)
     [report] = checks.check_levi_civita(ctx)
     assert orders == [1] * 10
     assert structure.status == report.status == "pass"
+
+
+def per_sample_pointwise_algebra(ps, seed):
+    """The psi/pi residuals of ``pointwise_algebra``, one sample at a time."""
+    worst_sym = worst_identity = 0.0
+    min_asym = np.inf
+    for k in range(seed * 100, seed * 100 + 5):
+        s_sym = random_symmetric2(ps.dim, k)
+        worst_sym = max(worst_sym, *curv.curvature_like_residuals(curv.psi1(ps, s_sym)).values())
+        s_any = random_tensor2(ps.dim, k + 7)
+        lhs = einsum("ijab,ak,bl->ijkl", curv.psi2(ps, s_any), ps.p, ps.p)
+        worst_identity = max(worst_identity, frob(lhs - curv.psi1(ps, s_any)))
+        if frob(s_any - s_any.T) > 1e-6:
+            min_asym = min(min_asym,
+                           max(curv.curvature_like_residuals(curv.psi1(ps, s_any)).values()))
+    return worst_sym, worst_identity, min_asym
+
+
+@pytest.mark.parametrize("seed", [0, 1, 5])
+@pytest.mark.parametrize("name", ["conformal_w1_mixed_4d", "conformal_w1_separable_6d"])
+def test_batched_sample_checks_equal_per_sample_loops(name, seed):
+    ctx = load_bundled_scenario(name).context(seed=seed)
+    ps = ctx.frame.structure
+    [algebra] = checks.check_pointwise_algebra(ctx)
+    worst_sym, worst_identity, min_asym = per_sample_pointwise_algebra(ps, seed)
+    assert abs(algebra.residuals["psi1_symmetric_curvature_like"] - worst_sym) <= 1e-15
+    assert abs(algebra.residuals["psi2_p_twist_identity"] - worst_identity) <= 1e-15
+    assert min_asym > 1e-6 and "psi1_asymmetric_detected" not in algebra.residuals
+    [trip] = checks.check_dim4_round_trip(ctx)
+    if ps.dim == 4:
+        loop = max(curv.decompose_dim4(ps, curv.random_p_tensor(ps, seed * 1000 + k))[2]
+                   for k in range(5))
+        assert abs(trip.residuals["round_trip"] - loop) <= 1e-15
+    else:
+        assert trip.status == "skipped"
 
 
 def test_per_connection_turns_a_skip_into_a_named_skipped_report(monkeypatch):
