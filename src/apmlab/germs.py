@@ -15,14 +15,22 @@ with th the Lee form.  It is evaluated as T = g^a + g~^b, where
 b = lam th o P + mu th.  The connection itself is realized through the
 contorsion K(x,y,z) = {T(x,y,z) - T(y,z,x) + T(z,x,y)} / 2, which is the
 unique metric connection with that torsion; parallelism of P is then a
-checked consequence on conformal-class germs, not an assumption.
+checked consequence on conformal-class germs, not an assumption.  For a
+symmetric m the contorsion of m^w is m(x,y) w(z) - m(x,z) w(y), so
+Gamma' = Gamma + g^-1 K is built straight from the wedges, as
+Gamma'^m_ij = Gamma^m_ij + sum m_ij (g^-1 w)^m - (g^-1 m)^m_i w_j.  g~ is
+symmetric exactly when P is g-compatible, which ``structure`` checks; the
+torsion check compares that Gamma' with the general T.
 
 Each frame quantity has one producer: g^-1 extends the one validated inversion
-of the point structure, and each connection builds T -> K -> Gamma' -> R' once.
-Every jet is carried only to the derivative levels some reader takes: R,
-omega, grad theta and a connection's T, K and Gamma' as values, its R' to the
-one derivative the second Bianchi identity needs, and its scalar curvatures
-tau' and tau*' at the frame's full order (Hessians on order-4 frames).
+of the point structure, and each connection builds T, K, Gamma' and R' once.
+Every jet is carried only to the derivative levels some reader takes, and a
+rank-3 jet that is only contracted is contracted before it is expanded: the
+Lee form comes from rank-1 traces of grad P, so grad P and F are values, as
+are R, omega, grad theta and a connection's T and K.  Gamma' is built at full
+order and kept as values, R' to the one derivative the second Bianchi
+identity needs, and the scalar curvatures tau' and tau*' at the frame's full
+order (Hessians on order-4 frames).
 ``frames_at`` builds frames at many points from one evaluation of the metric
 and P grids over all of them, by the grid evaluator a single frame runs at
 its one point.
@@ -214,12 +222,14 @@ class GermFrame:
     Each derivative taken along the pipeline costs one jet order: g^-1, the
     Christoffel symbols and the Lee form carry order - 1.  g^-1 extends the
     inverse ``structure`` validates, so a singular or indefinite metric raises
-    StructureError naming the point, whichever field is read first.  The
-    Levi-Civita curvature, the metric dual ``omega`` and ``nabla_theta`` are
-    values (order 0).  A connection's curvature R' is built at order - 2 and
-    kept to KEPT_ORDER levels, so order 3 leaves the one exact derivative of
-    R' that the second Bianchi identity needs; its scalar curvatures keep
-    order - 2, so order 4 leaves their exact Hessians.
+    StructureError naming the point, whichever field is read first.  The Lee
+    form is traced from grad P term by term, so grad P and F, which only
+    classification reads, are values (order 0), as are the Levi-Civita
+    curvature, the metric dual ``omega`` and ``nabla_theta``.  A connection's
+    curvature R' is built at order - 2 and kept to KEPT_ORDER levels, so
+    order 3 leaves the one exact derivative of R' that the second Bianchi
+    identity needs; its scalar curvatures keep order - 2, so order 4 leaves
+    their exact Hessians.
     """
 
     def __init__(self, germ: ChartGerm, point, order: int = 3):
@@ -282,18 +292,30 @@ class GermFrame:
 
     @cached_property
     def nabla_p(self) -> JetTensor:
-        """(grad_i P)^m_j, axes (i, m, j)."""
-        return _covariant_p(self.p, self.christoffel)
+        """(grad_i P)^m_j, axes (i, m, j), as values."""
+        return _covariant_p(self.p, self.christoffel.truncated(0))
 
     @cached_property
     def f_tensor(self) -> JetTensor:
-        """F(x,y,z) = g((grad_x P)y, z)."""
+        """F(x,y,z) = g((grad_x P)y, z), as values."""
         return jt_einsum("imj,mk->ijk", self.nabla_p, self.g)
 
     @cached_property
     def theta(self) -> JetTensor:
-        """Lee form theta_k = g^{ij} F_{ijk}."""
-        return jt_einsum("ij,ijk->k", self.g_inv, self.f_tensor)
+        """Lee form theta_k = g^{ij} F_{ijk} = g_mk D^m, contracted before it is expanded.
+
+        D^m = g^{ij} (grad_i P)^m_j
+            = g^{ij} d_i P^m_j + Gamma^m_ik P^k_j g^{ij} - P^m_k (g^{ij} Gamma^k_ij),
+        so no derivative level of the rank-3 grad P or F is built.
+        """
+        g_inv, gamma, p = self.g_inv, self.christoffel, self.p
+        dp = p.partial()  # dp[m, j, i] = d_i P^m_j
+        divergence = (
+            jt_einsum("ij,mji->m", g_inv, dp)
+            + jt_einsum("mik,ki->m", gamma, jt_einsum("kj,ij->ki", p, g_inv))
+            - jt_einsum("mk,k->m", p, jt_einsum("ij,kij->k", g_inv, gamma))
+        )
+        return jt_einsum("mk,m->k", self.g, divergence)
 
     @cached_property
     def theta_p(self) -> JetTensor:
@@ -398,12 +420,12 @@ KEPT_ORDER = 1
 class ConnectionFrame:
     """A natural connection (lambda, mu) attached to an evaluated germ frame.
 
-    One chain, built once at the frame's full order, makes T, K, Gamma' and
-    R'^m_ijk.  It keeps T, K and Gamma' as values, all their readers take, the
-    lowered R' to KEPT_ORDER levels, and Ricci' and rho*' at full order; the
-    full-order T and K are released before R' is built and Gamma' right after,
-    so a frame holding several connections stays small.  tau' and tau*' keep
-    the full order.
+    One chain, built once, makes T and K as values, all their readers take,
+    Gamma' at the frame's full order straight from the wedges of T, and
+    R'^m_ijk from Gamma'.  It keeps Gamma' as values, the lowered R' to
+    KEPT_ORDER levels, and Ricci' and rho*' at full order; the full-order
+    Gamma' is released once R' is built, so a frame holding several
+    connections stays small.  tau' and tau*' keep the full order.
     """
 
     def __init__(self, frame: GermFrame, params: ConnectionParams):
@@ -414,38 +436,66 @@ class ConnectionFrame:
 
     # -- connection -----------------------------------------------------------
 
-    def _torsion(self) -> JetTensor:
-        """T = g^a + g~^b at full order: outer products H, then H_ijk - H_jik.
+    @cached_property
+    def _wedges(self) -> list[tuple[JetTensor, JetTensor | None, JetTensor]]:
+        """(m, g^-1 m, w) for each wedge m^w of T = g^a + g~^b, at full order.
 
-        A wedge whose Lee-form coefficients are both exactly zero is not
-        built: g~^b for D, and g^a for D_tilde, where 1/2n + mu cancels.
+        a = (1/2n + mu) th o P + lam th and b = lam th o P + mu th.  g^-1 g is
+        the identity, given as None, and g^-1 g~ is the g-adjoint Q of P.  A
+        wedge whose Lee-form coefficients are both exactly zero is left out:
+        g~^b for D, and g^a for D_tilde, where 1/2n + mu cancels.
         """
         f = self.frame
         lam, mu = self.params.lam, self.params.mu
+        return [(metric, raised, f.theta_p.scaled(c_p) + f.theta.scaled(c))
+                for metric, raised, c_p, c in ((f.g, None, 1.0 / (2 * self.n) + mu, lam),
+                                               (f.g_assoc, f.p_adjoint, lam, mu))
+                if c_p or c]
+
+    def _torsion(self) -> JetTensor:
+        """T = g^a + g~^b as values: outer products H, then H_ijk - H_jik."""
         h = None
-        for metric, c_p, c in ((f.g, 1.0 / (2 * self.n) + mu, lam), (f.g_assoc, lam, mu)):
-            if c_p or c:
-                outer = jt_einsum("jk,i->ijk", metric, f.theta_p.scaled(c_p) + f.theta.scaled(c))
-                h = outer if h is None else h + outer
+        for metric, _, form in self._wedges:
+            outer = jt_einsum("jk,i->ijk", metric.truncated(0), form.truncated(0))
+            h = outer if h is None else h + outer
         return h - h.transpose("jik->ijk")
+
+    def _gamma(self) -> JetTensor:
+        """Gamma'^m_ij = Gamma^m_ij + g^mk K_ijk at full order, straight from the wedges.
+
+        For a symmetric m the contorsion of m^w is m_ij w_k - m_ik w_j, so each
+        wedge adds m_ij (g^-1 w)^m - (g^-1 m)^m_i w_j.  g~ is symmetric when P
+        is g-compatible, which ``structure`` checks; ``torsion_residual``
+        compares the result with the general T.
+        """
+        f = self.frame
+        gamma = f.christoffel
+        diagonal = np.arange(self.dim)
+        for metric, raised, form in self._wedges:
+            gamma = gamma + jt_einsum("ij,m->mij", metric, jt_einsum("mk,k->m", f.g_inv, form))
+            if raised is None:  # delta^m_i w_j: w_j subtracted where m = i, in the fresh sum
+                for level, w in zip(gamma.data, form.data):
+                    level[diagonal, diagonal] -= w
+            else:
+                gamma = gamma - jt_einsum("mi,j->mij", raised, form)
+        return gamma
 
     @cached_property
     def _chain(self) -> tuple[JetTensor, ...]:
-        """T, K, Gamma' = Gamma + g^-1 K, R'_ijkl, Ricci' = R'^i_ijk and rho*' = Q^i_a R'^a_ijk.
+        """T, K, Gamma', R'_ijkl, Ricci' = R'^i_ijk and rho*' = Q^i_a R'^a_ijk.
 
-        A T or R' that is not finite (a huge lambda or mu) raises StructureError
-        naming the connection and the point.
+        T and K = {T_ijk - T_jki + T_kij} / 2 are values; Gamma' and R' are
+        built at full order.  A T or R' that is not finite (a huge lambda or
+        mu) raises StructureError naming the connection and the point.
         """
         f = self.frame
         label = f"connection {self.params.label(self.n)}"
         with np.errstate(over="ignore", invalid="ignore"):  # reported by _finite instead
             torsion = _finite(self._torsion(), f"torsion T of {label}", f.point)
             contorsion = _contorsion_of(torsion)
-            torsion = torsion.truncated(0)  # each full-order jet is released once read
-            gamma = f.christoffel + jt_einsum("mk,ijk->mij", f.g_inv, contorsion)
-            contorsion = contorsion.truncated(0)
+            gamma = self._gamma()
             up = _finite(_curvature_of(gamma), f"curvature R' of {label}", f.point)
-        gamma = gamma.truncated(0)
+        gamma = gamma.truncated(0)  # the full-order Gamma' is released once R' is built
         lowered = jt_einsum("mijk,ml->ijkl", up.truncated(KEPT_ORDER), f.g)
         return (torsion, contorsion, gamma, lowered, up.transpose("iijk->jk"),
                 jt_einsum("ia,aijk->jk", f.p_adjoint, up))
@@ -469,8 +519,14 @@ class ConnectionFrame:
         return einsum("ijk,km->mij", self.torsion.values, self.frame.g_inv.values)
 
     def torsion_residual(self) -> float:
+        """|Gamma'^m_ij - Gamma'^m_ji - T^m_ij| / max(1, |T|).
+
+        Gamma' and T are rounded along different routes, so the mismatch
+        grows with |T| (with lambda or mu), as rounding does.
+        """
         gamma = self.gamma.values
-        return frob(gamma - gamma.transpose(0, 2, 1) - self.torsion_mixed)
+        torsion = self.torsion_mixed
+        return frob(gamma - gamma.transpose(0, 2, 1) - torsion) / max(1.0, frob(torsion))
 
     def metric_parallel_residual(self) -> float:
         return self.frame.metric_parallel_residual(self.gamma.values)

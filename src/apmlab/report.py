@@ -104,8 +104,7 @@ def emit_report(reports: list[CheckReport], path: str, scenario: str = "",
         "summary": summarize(reports),
     }
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     return doc
 
 

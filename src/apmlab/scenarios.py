@@ -148,10 +148,16 @@ def load_scenario(doc: dict, name: str = "scenario") -> Scenario:
     raw_connections = doc.get("connections", ["D", "D_tilde", {"lambda": 1.0, "mu": 0.0}])
     if not isinstance(raw_connections, list):
         raise ScenarioError("$.connections", "expected a list of connections")
-    connections = [
-        _connection(entry, germ.n, f"$.connections[{i}]")
-        for i, entry in enumerate(raw_connections)
-    ]
+    connections, listed = [], {}
+    for i, entry in enumerate(raw_connections):
+        params = _connection(entry, germ.n, f"$.connections[{i}]")
+        # Report names carry the label, so two entries with one label would collide.
+        label = params.label(germ.n)
+        if label in listed:
+            raise ScenarioError(f"$.connections[{i}]", f"connection {label} is already "
+                                                       f"listed at $.connections[{listed[label]}]")
+        listed[label] = i
+        connections.append(params)
 
     checks = doc.get("checks")
     if checks is None:

@@ -255,6 +255,26 @@ def test_cli_non_finite_scenario_number_exits_2(tmp_path, field, value, path):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("connections,message", [
+    (["D", "D"], "connection D is already listed at $.connections[0]"),
+    (["D_tilde", "D", {"lambda": 0, "mu": 0}],
+     "connection D is already listed at $.connections[1]"),
+    # Both print as lam=1,mu=0, the name their reports would share.
+    ([{"lambda": 1.0000001, "mu": 0}, {"lambda": 1.0000002, "mu": 0}],
+     "connection lam=1,mu=0 is already listed at $.connections[0]"),
+], ids=["preset_twice", "preset_and_its_parameters", "equal_labels"])
+def test_cli_rejects_a_repeated_connection_label(tmp_path, connections, message):
+    scenario = tmp_path / "repeated.json"
+    scenario.write_text(json.dumps({"germ": {"generator": "flat_product", "n": 2},
+                                    "checks": ["natural_connection"],
+                                    "connections": connections}))
+    proc = run_cli("check", "--scenario", str(scenario))
+    assert proc.returncode == 2
+    index = len(connections) - 1
+    assert proc.stderr == f"error: $.connections[{index}]: {message}\n"
+    assert proc.stdout == ""
+
+
 def test_cli_huge_connection_parameter_exits_2(tmp_path):
     # The case is generic, and R' overflows: a named error, not NaN residuals.
     scenario = tmp_path / "huge.json"
@@ -420,9 +440,8 @@ def test_golden_report_snapshot(tmp_path):
     doc = json.loads(out.read_text())
     assert doc["timestamp"] == "1970-01-01T00:00:00Z"
     golden = os.path.join(os.path.dirname(__file__), "golden", "flat_product_4d.json")
-    with open(golden) as fh:
-        expected = json.load(fh)
-    assert doc == expected
+    with open(golden, "rb") as fh:
+        assert out.read_bytes() == fh.read()
 
 
 def test_tolerance_overrides_apply():

@@ -1,13 +1,15 @@
-"""Torsion, Gamma', R', Ricci', tau' and tau*' of the natural connections
-against the direct transcriptions in ``connection_oracle``, at every
-derivative level each one keeps or is built at, and the levels each frame
-field keeps."""
+"""The Lee form, and torsion, Gamma', R', Ricci', tau' and tau*' of the
+natural connections, against the direct transcriptions in
+``connection_oracle``, at every derivative level each one keeps or is built
+at, and the levels each frame field keeps."""
 
 import numpy as np
 import pytest
 
 from apmlab import germs
 from apmlab.germs import KEPT_ORDER, ChartGerm, ConnectionParams
+from apmlab.jetfields import jt_einsum
+from apmlab.scenarios import load_bundled_scenario
 from apmlab.tensors import frob
 
 from connection_oracle import (
@@ -36,6 +38,18 @@ GERMS = {
          ["0", "0", "-1", "0"], ["0", "0", "0", "-1"]],
         name="grid_d4",
     ),
+    # P rotating in the x1-x3 plane: dP != 0 and a Q = g^-1 P^T g that varies.
+    "rotating_d4": load_bundled_scenario("rotating_structure_outside_w1_4d").germ,
+    # A g-compatible P that is not a symmetric matrix, so Q is not either:
+    # P swaps e1, e2 scaled by sqrt(g22/g11) = exp(x1*x3 - x2) and its inverse.
+    "skew_q_d4": ChartGerm.from_strings(
+        4,
+        [["exp(2*x2)", "0", "0", "0"], ["0", "exp(2*x1*x3)", "0", "0"],
+         ["0", "0", "1", "0"], ["0", "0", "0", "1 + x4^2"]],
+        [["0", "exp(x1*x3 - x2)", "0", "0"], ["exp(x2 - x1*x3)", "0", "0", "0"],
+         ["0", "0", "1", "0"], ["0", "0", "0", "-1"]],
+        name="skew_q_d4",
+    ),
 }
 
 
@@ -55,7 +69,7 @@ def assert_levels_match(jet, oracle):
 
 
 def built_chain(cf, monkeypatch):
-    """The full-order T and Gamma' that the one chain of ``cf`` builds, seen as it builds them."""
+    """The T (values) and full-order Gamma' that the one chain of ``cf`` builds, seen as it builds them."""
     seen = {"torsion": [], "gamma": []}
     contorsion_of, curvature_of = germs._contorsion_of, germs._curvature_of
 
@@ -75,13 +89,27 @@ def built_chain(cf, monkeypatch):
 
 @pytest.mark.parametrize("order", [3, 4])
 @pytest.mark.parametrize("name", list(GERMS))
+def test_theta_matches_the_trace_of_the_full_order_f(name, order):
+    # theta from rank-1 contractions against g^{ij} F_ijk, with grad P and F
+    # built at full order by the general covariant derivative.
+    fr = GERMS[name].frame(order=order)
+    nabla_p = germs._covariant_p(fr.p, fr.christoffel)
+    f_tensor = jt_einsum("imj,mk->ijk", nabla_p, fr.g)
+    expected = jt_einsum("ij,ijk->k", fr.g_inv, f_tensor)
+    assert expected.order == order - 1
+    assert frob(expected.values) > 1e-2  # not a comparison between zeros
+    assert_levels_match(fr.theta, expected)
+
+
+@pytest.mark.parametrize("order", [3, 4])
+@pytest.mark.parametrize("name", list(GERMS))
 def test_connection_jets_match_oracles(name, order, monkeypatch):
     fr = GERMS[name].frame(order=order)
     full = fr.theta.order
     for cp in family(fr.n):
         cf = fr.connection(cp)
         torsion, gamma = built_chain(cf, monkeypatch)
-        assert_levels_match(torsion, oracle_torsion(cf, full))
+        assert_levels_match(torsion, oracle_torsion(cf, 0))
         assert_levels_match(gamma, oracle_gamma(cf, full))
         assert_levels_match(cf.torsion, oracle_torsion(cf, 0))
         assert_levels_match(cf.gamma, oracle_gamma(cf, 0))
@@ -96,6 +124,8 @@ def test_connection_jets_match_oracles(name, order, monkeypatch):
 def test_jets_keep_only_the_levels_their_readers_take(order):
     fr = GERMS["grid_d4"].frame(order=order)
     assert fr.curvature.order == 0
+    assert fr.nabla_p.order == fr.f_tensor.order == 0
+    assert fr.theta.order == order - 1
     assert fr.nabla_theta.order == 0
     assert fr.omega.order == 0
     for cp in family(fr.n):
@@ -119,7 +149,9 @@ def test_oracles_see_nonzero_curvature():
 
 def test_torsion_takes_two_jet_products(monkeypatch):
     # D and D_tilde each have one wedge with both Lee-form coefficients
-    # exactly zero, which is not built; the torsion still matches its oracle.
+    # exactly zero, which is not built; the torsion, built as values, still
+    # matches its oracle.  Gamma' takes g^-1 w and m_ij (g^-1 w)^m per wedge,
+    # and Q^m_i w_j for the g~ wedge: never the rank-3 product g^-1 K.
     calls = []
     einsum = germs.jt_einsum
 
@@ -128,12 +160,20 @@ def test_torsion_takes_two_jet_products(monkeypatch):
         return einsum(spec, a, b)
 
     fr = GERMS["conformal_d6"].frame(order=4)
-    fr.theta_p, fr.g_assoc  # the frame's own fields are not the torsion's products
-    for cp, products in zip(family(fr.n), (1, 1, 2, 2)):
+    fr.theta_p, fr.g_assoc, fr.p_adjoint  # the frame's own fields are not the chain's products
+    for cp, products, gamma_products in zip(family(fr.n), (1, 1, 2, 2), (2, 3, 5, 5)):
         cf = fr.connection(cp)
         monkeypatch.setattr(germs, "jt_einsum", counted)
         torsion = cf._torsion()
         monkeypatch.setattr(germs, "jt_einsum", einsum)
         assert len(calls) == products, (cp, calls)
-        assert_levels_match(torsion, oracle_torsion(cf, fr.theta.order))
+        assert torsion.order == 0
+        assert_levels_match(torsion, oracle_torsion(cf, 0))
+        calls.clear()
+        monkeypatch.setattr(germs, "jt_einsum", counted)
+        gamma = cf._gamma()
+        monkeypatch.setattr(germs, "jt_einsum", einsum)
+        assert len(calls) == gamma_products, (cp, calls)
+        assert "mk,ijk->mij" not in calls
+        assert_levels_match(gamma, oracle_gamma(cf, fr.theta.order))
         calls.clear()

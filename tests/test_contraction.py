@@ -9,12 +9,14 @@ written on np.einsum; and a second run of a scenario plans nothing new.
 import functools
 import itertools
 import math
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import apmlab
 from apmlab import germs, jetfields, tensors
 from apmlab.germs import ConnectionParams
 from apmlab.jetfields import JetTensor, jt_einsum
@@ -22,6 +24,7 @@ from apmlab.scenarios import load_bundled_scenario, run_scenario
 from apmlab.tensors import einsum
 
 RTOL = 1e-13
+PACKAGE_ROOT = os.path.dirname(os.path.dirname(apmlab.__file__))
 SCENARIOS = ("conformal_w1_separable_4d", "conformal_w1_separable_6d")
 FRAME_FIELDS = (
     "g_inv", "g_assoc", "p_adjoint", "christoffel", "curvature", "f_tensor", "theta",
@@ -209,5 +212,9 @@ def test_nothing_is_planned_at_import():
     code = ("import apmlab, apmlab.cli; from apmlab import jetfields, tensors; "
             "print(tensors.contraction.cache_info().currsize, "
             "jetfields._leibniz_plan.cache_info().currsize)")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    # The child finds the apmlab this process imported, as run_cli's children do.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [PACKAGE_ROOT, env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=env)
     assert out.stdout.split() == ["0", "0"]

@@ -369,6 +369,16 @@ def test_contorsion_antisymmetry(separable):
         assert frob(k + k.transpose(0, 2, 1)) < 1e-12
 
 
+@pytest.mark.parametrize("lam, mu", [(1e3, 0.0), (0.0, 1e3), (1e5, 0.0), (0.0, 1e5)])
+def test_torsion_match_scales_with_the_torsion(separable, lam, mu):
+    # Gamma' is built from the torsion's wedges and T on its own, so their
+    # mismatch is rounding that grows with |T|; relative to |T| it stays at
+    # rounding (absolute, it reads 1e-12 at lambda = 1e3 and 1e-10 at 1e5).
+    cf = separable.frame(order=4).connection(ConnectionParams(lam, mu))
+    assert frob(cf.torsion_mixed) > 1e2
+    assert cf.torsion_residual() < 1e-14
+
+
 def test_natural_connection_parallelism(separable):
     fr = separable.frame()
     for seed in range(5):
