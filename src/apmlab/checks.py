@@ -1,11 +1,11 @@
 """Named verification checks run by the scenario harness.
 
 Each check inspects one germ at its base point and returns CheckReports.
-Derivatives come from the exact jets of one base frame; only ``structure``
-and ``levi_civita`` read the ten seeded neighbourhood points, evaluated
-together, and no check re-evaluates frames to difference them.  Checks that
-sample random tensors (``dim4_round_trip``, ``pointwise_algebra``) stack
-their samples and run each helper once over the stack.
+Every check reads the exact jets of one frame, the base frame, built once
+per scenario: ``structure`` and ``levi_civita`` read its values and first
+derivatives, and no check re-evaluates frames to difference them.  Checks
+that sample random tensors (``dim4_round_trip``, ``pointwise_algebra``)
+stack their samples and run each helper once over the stack.
 
 ``@check`` declares each check once and registers it in ``CHECKS``; one
 function, ``drive``, runs every check.  The declaration lists the check's
@@ -38,12 +38,11 @@ from .germs import (  # noqa: F401
     GermFrame,
     d_scalar,
     exterior_derivative,
-    frames_at,
     one_form_exterior_fd,
 )
 from .jetfields import JetTensor, jt_einsum
 from .report import CheckReport
-from .tensors import PointStructure, einsum, frob, random_symmetric2, random_tensor2
+from .tensors import einsum, frob, random_symmetric2, random_tensor2
 
 # Tolerance ladder: pointwise algebra / first-derivative pipelines.
 TOL_ALGEBRA = 1e-10
@@ -82,20 +81,6 @@ class ScenarioContext:
         if params not in self._connections:
             self._connections[params] = self.frame.connection(params)
         return self._connections[params]
-
-    @cached_property
-    def neighbourhood(self) -> tuple[PointStructure, list[GermFrame]]:
-        """(g, P) stacked over the base point and nine seeded points within 0.05
-        of it, and the order-1 frames at those points, from ``frames_at``.
-
-        Order 1 serves both readers: the structure invariants read values, and
-        Gamma with grad g first derivatives of g.
-        """
-        rng = np.random.default_rng(self.seed)
-        base = np.asarray(self.germ.base_point, dtype=float)
-        offsets = np.vstack([np.zeros(self.germ.dim),
-                             rng.uniform(-0.05, 0.05, size=(9, self.germ.dim))])
-        return frames_at(self.germ, base + offsets, order=1)
 
     @cached_property
     def curvature_invariants(self) -> curv.CurvatureInvariants:
@@ -228,13 +213,28 @@ def check(name: str, base_tol: float, description: str, *, residuals: tuple,
 # basic checks
 
 
-@check("structure", TOL_ALGEBRA, "Structure invariants at and near the base point",
+@check("structure", TOL_ALGEBRA, "Structure invariants and their first derivatives",
        residuals=("p_squared", "compatibility", "trace_p", "g_symmetry", "g_positivity",
                   "g_inverse"))
 def check_structure(ctx: ScenarioContext, report: CheckReport):
-    structures, _ = ctx.neighbourhood
-    for key, values in structures.invariant_residuals().items():
-        report.residuals[key] = float(np.max(values))
+    """The invariants of (g, P) at the base point, and those that are identities
+    of the fields also to first order: each of those is the largest over the
+    values and first derivatives of P o P - I, P^T g P - g, trace P and g - g^T.
+    """
+    fr = ctx.frame
+    g, p = fr.g.truncated(1), fr.p.truncated(1)
+    g_scale = max(1.0, frob(g.values))
+    derivatives = {  # the identity of P o P - I drops out of the first derivatives
+        "p_squared": jt_einsum("ij,jk->ik", p, p),
+        "compatibility": jt_einsum("mi,mk->ik", p, jt_einsum("mj,jk->mk", g, p)) - g,
+        "trace_p": p.transpose("ii->"),
+        "g_symmetry": g - g.transpose("ji->ij"),
+    }
+    for key, value in fr.structure.invariant_residuals().items():
+        if key in derivatives:
+            scale = g_scale if key in ("compatibility", "g_symmetry") else 1.0
+            value = max(value, frob(derivatives[key].data[1]) / scale)
+        report.residuals[key] = value
 
 
 @check("classification", 1e-9, "F symmetries, W-class label and Lee-form closedness",
@@ -261,14 +261,12 @@ def check_classification(ctx: ScenarioContext, report: CheckReport):
 @check("levi_civita", TOL_ALGEBRA, "Torsion-free metric connection residuals",
        residuals=("torsion_free", "metric_parallel"))
 def check_levi_civita(ctx: ScenarioContext, report: CheckReport):
-    worst_sym = worst_metric = 0.0
-    _, frames = ctx.neighbourhood
-    for fr in frames:
-        gamma = fr.christoffel.values
-        worst_sym = max(worst_sym, frob(gamma - gamma.transpose(0, 2, 1)))
-        worst_metric = max(worst_metric, fr.metric_parallel_residual(gamma))
-    report.residuals["torsion_free"] = worst_sym
-    report.residuals["metric_parallel"] = worst_metric
+    """Gamma is symmetric and g parallel, to first order at the base point."""
+    fr = ctx.frame
+    gamma = fr.christoffel.truncated(1)
+    report.residuals["torsion_free"] = max(
+        frob(level) for level in (gamma - gamma.transpose("mji->mij")).data)
+    report.residuals["metric_parallel"] = fr.metric_parallel_residual(gamma)
 
 
 @check("curvature_like", 1e-9, "Curvature identities of the Levi-Civita tensor",

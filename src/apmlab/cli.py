@@ -58,7 +58,11 @@ def cmd_check(args: argparse.Namespace) -> int:
         f"{counts['failed']} failed, {counts['skipped']} skipped"
     )
     if args.out:
-        emit_report(reports, args.out, scenario=scenario.name)
+        try:
+            emit_report(reports, args.out, scenario=scenario.name)
+        except OSError as exc:
+            print(f"error: cannot write report to {args.out}: {exc.strerror}", file=sys.stderr)
+            return USAGE_ERROR
         print(f"report written to {args.out}")
     return exit_code(reports)
 

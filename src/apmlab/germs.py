@@ -30,10 +30,8 @@ Lee form comes from rank-1 traces of grad P, so grad P and F are values, as
 are R, omega, grad theta and a connection's T and K.  Gamma' is built at full
 order and kept as values, R' to the one derivative the second Bianchi
 identity needs, and the scalar curvatures tau' and tau*' at the frame's full
-order (Hessians on order-4 frames).
-``frames_at`` builds frames at many points from one evaluation of the metric
-and P grids over all of them, by the grid evaluator a single frame runs at
-its one point.
+order (Hessians on order-4 frames).  A frame evaluates each distinct metric
+and P entry once, at its one point.
 """
 
 from __future__ import annotations
@@ -164,38 +162,24 @@ def conformal_flat_product_germ(n: int, u, name: str | None = None) -> ChartGerm
     )
 
 
-def _grid_jets(grid, points: np.ndarray, order: int, dim: int, label: str) -> JetTensor:
-    """The jets of a grid of expressions at a point, or at each row of points (..., dim).
+def _grid_jets(grid, point: np.ndarray, order: int, dim: int, label: str) -> JetTensor:
+    """The jets of a grid of expressions at ``point``, each distinct entry evaluated once.
 
-    Each distinct entry is evaluated once, over all the points together; the
-    levels carry the points' leading axes, then the grid's two axes.  A value
-    or derivative that is not finite (an overflowing exponential, say) raises
-    StructureError naming ``label`` and the first such point.
+    A value or derivative that is not finite (an overflowing exponential, say)
+    raises StructureError naming ``label`` and the point.
     """
     distinct: dict[ScalarExpr, int] = {}
     index = np.array([[distinct.setdefault(entry, len(distinct)) for entry in row]
                       for row in grid])
     with np.errstate(over="ignore", invalid="ignore"):  # reported by _finite instead
-        jets = [entry.eval_jet(points, order) for entry in distinct]
-    lead = points.ndim - 1
-    at = (slice(None),) * lead + (index,)
-    stacked = JetTensor(
-        tuple(np.stack([jet.data[k] for jet in jets], axis=lead)[at] for k in range(order + 1)),
-        dim,
-    )
-    return _finite(stacked, label, points)
+        jets = [entry.eval_jet(point, order) for entry in distinct]
+    levels = tuple(np.stack([jet.data[k] for jet in jets])[index] for k in range(order + 1))
+    return _finite(JetTensor(levels, dim), label, point)
 
 
-def _finite(jet: JetTensor, label: str, points: np.ndarray) -> JetTensor:
-    """``jet``, or a StructureError naming ``label`` and the first point where a level is not finite.
-
-    ``points`` is the jet's point, or the points (..., dim) its leading axes run over.
-    """
-    finite = np.ones(points.shape[:-1], dtype=bool)
-    for level in jet.data:
-        finite &= np.isfinite(level.reshape(finite.shape + (-1,))).all(axis=-1)
-    if not finite.all():
-        point = points.reshape(-1, points.shape[-1])[np.argmin(finite.ravel())]
+def _finite(jet: JetTensor, label: str, point: np.ndarray) -> JetTensor:
+    """``jet``, or a StructureError naming ``label`` and ``point`` if a level is not finite."""
+    if not all(np.isfinite(level).all() for level in jet.data):
         raise StructureError(f"{label} not finite at point {tuple(point.tolist())}")
     return jet
 
@@ -350,47 +334,23 @@ class GermFrame:
             "theta_p_closed": frob(self.d_theta_p) / scale < tol,
         }
 
-    def metric_parallel_residual(self, gamma: np.ndarray) -> float:
-        """|grad g| at the point for the connection Gamma^m_{ij} (values)."""
-        dg = self.g.partial().values  # dg[i, j, k] = d_k g_ij
-        g = self.g.values
+    def metric_parallel_residual(self, gamma: JetTensor) -> float:
+        """|grad g| for the connection Gamma^m_{ij}, the largest over the levels of ``gamma``.
+
+        grad g carries the order of ``gamma``: values for a gamma of values,
+        and its first derivatives too for an order-1 gamma.
+        """
+        g = self.g.truncated(gamma.order + 1)
         nabla_g = (
-            einsum("ijk->kij", dg)
-            - einsum("mki,mj->kij", gamma, g)
-            - einsum("mkj,im->kij", gamma, g)
+            g.partial().transpose("ijk->kij")  # d_k g_ij
+            - jt_einsum("mki,mj->kij", gamma, g)
+            - jt_einsum("mkj,im->kij", gamma, g)
         )
-        return frob(nabla_g)
+        return max(frob(level) for level in nabla_g.data)
 
     def connection(self, params: ConnectionParams) -> "ConnectionFrame":
         """A new frame of the natural connection ``params`` on this frame."""
         return ConnectionFrame(self, params)
-
-
-def frames_at(germ: ChartGerm, points: np.ndarray,
-              order: int) -> tuple[PointStructure, list[GermFrame]]:
-    """Frames of ``germ`` at each row of ``points``, from one evaluation over all of them.
-
-    Each distinct metric and P entry is evaluated once over every point, and
-    the metrics are validated and inverted together.  Returns that stacked
-    structure, and the frames, each starting from its slice of the jets and
-    of the structure.  A failure raises the error that the first failing
-    point's own frame raises.
-    """
-    points = np.asarray(points, dtype=float)
-    g = _grid_jets(germ.metric, points, order, germ.dim, "metric")
-    p = _grid_jets(germ.structure, points, order, germ.dim, "structure P")
-    frames = [GermFrame(germ, x, order) for x in points]
-    for k, frame in enumerate(frames):
-        vars(frame).update(g=g[k], p=p[k])
-    try:
-        structure = PointStructure(g.values, p.values)
-    except StructureError:
-        for frame in frames:
-            frame.structure  # raises naming its point
-        raise
-    for k, frame in enumerate(frames):
-        vars(frame)["structure"] = structure[k]
-    return structure, frames
 
 
 def _curvature_of(gamma: JetTensor) -> JetTensor:
@@ -529,7 +489,7 @@ class ConnectionFrame:
         return frob(gamma - gamma.transpose(0, 2, 1) - torsion) / max(1.0, frob(torsion))
 
     def metric_parallel_residual(self) -> float:
-        return self.frame.metric_parallel_residual(self.gamma.values)
+        return self.frame.metric_parallel_residual(self.gamma)
 
     def structure_parallel_residual(self) -> float:
         return frob(_covariant_p(self.frame.p, self.gamma).values)

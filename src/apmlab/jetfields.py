@@ -43,7 +43,9 @@ class JetTensor:
     __slots__ = ("data", "dim")
 
     def __init__(self, data: tuple[np.ndarray, ...], dim: int):
-        self.data = tuple(np.asarray(a, dtype=float) for a in data)
+        # Levels are stored as given: jet arithmetic makes float levels, and
+        # ``constant``, ``_chain`` and ``jt_inverse`` convert outside values.
+        self.data = data
         self.dim = dim
 
     # -- constructors -------------------------------------------------------
@@ -77,10 +79,6 @@ class JetTensor:
     @property
     def shape(self) -> tuple[int, ...]:
         return self.data[0].shape
-
-    def __getitem__(self, index) -> "JetTensor":
-        """The jet of the components at ``index`` along the leading component axes."""
-        return JetTensor(tuple(a[index] for a in self.data), self.dim)
 
     def truncated(self, order: int) -> "JetTensor":
         return JetTensor(self.data[: order + 1], self.dim)
@@ -133,6 +131,7 @@ class JetTensor:
 
     def _chain(self, value: np.ndarray, derivative) -> "JetTensor":
         """Jet of f(self) from f's values and f' as a map of jets one order lower."""
+        value = np.asarray(value, dtype=float)  # np.exp of a 0-d array is a NumPy scalar
         if self.order == 0:
             return JetTensor((value,), self.dim)
         letters = ascii_lowercase[: len(self.shape)]
@@ -224,6 +223,7 @@ def jt_einsum(spec: str, a: JetTensor, b: JetTensor) -> JetTensor:
 
 def jt_inverse(a: JetTensor, inverse: np.ndarray) -> JetTensor:
     """Inverse X of a jet-valued square matrix A from X's values ``inverse``, by dX = -X dA X."""
+    inverse = np.asarray(inverse, dtype=float)
     if a.order == 0:
         return JetTensor((inverse,), a.dim)
     x = jt_inverse(a.truncated(a.order - 1), inverse)

@@ -185,38 +185,29 @@ def _pairwise(spec: str, terms: list[str], out: str, shapes, size: dict[str, int
 
 
 def metric_inverse(g: np.ndarray) -> np.ndarray:
-    """Invert a symmetric positive-definite metric, or each of a stack of them.
+    """Invert a symmetric positive-definite metric.
 
     Raises StructureError("metric not positive definite") when a symmetric
-    input is singular or indefinite, and "metric not symmetric" when one is
+    input is singular or indefinite, and "metric not symmetric" when it is
     not symmetric.
     """
     g = np.asarray(g, dtype=float)
-    if g.ndim < 2 or g.shape[-1] != g.shape[-2]:
+    if g.ndim != 2 or g.shape[0] != g.shape[1]:
         raise StructureError("metric must be a square matrix")
-    if np.any(frob(g - _t(g), 2) > 1e-9 * np.maximum(1.0, frob(g, 2))):
+    if frob(g - g.T) > 1e-9 * max(1.0, frob(g)):
         raise StructureError("metric not symmetric")
-    eigvals = np.linalg.eigvalsh(g)
-    if np.any(eigvals[..., 0] <= 0):
+    if np.linalg.eigvalsh(g)[0] <= 0:
         raise StructureError("metric not positive definite")
     g_inv = np.linalg.inv(g)
-    return 0.5 * (g_inv + _t(g_inv))
-
-
-def _t(m: np.ndarray) -> np.ndarray:
-    """The transpose of each matrix of a stack."""
-    return np.swapaxes(m, -1, -2)
+    return 0.5 * (g_inv + g_inv.T)
 
 
 @dataclass(frozen=True)
 class PointStructure:
-    """An almost product structure (g, P) on one tangent space, or a stack of them.
+    """An almost product structure (g, P) on one tangent space.
 
     g is the metric, P the (1,1) product tensor with P*P = I, trace P = 0 and
-    g(Px, Py) = g(x, y).  ``g_inv`` is filled in automatically.  Leading axes
-    of g and P stack structures at several points: they are inverted
-    together, ``invariant_residuals`` holds one value per structure, and
-    ``ps[k]`` is the k-th structure.  Every other reader takes one structure.
+    g(Px, Py) = g(x, y).  ``g_inv`` is filled in automatically.
     """
 
     g: np.ndarray
@@ -228,19 +219,16 @@ class PointStructure:
         p = np.asarray(self.p, dtype=float)
         object.__setattr__(self, "g", g)
         object.__setattr__(self, "p", p)
-        if g.shape != p.shape or g.ndim < 2 or g.shape[-1] != g.shape[-2]:
+        if g.shape != p.shape or g.ndim != 2 or g.shape[0] != g.shape[1]:
             raise StructureError("g and P must be square matrices of equal shape")
-        if g.shape[-1] % 2 != 0 or g.shape[-1] < 4:
+        if g.shape[0] % 2 != 0 or g.shape[0] < 4:
             raise StructureError("dimension must be an even integer >= 4")
         if self.g_inv is None:
             object.__setattr__(self, "g_inv", metric_inverse(g))
 
-    def __getitem__(self, index) -> "PointStructure":
-        return PointStructure(self.g[index], self.p[index], self.g_inv[index])
-
     @property
     def dim(self) -> int:
-        return self.g.shape[-1]
+        return self.g.shape[0]
 
     @property
     def n(self) -> int:
@@ -259,19 +247,19 @@ class PointStructure:
         """Residual norms of the defining invariants (zero for a valid structure).
 
         The residuals in units of g are divided by max(1, |g|); the others
-        carry no units.  A stack of structures has one value per structure.
+        carry no units.
         """
         g, p = self.g, self.p
         eye = np.eye(self.dim)
-        eigvals = np.linalg.eigvalsh(0.5 * (g + _t(g)))
-        g_scale = np.maximum(1.0, frob(g, 2))
+        eigvals = np.linalg.eigvalsh(0.5 * (g + g.T))
+        g_scale = max(1.0, frob(g))
         return {
-            "p_squared": frob(p @ p - eye, 2),
-            "compatibility": frob(_t(p) @ g @ p - g, 2) / g_scale,
-            "trace_p": np.abs(np.trace(p, axis1=-2, axis2=-1)),
-            "g_symmetry": frob(g - _t(g), 2) / g_scale,
-            "g_positivity": np.maximum(0.0, -eigvals[..., 0]) / g_scale,
-            "g_inverse": frob(self.g_inv @ g - eye, 2),
+            "p_squared": frob(p @ p - eye),
+            "compatibility": frob(p.T @ g @ p - g) / g_scale,
+            "trace_p": abs(float(np.trace(p))),
+            "g_symmetry": frob(g - g.T) / g_scale,
+            "g_positivity": max(0.0, -float(eigvals[0])) / g_scale,
+            "g_inverse": frob(self.g_inv @ g - eye),
         }
 
     def is_valid(self, tol: float = DEFAULT_TOL) -> bool:
@@ -314,7 +302,7 @@ def random_symmetric2(dim: int, seed) -> np.ndarray:
     A sequence of seeds gives one tensor per seed, stacked on a leading axis.
     """
     a = _uniform((dim, dim), seed)
-    return 0.5 * (a + _t(a))
+    return 0.5 * (a + np.swapaxes(a, -1, -2))
 
 
 def random_tensor2(dim: int, seed) -> np.ndarray:

@@ -142,6 +142,21 @@ def test_cli_check_writes_report(tmp_path):
     assert {c["status"] for c in doc["checks"]} <= {"pass", "skipped"}
 
 
+def test_cli_out_in_a_missing_directory_exits_2(tmp_path):
+    out = tmp_path / "missing" / "r.json"
+    proc = run_cli("check", "--scenario", "flat_product_4d", "--out", str(out))
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: cannot write report to {out}: No such file or directory\n"
+    assert not out.parent.exists()
+
+
+def test_cli_out_naming_a_directory_exits_2(tmp_path):
+    proc = run_cli("check", "--scenario", "flat_product_4d", "--out", str(tmp_path))
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: cannot write report to {tmp_path}: Is a directory\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_cli_malformed_expression_exits_2(tmp_path):
     scenario = tmp_path / "bad.json"
     scenario.write_text(
@@ -222,9 +237,8 @@ INDEFINITE_GERM = {
 @pytest.mark.parametrize("check", ["levi_civita", "classification"])
 @pytest.mark.parametrize("germ", [SINGULAR_GERM, INDEFINITE_GERM], ids=["singular", "indefinite"])
 def test_cli_metric_not_positive_definite_exits_2(tmp_path, germ, check):
-    # e^{-800} underflows to a zero metric.  The point named is the first
-    # frame the check evaluates: the order-1 neighbourhood frame or the
-    # order-4 base frame at the base point.
+    # e^{-800} underflows to a zero metric.  The point named is the base
+    # point, where the scenario's one frame is evaluated.
     scenario = tmp_path / "metric.json"
     scenario.write_text(json.dumps({"germ": germ, "checks": [check]}))
     proc = run_cli("check", "--scenario", str(scenario))

@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from apmlab.checks import BASE_ORDER, ScenarioContext
+from apmlab.checks import BASE_ORDER, ScenarioContext, run_checks
 from apmlab.exprs import EvalError
 from apmlab.curvature import (
     curvature_like_residuals,
@@ -20,7 +20,6 @@ from apmlab.germs import (
     d_scalar,
     default_base_point,
     flat_product_germ,
-    frames_at,
     one_form_exterior_fd,
 )
 from apmlab.scenarios import bundled_scenario_names, load_bundled_scenario
@@ -99,73 +98,28 @@ def test_non_finite_metric_or_structure_is_a_structure_error():
         germ.frame((1.0, 0.2, 0.3, 0.4)).p
 
 
-def jet_bytes(jet):
-    return [level.tobytes() for level in jet.data]
-
-
-@pytest.mark.parametrize("name", bundled_scenario_names())
-def test_neighbourhood_frames_equal_per_point_frames_bit_for_bit(name):
-    # The ten points are the seeded points the per-point loop drew, and one
-    # evaluation over all of them gives each frame the jets of its own frame.
-    ctx = load_bundled_scenario(name).context(seed=3)
-    rng = np.random.default_rng(3)
-    base = np.asarray(ctx.germ.base_point)
-    points = [base] + [base + rng.uniform(-0.05, 0.05, size=ctx.germ.dim) for _ in range(9)]
-    structures, frames = ctx.neighbourhood
-    assert structures.g.shape == (10, ctx.germ.dim, ctx.germ.dim)
-    assert [fr.order for fr in frames] == [1] * 10
-    for k, (fr, point) in enumerate(zip(frames, points)):
-        assert fr.point.tobytes() == point.tobytes()
-        own = ctx.germ.frame(point, order=1)
-        assert jet_bytes(fr.g) == jet_bytes(own.g)
-        assert jet_bytes(fr.p) == jet_bytes(own.p)
-        assert fr.structure.g.tobytes() == own.structure.g.tobytes()
-        assert frob(fr.structure.g_inv - own.structure.g_inv) <= 1e-15 * frob(own.structure.g_inv)
-        assert fr.structure.g_inv.tobytes() == structures.g_inv[k].tobytes()
-
-
-@pytest.mark.parametrize("name", ["conformal_w1_mixed_4d", "conformal_w1_separable_6d"])
-def test_frames_at_order_3_equal_per_point_frames_bit_for_bit(name):
-    germ = load_bundled_scenario(name).germ
-    points = np.asarray(germ.base_point) + np.random.default_rng(1).uniform(
-        -0.05, 0.05, size=(4, germ.dim))
-    _, frames = frames_at(germ, points, order=3)
-    for fr, point in zip(frames, points):
-        own = germ.frame(point, order=3)
-        assert jet_bytes(fr.g) == jet_bytes(own.g) and jet_bytes(fr.p) == jet_bytes(own.p)
-
-
-def test_a_neighbourhood_point_outside_the_domain_raises_the_per_point_error():
-    # ln(x1 - c) is undefined at exactly one of the ten points.
-    ctx = load_bundled_scenario("conformal_w1_mixed_4d").context()
-    _, frames = ctx.neighbourhood
-    lowest, second = sorted(fr.point[0] for fr in frames)[:2]
-    c = f"{(lowest + second) / 2:.6f}"
-    assert lowest < float(c) < second
-    germ = conformal_flat_product_germ(2, f"ln(x1 - {c})")
-    bad = next(fr.point for fr in frames if fr.point[0] == lowest)
-    with pytest.raises(EvalError) as own:
-        germ.frame(bad, order=1).g
-    scenario_ctx = ScenarioContext(germ=germ)
-    with pytest.raises(EvalError) as batched:
-        scenario_ctx.neighbourhood
-    assert str(batched.value) == str(own.value) == "ln of non-positive value"
+def test_a_germ_undefined_near_its_base_point_runs():
+    # ln(x1 - 0.06) is defined at the base point, x1 = 0.1, but not 0.04 below
+    # it.  Every check reads the jets at the base point only, so all run.
+    germ = conformal_flat_product_germ(2, "ln(x1 - 0.06)")
+    with pytest.raises(EvalError, match="ln of non-positive value"):
+        germ.frame((0.05, 0.2, 0.3, 0.4), order=1).g
+    connections = [ConnectionParams.d(), ConnectionParams.d_tilde(2), ConnectionParams(1.0, 0.0)]
+    reports = run_checks(ScenarioContext(germ=germ, connections=connections))
+    assert [report.name for report in reports if report.status == "fail"] == []
 
 
 @pytest.mark.parametrize("u, message", [("400*x1", "metric not finite"),
                                         ("-400*x1", "metric not positive definite")])
-def test_frames_at_names_the_first_failing_point(u, message):
+def test_a_frame_names_its_failing_point(u, message):
     # e^{800 x1} overflows and e^{-800 x1} underflows to a singular metric
-    # from x1 = 1 on; the error names the first such point, with no warning.
+    # from x1 = 1 on; the error names the frame's point, with no warning.
     germ = conformal_flat_product_germ(2, u)
-    points = np.array([[0.1, 0.2, 0.3, 0.4], [1.0, 0.0, 0.0, 0.0], [2.0, 0.5, 0.0, 0.0]])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(StructureError) as batched:
-            frames_at(germ, points, order=1)
-        with pytest.raises(StructureError) as own:
-            germ.frame(points[1], order=1).structure
-    assert str(batched.value) == str(own.value) == f"{message} at point (1.0, 0.0, 0.0, 0.0)"
+        with pytest.raises(StructureError) as exc:
+            germ.frame((1.0, 0.0, 0.0, 0.0), order=1).structure
+    assert str(exc.value) == f"{message} at point (1.0, 0.0, 0.0, 0.0)"
 
 
 DIAGONAL_P = [["1", "0", "0", "0"], ["0", "1", "0", "0"],

@@ -88,24 +88,3 @@ def test_frob_does_not_overflow_on_finite_input():
         assert norms[0] == pytest.approx(2e200, rel=1e-15)
         assert norms[1:].tolist() == [5.0, np.inf, 0.0]
         assert frob(stacked[1], 2) == 5.0
-
-
-def test_stacked_structures_match_each_structure():
-    # Leading axes of g and P stack structures: one inversion over all, one
-    # residual per structure, and ps[k] is the k-th; an invalid P is kept.
-    rng = np.random.default_rng(4)
-    a = rng.normal(size=(3, 4, 4))
-    g = 1e3 * a @ a.transpose(0, 2, 1) + np.eye(4)
-    p = split_structure(4).p + 1e-3 * rng.normal(size=(3, 4, 4))
-    stacked = PointStructure(g, p)
-    residuals = stacked.invariant_residuals()
-    for k in range(3):
-        own = PointStructure(g[k], p[k])
-        assert stacked[k].g_inv.tobytes() == stacked.g_inv[k].tobytes()
-        assert frob(stacked.g_inv[k] - own.g_inv) <= 1e-15 * frob(own.g_inv)
-        for key, value in own.invariant_residuals().items():
-            assert abs(residuals[key][k] - value) <= 1e-15 * max(1.0, value), key
-    singular = g.copy()
-    singular[1] = np.diag([1.0, 1.0, 1.0, 0.0])
-    with pytest.raises(StructureError, match="metric not positive definite"):
-        PointStructure(singular, p)

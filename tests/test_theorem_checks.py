@@ -44,17 +44,14 @@ def count_frames(monkeypatch) -> list[int]:
 
 @pytest.mark.parametrize("name", bundled_scenario_names())
 def test_theorem_checks_use_no_finite_differences(name, monkeypatch):
-    # A full run takes every derivative from jets: it builds the base frame
-    # and the ten order-1 neighbourhood frames, and differences nothing.
+    # A full run takes every derivative from jets and differences nothing.
     def forbidden(*args, **kwargs):
         raise AssertionError("finite differences inside a check")
 
     monkeypatch.setattr(checks, "d_scalar", forbidden)
     monkeypatch.setattr(checks, "one_form_exterior_fd", forbidden)
-    orders = count_frames(monkeypatch)
     ctx = context(name)
     reports = checks.run_checks(ctx)
-    assert sorted(orders) == [1] * 10 + [checks.BASE_ORDER]
     assert all(report.status != "fail" for report in reports)
     for report in run_theorem_checks(ctx):
         for key, value in report.residuals.items():
@@ -233,15 +230,39 @@ def test_outside_w1_gates_structure_parallelism_and_curvature_transfer():
         assert report.skip_reason == checks.IN_W1_GATE
 
 
-def test_levi_civita_builds_one_order_1_frame_per_sample_point(monkeypatch):
-    # Gamma and grad g read first derivatives of g only; the structure
-    # invariants read the same ten neighbourhood frames.
-    ctx = context("conformal_w1_separable_4d")
+@pytest.mark.parametrize("name", bundled_scenario_names())
+def test_run_checks_builds_one_frame(name, monkeypatch):
+    # Every check, structure and levi_civita included, reads the base frame.
     orders = count_frames(monkeypatch)
-    [structure] = checks.check_structure(ctx)
-    [report] = checks.check_levi_civita(ctx)
-    assert orders == [1] * 10
-    assert structure.status == report.status == "pass"
+    checks.run_checks(context(name))
+    assert orders == [checks.BASE_ORDER]
+
+
+@pytest.mark.parametrize("name", bundled_scenario_names())
+def test_structure_and_levi_civita_read_no_seed(name):
+    # Both read jets at the base point, not seeded sample points, and every
+    # bundled germ's residuals sit at rounding level.
+    scenario = load_bundled_scenario(name)
+    runs = [[report.residuals for check in (checks.check_structure, checks.check_levi_civita)
+             for report in check(scenario.context(seed=seed))] for seed in (0, 7)]
+    assert runs[0] == runs[1]
+    assert max(value for residuals in runs[0] for value in residuals.values()) < 1e-14
+
+
+def test_structure_fails_on_a_p_compatible_only_at_the_base_point():
+    # P = diag(1, 1, -1, -1) + (x1 - 0.1) E_13 is an involution of trace 0
+    # everywhere, but g-compatible only where x1 = 0.1, as at the base point:
+    # d_1 (P^T P)_13 = d_1 (P^T P)_31 = 1, and |g| = 2 divides their norm.
+    identity = [["1" if i == j else "0" for j in range(4)] for i in range(4)]
+    structure = [row[:] for row in identity]
+    structure[2][2] = structure[3][3] = "-1"
+    structure[0][2] = "x1 - 0.1"
+    ctx = ScenarioContext(germ=ChartGerm.from_strings(4, identity, structure))
+    assert max(ctx.frame.structure.invariant_residuals().values()) == 0.0
+    [report] = checks.check_structure(ctx)
+    assert report.status == "fail"
+    assert set(report.failures()) == {"compatibility"}
+    assert report.residuals["compatibility"] == pytest.approx(np.sqrt(2.0) / 2, rel=1e-15)
 
 
 def per_sample_pointwise_algebra(ps, seed):
