@@ -50,7 +50,8 @@ TOL_FIRST_DERIV = 1e-7
 
 # Jet order of the base frame.  The tau-form checks take the exterior
 # derivative of d(ln|tau-combination|), which needs Hessians of tau' and
-# tau*'; R' keeps those only from an order-4 metric jet.
+# tau*'; ``ConnectionFrame.scalar_curvatures`` has those only from an
+# order-4 metric jet.
 BASE_ORDER = 4
 # ln of a scalar combination closer to zero than this skips the check.
 SINGULAR_FLOOR = 1e-10
@@ -543,8 +544,8 @@ def check_tau_form_closedness(ctx: ScenarioContext, report: CheckReport, cf: Con
     requires(ctx.w1_outside_eigenclasses, W1_GATE)
     requires(_p_tensor_flag(ctx, report, cf), P_TENSOR_GATE)
     requires(case != "degenerate", "degenerate connection family")
-    t, ts = cf.tau, cf.tau_star
     eps = _tau_branch(cf)
+    t, ts = cf.scalar_curvatures  # with their Hessians, built here on first read
     if not eps:
         if case != "D_tilde":
             ratio = _ln_abs(ts + t) - _ln_abs(ts - t)
@@ -600,9 +601,10 @@ def check_eigenclass_lee_recovery(ctx: ScenarioContext, report: CheckReport, cf:
         report.residuals["theta_recovery"] = frob(rec - theta) / max(1e-10, frob(theta))
     if not eps:
         closed_key = "difference_form_closed" if sign > 0 else "sum_form_closed"
+        t, ts = cf.scalar_curvatures
         report.residuals[closed_key] = frob(_d_p_form(ts - t.scaled(sign), fr))
     elif sign < 0 or eps != sign:  # W6bar, or W3bar with tau*' = -tau'
-        report.residuals["tau_form_closed"] = frob(_d_p_form(t, fr))
+        report.residuals["tau_form_closed"] = frob(_d_p_form(cf.scalar_curvatures[0], fr))
 
 
 # ---------------------------------------------------------------------------

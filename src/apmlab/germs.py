@@ -27,11 +27,26 @@ of the point structure, and each connection builds T, K, Gamma' and R' once.
 Every jet is carried only to the derivative levels some reader takes, and a
 rank-3 jet that is only contracted is contracted before it is expanded: the
 Lee form comes from rank-1 traces of grad P, so grad P and F are values, as
-are R, omega, grad theta and a connection's T and K.  Gamma' is built at full
-order and kept as values, R' to the one derivative the second Bianchi
-identity needs, and the scalar curvatures tau' and tau*' at the frame's full
-order (Hessians on order-4 frames).  A frame evaluates each distinct metric
-and P entry once, at its one point.
+are R, omega, grad theta and a connection's T and K.  Gamma' is built to
+KEPT_ORDER + 1 and R' from it.  Gamma' keeps its values, and on frames of
+order 4 the levels the Hessians below read; R', Ricci', rho*' and the scalar
+curvatures tau' and tau*' keep KEPT_ORDER, the one derivative that the second
+Bianchi identity and the scalar system read.  The Hessians of tau' and tau*'
+(order-4 frames) are built only when a check reads them, from the traces of
+R' rather than from a level-2 R': with D_0 = 1 and D_1 = Q, the g-adjoint of
+P, and sigma_s,k = D_s^i_a Gamma'^a_ik,
+
+    D_s^i_a R'^a_ijk = D_s^i_a d_i Gamma'^a_jk - d_j sigma_s,k
+                       + (d_j D_s^i_a) Gamma'^a_ik + sigma_s,m Gamma'^m_jk
+                       - (D_s Gamma')^i_jm Gamma'^m_ik,
+
+and tau'_s = g^jk D_s^i_a R'^a_ijk.  Only the first two terms read the top
+level of Gamma', and both are affine in the connection's coefficients, so the
+frame builds their connection-independent pieces once (``trace_pieces``).
+Those of sigma need no jet product, by three identities of an almost product
+structure, which ``structure`` checks: P^2 = 1, trace P = 0 and
+g(P., P.) = g give Q g^-1 w = g^-1 (w o P), Q Q = 1 and trace Q = 0.  A frame
+evaluates each distinct metric and P entry once, at its one point.
 """
 
 from __future__ import annotations
@@ -210,10 +225,9 @@ class GermFrame:
     form is traced from grad P term by term, so grad P and F, which only
     classification reads, are values (order 0), as are the Levi-Civita
     curvature, the metric dual ``omega`` and ``nabla_theta``.  A connection's
-    curvature R' is built at order - 2 and kept to KEPT_ORDER levels, so
-    order 3 leaves the one exact derivative of R' that the second Bianchi
-    identity needs; its scalar curvatures keep order - 2, so order 4 leaves
-    their exact Hessians.
+    curvature R' and its scalar curvatures keep KEPT_ORDER levels, the one
+    exact derivative that the second Bianchi identity needs; on order 4 the
+    Hessians of the scalar curvatures come from ``trace_pieces``.
     """
 
     def __init__(self, germ: ChartGerm, point, order: int = 3):
@@ -348,6 +362,11 @@ class GermFrame:
         )
         return max(frob(level) for level in nabla_g.data)
 
+    @cached_property
+    def trace_pieces(self) -> tuple[JetTensor, JetTensor]:
+        """The connection-independent pieces of sigma_s and div_s; see ``_trace_pieces``."""
+        return _trace_pieces(self)
+
     def connection(self, params: ConnectionParams) -> "ConnectionFrame":
         """A new frame of the natural connection ``params`` on this frame."""
         return ConnectionFrame(self, params)
@@ -367,13 +386,83 @@ def _curvature_of(gamma: JetTensor) -> JetTensor:
     )
 
 
+def _stacked(jets) -> JetTensor:
+    """The jets of the same shape stacked along a new first axis, level by level."""
+    return JetTensor(tuple(np.stack(levels) for levels in zip(*(jet.data for jet in jets))),
+                     jets[0].dim)
+
+
+def _rows(lc: JetTensor, *by_form: JetTensor) -> JetTensor:
+    """[lc, then each jet of ``by_form`` at f = 0 and f = 1] along a new first axis."""
+    levels = zip(*(jet.data for jet in (lc,) + by_form))
+    return JetTensor(tuple(np.concatenate([lead[None], *rest]) for lead, *rest in levels), lc.dim)
+
+
+def _swapped(forms: JetTensor) -> JetTensor:
+    """(theta o P, theta) o P = (theta, theta o P), since P^2 = 1: the form axis reversed."""
+    return JetTensor(tuple(level[::-1] for level in forms.data), forms.dim)
+
+
+def _trace_pieces(frame: GermFrame) -> tuple[JetTensor, JetTensor]:
+    """Pieces of sigma_s,k = D_s^i_a Gamma'^a_ik and div_s,jk = D_s^i_a d_i Gamma'^a_jk.
+
+    Gamma' = Gamma + sum over (m, f) of c_mf W[m, f], with the wedge terms
+    W[m, w]^a_jk = m_jk (g^-1 w)^a - N^a_j w_k for m in (g, g~) (N = 1, Q) and
+    w in (theta o P, theta).  Axis 0 is s (D_0 = 1, D_1 = Q), axis 1 the term
+    t: Gamma, then (g, theta o P), (g, theta), (g~, theta o P), (g~, theta), so
+    a connection's sigma and div are its coefficients (1, c) against axis 1.
+    sigma keeps order - 1 (its derivative enters) and div order - 2.  With
+    v = g^-1 w, Q v = g^-1 (w o P), Q Q = 1 and trace Q = 0:
+
+        sigma_0[g, w] = (1 - dim) w        sigma_0[g~, w] = w o P
+        sigma_1[g, w] = w o P              sigma_1[g~, w] = (1 - dim) w
+        div_0[g, w]  = (d_a g_jk) v^a + g_jk d_a v^a - d_j w_k
+        div_0[g~, w] = (d_a g~_jk) v^a + g~_jk d_a v^a - (d_a Q^a_j) w_k - Q^a_j d_a w_k
+        div_1[g, w]  = (d_a g_jk) (Q v)^a + g_jk Q^i_a d_i v^a - Q^a_j d_a w_k
+        div_1[g~, w] = (d_a g~_jk) (Q v)^a + g~_jk Q^i_a d_i v^a
+                       - Q^i_a (d_i Q^a_j) w_k - d_j w_k
+
+    where Q^i_a d_i v^a = d_i (Q v)^i - (d_i Q^i_a) v^a.
+    """
+    f = frame
+    q, gamma = f.p_adjoint, f.christoffel  # Q^i_a, Gamma^a_jk: order - 1
+    forms = _stacked([f.theta_p, f.theta])  # w[f, k]
+    raised = jt_einsum("ak,fk->fa", f.g_inv, forms)  # v[f, a]; (Q v)[f] = v[1 - f]
+    d_gamma = gamma.partial()  # d_gamma[a, j, k, i] = d_i Gamma^a_jk
+    d_q = q.partial()  # d_q[i, a, j] = d_j Q^i_a
+    div_q = d_q.transpose("iai->a")
+    div_v = raised.partial().transpose("faa->f")
+    q_div_v = _swapped(div_v) - jt_einsum("a,fa->f", div_q, raised)
+    g, gt = f.g, f.g_assoc
+    dg_v = jt_einsum("jka,fa->fjk", g.truncated(f.order - 1).partial(), raised)
+    dgt_v = jt_einsum("jka,fa->fjk", gt.partial(), raised)  # both to order - 2
+    d_forms = forms.partial()  # d_forms[f, k, i] = d_i w_k
+    d_forms_t = d_forms.transpose("fkj->fjk")
+    q_d_forms = jt_einsum("aj,fka->fjk", q, d_forms)
+    div_q_forms = jt_einsum("j,fk->fjk", div_q, forms)
+    q_dq_forms = jt_einsum("j,fk->fjk", jt_einsum("ia,aji->j", q, d_q), forms)
+    sigma = _stacked([
+        _rows(gamma.transpose("iik->k"), forms.scaled(1.0 - f.dim), _swapped(forms)),
+        _rows(jt_einsum("ia,aik->k", q, gamma), _swapped(forms), forms.scaled(1.0 - f.dim)),
+    ])
+    div = _stacked([
+        _rows(d_gamma.transpose("ajka->jk"),
+              dg_v + jt_einsum("jk,f->fjk", g, div_v) - d_forms_t,
+              dgt_v + jt_einsum("jk,f->fjk", gt, div_v) - div_q_forms - q_d_forms),
+        _rows(jt_einsum("ia,ajki->jk", q, d_gamma),
+              _swapped(dg_v) + jt_einsum("jk,f->fjk", g, q_div_v) - q_d_forms,
+              _swapped(dgt_v) + jt_einsum("jk,f->fjk", gt, q_div_v) - q_dq_forms - d_forms_t),
+    ])
+    return sigma, div
+
+
 def _contorsion_of(t: JetTensor) -> JetTensor:
     """K(x,y,z) = {T(x,y,z) - T(y,z,x) + T(z,x,y)} / 2."""
     return (t - t.transpose("jki->ijk") + t.transpose("kij->ijk")).scaled(0.5)
 
 
-# Derivative levels kept by a connection's R': the one derivative that
-# ``nabla_curvature`` reads.
+# Derivative levels kept by a connection's R' and its traces: the one
+# derivative that ``nabla_curvature`` and ``scalar_system`` read.
 KEPT_ORDER = 1
 
 
@@ -381,11 +470,14 @@ class ConnectionFrame:
     """A natural connection (lambda, mu) attached to an evaluated germ frame.
 
     One chain, built once, makes T and K as values, all their readers take,
-    Gamma' at the frame's full order straight from the wedges of T, and
-    R'^m_ijk from Gamma'.  It keeps Gamma' as values, the lowered R' to
-    KEPT_ORDER levels, and Ricci' and rho*' at full order; the full-order
-    Gamma' is released once R' is built, so a frame holding several
-    connections stays small.  tau' and tau*' keep the full order.
+    Gamma' to KEPT_ORDER + 1 straight from the wedges of T, and R'^m_ijk from
+    Gamma'.  It keeps Gamma' as values, and the lowered R', Ricci', rho*',
+    tau' and tau*' to KEPT_ORDER levels: values and gradients, from R'.  On
+    an order-4 frame ``scalar_curvatures`` adds the Hessians of tau' and
+    tau*' when a check reads them, from the identity of the ``germs`` module:
+    the frame's ``trace_pieces`` against this connection's coefficients, plus
+    five products on the Gamma' of the chain.  No connection builds a level-3
+    Gamma' or a level-2 R'.
     """
 
     def __init__(self, frame: GermFrame, params: ConnectionParams):
@@ -421,7 +513,10 @@ class ConnectionFrame:
         return h - h.transpose("jik->ijk")
 
     def _gamma(self) -> JetTensor:
-        """Gamma'^m_ij = Gamma^m_ij + g^mk K_ijk at full order, straight from the wedges.
+        """Gamma'^m_ij = Gamma^m_ij + g^mk K_ijk straight from the wedges.
+
+        It is built to the levels R' reads, KEPT_ORDER + 1, or to those of
+        tau', order - 2, where the frame carries more.
 
         For a symmetric m the contorsion of m^w is m_ij w_k - m_ik w_j, so each
         wedge adds m_ij (g^-1 w)^m - (g^-1 m)^m_i w_j.  g~ is symmetric when P
@@ -429,9 +524,11 @@ class ConnectionFrame:
         compares the result with the general T.
         """
         f = self.frame
-        gamma = f.christoffel
+        order = max(KEPT_ORDER + 1, f.order - 2)
+        gamma = f.christoffel.truncated(order)
         diagonal = np.arange(self.dim)
         for metric, raised, form in self._wedges:
+            form = form.truncated(order)
             gamma = gamma + jt_einsum("ij,m->mij", metric, jt_einsum("mk,k->m", f.g_inv, form))
             if raised is None:  # delta^m_i w_j: w_j subtracted where m = i, in the fresh sum
                 for level, w in zip(gamma.data, form.data):
@@ -440,25 +537,32 @@ class ConnectionFrame:
                 gamma = gamma - jt_einsum("mi,j->mij", raised, form)
         return gamma
 
+    @property
+    def _label(self) -> str:
+        return f"connection {self.params.label(self.n)}"
+
     @cached_property
     def _chain(self) -> tuple[JetTensor, ...]:
-        """T, K, Gamma', R'_ijkl, Ricci' = R'^i_ijk and rho*' = Q^i_a R'^a_ijk.
+        """T, K, Gamma', R'_ijkl, Ricci' = R'^i_ijk, rho*' = Q^i_a R'^a_ijk, Gamma' for tau'.
 
-        T and K = {T_ijk - T_jki + T_kij} / 2 are values; Gamma' and R' are
-        built at full order.  A T or R' that is not finite (a huge lambda or
-        mu) raises StructureError naming the connection and the point.
+        T and K = {T_ijk - T_jki + T_kij} / 2 are values.  R' is built from
+        Gamma' to KEPT_ORDER + 1, so it and its traces carry KEPT_ORDER.  The
+        last entry is Gamma' to order - 2, kept for the Hessians of tau' and
+        tau*' when the frame is deep enough to carry them, else None.  A T or
+        R' that is not finite (a huge lambda or mu) raises StructureError
+        naming the connection and the point.
         """
         f = self.frame
-        label = f"connection {self.params.label(self.n)}"
         with np.errstate(over="ignore", invalid="ignore"):  # reported by _finite instead
-            torsion = _finite(self._torsion(), f"torsion T of {label}", f.point)
+            torsion = _finite(self._torsion(), f"torsion T of {self._label}", f.point)
             contorsion = _contorsion_of(torsion)
             gamma = self._gamma()
-            up = _finite(_curvature_of(gamma), f"curvature R' of {label}", f.point)
-        gamma = gamma.truncated(0)  # the full-order Gamma' is released once R' is built
-        lowered = jt_einsum("mijk,ml->ijkl", up.truncated(KEPT_ORDER), f.g)
-        return (torsion, contorsion, gamma, lowered, up.transpose("iijk->jk"),
-                jt_einsum("ia,aijk->jk", f.p_adjoint, up))
+            up = _finite(_curvature_of(gamma.truncated(KEPT_ORDER + 1)),
+                         f"curvature R' of {self._label}", f.point)
+        lowered = jt_einsum("mijk,ml->ijkl", up, f.g)
+        traced = gamma if f.order - 2 > KEPT_ORDER else None
+        return (torsion, contorsion, gamma.truncated(0), lowered, up.transpose("iijk->jk"),
+                jt_einsum("ia,aijk->jk", f.p_adjoint, up), traced)
 
     @property
     def torsion(self) -> JetTensor:
@@ -541,6 +645,44 @@ class ConnectionFrame:
     def tau_star(self) -> JetTensor:
         """tau*' = g^jk rho*'_jk, where rho*'_jk = g^il R'_ijkm P^m_l."""
         return jt_einsum("jk,jk->", self.frame.g_inv, self._chain[5])
+
+    @cached_property
+    def scalar_curvatures(self) -> tuple[JetTensor, JetTensor]:
+        """(tau', tau*') at the frame's full order, order - 2: with Hessians on order 4.
+
+        Levels up to KEPT_ORDER are those of ``tau`` and ``tau_star``; the
+        levels above come from the traces D_s^i_a R'^a_ijk of the identity in
+        the ``germs`` module, checked for finiteness as R' is.
+        """
+        gamma = self._chain[6]
+        if gamma is None:
+            return self.tau, self.tau_star
+        f = self.frame
+        q = f.p_adjoint
+        lam, mu = self.params.lam, self.params.mu
+        coefficients = np.array([1.0, 1.0 / (2 * self.n) + mu, lam, lam, mu])
+        with np.errstate(over="ignore", invalid="ignore"):  # reported by _finite instead
+            sigma, div = (
+                JetTensor(tuple(np.tensordot(coefficients, level, (0, 1))
+                                for level in pieces.data), self.dim)
+                for pieces in f.trace_pieces
+            )
+            traces = (
+                div - sigma.partial().transpose("skj->sjk")
+                + jt_einsum("sm,mjk->sjk", sigma, gamma)
+            )
+            extras = (
+                -jt_einsum("ijm,mik->jk", gamma, gamma),
+                jt_einsum("iaj,aik->jk", q.partial(), gamma)
+                - jt_einsum("ijm,mik->jk", jt_einsum("il,ljm->ijm", q, gamma), gamma),
+            )
+            taus = []
+            for s, (trace, extra) in enumerate(zip((self.ricci, self._chain[5]), extras)):
+                upper = tuple(level[s] + e for level, e in
+                              zip(traces.data[KEPT_ORDER + 1:], extra.data[KEPT_ORDER + 1:]))
+                _finite(JetTensor(upper, self.dim), f"curvature R' of {self._label}", f.point)
+                taus.append(jt_einsum("jk,jk->", f.g_inv, JetTensor(trace.data + upper, self.dim)))
+        return taus[0], taus[1]
 
     # -- transfer components -------------------------------------------------------
 

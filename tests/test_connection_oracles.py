@@ -1,7 +1,9 @@
 """The Lee form, and torsion, Gamma', R', Ricci', tau' and tau*' of the
 natural connections, against the direct transcriptions in
 ``connection_oracle``, at every derivative level each one keeps or is built
-at, and the levels each frame field keeps."""
+at, and the levels each frame field keeps.  The oracles build Gamma' at full
+order and R' from it, so the Hessians of tau' and tau*', which the frames
+take from traces instead, are compared with an R' traced at level 2."""
 
 import numpy as np
 import pytest
@@ -69,7 +71,7 @@ def assert_levels_match(jet, oracle):
 
 
 def built_chain(cf, monkeypatch):
-    """The T (values) and full-order Gamma' that the one chain of ``cf`` builds, seen as it builds them."""
+    """The T (values) and the Gamma' of R' that the one chain of ``cf`` builds, seen as it builds them."""
     seen = {"torsion": [], "gamma": []}
     contorsion_of, curvature_of = germs._contorsion_of, germs._curvature_of
 
@@ -105,19 +107,23 @@ def test_theta_matches_the_trace_of_the_full_order_f(name, order):
 @pytest.mark.parametrize("name", list(GERMS))
 def test_connection_jets_match_oracles(name, order, monkeypatch):
     fr = GERMS[name].frame(order=order)
-    full = fr.theta.order
     for cp in family(fr.n):
         cf = fr.connection(cp)
         torsion, gamma = built_chain(cf, monkeypatch)
         assert_levels_match(torsion, oracle_torsion(cf, 0))
-        assert_levels_match(gamma, oracle_gamma(cf, full))
+        assert_levels_match(gamma, oracle_gamma(cf, KEPT_ORDER + 1))
         assert_levels_match(cf.torsion, oracle_torsion(cf, 0))
         assert_levels_match(cf.gamma, oracle_gamma(cf, 0))
-        r_prime = oracle_curvature(cf)
+        r_prime = oracle_curvature(cf)  # at order - 2, from a full-order Gamma'
+        assert r_prime.order == order - 2
         assert_levels_match(cf.curvature, r_prime.truncated(KEPT_ORDER))
-        assert_levels_match(cf.ricci, oracle_ricci(cf, r_prime))
-        assert_levels_match(cf.tau, oracle_tau(cf, r_prime))
-        assert_levels_match(cf.tau_star, oracle_tau_star(cf, r_prime))
+        assert_levels_match(cf.ricci, oracle_ricci(cf, r_prime).truncated(KEPT_ORDER))
+        tau, tau_star = oracle_tau(cf, r_prime), oracle_tau_star(cf, r_prime)
+        assert_levels_match(cf.tau, tau.truncated(KEPT_ORDER))
+        assert_levels_match(cf.tau_star, tau_star.truncated(KEPT_ORDER))
+        # Full order: on order 4 the Hessians from the traces of the identity.
+        assert_levels_match(cf.scalar_curvatures[0], tau)
+        assert_levels_match(cf.scalar_curvatures[1], tau_star)
 
 
 @pytest.mark.parametrize("order", [3, 4])
@@ -132,9 +138,12 @@ def test_jets_keep_only_the_levels_their_readers_take(order):
         cf = fr.connection(cp)
         assert cf.torsion.order == cf.contorsion.order == cf.gamma.order == 0
         assert cf.curvature.order == KEPT_ORDER
-        assert cf.tau.order == order - 2
-        assert cf.tau_star.order == order - 2
-        assert cf.ricci.order == order - 2
+        assert cf.ricci.order == cf.tau.order == cf.tau_star.order == KEPT_ORDER
+        tau, tau_star = cf.scalar_curvatures
+        assert tau.order == tau_star.order == order - 2
+        # Gamma' is kept beyond its values only where the Hessians need it.
+        traced = cf._chain[-1]
+        assert traced is None if order == 3 else traced.order == KEPT_ORDER + 1
 
 
 def test_oracles_see_nonzero_curvature():
@@ -145,13 +154,16 @@ def test_oracles_see_nonzero_curvature():
         cf = fr.connection(cp)
         assert frob(cf.curvature.values) > 1e-2
         assert abs(float(cf.tau_star.values)) > 1e-3
+        assert min(frob(jet.data[2]) for jet in cf.scalar_curvatures) > 1e-2
 
 
 def test_torsion_takes_two_jet_products(monkeypatch):
     # D and D_tilde each have one wedge with both Lee-form coefficients
     # exactly zero, which is not built; the torsion, built as values, still
     # matches its oracle.  Gamma' takes g^-1 w and m_ij (g^-1 w)^m per wedge,
-    # and Q^m_i w_j for the g~ wedge: never the rank-3 product g^-1 K.
+    # and Q^m_i w_j for the g~ wedge: never the rank-3 product g^-1 K.  The
+    # Hessians of tau' and tau*' take five products on Gamma' and one trace
+    # each against g^-1, whatever the connection.
     calls = []
     einsum = germs.jt_einsum
 
@@ -161,6 +173,9 @@ def test_torsion_takes_two_jet_products(monkeypatch):
 
     fr = GERMS["conformal_d6"].frame(order=4)
     fr.theta_p, fr.g_assoc, fr.p_adjoint  # the frame's own fields are not the chain's products
+    fr.trace_pieces  # nor are the pieces every connection shares
+    hessian_products = ["sm,mjk->sjk", "ijm,mik->jk", "iaj,aik->jk", "il,ljm->ijm",
+                        "ijm,mik->jk", "jk,jk->", "jk,jk->"]
     for cp, products, gamma_products in zip(family(fr.n), (1, 1, 2, 2), (2, 3, 5, 5)):
         cf = fr.connection(cp)
         monkeypatch.setattr(germs, "jt_einsum", counted)
@@ -175,5 +190,11 @@ def test_torsion_takes_two_jet_products(monkeypatch):
         monkeypatch.setattr(germs, "jt_einsum", einsum)
         assert len(calls) == gamma_products, (cp, calls)
         assert "mk,ijk->mij" not in calls
-        assert_levels_match(gamma, oracle_gamma(cf, fr.theta.order))
+        assert_levels_match(gamma, oracle_gamma(cf, KEPT_ORDER + 1))
+        calls.clear()
+        cf.curvature
+        monkeypatch.setattr(germs, "jt_einsum", counted)
+        cf.scalar_curvatures
+        monkeypatch.setattr(germs, "jt_einsum", einsum)
+        assert calls == hessian_products, (cp, calls)
         calls.clear()

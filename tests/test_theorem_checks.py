@@ -1,5 +1,6 @@
 """Lee-form theorem checks on exact jets: residual levels, routing and skips."""
 
+import warnings
 from functools import cached_property
 
 import numpy as np
@@ -13,10 +14,10 @@ from apmlab.checks import (
     check_lee_recovery,
     check_tau_form_closedness,
 )
-from apmlab.germs import ChartGerm, ConnectionFrame, ConnectionParams
+from apmlab.germs import KEPT_ORDER, ChartGerm, ConnectionFrame, ConnectionParams
 from apmlab.jetfields import JetTensor
 from apmlab.scenarios import bundled_scenario_names, load_bundled_scenario, run_scenario
-from apmlab.tensors import einsum, frob, random_symmetric2, random_tensor2
+from apmlab.tensors import StructureError, einsum, frob, random_symmetric2, random_tensor2
 
 THEOREM_CHECKS = (check_lee_recovery, check_tau_form_closedness, check_eigenclass_lee_recovery)
 
@@ -125,6 +126,8 @@ def test_singular_scalar_combination_is_a_named_skip():
         order = cf.tau.order
         cf.tau = JetTensor.constant(0.0, dim, order)
         cf.tau_star = JetTensor.constant(1e-6, dim, order)
+        cf.scalar_curvatures = (JetTensor.constant(0.0, dim, checks.BASE_ORDER - 2),
+                                JetTensor.constant(1e-6, dim, checks.BASE_ORDER - 2))
     reports = {report.name: report for report in run_theorem_checks(ctx)}
     for label in ("D_tilde", "lam=1,mu=0"):
         for name in ("tau_form_closedness", "lee_recovery"):
@@ -236,6 +239,50 @@ def test_run_checks_builds_one_frame(name, monkeypatch):
     orders = count_frames(monkeypatch)
     checks.run_checks(context(name))
     assert orders == [checks.BASE_ORDER]
+
+
+# The residuals that take the Hessians of tau' and tau*'.
+HESSIAN_RESIDUALS = {"ratio_form_closed", "delta_form_closed", "ln_tau_form_closed",
+                     "d_theta_match", "d_theta_p_match", "difference_form_closed",
+                     "sum_form_closed", "tau_form_closed"}
+# How many times each scenario builds the frame's trace pieces, where it is pinned.
+TRACE_PIECE_BUILDS = {"flat_product_4d": 0, "conformal_w1_mixed_4d": 0,
+                      "conformal_w1_separable_6d": 1}
+
+
+@pytest.mark.parametrize("name", bundled_scenario_names())
+def test_hessians_come_from_trace_pieces_built_on_demand(name, monkeypatch):
+    # No connection builds a Gamma' above KEPT_ORDER + 1, so no R' above
+    # KEPT_ORDER; the frame builds its trace pieces once, shared by every
+    # connection, and only when some report takes a Hessian.
+    orders, built = [], []
+    curvature_of, trace_pieces = germs._curvature_of, germs._trace_pieces
+    monkeypatch.setattr(germs, "_curvature_of",
+                        lambda gamma: orders.append(gamma.order) or curvature_of(gamma))
+    monkeypatch.setattr(germs, "_trace_pieces",
+                        lambda frame: built.append(frame) or trace_pieces(frame))
+    reports = checks.run_checks(context(name))
+    assert max(orders) == KEPT_ORDER + 1
+    readers = [report.name for report in reports if HESSIAN_RESIDUALS & report.residuals.keys()]
+    assert len(built) == (1 if readers else 0), readers
+    assert len(built) == TRACE_PIECE_BUILDS.get(name, len(built))
+    if name == "conformal_w1_separable_6d":
+        assert len(readers) == 2
+
+
+def test_a_non_finite_hessian_trace_is_the_named_curvature_error():
+    # Like an overflowing R', a trace piece that is not finite stops the run
+    # with the R' error naming the connection and the point: no NaN residuals,
+    # no numpy warning.
+    ctx = context("conformal_w1_separable_6d")
+    sigma, div = ctx.frame.trace_pieces
+    ctx.frame.trace_pieces = (sigma, JetTensor(div.data[:2] + (np.full_like(div.data[2], np.inf),),
+                                                div.dim))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(StructureError, match=r"^curvature R' of connection \S+ not finite "
+                                                  r"at point \(0\.1, 0\.2, "):
+            checks.run_checks(ctx)
 
 
 @pytest.mark.parametrize("name", bundled_scenario_names())
