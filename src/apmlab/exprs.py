@@ -10,6 +10,12 @@ Grammar (recursive descent, standard precedence ^ > unary - > *,/ > +,-):
     func   := 'exp' | 'sin' | 'cos' | 'ln'
     ident  := 'x1' .. 'x<dim>'
 
+An expression is at most MAX_DEPTH = 100 levels deep: each operator, unary
+minus or function call is one level above its operands (a sum of n terms is
+n - 1 levels), and parentheses, calls and unary minuses nest at most that
+deep.  A deeper one is a ParseError, so parsing, hashing, evaluating and
+printing a parsed tree stay well below Python's recursion limit.
+
 Evaluation produces a ``JetTensor`` carrying the value together with the
 derivatives up to any requested order, computed by jet arithmetic rather
 than finite differencing.  A point array of shape (..., dim) evaluates the
@@ -27,6 +33,7 @@ import numpy as np
 from .jetfields import JetTensor
 
 FUNCTIONS = ("exp", "sin", "cos", "ln")
+MAX_DEPTH = 100
 
 
 class ParseError(ValueError):
@@ -210,47 +217,55 @@ class _Parser:
             self.error(f"expected {op!r}")
         self.take()
 
+    def level(self, depth: int) -> int:
+        """``depth``, or a ParseError once it passes MAX_DEPTH."""
+        if depth > MAX_DEPTH:
+            self.error(f"expression nested deeper than {MAX_DEPTH} levels")
+        return depth
+
+    # Each rule returns its tree and the tree's depth; ``nest`` counts the
+    # parentheses, calls and unary minuses open around it.
+
     def parse(self) -> ScalarExpr:
-        node = self.expr()
+        node, _ = self.expr(0)
         kind, text, _, _ = self.peek()
         if kind != "eof":
             self.error(f"unexpected trailing input {text!r}")
         return node
 
-    def expr(self) -> ScalarExpr:
-        node = self.term()
+    def expr(self, nest: int) -> tuple[ScalarExpr, int]:
+        return self.chain("+-", self.term, nest)
+
+    def term(self, nest: int) -> tuple[ScalarExpr, int]:
+        return self.chain("*/", self.unary, nest)
+
+    def chain(self, ops: str, operand, nest: int) -> tuple[ScalarExpr, int]:
+        """operand ((op in ``ops``) operand)*, associating to the left."""
+        node, depth = operand(nest)
         while True:
             kind, text, _, _ = self.peek()
-            if kind == "op" and text in "+-":
+            if kind == "op" and text in ops:
                 self.take()
-                node = Binary(text, node, self.term())
+                right, right_depth = operand(nest)
+                node, depth = Binary(text, node, right), self.level(1 + max(depth, right_depth))
             else:
-                return node
+                return node, depth
 
-    def term(self) -> ScalarExpr:
-        node = self.unary()
-        while True:
-            kind, text, _, _ = self.peek()
-            if kind == "op" and text in "*/":
-                self.take()
-                node = Binary(text, node, self.unary())
-            else:
-                return node
-
-    def unary(self) -> ScalarExpr:
+    def unary(self, nest: int) -> tuple[ScalarExpr, int]:
         kind, text, _, _ = self.peek()
         if kind == "op" and text == "-":
             self.take()
-            return Neg(self.unary())
-        return self.factor()
+            node, depth = self.unary(self.level(nest + 1))
+            return Neg(node), self.level(depth + 1)
+        return self.factor(nest)
 
-    def factor(self) -> ScalarExpr:
-        node = self.base()
+    def factor(self, nest: int) -> tuple[ScalarExpr, int]:
+        node, depth = self.base(nest)
         kind, text, _, _ = self.peek()
         if kind == "op" and text == "^":
             self.take()
-            node = Pow(node, self.int_literal())
-        return node
+            node, depth = Pow(node, self.int_literal()), self.level(depth + 1)
+        return node, depth
 
     def int_literal(self) -> int:
         sign = 1
@@ -264,25 +279,25 @@ class _Parser:
         self.take()
         return sign * int(text)
 
-    def base(self) -> ScalarExpr:
+    def base(self, nest: int) -> tuple[ScalarExpr, int]:
         kind, text, start = self.take()
         if kind == "number":
-            return Const(float(text))
+            return Const(float(text)), 0
         if kind == "ident":
             if text in FUNCTIONS:
                 self.expect_op("(")
-                arg = self.expr()
+                arg, depth = self.expr(self.level(nest + 1))
                 self.expect_op(")")
-                return Func(text, arg)
+                return Func(text, arg), self.level(depth + 1)
             m = re.fullmatch(r"x(\d+)", text)
             if m is None:
                 self.error(f"unknown identifier {text!r}", start)
             index = int(m.group(1))
             if index < 1 or (self.dim is not None and index > self.dim):
                 self.error(f"coordinate {text!r} out of range", start)
-            return Var(index - 1)
+            return Var(index - 1), 0
         if kind == "op" and text == "(":
-            node = self.expr()
+            node = self.expr(self.level(nest + 1))
             self.expect_op(")")
             return node
         if kind == "eof":

@@ -25,28 +25,29 @@ torsion check compares that Gamma' with the general T.
 Each frame quantity has one producer: g^-1 extends the one validated inversion
 of the point structure, and each connection builds T, K, Gamma' and R' once.
 Every jet is carried only to the derivative levels some reader takes, and a
-rank-3 jet that is only contracted is contracted before it is expanded: the
-Lee form comes from rank-1 traces of grad P, so grad P and F are values, as
-are R, omega, grad theta and a connection's T and K.  Gamma' is built to
-KEPT_ORDER + 1 and R' from it.  Gamma' keeps its values, and on frames of
-order 4 the levels the Hessians below read; R', Ricci', rho*' and the scalar
-curvatures tau' and tau*' keep KEPT_ORDER, the one derivative that the second
-Bianchi identity and the scalar system read.  The Hessians of tau' and tau*'
-(order-4 frames) are built only when a check reads them, from the traces of
-R' rather than from a level-2 R': with D_0 = 1 and D_1 = Q, the g-adjoint of
-P, and sigma_s,k = D_s^i_a Gamma'^a_ik,
+jet that is only contracted is contracted before it is expanded: the Lee form
+comes from rank-1 traces of grad P, so grad P, F, R, omega, grad theta, T and
+K are values.  R', Ricci', rho*', tau' and tau*' keep KEPT_ORDER, the one
+derivative the second Bianchi identity and the scalar system read, from a
+Gamma' to KEPT_ORDER + 1.  The Hessians of tau' and tau*' (order-4 frames)
+are built when a check reads them, scalar first: with D_0 = 1, D_1 = Q (the
+g-adjoint of P), gamma^a = g^jk Gamma'^a_jk and sigma_s,k = D_s^i_a Gamma'^a_ik,
 
-    D_s^i_a R'^a_ijk = D_s^i_a d_i Gamma'^a_jk - d_j sigma_s,k
-                       + (d_j D_s^i_a) Gamma'^a_ik + sigma_s,m Gamma'^m_jk
-                       - (D_s Gamma')^i_jm Gamma'^m_ik,
+    tau'_s = g^jk D_s^i_a R'^a_ijk
+           = D_s^i_a (d_i gamma^a + Gamma'^a_jk g^kp Gamma'^j_ip) - g^jk d_j sigma_s,k
+             + g^jk (d_j D_s^i_a) Gamma'^a_ik + sigma_s,m gamma^m,
 
-and tau'_s = g^jk D_s^i_a R'^a_ijk.  Only the first two terms read the top
-level of Gamma', and both are affine in the connection's coefficients, so the
-frame builds their connection-independent pieces once (``trace_pieces``).
-Those of sigma need no jet product, by three identities of an almost product
-structure, which ``structure`` checks: P^2 = 1, trace P = 0 and
-g(P., P.) = g give Q g^-1 w = g^-1 (w o P), Q Q = 1 and trace Q = 0.  A frame
-evaluates each distinct metric and P entry once, at its one point.
+where grad' g^-1 = 0, as Gamma' is metric, folds -(d_i g^jk) Gamma'^a_jk and
+-g^jk Gamma'^a_jm Gamma'^m_ik into one term.  Only the rank-1 gamma and
+sigma read the top level of Gamma'.  P^2 = 1,
+trace P = 0 and g(P., P.) = g, which ``structure`` checks, make their wedge
+parts sums of forms, so the frame builds the rest once (``trace_pieces``):
+
+    gamma   = g^jk Gamma^a_jk + (dim - 1) g^-1 a - g^-1 (b o P)
+    sigma_0 = Gamma^i_ik + (1 - dim) a + b o P
+    sigma_1 = Q^i_a Gamma^a_ik + a o P + (1 - dim) b
+
+A frame evaluates each distinct metric and P entry once, at its one point.
 """
 
 from __future__ import annotations
@@ -85,6 +86,10 @@ class ConnectionParams:
     @staticmethod
     def d_tilde(n: int) -> "ConnectionParams":
         return ConnectionParams(0.0, -1.0 / (2 * n))
+
+    def wedge_coefficients(self, n: int) -> tuple[tuple[float, float], tuple[float, float]]:
+        """((1/2n + mu, lam), (lam, mu)): a and b of T = g^a + g~^b against (th o P, th)."""
+        return (1.0 / (2 * n) + self.mu, self.lam), (self.lam, self.mu)
 
     def case(self, n: int, eps: float = 1e-12) -> str:
         """Classify into 'D', 'D_tilde', 'generic' or 'degenerate'.
@@ -226,8 +231,8 @@ class GermFrame:
     classification reads, are values (order 0), as are the Levi-Civita
     curvature, the metric dual ``omega`` and ``nabla_theta``.  A connection's
     curvature R' and its scalar curvatures keep KEPT_ORDER levels, the one
-    exact derivative that the second Bianchi identity needs; on order 4 the
-    Hessians of the scalar curvatures come from ``trace_pieces``.
+    exact derivative that the second Bianchi identity needs; on order 4 their
+    Hessians come scalar first, from ``trace_pieces``.
     """
 
     def __init__(self, germ: ChartGerm, point, order: int = 3):
@@ -363,9 +368,13 @@ class GermFrame:
         return max(frob(level) for level in nabla_g.data)
 
     @cached_property
-    def trace_pieces(self) -> tuple[JetTensor, JetTensor]:
-        """The connection-independent pieces of sigma_s and div_s; see ``_trace_pieces``."""
-        return _trace_pieces(self)
+    def trace_pieces(self) -> tuple:
+        """The pieces of tau'_s no connection changes, built on the first Hessian read.
+
+        g^-1 (th o P, th), g^jk Gamma^a_jk and (Gamma^i_ik, Q^i_a Gamma^a_ik) keep
+        order - 1, as they are differentiated; g^jk d_j Q^i_a, axes (k, i, a), order - 2.
+        """
+        return _hessian_pieces(self)
 
     def connection(self, params: ConnectionParams) -> "ConnectionFrame":
         """A new frame of the natural connection ``params`` on this frame."""
@@ -386,74 +395,19 @@ def _curvature_of(gamma: JetTensor) -> JetTensor:
     )
 
 
-def _stacked(jets) -> JetTensor:
-    """The jets of the same shape stacked along a new first axis, level by level."""
-    return JetTensor(tuple(np.stack(levels) for levels in zip(*(jet.data for jet in jets))),
-                     jets[0].dim)
-
-
-def _rows(lc: JetTensor, *by_form: JetTensor) -> JetTensor:
-    """[lc, then each jet of ``by_form`` at f = 0 and f = 1] along a new first axis."""
-    levels = zip(*(jet.data for jet in (lc,) + by_form))
-    return JetTensor(tuple(np.concatenate([lead[None], *rest]) for lead, *rest in levels), lc.dim)
-
-
-def _swapped(forms: JetTensor) -> JetTensor:
-    """(theta o P, theta) o P = (theta, theta o P), since P^2 = 1: the form axis reversed."""
-    return JetTensor(tuple(level[::-1] for level in forms.data), forms.dim)
-
-
-def _trace_pieces(frame: GermFrame) -> tuple[JetTensor, JetTensor]:
-    """Pieces of sigma_s,k = D_s^i_a Gamma'^a_ik and div_s,jk = D_s^i_a d_i Gamma'^a_jk.
-
-    Gamma' = Gamma + sum over (m, f) of c_mf W[m, f], with the wedge terms
-    W[m, w]^a_jk = m_jk (g^-1 w)^a - N^a_j w_k for m in (g, g~) (N = 1, Q) and
-    w in (theta o P, theta).  Axis 0 is s (D_0 = 1, D_1 = Q), axis 1 the term
-    t: Gamma, then (g, theta o P), (g, theta), (g~, theta o P), (g~, theta), so
-    a connection's sigma and div are its coefficients (1, c) against axis 1.
-    sigma keeps order - 1 (its derivative enters) and div order - 2.  With
-    v = g^-1 w, Q v = g^-1 (w o P), Q Q = 1 and trace Q = 0:
-
-        sigma_0[g, w] = (1 - dim) w        sigma_0[g~, w] = w o P
-        sigma_1[g, w] = w o P              sigma_1[g~, w] = (1 - dim) w
-        div_0[g, w]  = (d_a g_jk) v^a + g_jk d_a v^a - d_j w_k
-        div_0[g~, w] = (d_a g~_jk) v^a + g~_jk d_a v^a - (d_a Q^a_j) w_k - Q^a_j d_a w_k
-        div_1[g, w]  = (d_a g_jk) (Q v)^a + g_jk Q^i_a d_i v^a - Q^a_j d_a w_k
-        div_1[g~, w] = (d_a g~_jk) (Q v)^a + g~_jk Q^i_a d_i v^a
-                       - Q^i_a (d_i Q^a_j) w_k - d_j w_k
-
-    where Q^i_a d_i v^a = d_i (Q v)^i - (d_i Q^i_a) v^a.
-    """
+def _hessian_pieces(frame: GermFrame) -> tuple:
+    """``GermFrame.trace_pieces``."""
     f = frame
-    q, gamma = f.p_adjoint, f.christoffel  # Q^i_a, Gamma^a_jk: order - 1
-    forms = _stacked([f.theta_p, f.theta])  # w[f, k]
-    raised = jt_einsum("ak,fk->fa", f.g_inv, forms)  # v[f, a]; (Q v)[f] = v[1 - f]
-    d_gamma = gamma.partial()  # d_gamma[a, j, k, i] = d_i Gamma^a_jk
-    d_q = q.partial()  # d_q[i, a, j] = d_j Q^i_a
-    div_q = d_q.transpose("iai->a")
-    div_v = raised.partial().transpose("faa->f")
-    q_div_v = _swapped(div_v) - jt_einsum("a,fa->f", div_q, raised)
-    g, gt = f.g, f.g_assoc
-    dg_v = jt_einsum("jka,fa->fjk", g.truncated(f.order - 1).partial(), raised)
-    dgt_v = jt_einsum("jka,fa->fjk", gt.partial(), raised)  # both to order - 2
-    d_forms = forms.partial()  # d_forms[f, k, i] = d_i w_k
-    d_forms_t = d_forms.transpose("fkj->fjk")
-    q_d_forms = jt_einsum("aj,fka->fjk", q, d_forms)
-    div_q_forms = jt_einsum("j,fk->fjk", div_q, forms)
-    q_dq_forms = jt_einsum("j,fk->fjk", jt_einsum("ia,aji->j", q, d_q), forms)
-    sigma = _stacked([
-        _rows(gamma.transpose("iik->k"), forms.scaled(1.0 - f.dim), _swapped(forms)),
-        _rows(jt_einsum("ia,aik->k", q, gamma), _swapped(forms), forms.scaled(1.0 - f.dim)),
-    ])
-    div = _stacked([
-        _rows(d_gamma.transpose("ajka->jk"),
-              dg_v + jt_einsum("jk,f->fjk", g, div_v) - d_forms_t,
-              dgt_v + jt_einsum("jk,f->fjk", gt, div_v) - div_q_forms - q_d_forms),
-        _rows(jt_einsum("ia,ajki->jk", q, d_gamma),
-              _swapped(dg_v) + jt_einsum("jk,f->fjk", g, q_div_v) - q_d_forms,
-              _swapped(dgt_v) + jt_einsum("jk,f->fjk", gt, q_div_v) - q_dq_forms - d_forms_t),
-    ])
-    return sigma, div
+    gamma = f.christoffel
+    raised = tuple(jt_einsum("ak,k->a", f.g_inv, form) for form in (f.theta_p, f.theta))
+    sigma = (gamma.transpose("iik->k"), jt_einsum("ia,aik->k", f.p_adjoint, gamma))
+    return (raised, jt_einsum("jk,ajk->a", f.g_inv, gamma), sigma,
+            jt_einsum("jk,iaj->kia", f.g_inv, f.p_adjoint.partial()))
+
+
+def _combine(jets: tuple[JetTensor, JetTensor], coefficients) -> JetTensor:
+    """c_0 jets[0] + c_1 jets[1]."""
+    return jets[0].scaled(coefficients[0]) + jets[1].scaled(coefficients[1])
 
 
 def _contorsion_of(t: JetTensor) -> JetTensor:
@@ -475,9 +429,9 @@ class ConnectionFrame:
     tau' and tau*' to KEPT_ORDER levels: values and gradients, from R'.  On
     an order-4 frame ``scalar_curvatures`` adds the Hessians of tau' and
     tau*' when a check reads them, from the identity of the ``germs`` module:
-    the frame's ``trace_pieces`` against this connection's coefficients, plus
-    five products on the Gamma' of the chain.  No connection builds a level-3
-    Gamma' or a level-2 R'.
+    gamma and sigma_s are sums of the frame's ``trace_pieces`` and Lee forms,
+    and eight products with the chain's Gamma', six of them scalars, do the
+    rest.  No connection builds a level-3 Gamma' or a level-2 R'.
     """
 
     def __init__(self, frame: GermFrame, params: ConnectionParams):
@@ -492,17 +446,16 @@ class ConnectionFrame:
     def _wedges(self) -> list[tuple[JetTensor, JetTensor | None, JetTensor]]:
         """(m, g^-1 m, w) for each wedge m^w of T = g^a + g~^b, at full order.
 
-        a = (1/2n + mu) th o P + lam th and b = lam th o P + mu th.  g^-1 g is
-        the identity, given as None, and g^-1 g~ is the g-adjoint Q of P.  A
+        a and b are ``ConnectionParams.wedge_coefficients``.  g^-1 g is the
+        identity, given as None, and g^-1 g~ is the g-adjoint Q of P.  A
         wedge whose Lee-form coefficients are both exactly zero is left out:
         g~^b for D, and g^a for D_tilde, where 1/2n + mu cancels.
         """
         f = self.frame
-        lam, mu = self.params.lam, self.params.mu
-        return [(metric, raised, f.theta_p.scaled(c_p) + f.theta.scaled(c))
-                for metric, raised, c_p, c in ((f.g, None, 1.0 / (2 * self.n) + mu, lam),
-                                               (f.g_assoc, f.p_adjoint, lam, mu))
-                if c_p or c]
+        c_a, c_b = self.params.wedge_coefficients(self.n)
+        return [(metric, raised, _combine((f.theta_p, f.theta), c))
+                for metric, raised, c in ((f.g, None, c_a), (f.g_assoc, f.p_adjoint, c_b))
+                if c[0] or c[1]]
 
     def _torsion(self) -> JetTensor:
         """T = g^a + g~^b as values: outer products H, then H_ijk - H_jik."""
@@ -513,15 +466,10 @@ class ConnectionFrame:
         return h - h.transpose("jik->ijk")
 
     def _gamma(self) -> JetTensor:
-        """Gamma'^m_ij = Gamma^m_ij + g^mk K_ijk straight from the wedges.
+        """Gamma'^m_ij = Gamma^m_ij + g^mk K_ijk straight from the wedges, as the module says.
 
         It is built to the levels R' reads, KEPT_ORDER + 1, or to those of
         tau', order - 2, where the frame carries more.
-
-        For a symmetric m the contorsion of m^w is m_ij w_k - m_ik w_j, so each
-        wedge adds m_ij (g^-1 w)^m - (g^-1 m)^m_i w_j.  g~ is symmetric when P
-        is g-compatible, which ``structure`` checks; ``torsion_residual``
-        compares the result with the general T.
         """
         f = self.frame
         order = max(KEPT_ORDER + 1, f.order - 2)
@@ -651,38 +599,35 @@ class ConnectionFrame:
         """(tau', tau*') at the frame's full order, order - 2: with Hessians on order 4.
 
         Levels up to KEPT_ORDER are those of ``tau`` and ``tau_star``; the
-        levels above come from the traces D_s^i_a R'^a_ijk of the identity in
-        the ``germs`` module, checked for finiteness as R' is.
+        levels above come from the identity in the ``germs`` module, checked
+        for finiteness as R' is.
         """
         gamma = self._chain[6]
         if gamma is None:
             return self.tau, self.tau_star
-        f = self.frame
-        q = f.p_adjoint
-        lam, mu = self.params.lam, self.params.mu
-        coefficients = np.array([1.0, 1.0 / (2 * self.n) + mu, lam, lam, mu])
+        f, dim, order = self.frame, self.dim, gamma.order
+        raised, traced, sigmas, g_dq = f.trace_pieces
+        (a_p, a_t), (b_p, b_t) = self.params.wedge_coefficients(self.n)
+        forms, k = (f.theta_p, f.theta), dim - 1
+        # The closed forms of the module: (dim - 1) a - b o P and a o P - (dim - 1) b
+        # against forms, where b o P = b_p th + b_t th o P, as P^2 = 1.
+        lee = (k * a_p - b_t, k * a_t - b_p)
         with np.errstate(over="ignore", invalid="ignore"):  # reported by _finite instead
-            sigma, div = (
-                JetTensor(tuple(np.tensordot(coefficients, level, (0, 1))
-                                for level in pieces.data), self.dim)
-                for pieces in f.trace_pieces
-            )
-            traces = (
-                div - sigma.partial().transpose("skj->sjk")
-                + jt_einsum("sm,mjk->sjk", sigma, gamma)
-            )
-            extras = (
-                -jt_einsum("ijm,mik->jk", gamma, gamma),
-                jt_einsum("iaj,aik->jk", q.partial(), gamma)
-                - jt_einsum("ijm,mik->jk", jt_einsum("il,ljm->ijm", q, gamma), gamma),
-            )
-            taus = []
-            for s, (trace, extra) in enumerate(zip((self.ricci, self._chain[5]), extras)):
-                upper = tuple(level[s] + e for level, e in
-                              zip(traces.data[KEPT_ORDER + 1:], extra.data[KEPT_ORDER + 1:]))
-                _finite(JetTensor(upper, self.dim), f"curvature R' of {self._label}", f.point)
-                taus.append(jt_einsum("jk,jk->", f.g_inv, JetTensor(trace.data + upper, self.dim)))
-        return taus[0], taus[1]
+            g_trace = traced + _combine(raised, lee)  # gamma^a = g^jk Gamma'^a_jk
+            sigmas = (sigmas[0] - _combine(forms, lee),
+                      sigmas[1] + _combine(forms, (a_t - k * b_p, a_p - k * b_t)))
+            raised_gamma = jt_einsum("mik,jk->mij", gamma, f.g_inv)  # g^jk Gamma'^m_ik
+            # w[a, i] = d_i gamma^a + Gamma'^a_jk g^kp Gamma'^j_ip
+            w = g_trace.partial() + jt_einsum("ajk,jik->ai", gamma, raised_gamma)
+            heads = (w.transpose("aa->"),
+                     jt_einsum("ia,ai->", f.p_adjoint, w) + jt_einsum("kia,aik->", g_dq, gamma))
+            full = [head + jt_einsum("m,m->", sigma.truncated(order), g_trace)
+                    - jt_einsum("jk,kj->", f.g_inv, sigma.partial())
+                    for head, sigma in zip(heads, sigmas)]
+        upper = [_finite(JetTensor(jet.data[KEPT_ORDER + 1:], dim),
+                         f"curvature R' of {self._label}", f.point) for jet in full]
+        return (JetTensor(self.tau.data + upper[0].data, dim),
+                JetTensor(self.tau_star.data + upper[1].data, dim))
 
     # -- transfer components -------------------------------------------------------
 
@@ -690,7 +635,7 @@ class ConnectionFrame:
     def transfer(self) -> dict[str, np.ndarray | float]:
         """S', S'' and g(p,p), g(q,q), g(p,q) for the vectors p, q relating R to R'."""
         f = self.frame
-        lam, mu = self.params.lam, self.params.mu
+        (a_p, a_t), (b_p, b_t) = self.params.wedge_coefficients(self.n)  # of th o P, th
         two_n = 2.0 * self.n
         theta = f.theta.values
         theta_pf = f.theta_p.values
@@ -699,18 +644,10 @@ class ConnectionFrame:
         nt = self.nabla_theta.values
         ntp = nt @ f.p.values
 
-        p_vec = lam * omega + (mu + 1.0 / two_n) * p_omega
-        q_vec = lam * p_omega + mu * omega
-        s_prime = (
-            lam * nt
-            + (mu + 1.0 / two_n) * ntp
-            - (np.outer(theta, lam * theta_pf + mu * theta)) / two_n
-        )
-        s_dprime = (
-            lam * nt
-            + mu * ntp
-            + (np.outer(theta_pf, lam * theta + mu * theta_pf)) / two_n
-        )
+        p_vec = a_t * omega + a_p * p_omega
+        q_vec = b_p * p_omega + b_t * omega
+        s_prime = a_t * nt + a_p * ntp - np.outer(theta, b_p * theta_pf + b_t * theta) / two_n
+        s_dprime = b_p * nt + b_t * ntp + np.outer(theta_pf, b_p * theta + b_t * theta_pf) / two_n
         gv = f.g.values
         return {
             "s_prime": s_prime,

@@ -143,6 +143,8 @@ def load_scenario(doc: dict, name: str = "scenario") -> Scenario:
     if not isinstance(doc, dict):
         raise ScenarioError("$", "scenario document must be an object")
     name = doc.get("name", name)
+    if not isinstance(name, str) or not name:
+        raise ScenarioError("$.name", f"expected a non-empty string, got {name!r}")
     germ = germ_from_spec(_require(doc, "germ", dict, "$"), "$.germ", name=name)
 
     raw_connections = doc.get("connections", ["D", "D_tilde", {"lambda": 1.0, "mu": 0.0}])

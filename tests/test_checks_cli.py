@@ -168,6 +168,37 @@ def test_cli_malformed_expression_exits_2(tmp_path):
     assert "offset" in proc.stderr
 
 
+def test_cli_too_deep_expression_exits_2(tmp_path):
+    scenario = tmp_path / "deep.json"
+    u = " + ".join(["x1*x2/1000"] * 1500)
+    germ = {"generator": "conformal_flat_product", "n": 2, "u": u}
+    scenario.write_text(json.dumps({"germ": germ}))
+    proc = run_cli("check", "--scenario", str(scenario))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: $.germ: expression error: expression nested deeper "
+                                  "than 100 levels (at offset ")
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("name", [["x"], "", 5, None])
+def test_scenario_name_must_be_a_non_empty_string(name):
+    doc = {"name": name, "germ": {"generator": "flat_product", "n": 2}}
+    with pytest.raises(ScenarioError) as info:
+        load_scenario(doc)
+    assert str(info.value) == f"$.name: expected a non-empty string, got {name!r}"
+
+
+def test_cli_scenario_name_not_a_string_exits_2(tmp_path):
+    scenario = tmp_path / "named.json"
+    scenario.write_text(json.dumps({"name": ["x"], "germ": {"generator": "flat_product", "n": 2}}))
+    out = tmp_path / "report.json"
+    proc = run_cli("check", "--scenario", str(scenario), "--out", str(out))
+    assert proc.returncode == 2
+    assert proc.stderr == "error: $.name: expected a non-empty string, got ['x']\n"
+    assert proc.stdout == ""
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("field,value,path", [
     ("connections", 5, "$.connections"),
     ("connections", "D", "$.connections"),

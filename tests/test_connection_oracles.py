@@ -103,8 +103,15 @@ def test_theta_matches_the_trace_of_the_full_order_f(name, order):
     assert_levels_match(fr.theta, expected)
 
 
-@pytest.mark.parametrize("order", [3, 4])
-@pytest.mark.parametrize("name", list(GERMS))
+# Order 5 builds Gamma' for the traces above KEPT_ORDER + 1, and tau' and tau*'
+# with third derivatives.  conformal_d8 takes seconds there.  On conformal_d4
+# D's tau' vanishes, and the oracle's own level 3 is rounding noise of 3e-12,
+# above the 1e-12 that the comparison allows a vanishing jet.
+ORDER_5 = ("conformal_d6", "grid_d4", "rotating_d4", "skew_q_d4")
+
+
+@pytest.mark.parametrize("name, order", [(name, order) for name in GERMS for order in (3, 4)]
+                         + [(name, 5) for name in ORDER_5])
 def test_connection_jets_match_oracles(name, order, monkeypatch):
     fr = GERMS[name].frame(order=order)
     for cp in family(fr.n):
@@ -112,6 +119,8 @@ def test_connection_jets_match_oracles(name, order, monkeypatch):
         torsion, gamma = built_chain(cf, monkeypatch)
         assert_levels_match(torsion, oracle_torsion(cf, 0))
         assert_levels_match(gamma, oracle_gamma(cf, KEPT_ORDER + 1))
+        if order - 2 > KEPT_ORDER + 1:
+            assert_levels_match(cf._chain[-1], oracle_gamma(cf, order - 2))
         assert_levels_match(cf.torsion, oracle_torsion(cf, 0))
         assert_levels_match(cf.gamma, oracle_gamma(cf, 0))
         r_prime = oracle_curvature(cf)  # at order - 2, from a full-order Gamma'
@@ -141,6 +150,9 @@ def test_jets_keep_only_the_levels_their_readers_take(order):
         assert cf.ricci.order == cf.tau.order == cf.tau_star.order == KEPT_ORDER
         tau, tau_star = cf.scalar_curvatures
         assert tau.order == tau_star.order == order - 2
+        # Below the Hessians, the levels of tau and tau_star, bit for bit.
+        for full, kept in ((tau, cf.tau), (tau_star, cf.tau_star)):
+            assert all(a is b for a, b in zip(full.data, kept.data))
         # Gamma' is kept beyond its values only where the Hessians need it.
         traced = cf._chain[-1]
         assert traced is None if order == 3 else traced.order == KEPT_ORDER + 1
@@ -162,8 +174,9 @@ def test_torsion_takes_two_jet_products(monkeypatch):
     # exactly zero, which is not built; the torsion, built as values, still
     # matches its oracle.  Gamma' takes g^-1 w and m_ij (g^-1 w)^m per wedge,
     # and Q^m_i w_j for the g~ wedge: never the rank-3 product g^-1 K.  The
-    # Hessians of tau' and tau*' take five products on Gamma' and one trace
-    # each against g^-1, whatever the connection.
+    # frame's trace pieces take five products, and the Hessians of tau' and
+    # tau*' eight at levels <= 2, whatever the connection: six scalars, and
+    # g^jk Gamma'^m_ik and Gamma'^a_jk g^kp Gamma'^j_ip.
     calls = []
     einsum = germs.jt_einsum
 
@@ -173,9 +186,13 @@ def test_torsion_takes_two_jet_products(monkeypatch):
 
     fr = GERMS["conformal_d6"].frame(order=4)
     fr.theta_p, fr.g_assoc, fr.p_adjoint  # the frame's own fields are not the chain's products
+    monkeypatch.setattr(germs, "jt_einsum", counted)
     fr.trace_pieces  # nor are the pieces every connection shares
-    hessian_products = ["sm,mjk->sjk", "ijm,mik->jk", "iaj,aik->jk", "il,ljm->ijm",
-                        "ijm,mik->jk", "jk,jk->", "jk,jk->"]
+    monkeypatch.setattr(germs, "jt_einsum", einsum)
+    assert calls == ["ak,k->a", "ak,k->a", "ia,aik->k", "jk,ajk->a", "jk,iaj->kia"], calls
+    calls.clear()
+    hessian_products = (["mik,jk->mij", "ajk,jik->ai", "ia,ai->", "kia,aik->"]
+                        + 2 * ["m,m->", "jk,kj->"])
     for cp, products, gamma_products in zip(family(fr.n), (1, 1, 2, 2), (2, 3, 5, 5)):
         cf = fr.connection(cp)
         monkeypatch.setattr(germs, "jt_einsum", counted)
@@ -192,7 +209,7 @@ def test_torsion_takes_two_jet_products(monkeypatch):
         assert "mk,ijk->mij" not in calls
         assert_levels_match(gamma, oracle_gamma(cf, KEPT_ORDER + 1))
         calls.clear()
-        cf.curvature
+        cf.tau, cf.tau_star  # the levels below the Hessians, spliced in as they are
         monkeypatch.setattr(germs, "jt_einsum", counted)
         cf.scalar_curvatures
         monkeypatch.setattr(germs, "jt_einsum", einsum)

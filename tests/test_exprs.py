@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from apmlab.exprs import EvalError, ParseError, eval_jet, parse_expr
+from apmlab.exprs import MAX_DEPTH, EvalError, ParseError, eval_jet, parse_expr
 from apmlab.jetfields import JetTensor
 
 # Golden corpus: expression, point, expected value (computed with math.*).
@@ -136,6 +136,32 @@ def test_parse_errors_carry_positions(src, offset):
     with pytest.raises(ParseError) as err:
         parse_expr(src, dim=4)
     assert err.value.position == offset
+
+
+# Each shape at n levels: a sum of n - 1 terms two levels deep, n unary
+# minuses, n parentheses and n nested calls.
+DEPTH_SHAPES = {
+    "terms": lambda n: " + ".join(["x1*x2/1000"] * (n - 1)),
+    "unary_minus": lambda n: "-" * n + "x1",
+    "parentheses": lambda n: "(" * n + "x1" + ")" * n,
+    "calls": lambda n: "sin(" * n + "x1" + ")" * n,
+}
+
+
+@pytest.mark.parametrize("shape", DEPTH_SHAPES)
+def test_an_expression_at_the_depth_bound_parses_hashes_evaluates_and_prints(shape):
+    expr = parse_expr(DEPTH_SHAPES[shape](MAX_DEPTH), dim=4)
+    assert hash(expr) == hash(parse_expr(str(expr), dim=4))
+    assert np.isfinite(eval_jet(expr, POINT, 3).data[3]).all()
+
+
+@pytest.mark.parametrize("levels", [MAX_DEPTH + 1, 1200])
+@pytest.mark.parametrize("shape", DEPTH_SHAPES)
+def test_a_deeper_expression_is_a_parse_error(shape, levels):
+    # 1200 levels used to crash with a RecursionError: in the parser, or in
+    # the hash of the parsed tree.
+    with pytest.raises(ParseError, match=f"nested deeper than {MAX_DEPTH} levels"):
+        parse_expr(DEPTH_SHAPES[shape](levels), dim=4)
 
 
 def test_empty_source_rejected():

@@ -256,11 +256,11 @@ def test_hessians_come_from_trace_pieces_built_on_demand(name, monkeypatch):
     # KEPT_ORDER; the frame builds its trace pieces once, shared by every
     # connection, and only when some report takes a Hessian.
     orders, built = [], []
-    curvature_of, trace_pieces = germs._curvature_of, germs._trace_pieces
+    curvature_of, hessian_pieces = germs._curvature_of, germs._hessian_pieces
     monkeypatch.setattr(germs, "_curvature_of",
                         lambda gamma: orders.append(gamma.order) or curvature_of(gamma))
-    monkeypatch.setattr(germs, "_trace_pieces",
-                        lambda frame: built.append(frame) or trace_pieces(frame))
+    monkeypatch.setattr(germs, "_hessian_pieces",
+                        lambda frame: built.append(frame) or hessian_pieces(frame))
     reports = checks.run_checks(context(name))
     assert max(orders) == KEPT_ORDER + 1
     readers = [report.name for report in reports if HESSIAN_RESIDUALS & report.residuals.keys()]
@@ -273,11 +273,12 @@ def test_hessians_come_from_trace_pieces_built_on_demand(name, monkeypatch):
 def test_a_non_finite_hessian_trace_is_the_named_curvature_error():
     # Like an overflowing R', a trace piece that is not finite stops the run
     # with the R' error naming the connection and the point: no NaN residuals,
-    # no numpy warning.
+    # no numpy warning.  The top level of g^jk Gamma^a_jk enters only the
+    # Hessian level, through d_a gamma^a.
     ctx = context("conformal_w1_separable_6d")
-    sigma, div = ctx.frame.trace_pieces
-    ctx.frame.trace_pieces = (sigma, JetTensor(div.data[:2] + (np.full_like(div.data[2], np.inf),),
-                                                div.dim))
+    raised, traced, sigma, g_dq = ctx.frame.trace_pieces
+    top = (np.full_like(traced.data[-1], np.inf),)
+    ctx.frame.trace_pieces = (raised, JetTensor(traced.data[:-1] + top, traced.dim), sigma, g_dq)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(StructureError, match=r"^curvature R' of connection \S+ not finite "
