@@ -116,6 +116,12 @@ class Binary(ScalarExpr):
     _PREC = {"+": 1, "-": 1, "*": 2, "/": 2}
 
     def _eval(self, point, order):
+        if self.op == "*":
+            # A constant factor scales the other jet: no Leibniz product with its zero levels.
+            if isinstance(self.left, Const):
+                return self.right._eval(point, order).scaled(self.left.value)
+            if isinstance(self.right, Const):
+                return self.left._eval(point, order).scaled(self.right.value)
         a = self.left._eval(point, order)
         b = self.right._eval(point, order)
         if self.op == "+":

@@ -27,9 +27,19 @@ of the point structure, and each connection builds T, K, Gamma' and R' once.
 Every jet is carried only to the derivative levels some reader takes, and a
 jet that is only contracted is contracted before it is expanded: the Lee form
 comes from rank-1 traces of grad P, so grad P, F, R, omega, grad theta, T and
-K are values.  R', Ricci', rho*', tau' and tau*' keep KEPT_ORDER, the one
-derivative the second Bianchi identity and the scalar system read, from a
-Gamma' to KEPT_ORDER + 1.  The Hessians of tau' and tau*' (order-4 frames)
+K are values.  Gamma^m_ij = g^mk Gamma_kij, from the first kind
+Gamma_kij = (d_i g_kj + d_j g_ki - d_k g_ij) / 2, and g~ are built only to
+the levels Gamma' and R read (``_gamma_order``: 2 on frames of order 3 and
+4); every rank-1 trace of Gamma that is differentiated contracts the first
+kind instead, with Y_l = g^ij Gamma_lij:
+
+    g^jk Gamma^a_jk = g^al Y_l,   Gamma^i_ik = g^il Gamma_lik,
+    Q^i_a Gamma^a_ik = (g^in P^l_n) Gamma_lik   (Q g^-1 = g^-1 P^T),
+
+and the Lee form, theta_k = g_mk (g^ij d_i P^m_j - P^m_n g^nl Y_l)
++ Gamma_kia g^ij P^a_j.  R', Ricci', rho*', tau' and tau*' keep KEPT_ORDER,
+the one derivative the second Bianchi identity and the scalar system read,
+from a Gamma' to KEPT_ORDER + 1.  The Hessians of tau' and tau*' (order-4 frames)
 are built when a check reads them, scalar first: with D_0 = 1, D_1 = Q (the
 g-adjoint of P), gamma^a = g^jk Gamma'^a_jk and sigma_s,k = D_s^i_a Gamma'^a_ik,
 
@@ -39,7 +49,8 @@ g-adjoint of P), gamma^a = g^jk Gamma'^a_jk and sigma_s,k = D_s^i_a Gamma'^a_ik,
 
 where grad' g^-1 = 0, as Gamma' is metric, folds -(d_i g^jk) Gamma'^a_jk and
 -g^jk Gamma'^a_jm Gamma'^m_ik into one term.  Only the rank-1 gamma and
-sigma read the top level of Gamma'.  P^2 = 1,
+sigma read the top level of Gamma', and the scalar products are built only
+at the levels above KEPT_ORDER (``jetfields.jt_level``).  P^2 = 1,
 trace P = 0 and g(P., P.) = g, which ``structure`` checks, make their wedge
 parts sums of forms, so the frame builds the rest once (``trace_pieces``):
 
@@ -59,12 +70,25 @@ import numpy as np
 
 from . import curvature as curv
 from .exprs import Binary, Const, Func, ScalarExpr, parse_expr
-from .jetfields import JetTensor, jt_einsum, jt_inverse
+from .jetfields import JetTensor, jt_einsum, jt_inverse, jt_level
 from .tensors import PointStructure, StructureError, einsum, frob, split_structure
 
 
 # Relative threshold below which a Lee form's exterior derivative counts as zero.
 CLOSED_TOL = 1e-8
+
+# Derivative levels kept by a connection's R' and its traces: the one
+# derivative that ``nabla_curvature`` and ``scalar_system`` read.
+KEPT_ORDER = 1
+
+
+def _gamma_order(order: int) -> int:
+    """The top level of Gamma, g~ and Gamma' on a frame of ``order``: the levels R and R' read.
+
+    That is KEPT_ORDER + 1, or order - 2 where the Hessians of tau' and tau*'
+    need more, and never above order - 1, the top level of d g.
+    """
+    return max(0, min(order - 1, max(KEPT_ORDER + 1, order - 2)))
 
 
 def default_base_point(dim: int) -> np.ndarray:
@@ -224,7 +248,10 @@ class GermFrame:
     """Levi-Civita pipeline of a germ at one point, on derivative jets.
 
     Each derivative taken along the pipeline costs one jet order: g^-1, the
-    Christoffel symbols and the Lee form carry order - 1.  g^-1 extends the
+    first-kind Christoffel symbols, their traces and the Lee form carry
+    order - 1.  The Christoffel symbols Gamma^m_ij and g~ carry only the
+    levels Gamma' and R read, ``_gamma_order``; every differentiated trace of
+    Gamma contracts the first kind, as the module says.  g^-1 extends the
     inverse ``structure`` validates, so a singular or indefinite metric raises
     StructureError naming the point, whichever field is read first.  The Lee
     form is traced from grad P term by term, so grad P and F, which only
@@ -254,20 +281,24 @@ class GermFrame:
 
     @cached_property
     def g_inv(self) -> JetTensor:
-        # The validated inverse of the metric values, one order below g like
-        # g_assoc: every consumer pairs them with derivatives of g or the Lee form.
+        # The validated inverse of the metric values, one order below g: every
+        # consumer pairs it with derivatives of g or the Lee form.
         return jt_inverse(self.g.truncated(max(self.order - 1, 0)), self.structure.g_inv)
 
     @cached_property
     def g_assoc(self) -> JetTensor:
-        # g~(y, z) = g(y, Pz)
-        return jt_einsum("im,mj->ij", self.g.truncated(max(self.order - 1, 0)), self.p)
+        """g~(y, z) = g(y, Pz), to the levels the wedges of Gamma' read (``_gamma_order``)."""
+        return jt_einsum("im,mj->ij", self.g.truncated(_gamma_order(self.order)), self.p)
+
+    @cached_property
+    def g_inv_p(self) -> JetTensor:
+        """g^il P^m_l, axes (i, m), at order - 1: Q g^-1, read by Q, the Lee form and the traces."""
+        return jt_einsum("il,ml->im", self.g_inv, self.p)
 
     @cached_property
     def p_adjoint(self) -> JetTensor:
         """Q^i_a = g^il P^m_l g_ma, the g-adjoint of P, shared by every connection's rho*'."""
-        g_inv_p = jt_einsum("il,ml->im", self.g_inv, self.p)
-        return jt_einsum("im,ma->ia", g_inv_p, self.g)
+        return jt_einsum("im,ma->ia", self.g_inv_p, self.g)
 
     @cached_property
     def structure(self) -> PointStructure:
@@ -279,13 +310,22 @@ class GermFrame:
             raise StructureError(f"{exc} at point {tuple(self.point.tolist())}") from None
 
     @cached_property
-    def christoffel(self) -> JetTensor:
-        """Gamma^m_{ij}; index order (m; direction i, argument j)."""
+    def first_kind(self) -> JetTensor:
+        """Gamma_kij = (d_i g_kj + d_j g_ki - d_k g_ij) / 2 at order - 1, by transposes and adds."""
         dg = self.g.partial()  # dg[a, b, c] = d_c g_ab
-        first_kind = (
-            dg.transpose("kji->kij") + dg - dg.transpose("ijk->kij")
-        ).scaled(0.5)
-        return jt_einsum("mk,kij->mij", self.g_inv, first_kind)
+        return (dg.transpose("kji->kij") + dg - dg.transpose("ijk->kij")).scaled(0.5)
+
+    @cached_property
+    def christoffel(self) -> JetTensor:
+        """Gamma^m_{ij} = g^mk Gamma_kij, axes (m; direction i, argument j), to ``_gamma_order``."""
+        g_inv = self.g_inv.truncated(_gamma_order(self.order))
+        return jt_einsum("mk,kij->mij", g_inv, self.first_kind)
+
+    @cached_property
+    def christoffel_trace(self) -> JetTensor:
+        """g^jk Gamma^a_jk = g^al Y_l, Y_l = g^ij Gamma_lij, at order - 1, from the first kind."""
+        y = jt_einsum("ij,lij->l", self.g_inv, self.first_kind)
+        return jt_einsum("al,l->a", self.g_inv, y)
 
     @cached_property
     def curvature(self) -> JetTensor:
@@ -305,20 +345,22 @@ class GermFrame:
 
     @cached_property
     def theta(self) -> JetTensor:
-        """Lee form theta_k = g^{ij} F_{ijk} = g_mk D^m, contracted before it is expanded.
+        """Lee form theta_k = g^{ij} F_{ijk}, contracted before it is expanded.
 
-        D^m = g^{ij} (grad_i P)^m_j
-            = g^{ij} d_i P^m_j + Gamma^m_ik P^k_j g^{ij} - P^m_k (g^{ij} Gamma^k_ij),
-        so no derivative level of the rank-3 grad P or F is built.
+        With D^m = g^{ij} (grad_i P)^m_j
+                 = g^{ij} d_i P^m_j + Gamma^m_ia P^a_j g^{ij} - P^m_n (g^{ij} Gamma^n_ij)
+        and g g^-1 = 1, theta_k = g_mk D^m is
+
+            theta_k = g_mk (g^ij d_i P^m_j - P^m_n g^nl Y_l) + Gamma_kia g^ij P^a_j,
+
+        Y_l = g^ij Gamma_lij: first-kind traces, so no derivative level of
+        the rank-3 grad P, F or Gamma is built.
         """
-        g_inv, gamma, p = self.g_inv, self.christoffel, self.p
-        dp = p.partial()  # dp[m, j, i] = d_i P^m_j
-        divergence = (
-            jt_einsum("ij,mji->m", g_inv, dp)
-            + jt_einsum("mik,ki->m", gamma, jt_einsum("kj,ij->ki", p, g_inv))
-            - jt_einsum("mk,k->m", p, jt_einsum("ij,kij->k", g_inv, gamma))
-        )
-        return jt_einsum("mk,m->k", self.g, divergence)
+        dp = self.p.partial()  # dp[m, j, i] = d_i P^m_j
+        divergence = (jt_einsum("ij,mji->m", self.g_inv, dp)
+                      - jt_einsum("mn,n->m", self.p, self.christoffel_trace))
+        return (jt_einsum("mk,m->k", self.g, divergence)
+                + jt_einsum("kia,ia->k", self.first_kind, self.g_inv_p))
 
     @cached_property
     def theta_p(self) -> JetTensor:
@@ -371,8 +413,10 @@ class GermFrame:
     def trace_pieces(self) -> tuple:
         """The pieces of tau'_s no connection changes, built on the first Hessian read.
 
-        g^-1 (th o P, th), g^jk Gamma^a_jk and (Gamma^i_ik, Q^i_a Gamma^a_ik) keep
-        order - 1, as they are differentiated; g^jk d_j Q^i_a, axes (k, i, a), order - 2.
+        g^-1 (th o P, th), g^jk Gamma^a_jk (``christoffel_trace``) and
+        (Gamma^i_ik, Q^i_a Gamma^a_ik) keep order - 1, as they are
+        differentiated, the Christoffel traces from the first kind;
+        g^jk d_j Q^i_a, axes (k, i, a), order - 2.
         """
         return _hessian_pieces(self)
 
@@ -396,12 +440,16 @@ def _curvature_of(gamma: JetTensor) -> JetTensor:
 
 
 def _hessian_pieces(frame: GermFrame) -> tuple:
-    """``GermFrame.trace_pieces``."""
+    """``GermFrame.trace_pieces``, the Christoffel traces from the first kind.
+
+    Gamma^i_ik = g^il Gamma_lik, and Q^i_a Gamma^a_ik = (g^in P^l_n) Gamma_lik,
+    as Q g^-1 = g^-1 P^T.
+    """
     f = frame
-    gamma = f.christoffel
+    first = f.first_kind
     raised = tuple(jt_einsum("ak,k->a", f.g_inv, form) for form in (f.theta_p, f.theta))
-    sigma = (gamma.transpose("iik->k"), jt_einsum("ia,aik->k", f.p_adjoint, gamma))
-    return (raised, jt_einsum("jk,ajk->a", f.g_inv, gamma), sigma,
+    sigma = tuple(jt_einsum("il,lik->k", left, first) for left in (f.g_inv, f.g_inv_p))
+    return (raised, f.christoffel_trace, sigma,
             jt_einsum("jk,iaj->kia", f.g_inv, f.p_adjoint.partial()))
 
 
@@ -415,11 +463,6 @@ def _contorsion_of(t: JetTensor) -> JetTensor:
     return (t - t.transpose("jki->ijk") + t.transpose("kij->ijk")).scaled(0.5)
 
 
-# Derivative levels kept by a connection's R' and its traces: the one
-# derivative that ``nabla_curvature`` and ``scalar_system`` read.
-KEPT_ORDER = 1
-
-
 class ConnectionFrame:
     """A natural connection (lambda, mu) attached to an evaluated germ frame.
 
@@ -430,8 +473,9 @@ class ConnectionFrame:
     an order-4 frame ``scalar_curvatures`` adds the Hessians of tau' and
     tau*' when a check reads them, from the identity of the ``germs`` module:
     gamma and sigma_s are sums of the frame's ``trace_pieces`` and Lee forms,
-    and eight products with the chain's Gamma', six of them scalars, do the
-    rest.  No connection builds a level-3 Gamma' or a level-2 R'.
+    and eight products with the chain's Gamma' do the rest: two full jets
+    and six scalars built only above KEPT_ORDER.  No connection builds a
+    level-3 Gamma' or a level-2 R'.
     """
 
     def __init__(self, frame: GermFrame, params: ConnectionParams):
@@ -472,8 +516,8 @@ class ConnectionFrame:
         tau', order - 2, where the frame carries more.
         """
         f = self.frame
-        order = max(KEPT_ORDER + 1, f.order - 2)
-        gamma = f.christoffel.truncated(order)
+        order = _gamma_order(f.order)
+        gamma = f.christoffel
         diagonal = np.arange(self.dim)
         for metric, raised, form in self._wedges:
             form = form.truncated(order)
@@ -619,15 +663,19 @@ class ConnectionFrame:
             raised_gamma = jt_einsum("mik,jk->mij", gamma, f.g_inv)  # g^jk Gamma'^m_ik
             # w[a, i] = d_i gamma^a + Gamma'^a_jk g^kp Gamma'^j_ip
             w = g_trace.partial() + jt_einsum("ajk,jik->ai", gamma, raised_gamma)
-            heads = (w.transpose("aa->"),
-                     jt_einsum("ia,ai->", f.p_adjoint, w) + jt_einsum("kia,aik->", g_dq, gamma))
-            full = [head + jt_einsum("m,m->", sigma.truncated(order), g_trace)
-                    - jt_einsum("jk,kj->", f.g_inv, sigma.partial())
-                    for head, sigma in zip(heads, sigmas)]
-        upper = [_finite(JetTensor(jet.data[KEPT_ORDER + 1:], dim),
-                         f"curvature R' of {self._label}", f.point) for jet in full]
-        return (JetTensor(self.tau.data + upper[0].data, dim),
-                JetTensor(self.tau_star.data + upper[1].data, dim))
+            # The scalar products build only their levels above KEPT_ORDER.
+            upper = ([], [])
+            for k in range(KEPT_ORDER + 1, order + 1):
+                heads = (einsum("aa...->...", w.data[k]),
+                         jt_level("ia,ai->", f.p_adjoint, w, k)
+                         + jt_level("kia,aik->", g_dq, gamma, k))
+                for levels, head, sigma in zip(upper, heads, sigmas):
+                    levels.append(head + jt_level("m,m->", sigma, g_trace, k)
+                                  - jt_level("jk,kj->", f.g_inv, sigma.partial(), k))
+        upper = [_finite(JetTensor(tuple(levels), dim),
+                         f"curvature R' of {self._label}", f.point).data for levels in upper]
+        return (JetTensor(self.tau.data + upper[0], dim),
+                JetTensor(self.tau_star.data + upper[1], dim))
 
     # -- transfer components -------------------------------------------------------
 

@@ -19,9 +19,13 @@ powers and the reciprocal -- follow from the recursion
 
     f(u) = ( f(u0), the data of f'(u) * du one order lower ),
 
-which needs no table of higher derivatives and is exact at every order.  The
-matrix inverse extends the inverse of the values, which its caller supplies,
-the same way, by dX = -X dA X.
+which needs no table of higher derivatives and is exact at every order.  Each
+level of a product is one unit of work (``jt_level``), so a reader that
+takes only the top levels of a product builds only those.  The matrix
+inverse extends the inverse of the values, which its caller supplies, one
+level at a time: level k of A X = 1 vanishes for k >= 1, which gives
+X_k = -X_0 (the splits of that level that pair A_j, j >= 1, with lower
+levels of X), k products at level k.
 """
 
 from __future__ import annotations
@@ -200,32 +204,50 @@ def _leibniz_plan(spec: str, order: int, dim: int) -> tuple:
     return tuple(plan)
 
 
+def _level(terms, a: tuple, b: tuple, k: int) -> np.ndarray:
+    """Level k of a planned Leibniz product: the split products of ``terms`` over their shuffles.
+
+    The first term must have one shuffle (j = 0, or j = k): its product is a
+    fresh array (an einsum output or a view of a fresh matmul output) and the
+    later views add into it in place, so no add writes into an operand or
+    into an array that a later view of the same product reads.
+    """
+    total = None
+    for j, run, shuffles in terms:
+        product = run(a[j], b[k - j])
+        for axes in shuffles:
+            view = product if axes is None else product.transpose(axes)
+            if total is None:
+                total = view
+            else:
+                total += view
+    return total
+
+
 def jt_einsum(spec: str, a: JetTensor, b: JetTensor) -> JetTensor:
     """Two-operand einsum with Leibniz propagation of the derivative axes."""
     plan = _leibniz_plan(spec, min(a.order, b.order), a.dim)
-    data = []
-    for k, terms in enumerate(plan):
-        total = None
-        for j, run, shuffles in terms:
-            product = run(a.data[j], b.data[k - j])
-            for axes in shuffles:
-                view = product if axes is None else product.transpose(axes)
-                # The first term is a fresh product (an einsum output or a
-                # view of a fresh matmul output), so adding in place never
-                # writes into an operand or an array that a later view reads.
-                if total is None:
-                    total = view
-                else:
-                    total += view
-        data.append(total)
-    return JetTensor(tuple(data), a.dim)
+    return JetTensor(tuple(_level(terms, a.data, b.data, k) for k, terms in enumerate(plan)),
+                     a.dim)
+
+
+def jt_level(spec: str, a: JetTensor, b: JetTensor, k: int) -> np.ndarray:
+    """Level k of ``jt_einsum(spec, a, b)`` alone, from the operands' levels 0..k."""
+    return _level(_leibniz_plan(spec, k, a.dim)[k], a.data, b.data, k)
 
 
 def jt_inverse(a: JetTensor, inverse: np.ndarray) -> JetTensor:
-    """Inverse X of a jet-valued square matrix A from X's values ``inverse``, by dX = -X dA X."""
-    inverse = np.asarray(inverse, dtype=float)
-    if a.order == 0:
-        return JetTensor((inverse,), a.dim)
-    x = jt_inverse(a.truncated(a.order - 1), inverse)
-    rest = -jt_einsum("ab,bcz->acz", x, jt_einsum("abz,bc->acz", a.partial(), x))
-    return JetTensor((inverse,) + rest.data, a.dim)
+    """Inverse X of a jet-valued square matrix A from X's values ``inverse``, level by level.
+
+    Level k of A X vanishes for k >= 1, and its j = 0 split is A_0 X_k, so
+    X_k = -X_0 S_k, where S_k sums the splits of that level that pair A_j,
+    j >= 1, with the lower levels of X: k splits at level k.
+    """
+    x = [np.asarray(inverse, dtype=float)]
+    for k in range(1, a.order + 1):
+        terms = _leibniz_plan("ab,bc->ac", k, a.dim)[k]
+        # j = k first: it has one shuffle, so the sum starts on a fresh product.
+        rest = _level((terms[k],) + terms[1:k], a.data, x, k)
+        d = ascii_uppercase[:k]
+        x.append(-einsum(f"ab,bc{d}->ac{d}", x[0], rest))
+    return JetTensor(tuple(x), a.dim)

@@ -105,10 +105,14 @@ def germ_from_spec(spec: dict, path: str = "germ", name: str = "germ") -> ChartG
     try:
         if generator in ("flat_product", "conformal_flat_product"):
             n = int(_require(spec, "n", int, path))
+            if n < 2:
+                raise ScenarioError(f"{path}.n", f"must be an integer >= 2, got {n}")
             u = "0" if generator == "flat_product" else _require(spec, "u", str, path)
             germ = conformal_flat_product_germ(n, u, name=name)
         elif generator is None:
             dim = int(_require(spec, "dim", int, path))
+            if dim % 2 or dim < 4:
+                raise ScenarioError(f"{path}.dim", f"must be an even integer >= 4, got {dim}")
             metric = _expr_grid(_require(spec, "metric", list, path), dim, f"{path}.metric")
             structure = _expr_grid(
                 _require(spec, "structure", list, path), dim, f"{path}.structure"

@@ -7,9 +7,10 @@ is traced along the route of its definition, through the rank-4
 R'_ijkm P^m_l and the Ricci-like rho*'.  ``ConnectionFrame`` groups the same
 products differently (g^a + g~^b, Ricci' as the trace R'^i_ijk, and rho*'
 through the g-adjoint of P), which these oracles check to rounding.
-Gamma' = Gamma + g^-1 K is written out here; the contorsion and the
-curvature of Gamma' are shared with apmlab: only the regrouped products are
-under test.
+Gamma' = Gamma + g^-1 K is written out here, from a Gamma and a g~ built at
+the frame's full order - 1 (the frame builds both only to the levels its
+Gamma' and R read); the contorsion and the curvature of Gamma' are shared
+with apmlab: only the regrouped products are under test.
 """
 
 from __future__ import annotations
@@ -18,9 +19,20 @@ from apmlab.germs import _contorsion_of, _curvature_of
 from apmlab.jetfields import jt_einsum
 
 
+def oracle_christoffel(f):
+    """Gamma^m_ij = g^mk Gamma_kij of frame ``f`` at order - 1, from the first kind."""
+    return jt_einsum("mk,kij->mij", f.g_inv, f.first_kind)
+
+
+def oracle_g_assoc(f):
+    """g~_ij = g_im P^m_j of frame ``f`` at order - 1."""
+    return jt_einsum("im,mj->ij", f.g.truncated(f.order - 1), f.p)
+
+
 def oracle_torsion(cf, order):
     """The torsion of connection frame ``cf`` from its five wedges, to ``order``."""
     f = cf.frame
+    g_assoc = oracle_g_assoc(f)
     lam, mu = cf.params.lam, cf.params.mu
     theta, theta_p = f.theta.truncated(order), f.theta_p.truncated(order)
 
@@ -28,8 +40,8 @@ def oracle_torsion(cf, order):
         return jt_einsum("jk,i->ijk", metric, form) - jt_einsum("ik,j->ijk", metric, form)
 
     t = wedge(f.g, theta_p).scaled(1.0 / (2 * cf.n))
-    t = t + (wedge(f.g, theta) + wedge(f.g_assoc, theta_p)).scaled(lam)
-    t = t + (wedge(f.g_assoc, theta) + wedge(f.g, theta_p)).scaled(mu)
+    t = t + (wedge(f.g, theta) + wedge(g_assoc, theta_p)).scaled(lam)
+    t = t + (wedge(g_assoc, theta) + wedge(f.g, theta_p)).scaled(mu)
     return t
 
 
@@ -37,7 +49,7 @@ def oracle_gamma(cf, order):
     """Gamma'^m_ij = Gamma^m_ij + g^mk K_ijk of ``cf`` to ``order`` from the oracle torsion."""
     f = cf.frame
     contorsion = _contorsion_of(oracle_torsion(cf, order))
-    return f.christoffel.truncated(order) + jt_einsum("mk,ijk->mij", f.g_inv, contorsion)
+    return oracle_christoffel(f).truncated(order) + jt_einsum("mk,ijk->mij", f.g_inv, contorsion)
 
 
 def oracle_curvature(cf):

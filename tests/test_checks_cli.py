@@ -222,6 +222,33 @@ def test_cli_malformed_scenario_field_exits_2(tmp_path, field, value, path):
     assert "Traceback" not in proc.stderr
 
 
+GRID_3D = {"dim": 3, "metric": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
+           "structure": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "-1"]]}
+
+
+@pytest.mark.parametrize("germ,message", [
+    ({"generator": "conformal_flat_product", "n": 1, "u": "x1"},
+     "$.germ.n: must be an integer >= 2, got 1"),
+    ({"generator": "flat_product", "n": 0}, "$.germ.n: must be an integer >= 2, got 0"),
+    (GRID_3D, "$.germ.dim: must be an even integer >= 4, got 3"),
+    (dict(GRID_3D, dim=2), "$.germ.dim: must be an even integer >= 4, got 2"),
+])
+def test_cli_germ_dimension_errors_name_their_field(tmp_path, germ, message):
+    scenario = tmp_path / "small.json"
+    scenario.write_text(json.dumps({"germ": germ, "checks": ["structure"]}))
+    proc = run_cli("check", "--scenario", str(scenario))
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: {message}\n"
+    assert proc.stdout == ""
+    # classify --germ reads the germ object at the root of its file.
+    germ_file = tmp_path / "germ.json"
+    germ_file.write_text(json.dumps(germ))
+    proc = run_cli("classify", "--germ", str(germ_file), "--point", "0.1,0.2,0.3")
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: {message.replace('$.germ', '$')}\n"
+    assert proc.stdout == ""
+
+
 def test_cli_negative_seed_exits_2():
     proc = run_cli("check", "--scenario", "flat_product_4d", "--seed", "-1")
     assert proc.returncode == 2

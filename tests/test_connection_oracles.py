@@ -8,13 +8,14 @@ take from traces instead, are compared with an R' traced at level 2."""
 import numpy as np
 import pytest
 
-from apmlab import germs
+from apmlab import germs, jetfields
 from apmlab.germs import KEPT_ORDER, ChartGerm, ConnectionParams
 from apmlab.jetfields import jt_einsum
 from apmlab.scenarios import load_bundled_scenario
 from apmlab.tensors import frob
 
 from connection_oracle import (
+    oracle_christoffel,
     oracle_curvature,
     oracle_gamma,
     oracle_ricci,
@@ -92,10 +93,10 @@ def built_chain(cf, monkeypatch):
 @pytest.mark.parametrize("order", [3, 4])
 @pytest.mark.parametrize("name", list(GERMS))
 def test_theta_matches_the_trace_of_the_full_order_f(name, order):
-    # theta from rank-1 contractions against g^{ij} F_ijk, with grad P and F
-    # built at full order by the general covariant derivative.
+    # theta from first-kind traces against g^{ij} F_ijk, with Gamma, grad P
+    # and F built at full order by the general covariant derivative.
     fr = GERMS[name].frame(order=order)
-    nabla_p = germs._covariant_p(fr.p, fr.christoffel)
+    nabla_p = germs._covariant_p(fr.p, oracle_christoffel(fr))
     f_tensor = jt_einsum("imj,mk->ijk", nabla_p, fr.g)
     expected = jt_einsum("ij,ijk->k", fr.g_inv, f_tensor)
     assert expected.order == order - 1
@@ -138,6 +139,11 @@ def test_connection_jets_match_oracles(name, order, monkeypatch):
 @pytest.mark.parametrize("order", [3, 4])
 def test_jets_keep_only_the_levels_their_readers_take(order):
     fr = GERMS["grid_d4"].frame(order=order)
+    # Gamma and g~ to the levels Gamma' and R read, min(order - 1,
+    # max(KEPT_ORDER + 1, order - 2)); the first kind and the Christoffel
+    # traces, which the Lee form and the Hessians differentiate, to order - 1.
+    assert fr.christoffel.order == fr.g_assoc.order == 2
+    assert fr.first_kind.order == fr.christoffel_trace.order == fr.g_inv_p.order == order - 1
     assert fr.curvature.order == 0
     assert fr.nabla_p.order == fr.f_tensor.order == 0
     assert fr.theta.order == order - 1
@@ -158,6 +164,49 @@ def test_jets_keep_only_the_levels_their_readers_take(order):
         assert traced is None if order == 3 else traced.order == KEPT_ORDER + 1
 
 
+@pytest.mark.parametrize("order, levels", [(2, 1), (5, 3)])
+def test_gamma_and_g_assoc_follow_the_levels_of_gamma_prime(order, levels):
+    # min(order - 1, max(KEPT_ORDER + 1, order - 2)): all the metric carries
+    # on order 2, and the levels of the Hessians' Gamma' on order 5.
+    fr = GERMS["grid_d4"].frame(order=order)
+    assert fr.christoffel.order == fr.g_assoc.order == levels
+    assert_levels_match(fr.christoffel, oracle_christoffel(fr).truncated(levels))
+    for cp in family(fr.n):
+        assert fr.connection(cp)._gamma().order == levels
+
+
+@pytest.mark.parametrize("name", ["conformal_d6", "rotating_d4", "skew_q_d4"])
+def test_no_order_4_product_builds_a_rank_3_level_above_2(name, monkeypatch):
+    # Every jet product of an order-4 frame, its three connections and their
+    # Hessians: a level above 2 is built only for ranks 0..2.
+    built = []
+    einsum, level = jetfields.jt_einsum, jetfields.jt_level
+
+    def counted(spec, a, b):
+        out = einsum(spec, a, b)
+        built.extend((spec, k, x.ndim - k) for k, x in enumerate(out.data))
+        return out
+
+    def counted_level(spec, a, b, k):
+        out = level(spec, a, b, k)
+        built.append((spec, k, out.ndim - k))
+        return out
+
+    for module in (germs, jetfields):
+        monkeypatch.setattr(module, "jt_einsum", counted)
+        monkeypatch.setattr(module, "jt_level", counted_level)
+    fr = GERMS[name].frame(order=4)
+    for field in ("g_inv", "g_assoc", "p_adjoint", "christoffel", "curvature", "f_tensor",
+                  "theta", "theta_p", "omega", "nabla_theta", "trace_pieces"):
+        getattr(fr, field)
+    for cp in (ConnectionParams.d(), ConnectionParams.d_tilde(fr.n), ConnectionParams(1.0, 0.0)):
+        cf = fr.connection(cp)
+        cf.torsion_mixed, cf.nabla_curvature, cf.nabla_theta, cf.tau, cf.tau_star
+        assert cf.scalar_curvatures[0].order == 2
+    assert ("kia,ia->k", 3, 1) in built  # the Lee form's level 3 is built, at rank 1
+    assert [entry for entry in built if entry[1] > 2 and entry[2] >= 3] == []
+
+
 def test_oracles_see_nonzero_curvature():
     # On the non-diagonal grid every preset carries curvature, so the
     # comparisons above are not between zeros.
@@ -174,25 +223,32 @@ def test_torsion_takes_two_jet_products(monkeypatch):
     # exactly zero, which is not built; the torsion, built as values, still
     # matches its oracle.  Gamma' takes g^-1 w and m_ij (g^-1 w)^m per wedge,
     # and Q^m_i w_j for the g~ wedge: never the rank-3 product g^-1 K.  The
-    # frame's trace pieces take five products, and the Hessians of tau' and
-    # tau*' eight at levels <= 2, whatever the connection: six scalars, and
-    # g^jk Gamma'^m_ik and Gamma'^a_jk g^kp Gamma'^j_ip.
+    # frame's trace pieces take five products, the Christoffel traces from
+    # the first kind (g^jk Gamma^a_jk is the one the Lee form has built).
+    # The Hessians of tau' and tau*' take two full products whatever the
+    # connection, g^jk Gamma'^m_ik and Gamma'^a_jk g^kp Gamma'^j_ip, and six
+    # scalar products of which only level 2, the Hessian, is built.
     calls = []
-    einsum = germs.jt_einsum
+    einsum, level = germs.jt_einsum, germs.jt_level
 
     def counted(spec, a, b):
         calls.append(spec)
         return einsum(spec, a, b)
 
+    def counted_level(spec, a, b, k):
+        calls.append((spec, k))
+        return level(spec, a, b, k)
+
     fr = GERMS["conformal_d6"].frame(order=4)
-    fr.theta_p, fr.g_assoc, fr.p_adjoint  # the frame's own fields are not the chain's products
+    # The frame's own fields are not the chain's products.
+    fr.theta_p, fr.christoffel, fr.g_assoc, fr.p_adjoint
     monkeypatch.setattr(germs, "jt_einsum", counted)
     fr.trace_pieces  # nor are the pieces every connection shares
     monkeypatch.setattr(germs, "jt_einsum", einsum)
-    assert calls == ["ak,k->a", "ak,k->a", "ia,aik->k", "jk,ajk->a", "jk,iaj->kia"], calls
+    assert calls == ["ak,k->a", "ak,k->a", "il,lik->k", "il,lik->k", "jk,iaj->kia"], calls
     calls.clear()
-    hessian_products = (["mik,jk->mij", "ajk,jik->ai", "ia,ai->", "kia,aik->"]
-                        + 2 * ["m,m->", "jk,kj->"])
+    hessian_products = (["mik,jk->mij", "ajk,jik->ai", ("ia,ai->", 2), ("kia,aik->", 2)]
+                        + 2 * [("m,m->", 2), ("jk,kj->", 2)])
     for cp, products, gamma_products in zip(family(fr.n), (1, 1, 2, 2), (2, 3, 5, 5)):
         cf = fr.connection(cp)
         monkeypatch.setattr(germs, "jt_einsum", counted)
@@ -211,7 +267,9 @@ def test_torsion_takes_two_jet_products(monkeypatch):
         calls.clear()
         cf.tau, cf.tau_star  # the levels below the Hessians, spliced in as they are
         monkeypatch.setattr(germs, "jt_einsum", counted)
+        monkeypatch.setattr(germs, "jt_level", counted_level)
         cf.scalar_curvatures
         monkeypatch.setattr(germs, "jt_einsum", einsum)
+        monkeypatch.setattr(germs, "jt_level", level)
         assert calls == hessian_products, (cp, calls)
         calls.clear()

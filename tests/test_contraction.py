@@ -19,7 +19,7 @@ import pytest
 import apmlab
 from apmlab import germs, jetfields, tensors
 from apmlab.germs import ConnectionParams
-from apmlab.jetfields import JetTensor, jt_einsum
+from apmlab.jetfields import JetTensor, jt_einsum, jt_level
 from apmlab.scenarios import load_bundled_scenario, run_scenario
 from apmlab.tensors import einsum
 
@@ -159,6 +159,18 @@ def test_jt_einsum_matches_a_leibniz_loop(spec, rank_a, rank_b, order):
         assert rel_err(level, ref) <= RTOL, k
         assert not any(np.shares_memory(level, x) for x in a.data + b.data), k
     assert all(np.array_equal(x, y) for x, y in zip(a.data + b.data, before))
+
+
+@pytest.mark.parametrize("spec,rank_a,rank_b", LEIBNIZ_CASES)
+def test_jt_level_is_that_level_of_jt_einsum(spec, rank_a, rank_b):
+    rng = np.random.default_rng(len(spec))
+    a = random_jet(rng, (4,) * rank_a, 4, 4)
+    b = random_jet(rng, (4,) * rank_b, 4, 3)
+    full = jt_einsum(spec, a, b)
+    for k in range(4):
+        level = jt_level(spec, a, b, k)
+        assert level.tobytes() == full.data[k].tobytes(), k
+        assert not any(np.shares_memory(level, x) for x in a.data + b.data), k
 
 
 def test_jt_einsum_of_an_order0_operand():

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from apmlab.exprs import MAX_DEPTH, EvalError, ParseError, eval_jet, parse_expr
+from apmlab import jetfields
 from apmlab.jetfields import JetTensor
 
 # Golden corpus: expression, point, expected value (computed with math.*).
@@ -253,3 +254,28 @@ def test_corpus_order4_jets_match_differences_of_order3(src, expected):
         assert np.abs(fourth - fourth.transpose(perm)).max() < 1e-12 * max(
             1.0, np.abs(fourth).max()
         )
+
+
+@pytest.mark.parametrize("u", ["exp(x1)*sin(x3) + x2*x4", "ln(2 + x1^2 + x4^2) - x2/x3"])
+@pytest.mark.parametrize("points", [POINT, np.random.default_rng(3).uniform(0.2, 1, (2, 4))])
+def test_a_constant_factor_scales_as_the_leibniz_product_does(u, points):
+    # 2 * u and u * 2 scale u's jet; the Leibniz product against the constant's
+    # zero levels adds only exact zeros, so the levels are the same floats.
+    jet = eval_jet(parse_expr(u, dim=4), points, 4)
+    two = JetTensor.constant(np.full(jet.shape, 2.0), 4, 4)
+    for src, leibniz in ((f"2 * ({u})", two * jet), (f"({u}) * 2", jet * two)):
+        scaled = eval_jet(parse_expr(src, dim=4), points, 4)
+        assert scaled.order == 4
+        for level, expected in zip(scaled.data, leibniz.data):
+            assert level.tobytes() == expected.tobytes(), src
+
+
+def test_a_constant_factor_takes_no_jet_product(monkeypatch):
+    calls = []
+    product = jetfields.jt_einsum
+    monkeypatch.setattr(jetfields, "jt_einsum", lambda *args: calls.append(args[0]) or product(*args))
+    for src in ("2 * x1", "x1 * 2", "2 * 3"):
+        eval_jet(parse_expr(src, dim=4), POINT, 4)
+    assert calls == []
+    eval_jet(parse_expr("x1 * x2", dim=4), POINT, 4)
+    assert calls == [",->"]

@@ -111,3 +111,40 @@ def test_inverse_exact_at_order_four():
     eye = JetTensor.constant(np.eye(2), DIM, 4)
     for lhs, rhs in zip(prod.data, eye.data):
         assert np.abs(lhs - rhs).max() < 1e-12
+
+
+def recursion_inverse(a, inverse):
+    """The inverse by dX = -X dA X, each order from the whole jet one order lower."""
+    if a.order == 0:
+        return JetTensor((inverse,), a.dim)
+    x = recursion_inverse(a.truncated(a.order - 1), inverse)
+    rest = -jt_einsum("ab,bcz->acz", x, jt_einsum("abz,bc->acz", a.partial(), x))
+    return JetTensor((inverse,) + rest.data, a.dim)
+
+
+METRIC_6D_POINT = np.array([0.3, -0.2, 0.5, 0.8, -0.4, 0.1])
+
+
+def metric_jet_6d(order):
+    """A non-diagonal, diagonally dominant 6x6 metric jet: 3 + cos(x_i) on, sin(x_i + x_j)/5 off the diagonal."""
+    jets = [[eval_jet(parse_expr(f"3 + cos(x{i + 1})" if i == j
+                                 else f"sin(x{i + 1} + x{j + 1})/5", 6), METRIC_6D_POINT, order)
+             for j in range(6)] for i in range(6)]
+    return JetTensor(
+        tuple(np.array([[e.data[k] for e in row] for row in jets]) for k in range(order + 1)), 6)
+
+
+@pytest.mark.parametrize("order", range(1, 6))
+@pytest.mark.parametrize("case", ["grid_2x2", "metric_6x6"])
+def test_level_by_level_inverse_matches_the_recursion(case, order):
+    # The per-level inverse adds each split's views in place; a sum that
+    # started on a product with several shuffles would read what it writes.
+    m = grid_tensor(M_EXPR, order=order) if case == "grid_2x2" else metric_jet_6d(order)
+    m_inv = jt_inverse(m, np.linalg.inv(m.values))
+    assert m_inv.order == order
+    eye = JetTensor.constant(np.eye(m.shape[0]), m.dim, order)
+    for lhs, rhs in zip(jt_einsum("ab,bc->ac", m, m_inv).data, eye.data):
+        assert np.abs(lhs - rhs).max() < 1e-12
+    for k, (got, ref) in enumerate(zip(m_inv.data, recursion_inverse(m, m_inv.values).data)):
+        assert np.abs(got - ref).max() <= 1e-13 * max(1.0, np.abs(ref).max()), k
+        assert np.abs(ref).max() > 1e-3, k  # not a comparison between zeros
