@@ -22,7 +22,6 @@ which raises ``Skip`` when one fails, as ``_ln_abs`` raises
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property, wraps
 
 import numpy as np
@@ -60,15 +59,21 @@ SINGULAR_FLOOR = 1e-10
 P_TENSOR_FAIL_FLOOR = 1e-3
 
 
-@dataclass
 class ScenarioContext:
-    germ: ChartGerm
-    connections: list[ConnectionParams] = field(default_factory=list)
-    seed: int = 0
-    expect_class: str | None = None
-    tolerances: dict = field(default_factory=dict)
-    tol_scale: float = 1.0
-    _connections: dict = field(default_factory=dict, init=False, repr=False)
+    """A germ with the settings of one run; its frame and connections are built once.
+
+    ``connections`` and ``tolerances`` left out are a new empty list and dict.
+    """
+
+    def __init__(self, germ: ChartGerm, connections: list[ConnectionParams] | None = None,
+                 seed: int = 0, expect_class: str | None = None, tolerances: dict | None = None,
+                 tol_scale: float = 1.0):
+        self.germ = germ
+        self.connections = [] if connections is None else connections
+        self.seed, self.expect_class = seed, expect_class
+        self.tolerances = {} if tolerances is None else tolerances
+        self.tol_scale = tol_scale
+        self._connections: dict[ConnectionParams, ConnectionFrame] = {}
 
     @cached_property
     def frame(self) -> GermFrame:

@@ -11,7 +11,7 @@ import numpy as np
 from .checks import CHECKS, RESIDUALS
 from .curvature import decompose_dim4, is_p_tensor
 from .exprs import EvalError, ParseError
-from .report import CheckReport, emit_report, exit_code, summarize
+from .report import CheckReport, emit_report, exit_code, report_timestamp, summarize
 from .scenarios import (
     ScenarioError,
     _finite_float,
@@ -46,6 +46,12 @@ def _print_check_lines(reports: list[CheckReport]) -> None:
 
 def cmd_check(args: argparse.Namespace) -> int:
     try:
+        # Read before any check runs: a malformed SOURCE_DATE_EPOCH stops the run.
+        timestamp = report_timestamp() if args.out else None
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return USAGE_ERROR
+    try:
         scenario = resolve_scenario(args.scenario)
         reports = run_scenario(scenario, tol_scale=args.tol_scale, seed=args.seed)
     except (ScenarioError, ParseError, EvalError, StructureError) as exc:
@@ -59,7 +65,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     )
     if args.out:
         try:
-            emit_report(reports, args.out, scenario=scenario.name)
+            emit_report(reports, args.out, scenario=scenario.name, timestamp=timestamp)
         except OSError as exc:
             print(f"error: cannot write report to {args.out}: {exc.strerror}", file=sys.stderr)
             return USAGE_ERROR
@@ -93,7 +99,9 @@ def cmd_decompose4(args: argparse.Namespace) -> int:
             doc = json.load(fh)
         if not isinstance(doc, dict):
             raise ValueError("tensor file must hold a JSON object")
-        dim = int(doc.get("dim", 4))
+        dim = doc.get("dim", 4)
+        if not isinstance(dim, int) or isinstance(dim, bool):  # 4.7, "4" and true are no dimension
+            raise ScenarioError("dim", f"expected int, got {type(dim).__name__}")
         if dim != 4:
             raise ValueError("scalar-curvature decomposition requires dim = 4")
         components = np.asarray(doc["components"], dtype=float)

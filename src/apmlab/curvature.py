@@ -24,8 +24,6 @@ and return their results stacked the same way, so a sample loop runs once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .report import CheckReport
@@ -33,17 +31,15 @@ from .structure import adapted_orthonormal_basis, basis_residuals
 from .tensors import DEFAULT_TOL, PointStructure, einsum, frob, lead, random_tensor4
 
 
-@dataclass
 class CurvatureInvariants:
     """Ricci tensor, scalar curvature and their P-twisted companions.
 
     The scalars are floats, or arrays over the sample axes of a stacked L.
     """
 
-    rho: np.ndarray
-    tau: float | np.ndarray
-    rho_star: np.ndarray
-    tau_star: float | np.ndarray
+    def __init__(self, rho: np.ndarray, tau: float | np.ndarray, rho_star: np.ndarray,
+                 tau_star: float | np.ndarray):
+        self.rho, self.tau, self.rho_star, self.tau_star = rho, tau, rho_star, tau_star
 
 
 def curvature_like_residuals(l: np.ndarray) -> dict[str, float | np.ndarray]:
@@ -131,13 +127,12 @@ def pi_tensors(ps: PointStructure) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     Built once per point structure and kept on it, read-only, as a cached
     property would be: every reader of one structure shares them.
     """
-    pis = vars(ps).get("_pi_tensors")
-    if pis is None:
+    if ps._pi_tensors is None:
         pis = (0.5 * psi1(ps, ps.g), 0.5 * psi2(ps, ps.g), psi1(ps, ps.g_assoc))
         for t in pis:
             t.flags.writeable = False
-        vars(ps)["_pi_tensors"] = pis
-    return pis
+        ps._pi_tensors = pis
+    return ps._pi_tensors
 
 
 def curvature_invariants(ps: PointStructure, l: np.ndarray) -> CurvatureInvariants:

@@ -13,8 +13,9 @@ Grammar (recursive descent, standard precedence ^ > unary - > *,/ > +,-):
 An expression is at most MAX_DEPTH = 100 levels deep: each operator, unary
 minus or function call is one level above its operands (a sum of n terms is
 n - 1 levels), and parentheses, calls and unary minuses nest at most that
-deep.  A deeper one is a ParseError, so parsing, hashing, evaluating and
-printing a parsed tree stay well below Python's recursion limit.
+deep.  A deeper one is a ParseError, so parsing, comparing, evaluating and
+printing a parsed tree stay well below Python's recursion limit; hashing one
+does not recurse at all.
 
 Evaluation produces a ``JetTensor`` carrying the value together with the
 derivatives up to any requested order, computed by jet arithmetic rather
@@ -26,7 +27,6 @@ points' leading shape, and a single point gives a 0-d jet.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,7 +53,32 @@ class EvalError(ValueError):
 
 
 class ScalarExpr:
-    """Immutable expression node; subclasses implement _eval and _fmt."""
+    """Expression node, never changed once built; subclasses implement _eval and _fmt.
+
+    Each subclass names its fields in ``__slots__`` and passes their values to
+    this ``__init__``.  Two nodes are equal when they have the same class and
+    the same fields, so ``Const(0.0) != Var(0)``.  The hash of (class, fields)
+    is computed once, here, from the children's cached hashes: hashing a tree
+    never recurses.
+    """
+
+    __slots__ = ("_key", "_hash")
+
+    def __init__(self, *fields):
+        self._key = fields
+        self._hash = hash((type(self), fields))
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self is other or (self._hash == other._hash and self._key == other._key)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._key))
+        return f"{type(self).__name__}({fields})"
 
     def eval_jet(self, point: np.ndarray, order: int = 3) -> JetTensor:
         """The jet at ``point``, or at each row of a point array of shape (..., dim)."""
@@ -79,9 +104,12 @@ def _wrap(text: str, prec: int, parent_prec: int) -> str:
     return f"({text})" if prec < parent_prec else text
 
 
-@dataclass(frozen=True)
 class Const(ScalarExpr):
-    value: float
+    __slots__ = ("value",)
+
+    def __init__(self, value: float):
+        self.value = value
+        super().__init__(value)
 
     def _eval(self, point, order):
         return JetTensor.constant(np.full(point.shape[:-1], self.value), point.shape[-1], order)
@@ -94,9 +122,12 @@ class Const(ScalarExpr):
         return text
 
 
-@dataclass(frozen=True)
 class Var(ScalarExpr):
-    index: int  # zero-based; prints as x<index+1>
+    __slots__ = ("index",)
+
+    def __init__(self, index: int):
+        self.index = index  # zero-based; prints as x<index+1>
+        super().__init__(index)
 
     def _eval(self, point, order):
         if self.index >= point.shape[-1]:
@@ -107,11 +138,12 @@ class Var(ScalarExpr):
         return f"x{self.index + 1}"
 
 
-@dataclass(frozen=True)
 class Binary(ScalarExpr):
-    op: str
-    left: ScalarExpr
-    right: ScalarExpr
+    __slots__ = ("op", "left", "right")
+
+    def __init__(self, op: str, left: ScalarExpr, right: ScalarExpr):
+        self.op, self.left, self.right = op, left, right
+        super().__init__(op, left, right)
 
     _PREC = {"+": 1, "-": 1, "*": 2, "/": 2}
 
@@ -142,9 +174,12 @@ class Binary(ScalarExpr):
         return _wrap(f"{left} {self.op} {right}", prec, parent_prec)
 
 
-@dataclass(frozen=True)
 class Neg(ScalarExpr):
-    operand: ScalarExpr
+    __slots__ = ("operand",)
+
+    def __init__(self, operand: ScalarExpr):
+        self.operand = operand
+        super().__init__(operand)
 
     def _eval(self, point, order):
         return -self.operand._eval(point, order)
@@ -153,10 +188,12 @@ class Neg(ScalarExpr):
         return _wrap(f"-{self.operand._fmt(3)}", 3, parent_prec)
 
 
-@dataclass(frozen=True)
 class Pow(ScalarExpr):
-    base: ScalarExpr
-    exponent: int
+    __slots__ = ("base", "exponent")
+
+    def __init__(self, base: ScalarExpr, exponent: int):
+        self.base, self.exponent = base, exponent
+        super().__init__(base, exponent)
 
     def _eval(self, point, order):
         base = self.base._eval(point, order)
@@ -168,10 +205,12 @@ class Pow(ScalarExpr):
         return _wrap(f"{self.base._fmt(5)}^{self.exponent}", 4, parent_prec)
 
 
-@dataclass(frozen=True)
 class Func(ScalarExpr):
-    name: str
-    argument: ScalarExpr
+    __slots__ = ("name", "argument")
+
+    def __init__(self, name: str, argument: ScalarExpr):
+        self.name, self.argument = name, argument
+        super().__init__(name, argument)
 
     def _eval(self, point, order):
         argument = self.argument._eval(point, order)

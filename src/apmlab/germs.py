@@ -63,7 +63,6 @@ A frame evaluates each distinct metric and P entry once, at its one point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -96,12 +95,27 @@ def default_base_point(dim: int) -> np.ndarray:
     return 0.1 * np.arange(1, dim + 1)
 
 
-@dataclass(frozen=True)
 class ConnectionParams:
-    """Parameters (lambda, mu) selecting one natural connection of the family."""
+    """Parameters (lambda, mu) selecting one natural connection of the family.
 
-    lam: float
-    mu: float
+    Equal parameters compare and hash equal, so they key a dict of connections.
+    """
+
+    __slots__ = ("lam", "mu")
+
+    def __init__(self, lam: float, mu: float):
+        self.lam, self.mu = lam, mu
+
+    def __eq__(self, other):
+        if type(other) is not ConnectionParams:
+            return NotImplemented
+        return (self.lam, self.mu) == (other.lam, other.mu)
+
+    def __hash__(self) -> int:
+        return hash((self.lam, self.mu))
+
+    def __repr__(self) -> str:
+        return f"ConnectionParams(lam={self.lam!r}, mu={self.mu!r})"
 
     @staticmethod
     def d() -> "ConnectionParams":
@@ -140,24 +154,24 @@ class ConnectionParams:
         return f"lam={self.lam:g},mu={self.mu:g}"
 
 
-@dataclass(frozen=True)
 class ChartGerm:
-    """Local description of (M, P, g): expression grids plus a base point."""
+    """Local description of (M, P, g): expression grids plus a base point.
 
-    dim: int
-    metric: tuple[tuple[ScalarExpr, ...], ...]
-    structure: tuple[tuple[ScalarExpr, ...], ...]
-    base_point: tuple[float, ...]
-    name: str = "germ"
+    The grids and the point are validated once, here; a germ compares by identity.
+    """
 
-    def __post_init__(self):
-        if self.dim % 2 != 0 or self.dim < 4:
+    def __init__(self, dim: int, metric: tuple[tuple[ScalarExpr, ...], ...],
+                 structure: tuple[tuple[ScalarExpr, ...], ...], base_point: tuple[float, ...],
+                 name: str = "germ"):
+        if dim % 2 != 0 or dim < 4:
             raise StructureError("germ dimension must be an even integer >= 4")
-        for grid, label in ((self.metric, "metric"), (self.structure, "structure")):
-            if len(grid) != self.dim or any(len(row) != self.dim for row in grid):
-                raise StructureError(f"{label} grid must be {self.dim}x{self.dim}")
-        if len(self.base_point) != self.dim:
+        for grid, label in ((metric, "metric"), (structure, "structure")):
+            if len(grid) != dim or any(len(row) != dim for row in grid):
+                raise StructureError(f"{label} grid must be {dim}x{dim}")
+        if len(base_point) != dim:
             raise StructureError("base point has wrong length")
+        self.dim, self.metric, self.structure = dim, metric, structure
+        self.base_point, self.name = base_point, name
 
     @property
     def n(self) -> int:

@@ -5,7 +5,6 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import dataclass, field
 from typing import Any
 
 PASS = "pass"
@@ -15,25 +14,27 @@ SKIPPED = "skipped"
 SCHEMA_VERSION = 1
 
 
-@dataclass
 class CheckReport:
     """Outcome of one named check.
 
     ``residuals`` maps residual names to nonnegative values, each compared
     against ``tolerances`` (same keys; missing keys fall back to ``tol``).
     A skipped check records the violated hypothesis, carries no residuals and
-    never counts as a failure.
+    never counts as a failure.  Each dict or list left out is a new empty one.
     """
 
-    name: str
-    tol: float = 1e-10
-    residuals: dict[str, float] = field(default_factory=dict)
-    tolerances: dict[str, float] = field(default_factory=dict)
-    hypothesis_flags: dict[str, bool] = field(default_factory=dict)
-    scalars: dict[str, float] = field(default_factory=dict)
-    status: str | None = None
-    skip_reason: str | None = None
-    notes: list[str] = field(default_factory=list)
+    def __init__(self, name: str, tol: float = 1e-10, residuals: dict[str, float] | None = None,
+                 tolerances: dict[str, float] | None = None,
+                 hypothesis_flags: dict[str, bool] | None = None,
+                 scalars: dict[str, float] | None = None, status: str | None = None,
+                 skip_reason: str | None = None, notes: list[str] | None = None):
+        self.name, self.tol = name, tol
+        self.residuals = {} if residuals is None else residuals
+        self.tolerances = {} if tolerances is None else tolerances
+        self.hypothesis_flags = {} if hypothesis_flags is None else hypothesis_flags
+        self.scalars = {} if scalars is None else scalars
+        self.status, self.skip_reason = status, skip_reason
+        self.notes = [] if notes is None else notes
 
     def tolerance_for(self, key: str) -> float:
         return self.tolerances.get(key, self.tol)
@@ -87,10 +88,26 @@ def _isfinite(x: float) -> bool:
 
 
 def report_timestamp() -> str:
-    """ISO timestamp; honours SOURCE_DATE_EPOCH so report bytes can be pinned."""
+    """ISO timestamp; honours SOURCE_DATE_EPOCH so report bytes can be pinned.
+
+    SOURCE_DATE_EPOCH must be a non-negative decimal integer of seconds that
+    ``time.gmtime`` can represent; any other value is a ValueError naming it.
+    """
     epoch = os.environ.get("SOURCE_DATE_EPOCH")
-    t = int(epoch) if epoch is not None else int(time.time())
-    return time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime(t))
+    if epoch is None:
+        return time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime(int(time.time())))
+    moment = None
+    if epoch.isascii() and epoch.isdigit():  # int() alone would take "-1" and " 5"
+        try:
+            moment = time.gmtime(int(epoch))
+        except (ValueError, OverflowError, OSError):  # beyond int's digits or time_t
+            pass
+    if moment is None:
+        raise ValueError(
+            f"SOURCE_DATE_EPOCH: must be a non-negative decimal integer that "
+            f"time.gmtime can represent, got {epoch!r}"
+        )
+    return time.strftime("%Y-%m-%dT%H:%M:%SZ", moment)
 
 
 def emit_report(reports: list[CheckReport], path: str, scenario: str = "",

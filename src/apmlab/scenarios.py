@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
 from importlib import resources
 
 from .checks import CHECKS, RESIDUALS, ScenarioContext, run_checks
@@ -21,15 +20,18 @@ class ScenarioError(ValueError):
         self.path = path
 
 
-@dataclass
 class Scenario:
-    name: str
-    germ: ChartGerm
-    connections: list[ConnectionParams]
-    checks: list[str]
-    expect_class: str | None = None
-    tolerances: dict = field(default_factory=dict)
-    seed: int = 0
+    """A validated scenario file: a germ, its connections and the checks to run.
+
+    ``tolerances`` left out is a new empty dict.
+    """
+
+    def __init__(self, name: str, germ: ChartGerm, connections: list[ConnectionParams],
+                 checks: list[str], expect_class: str | None = None,
+                 tolerances: dict | None = None, seed: int = 0):
+        self.name, self.germ, self.connections, self.checks = name, germ, connections, checks
+        self.expect_class, self.seed = expect_class, seed
+        self.tolerances = {} if tolerances is None else tolerances
 
     def context(self, tol_scale: float = 1.0, seed: int | None = None) -> ScenarioContext:
         return ScenarioContext(

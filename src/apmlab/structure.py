@@ -12,8 +12,6 @@ summands W3bar (theta o P = -theta) and W6bar (theta o P = +theta).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .tensors import DEFAULT_TOL, PointStructure, StructureError, einsum, frob
@@ -28,18 +26,16 @@ CLASS_OUTSIDE = "outside_W1"
 CLASS_TOL = 1e-8
 
 
-@dataclass
 class ClassReport:
     """Classification of an F tensor by residual against each characteristic form."""
 
-    residual_w0: float
-    residual_w1: float
-    residual_w3bar: float
-    residual_w6bar: float
-    theta: np.ndarray
-    theta_p: np.ndarray
-    label: str
-    tol: float
+    def __init__(self, residual_w0: float, residual_w1: float, residual_w3bar: float,
+                 residual_w6bar: float, theta: np.ndarray, theta_p: np.ndarray, label: str,
+                 tol: float):
+        self.residual_w0, self.residual_w1 = residual_w0, residual_w1
+        self.residual_w3bar, self.residual_w6bar = residual_w3bar, residual_w6bar
+        self.theta, self.theta_p = theta, theta_p
+        self.label, self.tol = label, tol
 
     def as_dict(self) -> dict:
         return {
@@ -87,7 +83,7 @@ def adapted_orthonormal_basis(ps: PointStructure, tol: float = DEFAULT_TOL) -> n
     read-only, as ``curvature.pi_tensors`` is: every reader of one structure
     shares it, and validates the structure once.
     """
-    cache = vars(ps).setdefault("_adapted_basis", {})
+    cache = ps._adapted_bases
     if tol not in cache:
         basis = _adapted_basis(ps, tol)
         basis.flags.writeable = False

@@ -8,7 +8,6 @@ dense row-major throughout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from math import prod
 
@@ -202,29 +201,28 @@ def metric_inverse(g: np.ndarray) -> np.ndarray:
     return 0.5 * (g_inv + g_inv.T)
 
 
-@dataclass(frozen=True)
 class PointStructure:
     """An almost product structure (g, P) on one tangent space.
 
     g is the metric, P the (1,1) product tensor with P*P = I, trace P = 0 and
-    g(Px, Py) = g(x, y).  ``g_inv`` is filled in automatically.
+    g(Px, Py) = g(x, y).  ``g_inv`` is filled in automatically.  A structure
+    compares and hashes by identity, and is not changed once built: the
+    tensors derived from it are cached on it, ``_pi_tensors`` by
+    ``curvature.pi_tensors`` and ``_adapted_bases`` (one per tolerance) by
+    ``structure.adapted_orthonormal_basis``.
     """
 
-    g: np.ndarray
-    p: np.ndarray
-    g_inv: np.ndarray = field(default=None)  # type: ignore[assignment]
-
-    def __post_init__(self):
-        g = np.asarray(self.g, dtype=float)
-        p = np.asarray(self.p, dtype=float)
-        object.__setattr__(self, "g", g)
-        object.__setattr__(self, "p", p)
+    def __init__(self, g: np.ndarray, p: np.ndarray, g_inv: np.ndarray | None = None):
+        g = np.asarray(g, dtype=float)
+        p = np.asarray(p, dtype=float)
         if g.shape != p.shape or g.ndim != 2 or g.shape[0] != g.shape[1]:
             raise StructureError("g and P must be square matrices of equal shape")
         if g.shape[0] % 2 != 0 or g.shape[0] < 4:
             raise StructureError("dimension must be an even integer >= 4")
-        if self.g_inv is None:
-            object.__setattr__(self, "g_inv", metric_inverse(g))
+        self.g, self.p = g, p
+        self.g_inv = metric_inverse(g) if g_inv is None else g_inv
+        self._pi_tensors: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        self._adapted_bases: dict[float, np.ndarray] = {}
 
     @property
     def dim(self) -> int:

@@ -125,6 +125,23 @@ def test_report_bytes_stable_with_pinned_epoch(tmp_path):
     assert out_a.read_bytes() == out_b.read_bytes()
 
 
+@pytest.mark.parametrize("epoch", ["abc", "1.5", "-1", " 5", "-99999999999999999",
+                                   "99999999999999999"])
+def test_cli_rejects_a_malformed_source_date_epoch_before_any_check(tmp_path, epoch):
+    # "-99999999999999999" used to surface as "cannot write report ...: Value
+    # too large", after every check had run.
+    out = tmp_path / "r.json"
+    env = dict(os.environ, SOURCE_DATE_EPOCH=epoch)
+    proc = run_cli("check", "--scenario", "flat_product_4d", "--out", str(out), env=env)
+    assert proc.returncode == 2
+    assert proc.stderr == (
+        "error: SOURCE_DATE_EPOCH: must be a non-negative decimal integer that "
+        f"time.gmtime can represent, got {epoch!r}\n"
+    )
+    assert proc.stdout == ""
+    assert not out.exists()
+
+
 def test_cli_check_pass_and_output_lines():
     proc = run_cli("check", "--scenario", "conformal_w1_mixed_4d")
     assert proc.returncode == 0, proc.stderr
@@ -481,6 +498,16 @@ def test_cli_decompose4_rejects_components_not_finite(tmp_path, entries, value):
     proc = run_cli("decompose4", "--tensor", str(tensor_file))
     assert proc.returncode == 2
     assert proc.stderr == "error: components: entries must be finite numbers\n"
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("dim,kind", [(4.7, "float"), ("4", "str"), (True, "bool")])
+def test_cli_decompose4_rejects_a_dim_that_is_not_an_integer(tmp_path, dim, kind):
+    tensor_file = tmp_path / "t.json"
+    tensor_file.write_text(json.dumps({"dim": dim, "components": np.zeros((4,) * 4).tolist()}))
+    proc = run_cli("decompose4", "--tensor", str(tensor_file))
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: dim: expected int, got {kind}\n"
     assert proc.stdout == ""
 
 

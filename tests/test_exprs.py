@@ -5,7 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from apmlab.exprs import MAX_DEPTH, EvalError, ParseError, eval_jet, parse_expr
+from apmlab.exprs import (
+    MAX_DEPTH,
+    Const,
+    EvalError,
+    ParseError,
+    ScalarExpr,
+    Var,
+    eval_jet,
+    parse_expr,
+)
 from apmlab import jetfields
 from apmlab.jetfields import JetTensor
 
@@ -154,6 +163,36 @@ def test_an_expression_at_the_depth_bound_parses_hashes_evaluates_and_prints(sha
     expr = parse_expr(DEPTH_SHAPES[shape](MAX_DEPTH), dim=4)
     assert hash(expr) == hash(parse_expr(str(expr), dim=4))
     assert np.isfinite(eval_jet(expr, POINT, 3).data[3]).all()
+
+
+@pytest.mark.parametrize("shape", DEPTH_SHAPES)
+def test_hashing_a_tree_at_the_depth_bound_does_not_recurse(shape, monkeypatch):
+    # Each node hashes (class, fields) once, when it is built; hashing the
+    # root afterwards reads that number and visits no child.
+    expr = parse_expr(DEPTH_SHAPES[shape](MAX_DEPTH), dim=4)
+    hashed = []
+    node_hash = ScalarExpr.__hash__
+    monkeypatch.setattr(ScalarExpr, "__hash__", lambda node: hashed.append(node) or node_hash(node))
+    hash(expr)
+    assert hashed == [expr]
+
+
+def test_separate_parses_of_one_expression_are_equal_and_hash_equal():
+    src = "exp(2*x1) + sin(x2)^2 - x3/4 * -ln(x4)"
+    a, b = parse_expr(src, dim=4), parse_expr(src, dim=4)
+    assert a is not b
+    assert a == b and hash(a) == hash(b)
+    assert a != parse_expr(src.replace("/4", "/5"), dim=4)
+    assert repr(parse_expr("x1 + 2")) == "Binary(op='+', left=Var(index=0), right=Const(value=2.0))"
+
+
+def test_nodes_of_different_classes_are_different_dict_keys():
+    # A grid's distinct entries are deduplicated in a dict: a zero constant
+    # and the first coordinate must stay two entries.
+    assert Const(0.0) != Var(0)
+    distinct = {Const(0.0): "zero", Var(0): "x1"}
+    assert len(distinct) == 2
+    assert distinct[Const(0.0)] == "zero" and distinct[Var(0)] == "x1"
 
 
 @pytest.mark.parametrize("levels", [MAX_DEPTH + 1, 1200])
