@@ -686,14 +686,17 @@ def check_dim4_traces(ctx: ScenarioContext, report: CheckReport):
 def check_dim4_reconstruction(ctx: ScenarioContext, report: CheckReport, cf: ConnectionFrame):
     """Levi-Civita curvature reconstructed from R' scalar curvatures (dim 4).
 
-    Conditional on R' being a Riemannian P-tensor; the preset connections
-    additionally verify their explicit trace and scalar-curvature relations.
+    Conditional on R' being a Riemannian P-tensor and on the germ being in
+    W1, where the R -> R' transfer it reads is derived; the preset
+    connections additionally verify their explicit trace and
+    scalar-curvature relations.
     """
     fr = ctx.frame
     ps = fr.structure
     pis = curv.pi_tensors(ps)
     r = fr.curvature.values
     requires(_p_tensor_flag(ctx, report, cf), P_TENSOR_GATE)
+    requires(ctx.in_w1, IN_W1_GATE)
     tr = cf.transfer
     tau_p = float(cf.tau.values)
     tau_star_p = float(cf.tau_star.values)

@@ -80,6 +80,9 @@ CLOSED_TOL = 1e-8
 # derivative that ``nabla_curvature`` and ``scalar_system`` read.
 KEPT_ORDER = 1
 
+# Threshold of ``ConnectionParams.case``: absolute on lambda and mu, relative on the discriminant.
+CASE_TOL = 1e-12
+
 
 def _gamma_order(order: int) -> int:
     """The top level of Gamma, g~ and Gamma' on a frame of ``order``: the levels R and R' read.
@@ -129,21 +132,21 @@ class ConnectionParams:
         """((1/2n + mu, lam), (lam, mu)): a and b of T = g^a + g~^b against (th o P, th)."""
         return (1.0 / (2 * n) + self.mu, self.lam), (self.lam, self.mu)
 
-    def case(self, n: int, eps: float = 1e-12) -> str:
+    def case(self, n: int) -> str:
         """Classify into 'D', 'D_tilde', 'generic' or 'degenerate'.
 
-        'generic' is a discriminant lambda^2 - mu^2 - mu/(2n) above ``eps``
+        'generic' is a discriminant lambda^2 - mu^2 - mu/(2n) above CASE_TOL
         relative to max(1, lambda^2 + mu^2).  Both sides are divided by s^2,
         s = max(1, |lambda|, |mu|), so no parameter overflows the test.
         """
-        if abs(self.lam) < eps and abs(self.mu) < eps:
+        if abs(self.lam) < CASE_TOL and abs(self.mu) < CASE_TOL:
             return "D"
-        if abs(self.lam) < eps and abs(self.mu + 1.0 / (2 * n)) < eps:
+        if abs(self.lam) < CASE_TOL and abs(self.mu + 1.0 / (2 * n)) < CASE_TOL:
             return "D_tilde"
         s = max(1.0, abs(self.lam), abs(self.mu))
         lam, mu = self.lam / s, self.mu / s
         scale = max(1.0 / s / s, lam * lam + mu * mu)
-        if abs(lam * lam - mu * mu - mu / (2 * n * s)) > eps * scale:
+        if abs(lam * lam - mu * mu - mu / (2 * n * s)) > CASE_TOL * scale:
             return "generic"
         return "degenerate"
 

@@ -52,9 +52,12 @@ class ClassReport:
         }
 
 
-def projectors(ps: PointStructure, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenprojectors h = (I+P)/2 and v = (I-P)/2 onto the P = +1/-1 subspaces."""
-    if not ps.is_valid(tol):
+def projectors(ps: PointStructure) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenprojectors h = (I+P)/2 and v = (I-P)/2 onto the P = +1/-1 subspaces.
+
+    Raises StructureError unless the structure is valid at DEFAULT_TOL.
+    """
+    if not ps.is_valid(DEFAULT_TOL):
         raise StructureError("invalid almost product structure")
     eye = np.eye(ps.dim)
     return 0.5 * (eye + ps.p), 0.5 * (eye - ps.p)
@@ -75,27 +78,27 @@ def _gram_schmidt(columns: np.ndarray, g: np.ndarray, count: int) -> np.ndarray:
     raise StructureError("degenerate eigenspace frame: Gram-Schmidt found too few vectors")
 
 
-def adapted_orthonormal_basis(ps: PointStructure, tol: float = DEFAULT_TOL) -> np.ndarray:
+def adapted_orthonormal_basis(ps: PointStructure) -> np.ndarray:
     """g-orthonormal basis {E_1..E_n, PE_1..PE_n}, returned as matrix columns.
 
     If the coordinate basis is itself adapted it is returned unchanged.  Built
-    once per point structure and tolerance and kept on the structure,
-    read-only, as ``curvature.pi_tensors`` is: every reader of one structure
-    shares it, and validates the structure once.
+    once per point structure and kept on the structure, read-only, as
+    ``curvature.pi_tensors`` is: every reader of one structure shares it, and
+    validates the structure once, at DEFAULT_TOL.
     """
-    cache = ps._adapted_bases
-    if tol not in cache:
-        basis = _adapted_basis(ps, tol)
+    if ps._adapted_basis is None:
+        basis = _adapted_basis(ps)
         basis.flags.writeable = False
-        cache[tol] = basis
-    return cache[tol]
+        ps._adapted_basis = basis
+    return ps._adapted_basis
 
 
-def _adapted_basis(ps: PointStructure, tol: float) -> np.ndarray:
-    h, v = projectors(ps, tol)  # validates the structure
+def _adapted_basis(ps: PointStructure) -> np.ndarray:
+    h, v = projectors(ps)  # validates the structure
     n, dim = ps.n, ps.dim
     eye = np.eye(dim)
-    coords_adapted = frob(ps.g - eye) < tol and frob(ps.p[:, :n] - eye[:, n:]) < tol
+    coords_adapted = (frob(ps.g - eye) < DEFAULT_TOL
+                      and frob(ps.p[:, :n] - eye[:, n:]) < DEFAULT_TOL)
     if coords_adapted:
         return eye
     a = _gram_schmidt(h, ps.g, n)
@@ -168,9 +171,12 @@ def classify_f(ps: PointStructure, f: np.ndarray, tol: float = CLASS_TOL) -> Cla
     """Classify F into W0 / W3bar / W6bar / W1 / outside_W1 by defect residuals.
 
     Membership is decided on relative residuals |defect| / max(1, |F|); ties go
-    to the smallest class (W0 first, then the eigenclasses, then W1).
+    to the smallest class (W0 first, then the eigenclasses, then W1).  An F
+    that breaks the F symmetries is classified too, not rejected as by
+    ``lee_form_from_f``: its Lee form is the trace theta_k = g^{ij} F_{ijk}.
     """
-    theta, theta_p = lee_form_from_f(ps, f)
+    theta = einsum("ij,ijk->k", ps.g_inv, f)
+    theta_p = ps.apply_p_form(theta)
     theta_v = 0.5 * (theta - theta_p)
     theta_h = 0.5 * (theta + theta_p)
 

@@ -22,7 +22,7 @@ DEFAULT_TOL = 1e-10
 # contraction of three bundled scenarios and of order-3 frames in dims 4, 6
 # and 8, on a shared 2-core x86-64 Xeon (numpy 2.4, OpenBLAS 0.3.31, one
 # thread): the median per-call speed-up of the matmul plan over np.einsum is
-# 0.82 at 512 terms, 1.19 at 1024 and 1.63 at 4096.
+# 0.92 at 512-1023 terms, 1.13 at 1024-2047 and 1.78 at 4096-8191.
 MATMUL_MIN_TERMS = 1024
 
 
@@ -81,7 +81,7 @@ def contraction(spec: str, shapes: tuple[tuple[int, ...], ...]):
     """The function of the operands that evaluates einsum(spec, *operands) for ``shapes``.
 
     A two-operand product that contracts an index and keeps free indices on
-    both sides runs as one matmul on transposed, reshaped operands; a
+    both sides runs as one 2-D matmul on transposed, reshaped operands; a
     product of three or more operands runs as two-operand steps in the
     order np.einsum_path(optimize="greedy") picks (Smith & Gray, "opt_einsum",
     JOSS 3(26), 2018).  Each needs at least MATMUL_MIN_TERMS terms, the
@@ -99,57 +99,37 @@ def contraction(spec: str, shapes: tuple[tuple[int, ...], ...]):
     if len(terms) < 2 or prod(size.values()) < MATMUL_MIN_TERMS:
         return plain
     if len(terms) == 2:
-        return _matmul(*terms, out, size) or plain
+        return _matmul(*terms, out) or plain
     return _pairwise(spec, terms, out, shapes, size)
 
 
-def _matmul(sa: str, sb: str, out: str, size: dict[str, int]):
-    """einsum(f"{sa},{sb}->{out}") as one matmul, or None if it is not that shape.
+def _matmul(sa: str, sb: str, out: str):
+    """einsum(f"{sa},{sb}->{out}") as one 2-D matmul, or None if it is not that shape.
 
     It is when every index the operands share is summed, every other one is
     kept, no operand or the output repeats an index, and each operand keeps
-    at least one.  The operand with more entries, x, is not copied when its
-    summed axes are adjacent: x = (lead, summed, trail) is multiplied as
-    s (kept, summed) @ x (lead, summed, trail), broadcast over lead, or as
-    x (lead, summed) @ s^T when trail is empty.  Otherwise x's summed axes
-    are moved last, which copies it.
+    at least one.  a is moved to (kept, summed) and b to (summed, kept), each
+    is reshaped to a matrix (a copy when the moved view is not contiguous),
+    and the product is reshaped and moved to the order of ``out``.
     """
     con = set(sa) & set(sb)
     if (not con or con & set(out) or set(sa) ^ set(sb) != set(out)
             or not set(sa) - con or not set(sb) - con
             or len(set(sa)) < len(sa) or len(set(sb)) < len(sb) or len(set(out)) < len(out)):
         return None
-
-    def adjacent(term):
-        at = [i for i, c in enumerate(term) if c in con]
-        return at[-1] - at[0] < len(con)
-
-    by_size = sorted((sa, sb), key=lambda term: -prod(size[c] for c in term))
-    sx = next((term for term in by_size if adjacent(term)), by_size[0])
-    ss = sb if sx == sa else sa
-    nc = len(con)
-    if adjacent(sx):
-        i0, order = min(sx.index(c) for c in con), sx
-    else:
-        i0 = len(sx) - nc
-        order = "".join(c for c in sx if c not in con) + "".join(c for c in sx if c in con)
-    fs = "".join(c for c in out if c in ss)
-    px = tuple(sx.index(c) for c in order)
-    ps = tuple(ss.index(c) for c in fs + order[i0:i0 + nc])
-    axes = order[:i0] + fs + order[i0 + nc:]
-    po = tuple(axes.index(c) for c in out)
-    nfs, x_first, trail = len(fs), sx == sa, i0 + nc < len(sx)
+    summed = "".join(c for c in sa if c in con)
+    fa = "".join(c for c in sa if c not in con)
+    fb = "".join(c for c in sb if c not in con)
+    pa = tuple(sa.index(c) for c in fa + summed)
+    pb = tuple(sb.index(c) for c in summed + fb)
+    po = tuple((fa + fb).index(c) for c in out)
+    nfa, nc = len(fa), len(con)
 
     def run(a, b):
-        x, s = (a, b) if x_first else (b, a)
-        x, s = x.transpose(px), s.transpose(ps)
-        k = prod(s.shape[nfs:])
-        lead = x.shape[:i0]
-        if trail:
-            product = s.reshape(-1, k) @ x.reshape(prod(lead), k, -1)
-        else:
-            product = x.reshape(-1, k) @ s.reshape(-1, k).T
-        return product.reshape(lead + s.shape[:nfs] + x.shape[i0 + nc:]).transpose(po)
+        a, b = a.transpose(pa), b.transpose(pb)
+        kept_a, kept_b, k = a.shape[:nfa], b.shape[nc:], prod(b.shape[:nc])
+        product = a.reshape(prod(kept_a), k) @ b.reshape(k, prod(kept_b))
+        return product.reshape(kept_a + kept_b).transpose(po)
 
     return run
 
@@ -205,14 +185,14 @@ class PointStructure:
     """An almost product structure (g, P) on one tangent space.
 
     g is the metric, P the (1,1) product tensor with P*P = I, trace P = 0 and
-    g(Px, Py) = g(x, y).  ``g_inv`` is filled in automatically.  A structure
+    g(Px, Py) = g(x, y).  ``g_inv`` is computed from g.  A structure
     compares and hashes by identity, and is not changed once built: the
     tensors derived from it are cached on it, ``_pi_tensors`` by
-    ``curvature.pi_tensors`` and ``_adapted_bases`` (one per tolerance) by
+    ``curvature.pi_tensors`` and ``_adapted_basis`` by
     ``structure.adapted_orthonormal_basis``.
     """
 
-    def __init__(self, g: np.ndarray, p: np.ndarray, g_inv: np.ndarray | None = None):
+    def __init__(self, g: np.ndarray, p: np.ndarray):
         g = np.asarray(g, dtype=float)
         p = np.asarray(p, dtype=float)
         if g.shape != p.shape or g.ndim != 2 or g.shape[0] != g.shape[1]:
@@ -220,9 +200,9 @@ class PointStructure:
         if g.shape[0] % 2 != 0 or g.shape[0] < 4:
             raise StructureError("dimension must be an even integer >= 4")
         self.g, self.p = g, p
-        self.g_inv = metric_inverse(g) if g_inv is None else g_inv
+        self.g_inv = metric_inverse(g)
         self._pi_tensors: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
-        self._adapted_bases: dict[float, np.ndarray] = {}
+        self._adapted_basis: np.ndarray | None = None
 
     @property
     def dim(self) -> int:

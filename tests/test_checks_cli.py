@@ -404,6 +404,33 @@ def test_cli_classify(tmp_path):
     assert set(payload["residuals"]) == {"W0", "W1", "W3bar", "W6bar"}
 
 
+# g_13 = (x1 - 0.1) / 2 with P = diag(1, 1, -1, -1): P is g-compatible at the
+# default base point only, so F breaks the F symmetries there.
+F_ASYMMETRIC_GERM = {
+    "dim": 4,
+    "metric": [["1", "0", "0.5*(x1-0.1)", "0"], ["0", "1", "0", "0"],
+               ["0.5*(x1-0.1)", "0", "1", "0"], ["0", "0", "0", "1"]],
+    "structure": [["1", "0", "0", "0"], ["0", "1", "0", "0"],
+                  ["0", "0", "-1", "0"], ["0", "0", "0", "-1"]],
+}
+
+
+def test_cli_check_reports_an_f_that_breaks_its_symmetries(tmp_path):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({"name": "f_asymmetric", "germ": F_ASYMMETRIC_GERM}))
+    proc = run_cli("check", "--scenario", str(path))
+    assert proc.returncode == 1, proc.stderr
+    assert "StructureError" not in proc.stderr and "error:" not in proc.stderr
+    failed = [line for line in proc.stdout.splitlines() if line.startswith("[FAIL")]
+    assert [line.split()[2] for line in failed] == ["structure", "classification"]
+    assert "f_last_two_symmetry" in failed[1] and "label=outside_W1" in failed[1]
+    germ = tmp_path / "germ.json"
+    germ.write_text(json.dumps(F_ASYMMETRIC_GERM))
+    proc = run_cli("classify", "--germ", str(germ), "--point", "0.1,0.2,0.3,0.4")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["label"] == "outside_W1"
+
+
 def test_cli_classify_rejects_wrong_point_length(tmp_path):
     germ_file = tmp_path / "germ.json"
     germ_file.write_text(json.dumps({"generator": "flat_product", "n": 2}))

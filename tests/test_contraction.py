@@ -195,6 +195,7 @@ EDGE_CASES = [
     ("imjABC,mk->ijkABC", [(6,) * 6, (6, 6)]),
     ("kij,mkAB->imjAB", [(6,) * 3, (6,) * 4]),
     ("mk,kij->mij", [(2, 3), (3, 4, 5)]),
+    ("aibj,kbla->ijkl", [(6,) * 4, (6,) * 4]),
 ]
 
 

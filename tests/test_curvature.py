@@ -427,21 +427,17 @@ def test_adapted_basis_is_built_once_per_structure_and_tolerance(monkeypatch):
 
     calls = []
     original = structure.projectors
-    monkeypatch.setattr(structure, "projectors",
-                        lambda ps, tol: calls.append(tol) or original(ps, tol))
+    monkeypatch.setattr(structure, "projectors", lambda ps: calls.append(ps) or original(ps))
     ps = oblique_structure(4, 3)
     basis = adapted_orthonormal_basis(ps)
-    assert adapted_orthonormal_basis(ps) is basis and calls == [1e-10]
+    assert adapted_orthonormal_basis(ps) is basis and calls == [ps]
     assert not basis.flags.writeable
     with pytest.raises(ValueError):
         basis[0, 0] = 1.0
     random_p_tensor(ps, 0)
     almost_einstein_check(ps, random_p_tensor(ps, 1))
     assert len(calls) == 1
-    # Another tolerance recomputes; a new structure gets its own basis.
-    other = adapted_orthonormal_basis(ps, tol=1e-8)
-    assert other is not basis and calls == [1e-10, 1e-8]
-    assert other.tobytes() == basis.tobytes()
+    # A new structure gets its own basis.
     assert adapted_orthonormal_basis(PointStructure(ps.g, ps.p)) is not basis
 
 

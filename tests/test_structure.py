@@ -32,7 +32,7 @@ def test_validate_canonical_structure():
 
 
 def test_validate_flags_nonzero_trace():
-    ps = PointStructure(np.eye(4), np.eye(4), g_inv=np.eye(4))
+    ps = PointStructure(np.eye(4), np.eye(4))
     assert not ps.is_valid()
     assert ps.invariant_residuals()["trace_p"] == 4.0
 

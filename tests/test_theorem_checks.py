@@ -16,7 +16,12 @@ from apmlab.checks import (
 )
 from apmlab.germs import KEPT_ORDER, ChartGerm, ConnectionFrame, ConnectionParams
 from apmlab.jetfields import JetTensor
-from apmlab.scenarios import bundled_scenario_names, load_bundled_scenario, run_scenario
+from apmlab.scenarios import (
+    bundled_scenario_names,
+    load_bundled_scenario,
+    load_scenario,
+    run_scenario,
+)
 from apmlab.tensors import StructureError, einsum, frob, random_symmetric2, random_tensor2
 
 THEOREM_CHECKS = (check_lee_recovery, check_tau_form_closedness, check_eigenclass_lee_recovery)
@@ -231,6 +236,26 @@ def test_outside_w1_gates_structure_parallelism_and_curvature_transfer():
     for report in checks.check_curvature_relation(ctx):
         assert report.status == "skipped"
         assert report.skip_reason == checks.IN_W1_GATE
+
+
+@pytest.mark.parametrize("eps", ["1e-5", "1e-4"])
+def test_dim4_reconstruction_skips_a_germ_just_outside_w1(eps):
+    # conformal_w1_mixed_4d's germ with g_11 times (1 + eps x3): outside W1,
+    # where R'(D) still passes the P-tensor gate, but the R -> R' transfer
+    # that dim4_reconstruction reads is derived on W1 only.
+    e = "exp(2*x1*x3)"
+    metric = [[e if i == j else "0" for j in range(4)] for i in range(4)]
+    metric[0][0] = f"{e}*(1 + {eps}*x3)"
+    structure = [["0"] * 4 for _ in range(4)]
+    structure[0][0] = structure[1][1] = "1"
+    structure[2][2] = structure[3][3] = "-1"
+    scenario = load_scenario({"germ": {"dim": 4, "metric": metric, "structure": structure}})
+    reports = {report.name: report for report in run_scenario(scenario)}
+    assert "label=outside_W1" in reports["classification"].notes
+    assert [name for name, report in reports.items() if report.status == "fail"] == []
+    report = reports["dim4_reconstruction[D]"]
+    assert report.hypothesis_flags["r_prime_p_tensor"]
+    assert (report.status, report.skip_reason) == ("skipped", checks.IN_W1_GATE)
 
 
 @pytest.mark.parametrize("name", bundled_scenario_names())
