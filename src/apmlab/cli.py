@@ -22,7 +22,7 @@ from .scenarios import (
     run_scenario,
 )
 from .structure import classify_f
-from .tensors import DEFAULT_TOL, PointStructure, StructureError, canonical_structure, frob
+from .tensors import PointStructure, StructureError, canonical_structure, frob
 
 USAGE_ERROR = 2
 
@@ -84,6 +84,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
         if point.shape[0] != germ.dim:
             raise ScenarioError("--point", f"expected {germ.dim} coordinates")
         frame = germ.frame(point, order=1)
+        frame.structure.require_valid()
         report = classify_f(frame.structure, frame.f_tensor.values)
     except (OSError, json.JSONDecodeError, ScenarioError, ParseError,
             StructureError, ValueError) as exc:
@@ -111,10 +112,7 @@ def cmd_decompose4(args: argparse.Namespace) -> int:
             raise ScenarioError("components", "entries must be finite numbers")
         if "g" in doc or "p" in doc:
             ps = PointStructure(np.asarray(doc["g"], float), np.asarray(doc["p"], float))
-            failed = [key for key, value in ps.invariant_residuals().items()
-                      if not value < DEFAULT_TOL]
-            if failed:
-                raise StructureError(f"invalid almost product structure: {', '.join(failed)}")
+            ps.require_valid()
         else:
             ps = canonical_structure(4)
         tau, tau_star, residual = decompose_dim4(ps, components)

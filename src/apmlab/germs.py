@@ -27,7 +27,10 @@ of the point structure, and each connection builds T, K, Gamma' and R' once.
 Every jet is carried only to the derivative levels some reader takes, and a
 jet that is only contracted is contracted before it is expanded: the Lee form
 comes from rank-1 traces of grad P, so grad P, F, R, omega, grad theta, T and
-K are values.  Gamma^m_ij = g^mk Gamma_kij, from the first kind
+K are values.  Every covariant derivative is ``_covariant``, the Leibniz rule
+on the slots of a tensor (Kobayashi & Nomizu, Foundations I, ch. III): grad_m t
+adds Gamma^c_ma t^..a.. for each upper slot and subtracts Gamma^a_mc t_..a..
+for each lower one.  Gamma^m_ij = g^mk Gamma_kij, from the first kind
 Gamma_kij = (d_i g_kj + d_j g_ki - d_k g_ij) / 2, and g~ are built only to
 the levels Gamma' and R read (``_gamma_order``: 2 on frames of order 3 and
 4); every rank-1 trace of Gamma that is differentiated contracts the first
@@ -251,14 +254,23 @@ def exterior_derivative(form: JetTensor) -> np.ndarray:
     return jac.T - jac
 
 
-def _covariant_p(p: JetTensor, gamma: JetTensor) -> JetTensor:
-    """(grad_i P)^m_j for the connection Gamma^m_{ij}, axes (i, m, j)."""
-    dp = p.truncated(gamma.order + 1).partial()  # dp[m, j, i] = d_i P^m_j
-    return (
-        dp.transpose("mji->imj")
-        + jt_einsum("mik,kj->imj", gamma, p)
-        - jt_einsum("kij,mk->imj", gamma, p)
-    )
+def _covariant(t: JetTensor, gamma: JetTensor, slots: str) -> JetTensor:
+    """grad t for the connection Gamma^m_ij, axes (direction m, then the axes of t).
+
+    ``slots`` marks each axis of t upper ("u"), which adds Gamma^c_ma t^..a..,
+    or lower ("d"), which subtracts Gamma^a_mc t_..a..: the Leibniz rule on
+    the slots of t.  The result carries the order of ``gamma``.
+    """
+    axes = "abcdefgh"[: len(slots)]
+    out = "z" + axes
+    grad = t.truncated(gamma.order + 1).partial().transpose(f"{axes}z->{out}")
+    for s, (c, kind) in enumerate(zip(axes, slots)):
+        moved = axes[:s] + "y" + axes[s + 1:]
+        if kind == "u":
+            grad = grad + jt_einsum(f"{c}zy,{moved}->{out}", gamma, t)
+        else:
+            grad = grad - jt_einsum(f"yz{c},{moved}->{out}", gamma, t)
+    return grad
 
 
 class GermFrame:
@@ -273,7 +285,8 @@ class GermFrame:
     StructureError naming the point, whichever field is read first.  The Lee
     form is traced from grad P term by term, so grad P and F, which only
     classification reads, are values (order 0), as are the Levi-Civita
-    curvature, the metric dual ``omega`` and ``nabla_theta``.  A connection's
+    curvature, the metric dual ``omega`` and ``nabla_theta``.  grad P, grad g
+    and grad theta take the slot rule on Gamma.  A connection's
     curvature R' and its scalar curvatures keep KEPT_ORDER levels, the one
     exact derivative that the second Bianchi identity needs; on order 4 their
     Hessians come scalar first, from ``trace_pieces``.
@@ -353,7 +366,7 @@ class GermFrame:
     @cached_property
     def nabla_p(self) -> JetTensor:
         """(grad_i P)^m_j, axes (i, m, j), as values."""
-        return _covariant_p(self.p, self.christoffel.truncated(0))
+        return _covariant(self.p, self.christoffel.truncated(0), "ud")
 
     @cached_property
     def f_tensor(self) -> JetTensor:
@@ -391,9 +404,7 @@ class GermFrame:
     @cached_property
     def nabla_theta(self) -> JetTensor:
         """(grad theta)(y, z) with axes (direction y, argument z), as values."""
-        dtheta = self.theta.truncated(1).partial()  # dtheta[j, i] = d_i theta_j
-        theta = self.theta.truncated(0)
-        return dtheta.transpose("ji->ij") - jt_einsum("kij,k->ij", self.christoffel, theta)
+        return _covariant(self.theta, self.christoffel.truncated(0), "d")
 
     @cached_property
     def d_theta(self) -> np.ndarray:
@@ -413,18 +424,8 @@ class GermFrame:
         }
 
     def metric_parallel_residual(self, gamma: JetTensor) -> float:
-        """|grad g| for the connection Gamma^m_{ij}, the largest over the levels of ``gamma``.
-
-        grad g carries the order of ``gamma``: values for a gamma of values,
-        and its first derivatives too for an order-1 gamma.
-        """
-        g = self.g.truncated(gamma.order + 1)
-        nabla_g = (
-            g.partial().transpose("ijk->kij")  # d_k g_ij
-            - jt_einsum("mki,mj->kij", gamma, g)
-            - jt_einsum("mkj,im->kij", gamma, g)
-        )
-        return max(frob(level) for level in nabla_g.data)
+        """|grad g| for the connection Gamma^m_{ij}, the largest over the levels of ``gamma``."""
+        return max(frob(level) for level in _covariant(self.g, gamma, "dd").data)
 
     @cached_property
     def trace_pieces(self) -> tuple:
@@ -492,7 +493,8 @@ class ConnectionFrame:
     gamma and sigma_s are sums of the frame's ``trace_pieces`` and Lee forms,
     and eight products with the chain's Gamma' do the rest: two full jets
     and six scalars built only above KEPT_ORDER.  No connection builds a
-    level-3 Gamma' or a level-2 R'.
+    level-3 Gamma' or a level-2 R'.  grad' g, grad' P, grad' R' and grad' theta
+    take the slot rule on Gamma', so K serves ``contorsion_skew`` only.
     """
 
     def __init__(self, frame: GermFrame, params: ConnectionParams):
@@ -605,7 +607,7 @@ class ConnectionFrame:
         return self.frame.metric_parallel_residual(self.gamma)
 
     def structure_parallel_residual(self) -> float:
-        return frob(_covariant_p(self.frame.p, self.gamma).values)
+        return frob(_covariant(self.frame.p, self.gamma, "ud").values)
 
     # -- curvature --------------------------------------------------------------
 
@@ -622,22 +624,12 @@ class ConnectionFrame:
     @cached_property
     def nabla_curvature(self) -> np.ndarray:
         """(grad'_m R')(i,j,k,l) from exact jets, axes (m, i, j, k, l)."""
-        r = self.curvature
-        dr = r.partial().values  # dr[i,j,k,l,m] = d_m R'_{ijkl}
-        gamma = self.gamma.values
-        rv = r.values
-        out = einsum("ijklm->mijkl", dr)
-        out = out - einsum("ami,ajkl->mijkl", gamma, rv)
-        out = out - einsum("amj,iakl->mijkl", gamma, rv)
-        out = out - einsum("amk,ijal->mijkl", gamma, rv)
-        out = out - einsum("aml,ijka->mijkl", gamma, rv)
-        return out
+        return _covariant(self.curvature, self.gamma, "dddd").values
 
     @cached_property
     def nabla_theta(self) -> JetTensor:
-        """(grad' theta)(y, z) through the contorsion correction, as values."""
-        correction = jt_einsum("ijk,k->ij", self.contorsion, self.frame.omega)
-        return self.frame.nabla_theta - correction
+        """(grad' theta)(y, z) = d_y theta_z - Gamma'^k_yz theta_k, as values."""
+        return _covariant(self.frame.theta, self.gamma, "d")
 
     # -- scalar curvatures -------------------------------------------------------
 

@@ -214,11 +214,13 @@ def load_scenario(doc: dict, name: str = "scenario") -> Scenario:
 
 
 def load_scenario_file(path: str) -> Scenario:
-    with open(path) as fh:
-        try:
+    try:
+        with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ScenarioError("$", f"invalid JSON: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ScenarioError("$", f"invalid JSON: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ScenarioError("$", f"cannot read scenario file: {exc}") from exc
     return load_scenario(doc, name=path)
 
 

@@ -57,8 +57,7 @@ def projectors(ps: PointStructure) -> tuple[np.ndarray, np.ndarray]:
 
     Raises StructureError unless the structure is valid at DEFAULT_TOL.
     """
-    if not ps.is_valid(DEFAULT_TOL):
-        raise StructureError("invalid almost product structure")
+    ps.require_valid()
     eye = np.eye(ps.dim)
     return 0.5 * (eye + ps.p), 0.5 * (eye - ps.p)
 

@@ -243,6 +243,12 @@ class PointStructure:
     def is_valid(self, tol: float = DEFAULT_TOL) -> bool:
         return max(self.invariant_residuals().values()) < tol
 
+    def require_valid(self) -> None:
+        """Raise StructureError naming each invariant whose residual is not below DEFAULT_TOL."""
+        failed = [k for k, v in self.invariant_residuals().items() if not v < DEFAULT_TOL]
+        if failed:
+            raise StructureError(f"invalid almost product structure: {', '.join(failed)}")
+
 
 def canonical_structure(dim: int, conformal_factor: float = 1.0) -> PointStructure:
     """Euclidean metric with the block-swap product structure e_a <-> e_{n+a}."""

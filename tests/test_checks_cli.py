@@ -174,6 +174,17 @@ def test_cli_out_naming_a_directory_exits_2(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("content", [None, b"\xff{}"], ids=["directory", "not_utf8"])
+def test_cli_check_names_a_scenario_file_it_cannot_read(tmp_path, content):
+    path = tmp_path / "scenario.json"
+    path.mkdir() if content is None else path.write_bytes(content)
+    proc = run_cli("check", "--scenario", str(path))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: $: cannot read scenario file: ")
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
 def test_cli_malformed_expression_exits_2(tmp_path):
     scenario = tmp_path / "bad.json"
     scenario.write_text(
@@ -429,6 +440,18 @@ def test_cli_check_reports_an_f_that_breaks_its_symmetries(tmp_path):
     proc = run_cli("classify", "--germ", str(germ), "--point", "0.1,0.2,0.3,0.4")
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["label"] == "outside_W1"
+
+
+def test_cli_classify_rejects_a_structure_that_is_not_almost_product(tmp_path):
+    # g = I with P = 2I: P^2 = 4, P(g) = 4g and trace P = 8, as decompose4 names them.
+    diagonal = lambda value: [[value if i == j else "0" for j in range(4)] for i in range(4)]
+    germ = tmp_path / "germ.json"
+    germ.write_text(json.dumps({"dim": 4, "metric": diagonal("1"), "structure": diagonal("2")}))
+    proc = run_cli("classify", "--germ", str(germ), "--point", "0.1,0.2,0.3,0.4")
+    assert proc.returncode == 2
+    assert proc.stderr == ("error: invalid almost product structure: "
+                           "p_squared, compatibility, trace_p\n")
+    assert proc.stdout == ""
 
 
 def test_cli_classify_rejects_wrong_point_length(tmp_path):

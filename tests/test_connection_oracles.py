@@ -10,7 +10,7 @@ import pytest
 
 from apmlab import germs, jetfields
 from apmlab.germs import KEPT_ORDER, ChartGerm, ConnectionParams
-from apmlab.jetfields import jt_einsum
+from apmlab.jetfields import JetTensor, jt_einsum
 from apmlab.scenarios import load_bundled_scenario
 from apmlab.tensors import frob
 
@@ -96,7 +96,7 @@ def test_theta_matches_the_trace_of_the_full_order_f(name, order):
     # theta from first-kind traces against g^{ij} F_ijk, with Gamma, grad P
     # and F built at full order by the general covariant derivative.
     fr = GERMS[name].frame(order=order)
-    nabla_p = germs._covariant_p(fr.p, oracle_christoffel(fr))
+    nabla_p = germs._covariant(fr.p, oracle_christoffel(fr), "ud")
     f_tensor = jt_einsum("imj,mk->ijk", nabla_p, fr.g)
     expected = jt_einsum("ij,ijk->k", fr.g_inv, f_tensor)
     assert expected.order == order - 1
@@ -205,6 +205,61 @@ def test_no_order_4_product_builds_a_rank_3_level_above_2(name, monkeypatch):
         assert cf.scalar_curvatures[0].order == 2
     assert ("kia,ia->k", 3, 1) in built  # the Lee form's level 3 is built, at rank 1
     assert [entry for entry in built if entry[1] > 2 and entry[2] >= 3] == []
+
+
+def full_order_gammas(fr):
+    """Gamma and each family connection's Gamma' of ``fr`` at order - 1, every level it has."""
+    return [oracle_christoffel(fr)] + [oracle_gamma(fr.connection(cp), fr.order - 1)
+                                       for cp in family(fr.n)]
+
+
+@pytest.mark.parametrize("name", list(GERMS))
+def test_the_identity_is_parallel_for_every_connection(name):
+    # delta^m_j has one upper and one lower slot, whose terms
+    # Gamma^c_ma delta^a_j - Gamma^a_mj delta^c_a cancel for any Gamma.
+    fr = GERMS[name].frame(order=4)
+    gammas = full_order_gammas(fr)
+    assert max(frob(gamma.data[3]) for gamma in gammas) > 1e-2  # not a sum of zeros
+    for gamma in gammas:
+        identity = JetTensor.constant(np.eye(fr.dim), fr.dim, gamma.order + 1)
+        nabla = germs._covariant(identity, gamma, "ud")
+        assert nabla.order == gamma.order
+        assert max(frob(level) for level in nabla.data) <= 1e-15
+
+
+@pytest.mark.parametrize("name", list(GERMS))
+def test_levi_civita_keeps_g_parallel_at_every_level(name):
+    # The levi_civita check reads grad g to first order; the frame's Gamma
+    # (levels 0..2 on order 4) and the full-order one keep it at every level.
+    fr = GERMS[name].frame(order=4)
+    for gamma in (fr.christoffel, oracle_christoffel(fr)):
+        nabla_g = germs._covariant(fr.g, gamma, "dd")
+        assert nabla_g.order == gamma.order >= 2
+        for k, level in enumerate(nabla_g.data):
+            assert frob(level) <= 1e-12 * max(1.0, frob(fr.g.data[k + 1])), f"level {k}"
+
+
+@pytest.mark.parametrize("name", list(GERMS))
+def test_the_rank_2_rule_is_the_product_rule_of_rank_1(name):
+    # grad(theta x theta) = grad theta x theta + theta x grad theta.
+    fr = GERMS[name].frame(order=4)
+    theta = fr.theta
+    square = jt_einsum("i,j->ij", theta, theta)
+    for gamma in full_order_gammas(fr):
+        gamma = gamma.truncated(theta.order - 1)
+        nabla = germs._covariant(theta, gamma, "d")
+        expected = jt_einsum("mi,j->mij", nabla, theta) + jt_einsum("i,mj->mij", theta, nabla)
+        assert_levels_match(germs._covariant(square, gamma, "dd"), expected)
+
+
+@pytest.mark.parametrize("name", list(GERMS))
+def test_nabla_theta_on_gamma_prime_is_grad_theta_less_the_contorsion(name):
+    # Gamma' = Gamma + g^-1 K, so grad' theta = grad theta - K(., ., omega).
+    fr = GERMS[name].frame(order=3)
+    for cp in family(fr.n):
+        cf = fr.connection(cp)
+        expected = fr.nabla_theta - jt_einsum("ijk,k->ij", cf.contorsion, fr.omega)
+        assert_levels_match(cf.nabla_theta, expected)
 
 
 def test_oracles_see_nonzero_curvature():
