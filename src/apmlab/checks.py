@@ -304,7 +304,7 @@ def _transfer_correction(ctx: ScenarioContext, tr) -> np.ndarray:
 
 @check("natural_connection", TOL_ALGEBRA, "Torsion family and parallelism residuals",
        residuals=(("torsion_match", 1e-12), "metric_parallel", ("structure_parallel", 1e-8),
-                  ("contorsion_skew", 1e-12), ("torsion_p_identity", 1e-12), "explicit_formula"),
+                  ("torsion_p_identity", 1e-12), "explicit_formula"),
        per_connection=True)
 def check_natural_connection(ctx: ScenarioContext, report: CheckReport, cf: ConnectionFrame):
     fr = ctx.frame
@@ -316,8 +316,6 @@ def check_natural_connection(ctx: ScenarioContext, report: CheckReport, cf: Conn
         report.residuals["structure_parallel"] = cf.structure_parallel_residual()
     else:
         report.notes.append(f"structure parallelism skipped: {IN_W1_GATE}")
-    k = cf.contorsion.values
-    report.residuals["contorsion_skew"] = frob(k + k.transpose(0, 2, 1))
 
     # T(x,y) - P T(Px,y) = {th(Px) y - th(x) Py} / 2n, for every (lam, mu)
     tm = cf.torsion_mixed

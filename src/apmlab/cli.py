@@ -94,6 +94,17 @@ def cmd_classify(args: argparse.Namespace) -> int:
     return 0
 
 
+def _finite_entries(doc: dict, key: str) -> np.ndarray:
+    """``doc[key]`` as a float array, or a ScenarioError at ``key`` unless every
+    entry is a finite JSON number: checked before the conversion, which would
+    take ``true`` as 1.0 and ``"1.5"`` as 1.5.
+    """
+    entries = np.array(doc[key], dtype=object)
+    if any(_finite_float(value) is None for value in entries.flat):
+        raise ScenarioError(key, "entries must be finite numbers")
+    return entries.astype(float)
+
+
 def cmd_decompose4(args: argparse.Namespace) -> int:
     try:
         with open(args.tensor) as fh:
@@ -105,13 +116,11 @@ def cmd_decompose4(args: argparse.Namespace) -> int:
             raise ScenarioError("dim", f"expected int, got {type(dim).__name__}")
         if dim != 4:
             raise ValueError("scalar-curvature decomposition requires dim = 4")
-        components = np.asarray(doc["components"], dtype=float)
+        components = _finite_entries(doc, "components")
         if components.shape != (4, 4, 4, 4):
             raise ValueError("components must form a 4x4x4x4 array")
-        if any(_finite_float(value) is None for value in components.flat):
-            raise ScenarioError("components", "entries must be finite numbers")
         if "g" in doc or "p" in doc:
-            ps = PointStructure(np.asarray(doc["g"], float), np.asarray(doc["p"], float))
+            ps = PointStructure(_finite_entries(doc, "g"), _finite_entries(doc, "p"))
             ps.require_valid()
         else:
             ps = canonical_structure(4)

@@ -72,13 +72,12 @@ def is_p_tensor(ps: PointStructure, l: np.ndarray, tol: float = DEFAULT_TOL) -> 
     return report.finalize()
 
 
-def p_slot_identities(ps: PointStructure, l: np.ndarray,
-                      tol: float = DEFAULT_TOL) -> CheckReport:
-    """The five P-slot-moving equalities valid for every Riemannian P-tensor.
+def p_slot_identities(ps: PointStructure, l: np.ndarray) -> CheckReport:
+    """The five P-slot-moving equalities valid for every Riemannian P-tensor, at DEFAULT_TOL.
 
     Precondition: L passes the P-tensor test; otherwise raises ValueError.
     """
-    if not is_p_tensor(ps, l, tol=max(tol, 1e-8) * max(1.0, frob(l))).passed:
+    if not is_p_tensor(ps, l, tol=1e-8 * max(1.0, frob(l))).passed:
         raise ValueError("prerequisite failed: L is not a Riemannian P-tensor")
     p = ps.p
     one_p = [
@@ -87,7 +86,7 @@ def p_slot_identities(ps: PointStructure, l: np.ndarray,
         einsum("ijcl,ck->ijkl", l, p),
         einsum("ijkd,dl->ijkl", l, p),
     ]
-    report = CheckReport(name="p_slot_identities", tol=tol)
+    report = CheckReport(name="p_slot_identities", tol=DEFAULT_TOL)
     report.residuals["middle_pair_p"] = frob(
         einsum("ibcl,bj,ck->ijkl", l, p, p) - l
     )
@@ -227,14 +226,14 @@ def dim4_from_scalars(pis, tau, tau_star) -> np.ndarray:
 
 
 def sectional_curvatures(ps: PointStructure, l: np.ndarray,
-                         basis: np.ndarray,
-                         tol: float = 1e-8) -> tuple[float, float]:
+                         basis: np.ndarray) -> tuple[float, float]:
     """Sectional curvature of the {E1, E2} plane and its P-associated companion.
 
-    ``basis`` must be an adapted orthonormal basis (columns E_a then PE_a).
+    ``basis`` must be an adapted orthonormal basis (columns E_a then PE_a),
+    to 1e-8; otherwise raises ValueError.
     """
     res = basis_residuals(ps, basis)
-    if max(res.values()) > tol:
+    if max(res.values()) > 1e-8:
         raise ValueError(f"basis is not adapted orthonormal: {res}")
     e1, e2, pe2 = basis[:, 0], basis[:, 1], basis[:, ps.n + 1]
     nu = float(einsum("ijkl,i,j,k,l->", l, e1, e2, e1, e2))
@@ -242,9 +241,8 @@ def sectional_curvatures(ps: PointStructure, l: np.ndarray,
     return nu, nu_star
 
 
-def almost_einstein_check(ps: PointStructure, l: np.ndarray,
-                          tol: float = DEFAULT_TOL) -> CheckReport:
-    """Einstein-type shape of the Ricci tensor of a dim-4 Riemannian P-tensor.
+def almost_einstein_check(ps: PointStructure, l: np.ndarray) -> CheckReport:
+    """Einstein-type shape of the Ricci tensor of a dim-4 Riemannian P-tensor, at DEFAULT_TOL.
 
     Checks rho(L) = {tau g + tau_star g~} / 4, that all totally real basic
     2-planes share one sectional curvature, and that invariant basic 2-planes
@@ -268,7 +266,7 @@ def almost_einstein_check(ps: PointStructure, l: np.ndarray,
         for x, y in [(e1, pe1), (e2, pe2)]
     ]
 
-    report = CheckReport(name="almost_einstein", tol=tol)
+    report = CheckReport(name="almost_einstein", tol=DEFAULT_TOL)
     report.residuals["ricci_form"] = frob(inv.rho - expected)
     report.residuals["totally_real_spread"] = max(curvatures) - min(curvatures)
     report.residuals["invariant_plane_curvature"] = max(invariant)

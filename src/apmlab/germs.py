@@ -23,7 +23,8 @@ symmetric exactly when P is g-compatible, which ``structure`` checks; the
 torsion check compares that Gamma' with the general T.
 
 Each frame quantity has one producer: g^-1 extends the one validated inversion
-of the point structure, and each connection builds T, K, Gamma' and R' once.
+of the point structure, and each connection builds T, Gamma' and R' once, when
+it is constructed; no check reads the contorsion K, built only when read.
 Every jet is carried only to the derivative levels some reader takes, and a
 jet that is only contracted is contracted before it is expanded: the Lee form
 comes from rank-1 traces of grad P, so grad P, F, R, omega, grad theta, T and
@@ -481,20 +482,53 @@ def _contorsion_of(t: JetTensor) -> JetTensor:
     return (t - t.transpose("jki->ijk") + t.transpose("kij->ijk")).scaled(0.5)
 
 
+def _torsion_of(wedges) -> JetTensor:
+    """T = sum m^w over ``wedges`` as values: outer products H, then H_ijk - H_jik."""
+    h = None
+    for metric, _, form in wedges:
+        outer = jt_einsum("jk,i->ijk", metric.truncated(0), form.truncated(0))
+        h = outer if h is None else h + outer
+    return h - h.transpose("jik->ijk")
+
+
+def _gamma_of(frame: GermFrame, wedges) -> JetTensor:
+    """Gamma'^m_ij = Gamma^m_ij + g^mk K_ijk straight from ``wedges``, as the module says.
+
+    It carries the levels of the frame's Christoffel symbols, ``_gamma_order``.
+    """
+    gamma = frame.christoffel
+    order, diagonal = gamma.order, np.arange(frame.dim)
+    for metric, raised, form in wedges:
+        form = form.truncated(order)
+        gamma = gamma + jt_einsum("ij,m->mij", metric, jt_einsum("mk,k->m", frame.g_inv, form))
+        if raised is None:  # delta^m_i w_j: w_j subtracted where m = i, in the fresh sum
+            for level, w in zip(gamma.data, form.data):
+                level[diagonal, diagonal] -= w
+        else:
+            gamma = gamma - jt_einsum("mi,j->mij", raised, form)
+    return gamma
+
+
 class ConnectionFrame:
     """A natural connection (lambda, mu) attached to an evaluated germ frame.
 
-    One chain, built once, makes T and K as values, all their readers take,
-    Gamma' to KEPT_ORDER + 1 straight from the wedges of T, and R'^m_ijk from
-    Gamma'.  It keeps Gamma' as values, and the lowered R', Ricci', rho*',
-    tau' and tau*' to KEPT_ORDER levels: values and gradients, from R'.  On
-    an order-4 frame ``scalar_curvatures`` adds the Hessians of tau' and
-    tau*' when a check reads them, from the identity of the ``germs`` module:
-    gamma and sigma_s are sums of the frame's ``trace_pieces`` and Lee forms,
-    and eight products with the chain's Gamma' do the rest: two full jets
-    and six scalars built only above KEPT_ORDER.  No connection builds a
-    level-3 Gamma' or a level-2 R'.  grad' g, grad' P, grad' R' and grad' theta
-    take the slot rule on Gamma', so K serves ``contorsion_skew`` only.
+    Construction builds the one chain T -> Gamma' -> R' and keeps its links
+    as plain attributes: ``torsion``, T as values; ``gamma``, the values of
+    Gamma'^m_ij (axes m; direction i, argument j), built straight from the
+    wedges of T to the levels R' reads, and ``gamma_jet``, Gamma' to
+    order - 2 where the Hessians of tau' read it, else its values;
+    ``curvature``, the lowered R', with ``ricci`` = R'^i_ijk and
+    ``rho_star`` = Q^i_a R'^a_ijk, to KEPT_ORDER levels: values and
+    gradients.  A T or R' that is not finite (a huge lambda or mu) raises
+    StructureError naming the connection and the point, here.  tau' and
+    tau*' are contracted when read; on an order-4 frame ``scalar_curvatures``
+    adds their Hessians when a check reads them, from the identity of the
+    ``germs`` module: gamma and sigma_s are sums of the frame's
+    ``trace_pieces`` and Lee forms, and eight products with ``gamma_jet`` do
+    the rest: two full jets and six scalars built only above KEPT_ORDER.  No
+    connection builds a level-3 Gamma' or a level-2 R'.  grad' g, grad' P,
+    grad' R' and grad' theta take the slot rule on Gamma', so no check reads
+    the contorsion K, which is built only when read.
     """
 
     def __init__(self, frame: GermFrame, params: ConnectionParams):
@@ -502,91 +536,35 @@ class ConnectionFrame:
         self.params = params
         self.dim = frame.dim
         self.n = frame.n
-
-    # -- connection -----------------------------------------------------------
-
-    @cached_property
-    def _wedges(self) -> list[tuple[JetTensor, JetTensor | None, JetTensor]]:
-        """(m, g^-1 m, w) for each wedge m^w of T = g^a + g~^b, at full order.
-
-        a and b are ``ConnectionParams.wedge_coefficients``.  g^-1 g is the
-        identity, given as None, and g^-1 g~ is the g-adjoint Q of P.  A
-        wedge whose Lee-form coefficients are both exactly zero is left out:
-        g~^b for D, and g^a for D_tilde, where 1/2n + mu cancels.
-        """
-        f = self.frame
-        c_a, c_b = self.params.wedge_coefficients(self.n)
-        return [(metric, raised, _combine((f.theta_p, f.theta), c))
-                for metric, raised, c in ((f.g, None, c_a), (f.g_assoc, f.p_adjoint, c_b))
-                if c[0] or c[1]]
-
-    def _torsion(self) -> JetTensor:
-        """T = g^a + g~^b as values: outer products H, then H_ijk - H_jik."""
-        h = None
-        for metric, _, form in self._wedges:
-            outer = jt_einsum("jk,i->ijk", metric.truncated(0), form.truncated(0))
-            h = outer if h is None else h + outer
-        return h - h.transpose("jik->ijk")
-
-    def _gamma(self) -> JetTensor:
-        """Gamma'^m_ij = Gamma^m_ij + g^mk K_ijk straight from the wedges, as the module says.
-
-        It is built to the levels R' reads, KEPT_ORDER + 1, or to those of
-        tau', order - 2, where the frame carries more.
-        """
-        f = self.frame
-        order = _gamma_order(f.order)
-        gamma = f.christoffel
-        diagonal = np.arange(self.dim)
-        for metric, raised, form in self._wedges:
-            form = form.truncated(order)
-            gamma = gamma + jt_einsum("ij,m->mij", metric, jt_einsum("mk,k->m", f.g_inv, form))
-            if raised is None:  # delta^m_i w_j: w_j subtracted where m = i, in the fresh sum
-                for level, w in zip(gamma.data, form.data):
-                    level[diagonal, diagonal] -= w
-            else:
-                gamma = gamma - jt_einsum("mi,j->mij", raised, form)
-        return gamma
+        f = frame
+        # (m, g^-1 m, w) for each wedge m^w of T = g^a + g~^b, at full order,
+        # a and b from ``ConnectionParams.wedge_coefficients``.  g^-1 g is the
+        # identity, given as None, and g^-1 g~ is the g-adjoint Q of P.  A
+        # wedge whose Lee-form coefficients are both exactly zero is left out:
+        # g~^b for D, and g^a for D_tilde, where 1/2n + mu cancels.
+        c_a, c_b = params.wedge_coefficients(self.n)
+        wedges = [(metric, raised, _combine((f.theta_p, f.theta), c))
+                  for metric, raised, c in ((f.g, None, c_a), (f.g_assoc, f.p_adjoint, c_b))
+                  if c[0] or c[1]]
+        with np.errstate(over="ignore", invalid="ignore"):  # reported by _finite instead
+            self.torsion = _finite(_torsion_of(wedges), f"torsion T of {self._label}", f.point)
+            gamma = _gamma_of(f, wedges)
+            up = _finite(_curvature_of(gamma.truncated(KEPT_ORDER + 1)),
+                         f"curvature R' of {self._label}", f.point)
+        self.gamma = gamma.truncated(0)
+        self.gamma_jet = gamma if f.order - 2 > KEPT_ORDER else self.gamma
+        self.curvature = jt_einsum("mijk,ml->ijkl", up, f.g)
+        self.ricci = up.transpose("iijk->jk")
+        self.rho_star = jt_einsum("ia,aijk->jk", f.p_adjoint, up)
 
     @property
     def _label(self) -> str:
         return f"connection {self.params.label(self.n)}"
 
     @cached_property
-    def _chain(self) -> tuple[JetTensor, ...]:
-        """T, K, Gamma', R'_ijkl, Ricci' = R'^i_ijk, rho*' = Q^i_a R'^a_ijk, Gamma' for tau'.
-
-        T and K = {T_ijk - T_jki + T_kij} / 2 are values.  R' is built from
-        Gamma' to KEPT_ORDER + 1, so it and its traces carry KEPT_ORDER.  The
-        last entry is Gamma' to order - 2, kept for the Hessians of tau' and
-        tau*' when the frame is deep enough to carry them, else None.  A T or
-        R' that is not finite (a huge lambda or mu) raises StructureError
-        naming the connection and the point.
-        """
-        f = self.frame
-        with np.errstate(over="ignore", invalid="ignore"):  # reported by _finite instead
-            torsion = _finite(self._torsion(), f"torsion T of {self._label}", f.point)
-            contorsion = _contorsion_of(torsion)
-            gamma = self._gamma()
-            up = _finite(_curvature_of(gamma.truncated(KEPT_ORDER + 1)),
-                         f"curvature R' of {self._label}", f.point)
-        lowered = jt_einsum("mijk,ml->ijkl", up, f.g)
-        traced = gamma if f.order - 2 > KEPT_ORDER else None
-        return (torsion, contorsion, gamma.truncated(0), lowered, up.transpose("iijk->jk"),
-                jt_einsum("ia,aijk->jk", f.p_adjoint, up), traced)
-
-    @property
-    def torsion(self) -> JetTensor:
-        return self._chain[0]
-
-    @property
     def contorsion(self) -> JetTensor:
-        return self._chain[1]
-
-    @property
-    def gamma(self) -> JetTensor:
-        """Gamma'^m_{ij}, axes (m; direction i, argument j)."""
-        return self._chain[2]
+        """K(x,y,z) = {T(x,y,z) - T(y,z,x) + T(z,x,y)} / 2, as values."""
+        return _contorsion_of(self.torsion)
 
     @cached_property
     def torsion_mixed(self) -> np.ndarray:
@@ -611,11 +589,6 @@ class ConnectionFrame:
 
     # -- curvature --------------------------------------------------------------
 
-    @property
-    def curvature(self) -> JetTensor:
-        """Curvature of the natural connection, all indices down, to KEPT_ORDER."""
-        return self._chain[3]
-
     @cached_property
     def p_tensor_residual(self) -> float:
         """Worst residual of "R' is a Riemannian P-tensor" at the frame's point."""
@@ -633,11 +606,6 @@ class ConnectionFrame:
 
     # -- scalar curvatures -------------------------------------------------------
 
-    @property
-    def ricci(self) -> JetTensor:
-        """Ricci'_jk = g^il R'_ijkl, taken as the trace R'^i_ijk."""
-        return self._chain[4]
-
     @cached_property
     def tau(self) -> JetTensor:
         return jt_einsum("jk,jk->", self.frame.g_inv, self.ricci)
@@ -645,7 +613,7 @@ class ConnectionFrame:
     @cached_property
     def tau_star(self) -> JetTensor:
         """tau*' = g^jk rho*'_jk, where rho*'_jk = g^il R'_ijkm P^m_l."""
-        return jt_einsum("jk,jk->", self.frame.g_inv, self._chain[5])
+        return jt_einsum("jk,jk->", self.frame.g_inv, self.rho_star)
 
     @cached_property
     def scalar_curvatures(self) -> tuple[JetTensor, JetTensor]:
@@ -655,10 +623,9 @@ class ConnectionFrame:
         levels above come from the identity in the ``germs`` module, checked
         for finiteness as R' is.
         """
-        gamma = self._chain[6]
-        if gamma is None:
+        f, dim, gamma = self.frame, self.dim, self.gamma_jet
+        if f.order - 2 <= KEPT_ORDER:
             return self.tau, self.tau_star
-        f, dim, order = self.frame, self.dim, gamma.order
         raised, traced, sigmas, g_dq = f.trace_pieces
         (a_p, a_t), (b_p, b_t) = self.params.wedge_coefficients(self.n)
         forms, k = (f.theta_p, f.theta), dim - 1
@@ -674,7 +641,7 @@ class ConnectionFrame:
             w = g_trace.partial() + jt_einsum("ajk,jik->ai", gamma, raised_gamma)
             # The scalar products build only their levels above KEPT_ORDER.
             upper = ([], [])
-            for k in range(KEPT_ORDER + 1, order + 1):
+            for k in range(KEPT_ORDER + 1, gamma.order + 1):
                 heads = (einsum("aa...->...", w.data[k]),
                          jt_level("ia,ai->", f.p_adjoint, w, k)
                          + jt_level("kia,aik->", g_dq, gamma, k))

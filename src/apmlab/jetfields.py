@@ -48,7 +48,7 @@ class JetTensor:
 
     def __init__(self, data: tuple[np.ndarray, ...], dim: int):
         # Levels are stored as given: jet arithmetic makes float levels, and
-        # ``constant``, ``_chain`` and ``jt_inverse`` convert outside values.
+        # ``constant``, ``_compose`` and ``jt_inverse`` convert outside values.
         self.data = data
         self.dim = dim
 
@@ -133,7 +133,7 @@ class JetTensor:
 
     # -- componentwise functions -------------------------------------------------
 
-    def _chain(self, value: np.ndarray, derivative) -> "JetTensor":
+    def _compose(self, value: np.ndarray, derivative) -> "JetTensor":
         """Jet of f(self) from f's values and f' as a map of jets one order lower."""
         value = np.asarray(value, dtype=float)  # np.exp of a 0-d array is a NumPy scalar
         if self.order == 0:
@@ -144,17 +144,17 @@ class JetTensor:
         return JetTensor((value,) + rest.data, self.dim)
 
     def exp(self) -> "JetTensor":
-        return self._chain(np.exp(self.values), JetTensor.exp)
+        return self._compose(np.exp(self.values), JetTensor.exp)
 
     def sin(self) -> "JetTensor":
-        return self._chain(np.sin(self.values), JetTensor.cos)
+        return self._compose(np.sin(self.values), JetTensor.cos)
 
     def cos(self) -> "JetTensor":
-        return self._chain(np.cos(self.values), lambda u: -u.sin())
+        return self._compose(np.cos(self.values), lambda u: -u.sin())
 
     def ln(self) -> "JetTensor":
         """Natural logarithm; the caller keeps the values positive."""
-        return self._chain(np.log(self.values), JetTensor.reciprocal)
+        return self._compose(np.log(self.values), JetTensor.reciprocal)
 
     def reciprocal(self) -> "JetTensor":
         """1 / self; the caller keeps the values nonzero."""
@@ -163,13 +163,13 @@ class JetTensor:
             r = u.reciprocal()
             return -(r * r)
 
-        return self._chain(1.0 / self.values, derivative)
+        return self._compose(1.0 / self.values, derivative)
 
     def powi(self, k: int) -> "JetTensor":
         """Integer power; a negative exponent needs nonzero values."""
         if k == 0:
             return JetTensor.constant(np.ones(self.shape), self.dim, self.order)
-        return self._chain(self.values**k, lambda u: u.powi(k - 1).scaled(k))
+        return self._compose(self.values**k, lambda u: u.powi(k - 1).scaled(k))
 
 
 @lru_cache(maxsize=None)

@@ -20,21 +20,21 @@ class CheckReport:
     ``residuals`` maps residual names to nonnegative values, each compared
     against ``tolerances`` (same keys; missing keys fall back to ``tol``).
     A skipped check records the violated hypothesis, carries no residuals and
-    never counts as a failure.  Each dict or list left out is a new empty one.
+    never counts as a failure.  A report starts empty, with no status: its
+    check fills ``residuals``, ``hypothesis_flags``, ``scalars`` and
+    ``notes``.  ``tolerances`` left out is a new empty dict.
     """
 
-    def __init__(self, name: str, tol: float = 1e-10, residuals: dict[str, float] | None = None,
-                 tolerances: dict[str, float] | None = None,
-                 hypothesis_flags: dict[str, bool] | None = None,
-                 scalars: dict[str, float] | None = None, status: str | None = None,
-                 skip_reason: str | None = None, notes: list[str] | None = None):
+    def __init__(self, name: str, tol: float = 1e-10,
+                 tolerances: dict[str, float] | None = None):
         self.name, self.tol = name, tol
-        self.residuals = {} if residuals is None else residuals
+        self.residuals: dict[str, float] = {}
         self.tolerances = {} if tolerances is None else tolerances
-        self.hypothesis_flags = {} if hypothesis_flags is None else hypothesis_flags
-        self.scalars = {} if scalars is None else scalars
-        self.status, self.skip_reason = status, skip_reason
-        self.notes = [] if notes is None else notes
+        self.hypothesis_flags: dict[str, bool] = {}
+        self.scalars: dict[str, float] = {}
+        self.status: str | None = None
+        self.skip_reason: str | None = None
+        self.notes: list[str] = []
 
     def tolerance_for(self, key: str) -> float:
         return self.tolerances.get(key, self.tol)

@@ -22,7 +22,7 @@ CLASS_W3BAR = "W3bar"
 CLASS_W6BAR = "W6bar"
 CLASS_OUTSIDE = "outside_W1"
 
-# Relative residual below which a class membership is accepted.
+# Relative residual below which a class membership, or an F symmetry, is accepted.
 CLASS_TOL = 1e-8
 
 
@@ -30,17 +30,16 @@ class ClassReport:
     """Classification of an F tensor by residual against each characteristic form."""
 
     def __init__(self, residual_w0: float, residual_w1: float, residual_w3bar: float,
-                 residual_w6bar: float, theta: np.ndarray, theta_p: np.ndarray, label: str,
-                 tol: float):
+                 residual_w6bar: float, theta: np.ndarray, theta_p: np.ndarray, label: str):
         self.residual_w0, self.residual_w1 = residual_w0, residual_w1
         self.residual_w3bar, self.residual_w6bar = residual_w3bar, residual_w6bar
         self.theta, self.theta_p = theta, theta_p
-        self.label, self.tol = label, tol
+        self.label = label
 
     def as_dict(self) -> dict:
         return {
             "label": self.label,
-            "tolerance": self.tol,
+            "tolerance": CLASS_TOL,
             "residuals": {
                 "W0": self.residual_w0,
                 "W1": self.residual_w1,
@@ -129,15 +128,14 @@ def f_symmetry_residuals(ps: PointStructure, f: np.ndarray) -> dict[str, float]:
     }
 
 
-def lee_form_from_f(ps: PointStructure, f: np.ndarray,
-                    tol: float = 1e-8) -> tuple[np.ndarray, np.ndarray]:
+def lee_form_from_f(ps: PointStructure, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Contract F to the Lee form: theta_k = g^{ij} F_{ijk}; also returns theta o P.
 
-    Rejects tensors that violate the F symmetries beyond ``tol`` (relative).
+    Rejects tensors that violate the F symmetries beyond CLASS_TOL (relative).
     """
     scale = max(1.0, frob(f))
     for name, res in f_symmetry_residuals(ps, f).items():
-        if res / scale > tol:
+        if res / scale > CLASS_TOL:
             raise StructureError(f"F symmetry violated: {name} residual {res:.3e}")
     theta = einsum("ij,ijk->k", ps.g_inv, f)
     return theta, ps.apply_p_form(theta)
@@ -166,11 +164,12 @@ def _eigenclass_form(ps: PointStructure, theta: np.ndarray, sign: float) -> np.n
     return f / ps.dim
 
 
-def classify_f(ps: PointStructure, f: np.ndarray, tol: float = CLASS_TOL) -> ClassReport:
+def classify_f(ps: PointStructure, f: np.ndarray) -> ClassReport:
     """Classify F into W0 / W3bar / W6bar / W1 / outside_W1 by defect residuals.
 
-    Membership is decided on relative residuals |defect| / max(1, |F|); ties go
-    to the smallest class (W0 first, then the eigenclasses, then W1).  An F
+    Membership is decided on relative residuals |defect| / max(1, |F|) below
+    CLASS_TOL; ties go to the smallest class (W0 first, then the
+    eigenclasses, then W1).  An F
     that breaks the F symmetries is classified too, not rejected as by
     ``lee_form_from_f``: its Lee form is the trace theta_k = g^{ij} F_{ijk}.
     """
@@ -185,11 +184,11 @@ def classify_f(ps: PointStructure, f: np.ndarray, tol: float = CLASS_TOL) -> Cla
     res_w6 = frob(f - _eigenclass_form(ps, theta_h, -1.0))
 
     scale = max(1.0, frob(f))
-    if res_w0 / scale < tol:
+    if res_w0 / scale < CLASS_TOL:
         label = CLASS_W0
-    elif min(res_w3, res_w6) / scale < tol:
+    elif min(res_w3, res_w6) / scale < CLASS_TOL:
         label = CLASS_W3BAR if res_w3 <= res_w6 else CLASS_W6BAR
-    elif res_w1 / scale < tol:
+    elif res_w1 / scale < CLASS_TOL:
         label = CLASS_W1
     else:
         label = CLASS_OUTSIDE
@@ -202,5 +201,4 @@ def classify_f(ps: PointStructure, f: np.ndarray, tol: float = CLASS_TOL) -> Cla
         theta=theta,
         theta_p=theta_p,
         label=label,
-        tol=tol,
     )

@@ -240,9 +240,6 @@ class PointStructure:
             "g_inverse": frob(self.g_inv @ g - eye),
         }
 
-    def is_valid(self, tol: float = DEFAULT_TOL) -> bool:
-        return max(self.invariant_residuals().values()) < tol
-
     def require_valid(self) -> None:
         """Raise StructureError naming each invariant whose residual is not below DEFAULT_TOL."""
         failed = [k for k, v in self.invariant_residuals().items() if not v < DEFAULT_TOL]

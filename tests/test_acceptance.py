@@ -85,7 +85,7 @@ def test_criterion_2_p_slot_identity_suite():
             ps = canonical_structure(dim)
             for seed in range(50):
                 l = random_p_tensor(ps, seed)
-                report = p_slot_identities(ps, l, tol=1e-10)
+                report = p_slot_identities(ps, l)
                 assert max(report.residuals.values()) < 1e-10, (dim, seed)
 
 

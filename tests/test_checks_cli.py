@@ -94,10 +94,9 @@ def test_reports_deterministic_across_runs():
 
 
 def test_emit_report_round_trip(tmp_path):
-    reports = [
-        CheckReport(name="alpha", tol=1e-9, residuals={"r": 1e-12}),
-        CheckReport(name="beta", tol=1e-9).skip("hypothesis violated"),
-    ]
+    alpha = CheckReport(name="alpha", tol=1e-9)
+    alpha.residuals["r"] = 1e-12
+    reports = [alpha, CheckReport(name="beta", tol=1e-9).skip("hypothesis violated")]
     path = tmp_path / "report.json"
     doc = emit_report(reports, str(path), scenario="demo", timestamp="2026-01-01T00:00:00Z")
     loaded = json.loads(path.read_text())
@@ -548,6 +547,26 @@ def test_cli_decompose4_rejects_components_not_finite(tmp_path, entries, value):
     proc = run_cli("decompose4", "--tensor", str(tensor_file))
     assert proc.returncode == 2
     assert proc.stderr == "error: components: entries must be finite numbers\n"
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("key,value", [("components", True), ("components", "1.5"),
+                                       ("g", True), ("g", "1"), ("p", "-1")],
+                         ids=["components_true", "components_string", "g_true", "g_string",
+                              "p_string"])
+def test_cli_decompose4_rejects_entries_that_are_not_numbers(tmp_path, key, value):
+    # float() would read true as 1.0 and "1.5" as 1.5: each raw entry is checked first.
+    doc = {"dim": 4, "components": np.zeros((4,) * 4).tolist(),
+           "g": np.eye(4).tolist(), "p": np.diag([1.0, 1.0, -1.0, -1.0]).tolist()}
+    entries = doc[key]
+    while isinstance(entries[-1], list):
+        entries = entries[-1]
+    entries[-1] = value
+    tensor_file = tmp_path / "t.json"
+    tensor_file.write_text(json.dumps(doc))
+    proc = run_cli("decompose4", "--tensor", str(tensor_file))
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: {key}: entries must be finite numbers\n"
     assert proc.stdout == ""
 
 

@@ -71,23 +71,20 @@ def assert_levels_match(jet, oracle):
         assert frob(value - expected) <= 1e-12 * max(1.0, frob(expected)), f"level {k}"
 
 
-def built_chain(cf, monkeypatch):
-    """The T (values) and the Gamma' of R' that the one chain of ``cf`` builds, seen as it builds them."""
-    seen = {"torsion": [], "gamma": []}
-    contorsion_of, curvature_of = germs._contorsion_of, germs._curvature_of
+def built_connection(fr, cp, monkeypatch):
+    """The connection frame ``cp`` of ``fr``, and the Gamma' its R' is built from, seen as it is built."""
+    seen = []
+    curvature_of = germs._curvature_of
 
-    def keep(key, fn):
-        def kept(jet):
-            seen[key].append(jet)
-            return fn(jet)
-        return kept
+    def kept(gamma):
+        seen.append(gamma)
+        return curvature_of(gamma)
 
     with monkeypatch.context() as patch:
-        patch.setattr(germs, "_contorsion_of", keep("torsion", contorsion_of))
-        patch.setattr(germs, "_curvature_of", keep("gamma", curvature_of))
-        cf.curvature
-    [torsion], [gamma] = seen["torsion"], seen["gamma"]
-    return torsion, gamma
+        patch.setattr(germs, "_curvature_of", kept)
+        cf = fr.connection(cp)
+    [gamma] = seen
+    return cf, gamma
 
 
 @pytest.mark.parametrize("order", [3, 4])
@@ -116,12 +113,9 @@ ORDER_5 = ("conformal_d6", "grid_d4", "rotating_d4", "skew_q_d4")
 def test_connection_jets_match_oracles(name, order, monkeypatch):
     fr = GERMS[name].frame(order=order)
     for cp in family(fr.n):
-        cf = fr.connection(cp)
-        torsion, gamma = built_chain(cf, monkeypatch)
-        assert_levels_match(torsion, oracle_torsion(cf, 0))
+        cf, gamma = built_connection(fr, cp, monkeypatch)
         assert_levels_match(gamma, oracle_gamma(cf, KEPT_ORDER + 1))
-        if order - 2 > KEPT_ORDER + 1:
-            assert_levels_match(cf._chain[-1], oracle_gamma(cf, order - 2))
+        assert_levels_match(cf.gamma_jet, oracle_gamma(cf, order - 2 if order > 3 else 0))
         assert_levels_match(cf.torsion, oracle_torsion(cf, 0))
         assert_levels_match(cf.gamma, oracle_gamma(cf, 0))
         r_prime = oracle_curvature(cf)  # at order - 2, from a full-order Gamma'
@@ -153,26 +147,34 @@ def test_jets_keep_only_the_levels_their_readers_take(order):
         cf = fr.connection(cp)
         assert cf.torsion.order == cf.contorsion.order == cf.gamma.order == 0
         assert cf.curvature.order == KEPT_ORDER
-        assert cf.ricci.order == cf.tau.order == cf.tau_star.order == KEPT_ORDER
+        assert cf.ricci.order == cf.rho_star.order == KEPT_ORDER
+        assert cf.tau.order == cf.tau_star.order == KEPT_ORDER
         tau, tau_star = cf.scalar_curvatures
         assert tau.order == tau_star.order == order - 2
         # Below the Hessians, the levels of tau and tau_star, bit for bit.
         for full, kept in ((tau, cf.tau), (tau_star, cf.tau_star)):
             assert all(a is b for a, b in zip(full.data, kept.data))
         # Gamma' is kept beyond its values only where the Hessians need it.
-        traced = cf._chain[-1]
-        assert traced is None if order == 3 else traced.order == KEPT_ORDER + 1
+        assert cf.gamma_jet.order == (0 if order == 3 else KEPT_ORDER + 1)
 
 
 @pytest.mark.parametrize("order, levels", [(2, 1), (5, 3)])
-def test_gamma_and_g_assoc_follow_the_levels_of_gamma_prime(order, levels):
+def test_gamma_and_g_assoc_follow_the_levels_of_gamma_prime(order, levels, monkeypatch):
     # min(order - 1, max(KEPT_ORDER + 1, order - 2)): all the metric carries
     # on order 2, and the levels of the Hessians' Gamma' on order 5.
     fr = GERMS["grid_d4"].frame(order=order)
     assert fr.christoffel.order == fr.g_assoc.order == levels
     assert_levels_match(fr.christoffel, oracle_christoffel(fr).truncated(levels))
+    built, gamma_of = [], germs._gamma_of
+
+    def kept(frame, wedges):
+        built.append(gamma_of(frame, wedges))
+        return built[-1]
+
+    monkeypatch.setattr(germs, "_gamma_of", kept)
     for cp in family(fr.n):
-        assert fr.connection(cp)._gamma().order == levels
+        fr.connection(cp)
+    assert [gamma.order for gamma in built] == [levels] * len(family(fr.n))
 
 
 @pytest.mark.parametrize("name", ["conformal_d6", "rotating_d4", "skew_q_d4"])
@@ -274,10 +276,12 @@ def test_oracles_see_nonzero_curvature():
 
 
 def test_torsion_takes_two_jet_products(monkeypatch):
-    # D and D_tilde each have one wedge with both Lee-form coefficients
-    # exactly zero, which is not built; the torsion, built as values, still
-    # matches its oracle.  Gamma' takes g^-1 w and m_ij (g^-1 w)^m per wedge,
-    # and Q^m_i w_j for the g~ wedge: never the rank-3 product g^-1 K.  The
+    # Construction builds the chain T -> Gamma' -> R' in that order.  D and
+    # D_tilde each have one wedge with both Lee-form coefficients exactly
+    # zero, which is not built; the torsion, built as values, still matches
+    # its oracle.  Gamma' takes g^-1 w and m_ij (g^-1 w)^m per wedge, and
+    # Q^m_i w_j for the g~ wedge: never the rank-3 product g^-1 K.  R' takes
+    # three: the square of Gamma', the lowered R' and rho*'.  The
     # frame's trace pieces take five products, the Christoffel traces from
     # the first kind (g^jk Gamma^a_jk is the one the Lee form has built).
     # The Hessians of tau' and tau*' take two full products whatever the
@@ -304,21 +308,18 @@ def test_torsion_takes_two_jet_products(monkeypatch):
     calls.clear()
     hessian_products = (["mik,jk->mij", "ajk,jik->ai", ("ia,ai->", 2), ("kia,aik->", 2)]
                         + 2 * [("m,m->", 2), ("jk,kj->", 2)])
+    r_prime_products = ["lim,mjk->lijk", "mijk,ml->ijkl", "ia,aijk->jk"]
     for cp, products, gamma_products in zip(family(fr.n), (1, 1, 2, 2), (2, 3, 5, 5)):
+        monkeypatch.setattr(germs, "jt_einsum", counted)
         cf = fr.connection(cp)
-        monkeypatch.setattr(germs, "jt_einsum", counted)
-        torsion = cf._torsion()
         monkeypatch.setattr(germs, "jt_einsum", einsum)
-        assert len(calls) == products, (cp, calls)
-        assert torsion.order == 0
-        assert_levels_match(torsion, oracle_torsion(cf, 0))
-        calls.clear()
-        monkeypatch.setattr(germs, "jt_einsum", counted)
-        gamma = cf._gamma()
-        monkeypatch.setattr(germs, "jt_einsum", einsum)
-        assert len(calls) == gamma_products, (cp, calls)
+        assert calls[:products] == products * ["jk,i->ijk"], (cp, calls)
+        assert len(calls) == products + gamma_products + len(r_prime_products), (cp, calls)
+        assert calls[-len(r_prime_products):] == r_prime_products, (cp, calls)
         assert "mk,ijk->mij" not in calls
-        assert_levels_match(gamma, oracle_gamma(cf, KEPT_ORDER + 1))
+        assert cf.torsion.order == 0
+        assert_levels_match(cf.torsion, oracle_torsion(cf, 0))
+        assert_levels_match(cf.gamma_jet, oracle_gamma(cf, KEPT_ORDER + 1))
         calls.clear()
         cf.tau, cf.tau_star  # the levels below the Hessians, spliced in as they are
         monkeypatch.setattr(germs, "jt_einsum", counted)

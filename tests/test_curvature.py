@@ -445,5 +445,5 @@ def test_structure_residuals_are_relative_to_the_metric():
     # |g| ~ 1e8: the residuals in units of g are measured against |g|, so a
     # valid structure validates and its P-tensors pass the almost-Einstein check.
     ps = oblique_structure(4, 4, 1e8)
-    assert ps.is_valid()
+    ps.require_valid()
     assert almost_einstein_check(ps, random_p_tensor(ps, 0)).passed

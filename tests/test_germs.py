@@ -122,6 +122,18 @@ def test_a_frame_names_its_failing_point(u, message):
     assert str(exc.value) == f"{message} at point (1.0, 0.0, 0.0, 0.0)"
 
 
+def test_a_connection_that_is_not_finite_fails_when_it_is_built(separable):
+    # lambda = 1e200 keeps T finite and overflows R': the frame raises as it
+    # builds its chain, naming R' and the point, with no warning.
+    fr = separable.frame()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(StructureError) as exc:
+            fr.connection(ConnectionParams(1e200, 0))
+    assert str(exc.value) == ("curvature R' of connection lam=1e+200,mu=0 not finite "
+                              "at point (0.1, 0.2, 0.30000000000000004, 0.4)")
+
+
 DIAGONAL_P = [["1", "0", "0", "0"], ["0", "1", "0", "0"],
               ["0", "0", "-1", "0"], ["0", "0", "0", "-1"]]
 

@@ -27,20 +27,21 @@ def random_theta(ps, seed):
 
 def test_validate_canonical_structure():
     ps = canonical_structure(4)
-    assert ps.is_valid()
+    ps.require_valid()
     assert max(ps.invariant_residuals().values()) == 0.0
 
 
 def test_validate_flags_nonzero_trace():
     ps = PointStructure(np.eye(4), np.eye(4))
-    assert not ps.is_valid()
+    with pytest.raises(StructureError, match="trace_p"):
+        ps.require_valid()
     assert ps.invariant_residuals()["trace_p"] == 4.0
 
 
 def test_validate_conformal_scaling_preserves_compatibility():
     for u in (-0.7, 0.0, 1.3):
         ps = canonical_structure(4, conformal_factor=np.exp(2 * u))
-        assert ps.is_valid()
+        ps.require_valid()
 
 
 def test_projectors_properties():
@@ -89,7 +90,7 @@ def test_adapted_basis_generic_metric():
     # make P compatible with g by averaging the metric over the P action
     g = 0.5 * (g + p.T @ g @ p)
     ps = PointStructure(g, p)
-    assert ps.is_valid(1e-8)
+    assert max(ps.invariant_residuals().values()) < 1e-8
     basis = adapted_orthonormal_basis(ps)
     assert max(basis_residuals(ps, basis).values()) < 1e-10
 

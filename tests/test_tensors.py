@@ -58,12 +58,12 @@ def test_random_generators_deterministic_and_bounded():
 
 def test_point_structure_invariants():
     ps = canonical_structure(4)
-    assert ps.is_valid()
+    ps.require_valid()
     assert max(ps.invariant_residuals().values()) == 0.0
     conformal = canonical_structure(4, conformal_factor=np.exp(1.4))
-    assert conformal.is_valid()
+    conformal.require_valid()
     split = split_structure(6)
-    assert split.is_valid()
+    split.require_valid()
     assert frob(split.g_assoc - split.g_assoc.T) == 0.0
 
 

@@ -165,21 +165,31 @@ def connection_builds(monkeypatch, name: str) -> list:
 
 
 def test_scenario_builds_each_connection_curvature_once(monkeypatch):
-    # The one chain T -> K -> Gamma' -> R' is the only producer of R'.
-    built = connection_builds(monkeypatch, "_chain")
+    # The one chain T -> Gamma' -> R', built with its connection frame, is
+    # the only producer of R': one frame per connection.
+    built = []
+    init = ConnectionFrame.__init__
+
+    def counted(cf, frame, params):
+        built.append(params)
+        init(cf, frame, params)
+
+    monkeypatch.setattr(ConnectionFrame, "__init__", counted)
+    run_scenario(load_bundled_scenario("conformal_w1_separable_4d"))
     assert len(built) == 3 and len(set(built)) == 3
 
 
 def test_scenario_builds_one_torsion_chain_per_connection(monkeypatch):
-    # No second, shorter torsion chain: one T and one K per connection, and
-    # one curvature of a connection per connection besides the Levi-Civita R.
+    # No second, shorter torsion chain: one T per connection, named by the
+    # finiteness check each T passes, no contorsion, as no check reads K,
+    # and one curvature of a connection per connection besides the Levi-Civita R.
     calls = {"torsion": [], "contorsion": 0, "curvature": 0}
-    torsion, contorsion_of, curvature_of = (
-        ConnectionFrame._torsion, germs._contorsion_of, germs._curvature_of)
+    finite, contorsion_of, curvature_of = germs._finite, germs._contorsion_of, germs._curvature_of
 
-    def counted_torsion(cf):
-        calls["torsion"].append(cf.params)
-        return torsion(cf)
+    def counted_finite(jet, label, point):
+        if label.startswith("torsion T of "):
+            calls["torsion"].append(label)
+        return finite(jet, label, point)
 
     def counted(key, fn):
         def run(jet):
@@ -187,12 +197,15 @@ def test_scenario_builds_one_torsion_chain_per_connection(monkeypatch):
             return fn(jet)
         return run
 
-    monkeypatch.setattr(ConnectionFrame, "_torsion", counted_torsion)
+    monkeypatch.setattr(germs, "_finite", counted_finite)
     monkeypatch.setattr(germs, "_contorsion_of", counted("contorsion", contorsion_of))
     monkeypatch.setattr(germs, "_curvature_of", counted("curvature", curvature_of))
-    run_scenario(load_bundled_scenario("conformal_w1_separable_4d"))
-    assert len(calls["torsion"]) == 3 and len(set(calls["torsion"])) == 3
-    assert calls["contorsion"] == 3
+    scenario = load_bundled_scenario("conformal_w1_separable_4d")
+    run_scenario(scenario)
+    assert sorted(calls["torsion"]) == sorted(
+        f"torsion T of connection {cp.label(2)}" for cp in scenario.connections)
+    assert len(set(calls["torsion"])) == 3
+    assert calls["contorsion"] == 0
     assert calls["curvature"] == 1 + 3
 
 
@@ -230,7 +243,7 @@ def test_outside_w1_gates_structure_parallelism_and_curvature_transfer():
         assert report.status == "pass", report.name
         assert "structure_parallel" not in report.residuals
         assert f"structure parallelism skipped: {checks.IN_W1_GATE}" in report.notes
-        for key in ("torsion_match", "metric_parallel", "contorsion_skew", "torsion_p_identity"):
+        for key in ("torsion_match", "metric_parallel", "torsion_p_identity"):
             assert report.residuals[key] < 1e-12, (report.name, key)
         assert ctx.connection(cp).structure_parallel_residual() > 0.5
     for report in checks.check_curvature_relation(ctx):
@@ -429,8 +442,7 @@ def test_drive_raises_on_a_residual_key_its_check_does_not_declare(monkeypatch):
 
 def test_natural_connection_declares_its_per_key_tolerances():
     reports = checks.check_natural_connection(context("conformal_w1_separable_4d"))
-    own = {"torsion_match": 1e-12, "contorsion_skew": 1e-12, "torsion_p_identity": 1e-12,
-           "structure_parallel": 1e-8}
+    own = {"torsion_match": 1e-12, "torsion_p_identity": 1e-12, "structure_parallel": 1e-8}
     assert {k: v for k, v in checks.RESIDUALS["natural_connection"].items() if v} == own
     assert all(r.tolerances == own for r in reports)
 
