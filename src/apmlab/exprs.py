@@ -10,18 +10,17 @@ Grammar (recursive descent, standard precedence ^ > unary - > *,/ > +,-):
     func   := 'exp' | 'sin' | 'cos' | 'ln'
     ident  := 'x1' .. 'x<dim>'
 
-An expression is at most MAX_DEPTH = 100 levels deep: each operator, unary
-minus or function call is one level above its operands (a sum of n terms is
-n - 1 levels), and parentheses, calls and unary minuses nest at most that
-deep.  A deeper one is a ParseError, so parsing, comparing, evaluating and
-printing a parsed tree stay well below Python's recursion limit; hashing one
-does not recurse at all.
+Each operator, unary minus or call is one level above its operands (a sum
+of n terms is n - 1 levels).  A tree deeper than MAX_DEPTH = 100 levels, or
+parentheses, calls and unary minuses nested deeper, is a ParseError, so
+parsing, comparing, evaluating and printing stay well below Python's
+recursion limit; hashing does not recurse at all.
 
-Evaluation produces a ``JetTensor`` carrying the value together with the
-derivatives up to any requested order, computed by jet arithmetic rather
-than finite differencing.  A point array of shape (..., dim) evaluates the
-expression at every point at once: the jet's component shape is then the
-points' leading shape, and a single point gives a 0-d jet.
+Evaluation gives a ``JetTensor``: the value and every derivative up to the
+requested order, by jet arithmetic.  An operand with no variable
+(``constant``) stays out of it: its value shifts or scales the other
+operand's jet.  A point array of shape (..., dim) evaluates every point at
+once, its leading shape becoming the jet's component shape.
 """
 
 from __future__ import annotations
@@ -56,17 +55,17 @@ class ScalarExpr:
     """Expression node, never changed once built; subclasses implement _eval and _fmt.
 
     Each subclass names its fields in ``__slots__`` and passes their values to
-    this ``__init__``.  Two nodes are equal when they have the same class and
-    the same fields, so ``Const(0.0) != Var(0)``.  The hash of (class, fields)
-    is computed once, here, from the children's cached hashes: hashing a tree
-    never recurses.
+    this ``__init__``.  Nodes are equal when class and fields are, so
+    ``Const(0.0) != Var(0)``; the hash of (class, fields) is computed once,
+    from the children's cached hashes, so hashing never recurses.
     """
 
-    __slots__ = ("_key", "_hash")
+    __slots__ = ("_key", "_hash", "constant")
 
     def __init__(self, *fields):
         self._key = fields
         self._hash = hash((type(self), fields))
+        self.constant = all([f.constant for f in fields if isinstance(f, ScalarExpr)])
 
     def __eq__(self, other):
         if type(other) is not type(self):
@@ -128,6 +127,7 @@ class Var(ScalarExpr):
     def __init__(self, index: int):
         self.index = index  # zero-based; prints as x<index+1>
         super().__init__(index)
+        self.constant = False
 
     def _eval(self, point, order):
         if self.index >= point.shape[-1]:
@@ -148,23 +148,26 @@ class Binary(ScalarExpr):
     _PREC = {"+": 1, "-": 1, "*": 2, "/": 2}
 
     def _eval(self, point, order):
-        if self.op == "*":
-            # A constant factor scales the other jet: no Leibniz product with its zero levels.
-            if isinstance(self.left, Const):
-                return self.right._eval(point, order).scaled(self.left.value)
-            if isinstance(self.right, Const):
-                return self.left._eval(point, order).scaled(self.right.value)
-        a = self.left._eval(point, order)
-        b = self.right._eval(point, order)
-        if self.op == "+":
-            return a + b
-        if self.op == "-":
-            return a - b
-        if self.op == "*":
-            return a * b
-        if np.any(b.values == 0.0):
-            raise EvalError("division by zero")
-        return a / b
+        left, right, op = self.left, self.right, self.op
+        if not (left.constant or right.constant):
+            a, b = left._eval(point, order), right._eval(point, order)
+            if op == "/" and np.any(b.values == 0.0):
+                raise EvalError("division by zero")
+            return a + b if op == "+" else a - b if op == "-" else a * b if op == "*" else a / b
+        # An operand with no variable stays out of jet arithmetic: its value c
+        # shifts the other operand's values or scales its levels.
+        const, u = (right, left) if right.constant else (left, right)
+        c = const.value if isinstance(const, Const) else const(np.zeros(point.shape[-1]))
+        u = u._eval(point, order)
+        if op == "/":
+            if np.any((c if const is right else u.values) == 0.0):
+                raise EvalError("division by zero")
+            c, u = (1 / c, u) if const is right else (c, u.reciprocal())
+        if op in "*/":  # + 0 turns -0 into +0, as the sums of a jet product do
+            return JetTensor(tuple(c * a + 0.0 for a in u.data), u.dim)
+        if op == "-" and const is left:  # 0 - level, as from the constant's zero levels
+            return JetTensor((c - u.values,) + tuple(0.0 - a for a in u.data[1:]), u.dim)
+        return JetTensor((u.values + (-c if op == "-" else c),) + u.data[1:], u.dim)
 
     def _fmt(self, parent_prec):
         prec = self._PREC[self.op]

@@ -72,7 +72,7 @@ from functools import cached_property
 import numpy as np
 
 from . import curvature as curv
-from .exprs import Binary, Const, Func, ScalarExpr, parse_expr
+from .exprs import Binary, Const, EvalError, Func, ScalarExpr, parse_expr
 from .jetfields import JetTensor, jt_einsum, jt_inverse, jt_level
 from .tensors import PointStructure, StructureError, einsum, frob, split_structure
 
@@ -231,13 +231,21 @@ def _grid_jets(grid, point: np.ndarray, order: int, dim: int, label: str) -> Jet
     """The jets of a grid of expressions at ``point``, each distinct entry evaluated once.
 
     A value or derivative that is not finite (an overflowing exponential, say)
-    raises StructureError naming ``label`` and the point.
+    raises StructureError naming ``label`` and the point; an EvalError names
+    the entry too.
     """
     distinct: dict[ScalarExpr, int] = {}
     index = np.array([[distinct.setdefault(entry, len(distinct)) for entry in row]
                       for row in grid])
+    jets = []
     with np.errstate(over="ignore", invalid="ignore"):  # reported by _finite instead
-        jets = [entry.eval_jet(point, order) for entry in distinct]
+        for entry in distinct:
+            try:
+                jets.append(entry.eval_jet(point, order))
+            except EvalError as exc:
+                i, j = np.argwhere(index == len(jets))[0]
+                raise EvalError(f"{exc} in {label}[{i}][{j}] at point "
+                                f"{tuple(point.tolist())}") from None
     levels = tuple(np.stack([jet.data[k] for jet in jets])[index] for k in range(order + 1))
     return _finite(JetTensor(levels, dim), label, point)
 

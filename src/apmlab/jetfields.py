@@ -1,37 +1,28 @@
 """Tensor fields carrying derivative jets of any order, vectorized over components.
 
-A ``JetTensor`` stores the component values of a tensor field at one point
-together with their coordinate derivatives up to a chosen order: ``data[k]``
-has the component shape followed by k derivative axes (each of length
-``dim``), symmetric in the derivative axes.  Scalars are 0-d jet tensors.
+A ``JetTensor`` stores a tensor field's component values at one point with
+their coordinate derivatives up to a chosen order: ``data[k]`` has the
+component shape followed by k derivative axes of length ``dim``, symmetric
+in those axes.  Scalars are 0-d jet tensors; ``partial()`` peels one level
+off.
 
-Products propagate derivatives by the order-k Leibniz rule: each split of k
-derivatives between the two factors is one float contraction, planned once
-per (spec, order, dim) by ``tensors.contraction``.  A contraction with at
-least ``tensors.MATMUL_MIN_TERMS`` terms (the product of its index lengths)
-that sums an index and keeps indices of both factors runs as one matmul on
-transposed, reshaped operands; smaller ones, and outer or Hadamard products,
-stay one np.einsum call.  That crossover was measured per call against
-np.einsum on a 2-core x86-64 machine with OpenBLAS, as its comment in
-``tensors`` states.  ``partial()`` peels one derivative level off (dropping
-the order by one), and functions of a jet -- exp, sin, cos, ln, integer
-powers and the reciprocal -- follow from the recursion
-
-    f(u) = ( f(u0), the data of f'(u) * du one order lower ),
-
-which needs no table of higher derivatives and is exact at every order.  Each
-level of a product is one unit of work (``jt_level``), so a reader that
-takes only the top levels of a product builds only those.  The matrix
-inverse extends the inverse of the values, which its caller supplies, one
-level at a time: level k of A X = 1 vanishes for k >= 1, which gives
-X_k = -X_0 (the splits of that level that pair A_j, j >= 1, with lower
-levels of X), k products at level k.
+Products follow the order-k Leibniz rule: each split of k derivatives
+between the factors is one contraction, planned once per (spec, order, dim)
+by ``tensors.contraction``.  Each level is one unit of work (``jt_level``),
+so a reader of the top levels builds only those.  Functions of a jet extend
+it level by level (Taylor arithmetic; Griewank & Walther, *Evaluating
+Derivatives*, ch. 13): level k of f(u) is level k - 1 of f'(u) du, from
+levels already built.  exp reads its own levels, sin and cos each other's;
+ln, the reciprocal and the matrix inverse solve level k of u d(ln u) = du,
+u (1/u) = 1 and A X = 1 for the split that holds the new level; u^k chains
+its derivatives, at most order (order + 1) / 2 levels however large k is.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations
+from math import prod
 from string import ascii_lowercase, ascii_uppercase
 
 import numpy as np
@@ -48,7 +39,7 @@ class JetTensor:
 
     def __init__(self, data: tuple[np.ndarray, ...], dim: int):
         # Levels are stored as given: jet arithmetic makes float levels, and
-        # ``constant``, ``_compose`` and ``jt_inverse`` convert outside values.
+        # ``constant`` and ``jt_inverse`` convert outside values.
         self.data = data
         self.dim = dim
 
@@ -133,43 +124,70 @@ class JetTensor:
 
     # -- componentwise functions -------------------------------------------------
 
-    def _compose(self, value: np.ndarray, derivative) -> "JetTensor":
-        """Jet of f(self) from f's values and f' as a map of jets one order lower."""
-        value = np.asarray(value, dtype=float)  # np.exp of a 0-d array is a NumPy scalar
-        if self.order == 0:
-            return JetTensor((value,), self.dim)
-        letters = ascii_lowercase[: len(self.shape)]
-        slope = derivative(self.truncated(self.order - 1))
-        rest = jt_einsum(f"{letters},{letters}z->{letters}z", slope, self.partial())
-        return JetTensor((value,) + rest.data, self.dim)
+    def _slope(self, slope: list, k: int, pair: str = "") -> np.ndarray:
+        """Level k - 1 of ``slope`` du (``pair``: a leading axis of the slope)."""
+        c = ascii_lowercase[: len(self.shape)]
+        terms = _leibniz_plan(f"{pair}{c},{c}z->{pair}{c}z", k - 1, self.dim)[k - 1]
+        return _level(terms, slope, self.data[1:], k - 1)
+
+    def _solved(self, spec: str, g: list, m: int, rhs) -> np.ndarray:
+        """g_m from level m of ``spec``(self, g) = rhs, whose j = 0 split is u_0 g_m."""
+        if m:
+            rhs = rhs - _tail(spec, self.data, g, m, self.dim)
+        return rhs / self.values.reshape(self.shape + (1,) * (rhs.ndim - len(self.shape)))
 
     def exp(self) -> "JetTensor":
-        return self._compose(np.exp(self.values), JetTensor.exp)
+        e = [np.exp(self.values)]
+        for k in range(1, self.order + 1):
+            e.append(self._slope(e, k))
+        return JetTensor(tuple(e), self.dim)
+
+    def _sin_cos(self) -> tuple["JetTensor", "JetTensor"]:
+        """Level k of (sin, cos) is level k - 1 of (cos, -sin) du, one product."""
+        sin, cos, slope = [np.sin(self.values)], [np.cos(self.values)], []
+        for k in range(1, self.order + 1):
+            slope.append(np.stack((cos[-1], -sin[-1])))
+            s, c = self._slope(slope, k, "y")
+            sin.append(s)
+            cos.append(c)
+        return JetTensor(tuple(sin), self.dim), JetTensor(tuple(cos), self.dim)
 
     def sin(self) -> "JetTensor":
-        return self._compose(np.sin(self.values), JetTensor.cos)
+        return self._sin_cos()[0]
 
     def cos(self) -> "JetTensor":
-        return self._compose(np.cos(self.values), lambda u: -u.sin())
+        return self._sin_cos()[1]
 
     def ln(self) -> "JetTensor":
         """Natural logarithm; the caller keeps the values positive."""
-        return self._compose(np.log(self.values), JetTensor.reciprocal)
+        c = ascii_lowercase[: len(self.shape)]
+        l = [np.log(self.values)]
+        for k in range(1, self.order + 1):
+            l.append(self._solved(f"{c},{c}z->{c}z", l[1:], k - 1, self.data[k]))
+        return JetTensor(tuple(l), self.dim)
 
     def reciprocal(self) -> "JetTensor":
         """1 / self; the caller keeps the values nonzero."""
-
-        def derivative(u: JetTensor) -> JetTensor:
-            r = u.reciprocal()
-            return -(r * r)
-
-        return self._compose(1.0 / self.values, derivative)
+        c = ascii_lowercase[: len(self.shape)]
+        r = [1 / self.values]
+        for k in range(1, self.order + 1):
+            r.append(self._solved(f"{c},{c}->{c}", r, k, 0.0))
+        return JetTensor(tuple(r), self.dim)
 
     def powi(self, k: int) -> "JetTensor":
-        """Integer power; a negative exponent needs nonzero values."""
-        if k == 0:
-            return JetTensor.constant(np.ones(self.shape), self.dim, self.order)
-        return self._compose(self.values**k, lambda u: u.powi(k - 1).scaled(k))
+        """Integer power; a negative exponent needs nonzero values.
+
+        Derivative m, c u^(k-m) with c = k (k-1) ... (k-m+1), needs order - m
+        levels, each from the derivative after it; for k >= 0 derivative k is
+        the constant k!.
+        """
+        f = []
+        for m in range(self.order if k < 0 else min(self.order, k), -1, -1):
+            # A NumPy scalar's ** is C pow, which can round apart from an array's.
+            value = prod(range(k - m + 1, k + 1), start=1.0) * np.asarray(self.values) ** (k - m)
+            f = [value] + [self._slope(f, n) if f else np.zeros(self.shape + (self.dim,) * n)
+                           for n in range(1, self.order - m + 1)]
+        return JetTensor(tuple(f), self.dim)
 
 
 @lru_cache(maxsize=None)
@@ -236,18 +254,21 @@ def jt_level(spec: str, a: JetTensor, b: JetTensor, k: int) -> np.ndarray:
     return _level(_leibniz_plan(spec, k, a.dim)[k], a.data, b.data, k)
 
 
+def _tail(spec: str, a: tuple, x: list, k: int, dim: int) -> np.ndarray:
+    """The splits of level k of ``spec``(a, x) that pair a_j, j >= 1, with x's levels below k."""
+    terms = _leibniz_plan(spec, k, dim)[k]
+    # j = k first: it has one shuffle, so the sum starts on a fresh product.
+    return _level((terms[k],) + terms[1:k], a, x, k)
+
+
 def jt_inverse(a: JetTensor, inverse: np.ndarray) -> JetTensor:
     """Inverse X of a jet-valued square matrix A from X's values ``inverse``, level by level.
 
     Level k of A X vanishes for k >= 1, and its j = 0 split is A_0 X_k, so
-    X_k = -X_0 S_k, where S_k sums the splits of that level that pair A_j,
-    j >= 1, with the lower levels of X: k splits at level k.
+    X_k = -X_0 S_k, S_k its other splits (``_tail``): k splits at level k.
     """
     x = [np.asarray(inverse, dtype=float)]
     for k in range(1, a.order + 1):
-        terms = _leibniz_plan("ab,bc->ac", k, a.dim)[k]
-        # j = k first: it has one shuffle, so the sum starts on a fresh product.
-        rest = _level((terms[k],) + terms[1:k], a.data, x, k)
         d = ascii_uppercase[:k]
-        x.append(-einsum(f"ab,bc{d}->ac{d}", x[0], rest))
+        x.append(-einsum(f"ab,bc{d}->ac{d}", x[0], _tail("ab,bc->ac", a.data, x, k, a.dim)))
     return JetTensor(tuple(x), a.dim)

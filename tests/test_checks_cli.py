@@ -480,6 +480,36 @@ def test_cli_classify_names_an_overflowing_point_once(tmp_path):
     assert proc.stdout == ""
 
 
+def _diagonal_grid(entries):
+    return [[entries[i] if i == j else "0" for j in range(4)] for i in range(4)]
+
+
+SPLIT_P = _diagonal_grid(["1", "1", "-1", "-1"])
+
+
+def test_cli_check_names_the_grid_entry_that_cannot_be_evaluated(tmp_path):
+    # ln(x2 - 0.5) at the default base point (0.1, 0.2, 0.3, 0.4) takes ln(-0.3).
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({"name": "ln_negative", "germ": {
+        "dim": 4, "metric": _diagonal_grid(["1", "ln(x2 - 0.5)", "1", "1"]),
+        "structure": SPLIT_P}}))
+    proc = run_cli("check", "--scenario", str(path))
+    assert proc.returncode == 2
+    assert proc.stderr == ("error: ln of non-positive value in metric[1][1] "
+                           "at point (0.1, 0.2, 0.30000000000000004, 0.4)\n")
+    assert proc.stdout == ""
+
+
+def test_cli_classify_names_the_grid_entry_that_cannot_be_evaluated(tmp_path):
+    germ = tmp_path / "germ.json"
+    germ.write_text(json.dumps({"dim": 4, "metric": _diagonal_grid(["1"] * 4),
+                                "structure": _diagonal_grid(["1", "1", "1/(x2 - x2)", "-1"])}))
+    proc = run_cli("classify", "--germ", str(germ), "--point", "0.1,0.2,0.3,0.4")
+    assert proc.returncode == 2
+    assert proc.stderr == "error: division by zero in structure P[2][2] at point (0.1, 0.2, 0.3, 0.4)\n"
+    assert proc.stdout == ""
+
+
 def test_cli_decompose4(tmp_path):
     from apmlab.curvature import pi_tensors
     from apmlab.tensors import canonical_structure

@@ -295,17 +295,24 @@ def test_corpus_order4_jets_match_differences_of_order3(src, expected):
         )
 
 
-@pytest.mark.parametrize("u", ["exp(x1)*sin(x3) + x2*x4", "ln(2 + x1^2 + x4^2) - x2/x3"])
+# Each form of an operand with no variable, around an expression u.
+CONSTANT_OPERANDS = ["2 * ({u})", "({u}) * 2", "({u})/4", "4/({u})", "({u}) + 2", "2 - ({u})",
+                     "-2*({u})"]
+
+
+@pytest.mark.parametrize("u", ["exp(x1)*sin(x3) + x2*x4", "ln(2 + x1^2 + x4^2) - x2/x3", "x1"])
 @pytest.mark.parametrize("points", [POINT, np.random.default_rng(3).uniform(0.2, 1, (2, 4))])
 def test_a_constant_factor_scales_as_the_leibniz_product_does(u, points):
-    # 2 * u and u * 2 scale u's jet; the Leibniz product against the constant's
-    # zero levels adds only exact zeros, so the levels are the same floats.
-    jet = eval_jet(parse_expr(u, dim=4), points, 4)
-    two = JetTensor.constant(np.full(jet.shape, 2.0), 4, 4)
-    for src, leibniz in ((f"2 * ({u})", two * jet), (f"({u}) * 2", jet * two)):
-        scaled = eval_jet(parse_expr(src, dim=4), points, 4)
-        assert scaled.order == 4
-        for level, expected in zip(scaled.data, leibniz.data):
+    # An operand with no variable shifts u's values or scales its levels; jet
+    # arithmetic on both operands' jets adds only exact zeros, and np.einsum
+    # sums from +0, so the levels are the same floats.
+    for src in (form.format(u=u) for form in CONSTANT_OPERANDS):
+        expr = parse_expr(src, dim=4)
+        a, b = eval_jet(expr.left, points, 4), eval_jet(expr.right, points, 4)
+        leibniz = {"+": a + b, "-": a - b, "*": a * b, "/": a / b}[expr.op]
+        got = eval_jet(expr, points, 4)
+        assert got.order == 4
+        for level, expected in zip(got.data, leibniz.data):
             assert level.tobytes() == expected.tobytes(), src
 
 
@@ -313,8 +320,11 @@ def test_a_constant_factor_takes_no_jet_product(monkeypatch):
     calls = []
     product = jetfields.jt_einsum
     monkeypatch.setattr(jetfields, "jt_einsum", lambda *args: calls.append(args[0]) or product(*args))
-    for src in ("2 * x1", "x1 * 2", "2 * 3"):
+    for src in ["2 * 3"] + [form.format(u="x1") for form in CONSTANT_OPERANDS]:
         eval_jet(parse_expr(src, dim=4), POINT, 4)
     assert calls == []
     eval_jet(parse_expr("x1 * x2", dim=4), POINT, 4)
     assert calls == [",->"]
+    for src in ("x1/0", "x1/(1 - 1)"):
+        with pytest.raises(EvalError, match="division by zero"):
+            eval_jet(parse_expr(src, dim=4), POINT, 4)

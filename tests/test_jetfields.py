@@ -1,6 +1,9 @@
+from string import ascii_lowercase
+
 import numpy as np
 import pytest
 
+from apmlab import jetfields
 from apmlab.exprs import eval_jet, parse_expr
 from apmlab.jetfields import JetOrderError, JetTensor, jt_einsum, jt_inverse
 
@@ -148,3 +151,112 @@ def test_level_by_level_inverse_matches_the_recursion(case, order):
     for k, (got, ref) in enumerate(zip(m_inv.data, recursion_inverse(m, m_inv.values).data)):
         assert np.abs(got - ref).max() <= 1e-13 * max(1.0, np.abs(ref).max()), k
         assert np.abs(ref).max() > 1e-3, k  # not a comparison between zeros
+
+
+def compose(u, value, derivative):
+    """The recursion f(u) = (f(u0), the data of f'(u) du one order lower), f' a whole jet."""
+    value = np.asarray(value, dtype=float)
+    if u.order == 0:
+        return JetTensor((value,), u.dim)
+    letters = ascii_lowercase[: len(u.shape)]
+    slope = derivative(u.truncated(u.order - 1))
+    rest = jt_einsum(f"{letters},{letters}z->{letters}z", slope, u.partial())
+    return JetTensor((value,) + rest.data, u.dim)
+
+
+def recursion_exp(u):
+    return compose(u, np.exp(u.values), recursion_exp)
+
+
+def recursion_sin(u):
+    return compose(u, np.sin(u.values), recursion_cos)
+
+
+def recursion_cos(u):
+    return compose(u, np.cos(u.values), lambda v: -recursion_sin(v))
+
+
+def recursion_reciprocal(u):
+    def derivative(v):
+        r = recursion_reciprocal(v)
+        return -(r * r)
+
+    return compose(u, 1.0 / u.values, derivative)
+
+
+def recursion_ln(u):
+    return compose(u, np.log(u.values), recursion_reciprocal)
+
+
+def recursion_powi(u, k):
+    if k == 0:
+        return JetTensor.constant(np.ones(u.shape), u.dim, u.order)
+    return compose(u, u.values**k, lambda v: recursion_powi(v, k - 1).scaled(k))
+
+
+# name -> (the level-by-level function, its recursion oracle, byte-equal)
+FUNCTIONS = {
+    "exp": (JetTensor.exp, recursion_exp, True),
+    "sin": (JetTensor.sin, recursion_sin, True),
+    "cos": (JetTensor.cos, recursion_cos, True),
+    "ln": (JetTensor.ln, recursion_ln, False),
+    "reciprocal": (JetTensor.reciprocal, recursion_reciprocal, False),
+    **{f"powi({k})": (lambda u, k=k: u.powi(k), lambda u, k=k: recursion_powi(u, k), False)
+       for k in range(-3, 6)},
+}
+# Positive on the sample points, with a nonzero third level.
+ARGUMENT = "x1*x2 + x3*x4*x1 + x2 + 0.5"
+POINTS = np.random.default_rng(11).uniform(0.2, 1.0, (2, 3, DIM))
+
+
+@pytest.mark.parametrize("order", range(6))
+@pytest.mark.parametrize("name", FUNCTIONS)
+def test_functions_extend_level_by_level_as_the_recursion_does(name, order):
+    function, recursion, exact = FUNCTIONS[name]
+    u = parse_expr(ARGUMENT, DIM)
+    for points in (POINTS[1, 2], POINTS):
+        got, ref = function(eval_jet(u, points, order)), recursion(eval_jet(u, points, order))
+        assert got.order == order
+        for k, (level, expected) in enumerate(zip(got.data, ref.data)):
+            level, expected = np.asarray(level), np.asarray(expected)
+            assert level.shape == expected.shape, k
+            if exact:
+                assert level.tobytes() == expected.tobytes(), k
+            else:
+                assert np.abs(level - expected).max() <= 1e-13 * np.abs(expected).max(), k
+    # Each point's jet is the one that point gives alone, bit for bit.
+    whole = function(eval_jet(u, POINTS, order))
+    for index in np.ndindex(POINTS.shape[:-1]):
+        alone = function(eval_jet(u, POINTS[index], order))
+        for level, expected in zip(whole.data, alone.data):
+            assert level[index].tobytes() == np.asarray(expected).tobytes(), index
+
+
+def count_levels(monkeypatch):
+    calls = []
+    level = jetfields._level
+    monkeypatch.setattr(jetfields, "_level", lambda *args: calls.append(args[-1]) or level(*args))
+    return calls
+
+
+@pytest.mark.parametrize("order", range(6))
+@pytest.mark.parametrize("name", ["exp", "sin", "cos"])
+def test_exp_sin_and_cos_take_one_level_product_per_order(name, order, monkeypatch):
+    u = eval_jet(parse_expr(ARGUMENT, DIM), POINT, order)
+    calls = count_levels(monkeypatch)
+    getattr(u, name)()
+    assert calls == list(range(order))  # level k - 1 of f' du for each level k
+
+
+@pytest.mark.parametrize("order, small", [(3, "x1^3"), (4, "x1^4")])
+def test_an_integer_power_takes_as_many_level_products_whatever_its_exponent(
+        order, small, monkeypatch):
+    point = np.array([1.0, 0.2, 0.3, 0.4])
+    calls = count_levels(monkeypatch)
+    counts = []
+    for src in (small, "x1^1000001"):
+        calls.clear()
+        jet = eval_jet(parse_expr(src, DIM), point, order)
+        counts.append(len(calls))
+        assert jet.values == 1.0
+    assert counts == [order * (order + 1) // 2] * 2
