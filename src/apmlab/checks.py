@@ -74,6 +74,7 @@ class ScenarioContext:
         self.tolerances = {} if tolerances is None else tolerances
         self.tol_scale = tol_scale
         self._connections: dict[ConnectionParams, ConnectionFrame] = {}
+        self._per_connection: dict = {}
 
     @cached_property
     def frame(self) -> GermFrame:
@@ -87,6 +88,13 @@ class ScenarioContext:
         if params not in self._connections:
             self._connections[params] = self.frame.connection(params)
         return self._connections[params]
+
+    def per_connection(self, build, cf: ConnectionFrame):
+        """``build(frame, cf)`` for the base frame and connection ``cf``, built once per context."""
+        key = (build, cf.params)
+        if key not in self._per_connection:
+            self._per_connection[key] = build(self.frame, cf)
+        return self._per_connection[key]
 
     @cached_property
     def curvature_invariants(self) -> curv.CurvatureInvariants:
@@ -289,16 +297,21 @@ def check_curvature_like(ctx: ScenarioContext, report: CheckReport):
 # connection checks
 
 
-def _transfer_correction(ctx: ScenarioContext, tr) -> np.ndarray:
+def _transfer_psi(fr: GermFrame, cf: ConnectionFrame) -> np.ndarray:
+    """psi1(S') + psi2(S''), for the transfer tensors S' and S'' of ``cf``."""
+    ps, tr = fr.structure, cf.transfer
+    return curv.psi1(ps, tr["s_prime"]) + curv.psi2(ps, tr["s_dprime"])
+
+
+def _transfer_correction(ctx: ScenarioContext, cf: ConnectionFrame) -> np.ndarray:
     """g(p,p) pi1 + g(q,q) pi2 + g(p,q) pi3 + psi1(S') + psi2(S''): R' - R."""
-    ps = ctx.frame.structure
-    pi1, pi2, pi3 = curv.pi_tensors(ps)
+    pi1, pi2, pi3 = curv.pi_tensors(ctx.frame.structure)
+    tr = cf.transfer
     return (
         tr["g_pp"] * pi1
         + tr["g_qq"] * pi2
         + tr["g_pq"] * pi3
-        + curv.psi1(ps, tr["s_prime"])
-        + curv.psi2(ps, tr["s_dprime"])
+        + ctx.per_connection(_transfer_psi, cf)
     )
 
 
@@ -317,10 +330,11 @@ def check_natural_connection(ctx: ScenarioContext, report: CheckReport, cf: Conn
     else:
         report.notes.append(f"structure parallelism skipped: {IN_W1_GATE}")
 
-    # T(x,y) - P T(Px,y) = {th(Px) y - th(x) Py} / 2n, for every (lam, mu)
+    # T(x,y) - P T(Px,y) = {th(Px) y - th(x) Py} / 2n, for every (lam, mu);
+    # P T(Px,y) is P T P on the slots m, i of T^m_ij, moved last.
     tm = cf.torsion_mixed
     pv = fr.p.values
-    lhs = tm - einsum("ma,abj,bi->mij", pv, tm, pv)
+    lhs = tm - (pv @ tm.transpose(2, 0, 1) @ pv).transpose(1, 2, 0)
     rhs = (
         einsum("i,mj->mij", fr.theta_p.values, eye)
         - einsum("i,mj->mij", fr.theta.values, pv)
@@ -350,7 +364,7 @@ def check_curvature_relation(ctx: ScenarioContext, report: CheckReport, cf: Conn
     """Reconstruction of the Levi-Civita curvature from a natural connection."""
     requires(ctx.in_w1, IN_W1_GATE)
     tr = cf.transfer
-    rebuilt = cf.curvature.values - _transfer_correction(ctx, tr)
+    rebuilt = cf.curvature.values - _transfer_correction(ctx, cf)
     report.residuals["curvature_relation"] = frob(ctx.frame.curvature.values - rebuilt)
     report.scalars.update({key: tr[key] for key in ("g_pp", "g_qq", "g_pq")})
 
@@ -423,10 +437,11 @@ def check_second_bianchi(ctx: ScenarioContext, report: CheckReport, cf: Connecti
     report.residuals["cyclic_identity"] = frob(cyc)
 
     if _p_tensor_flag(ctx, report, cf):
-        r_pz = einsum("iakl,aj->ijkl", rv, pv)
+        # R'(x,Py,z,w), and (grad_{Pm} R')(.,.,.,Pl) with the slots m, l moved last.
+        r_pz = (rv.swapaxes(1, 3) @ pv).swapaxes(1, 3)
         derived = (
             nr
-            - einsum("aijkb,am,bl->mijkl", nr, pv, pv)
+            - np.moveaxis(pv.T @ np.moveaxis(nr, 0, 3) @ pv, 3, 0)
             + (
                 einsum("m,ijkl->mijkl", fr.theta_p.values, rv)
                 - einsum("m,ijkl->mijkl", fr.theta.values, r_pz)
@@ -670,7 +685,8 @@ def check_dim4_traces(ctx: ScenarioContext, report: CheckReport):
     hypothesis.
     """
     presets = {"D": ConnectionParams.d(), "D_tilde": ConnectionParams.d_tilde(2)}
-    scalars = {case: _dim4_scalars(ctx.frame, ctx.connection(cp)) for case, cp in presets.items()}
+    scalars = {case: ctx.per_connection(_dim4_scalars, ctx.connection(cp))
+               for case, cp in presets.items()}
     for key, (case, trace, coefficients) in _DIM4_TRACES.items():
         s = scalars[case]
         report.residuals[key] = abs(s[trace] - sum(c * s[k] for k, c in coefficients.items()))
@@ -695,22 +711,17 @@ def check_dim4_reconstruction(ctx: ScenarioContext, report: CheckReport, cf: Con
     r = fr.curvature.values
     requires(_p_tensor_flag(ctx, report, cf), P_TENSOR_GATE)
     requires(ctx.in_w1, IN_W1_GATE)
-    tr = cf.transfer
     tau_p = float(cf.tau.values)
     tau_star_p = float(cf.tau_star.values)
     from_scalars = curv.dim4_from_scalars(pis, tau_p, tau_star_p)
-    rebuilt = from_scalars - _transfer_correction(ctx, tr)
+    rebuilt = from_scalars - _transfer_correction(ctx, cf)
     report.residuals["curvature_from_scalars"] = frob(r - rebuilt)
     if cf.params.case(fr.n) not in _DIM4_PRESETS:
         return
     k, c, (a, b), (a_star, b_star) = _DIM4_PRESETS[cf.params.case(fr.n)]
-    s = _dim4_scalars(fr, cf)
+    s = ctx.per_connection(_dim4_scalars, cf)
     inv_r = ctx.curvature_invariants
-    correction = (
-        s["theta_omega"] / 16 * pis[k]
-        + curv.psi1(ps, tr["s_prime"])
-        + curv.psi2(ps, tr["s_dprime"])
-    )
+    correction = s["theta_omega"] / 16 * pis[k] + ctx.per_connection(_transfer_psi, cf)
     rebuilt = from_scalars - correction
     report.residuals["preset_reconstruction"] = frob(r - rebuilt)
     tau = tau_p + c * s["theta_omega"] - 6 * s["tr_s_prime"] + 2 * s["tr_s_dprime"]
@@ -749,7 +760,7 @@ def check_pointwise_algebra(ctx: ScenarioContext, report: CheckReport):
     s_sym = random_symmetric2(ps.dim, range(seed, seed + 5))
     s_any = random_tensor2(ps.dim, range(seed + 7, seed + 12))
     psi1_any = curv.psi1(ps, s_any)
-    twisted = einsum("sijab,ak,bl->sijkl", curv.psi2(ps, s_any), ps.p, ps.p)
+    twisted = curv.p_twist(ps, curv.psi2(ps, s_any))
     # Per sample: the worst curvature-like residual of psi1(S) for S not symmetric.
     asym_worst = np.max(list(curv.curvature_like_residuals(psi1_any).values()), axis=0)
     asymmetric = frob(s_any - s_any.transpose(0, 2, 1), 2) > 1e-6

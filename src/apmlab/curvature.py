@@ -16,10 +16,23 @@ In dimension 4 every Riemannian P-tensor is a combination of pi1+pi2 and pi3
 with coefficients given by its scalar curvatures; the helpers here build the
 pi tensors, contract Ricci-type invariants, and test the identities.
 
-The helpers that take a tensor S or L -- psi1, psi2, the curvature-like and
-P-tensor projections, ``curvature_like_residuals``, ``curvature_invariants``
-and ``decompose_dim4`` -- also take a stack of them over leading sample axes
-and return their results stacked the same way, so a sample loop runs once.
+The rank-4 algebra is written as matrix products, in three forms:
+
+- P on a slot pair, L(x,y,Pz,Pw), is P^T L P with L read as a stack of
+  matrices over its last slot pair; a pair that is not last is first moved
+  there with a transposed view, and P on one slot is L P or P^T L.
+- A change of frame m, L(m.,m.,m.,m.), is one pull-back (m x m)^T L (m x m)
+  with L read as a dim^2 x dim^2 matrix from its first slot pair to its last.
+  The sectional curvatures of the planes of a basis are entries of L pulled
+  back to it.
+- psi1(S) is X minus X with x and y swapped, for the two outer products
+  X(x,y,z,w) = g(y,z)S(x,w) + S(y,z)g(x,w).
+
+The helpers that take a tensor S or L -- psi1, psi2, ``p_twist``, the
+curvature-like and P-tensor projections, ``curvature_like_residuals``,
+``p_slot_residuals``, ``curvature_invariants`` and ``decompose_dim4`` -- also
+take a stack of them over leading sample axes and return their results
+stacked the same way, so a sample loop runs once.
 """
 
 from __future__ import annotations
@@ -53,10 +66,14 @@ def curvature_like_residuals(l: np.ndarray) -> dict[str, float | np.ndarray]:
     }
 
 
+def p_twist(ps: PointStructure, t: np.ndarray) -> np.ndarray:
+    """t(x,y,Pz,Pw): P on the trailing slot pair of t, or of each t of a stack, as P^T t P."""
+    return ps.p.T @ t @ ps.p
+
+
 def p_invariance_residual(ps: PointStructure, l: np.ndarray) -> float:
     """Residual of L(x,y,Pz,Pw) = L(x,y,z,w)."""
-    twisted = einsum("ijab,ak,bl->ijkl", l, ps.p, ps.p)
-    return frob(twisted - l)
+    return frob(p_twist(ps, l) - l)
 
 
 def p_tensor_residuals(ps: PointStructure, l: np.ndarray) -> dict[str, float]:
@@ -79,24 +96,28 @@ def p_slot_identities(ps: PointStructure, l: np.ndarray) -> CheckReport:
     """
     if not is_p_tensor(ps, l, tol=1e-8 * max(1.0, frob(l))).passed:
         raise ValueError("prerequisite failed: L is not a Riemannian P-tensor")
-    p = ps.p
-    one_p = [
-        einsum("ajkl,ai->ijkl", l, p),
-        einsum("ibkl,bj->ijkl", l, p),
-        einsum("ijcl,ck->ijkl", l, p),
-        einsum("ijkd,dl->ijkl", l, p),
-    ]
     report = CheckReport(name="p_slot_identities", tol=DEFAULT_TOL)
-    report.residuals["middle_pair_p"] = frob(
-        einsum("ibcl,bj,ck->ijkl", l, p, p) - l
-    )
-    report.residuals["first_pair_p"] = frob(
-        einsum("abkl,ai,bj->ijkl", l, p, p) - l
-    )
-    for idx in range(3):
-        key = f"single_p_slots_{idx + 1}{idx + 2}"
-        report.residuals[key] = frob(one_p[idx] - one_p[idx + 1])
+    report.residuals.update(p_slot_residuals(ps, l))
     return report.finalize()
+
+
+def p_slot_residuals(ps: PointStructure, l: np.ndarray) -> dict[str, float | np.ndarray]:
+    """The residuals of ``p_slot_identities``, for any L, one per sample of a stacked L.
+
+    Each identity moves P between two slots.  With those slots last, P on
+    the last is L P, on the one before it P^T L, and on both P^T L P.
+    """
+    p, pt = ps.p, ps.p.T
+    first = l.swapaxes(-4, -2).swapaxes(-3, -1)  # slots (z, w, x, y)
+    middle = l.swapaxes(-3, -1).swapaxes(-2, -1)  # slots (x, w, y, z)
+    p_middle = pt @ middle
+    return {
+        "middle_pair_p": frob(p_middle @ p - middle, 4),
+        "first_pair_p": frob(pt @ first @ p - first, 4),
+        "single_p_slots_12": frob(pt @ first - first @ p, 4),
+        "single_p_slots_23": frob(p_middle - middle @ p, 4),
+        "single_p_slots_34": frob(pt @ l - l @ p, 4),
+    }
 
 
 def psi1(ps: PointStructure, s: np.ndarray) -> np.ndarray:
@@ -105,19 +126,14 @@ def psi1(ps: PointStructure, s: np.ndarray) -> np.ndarray:
     Curvature-like exactly when S is symmetric.
     """
     g = ps.g
-    b = lead(s, 2)
-    return (
-        einsum(f"jk,{b}il->{b}ijkl", g, s)
-        - einsum(f"ik,{b}jl->{b}ijkl", g, s)
-        + einsum(f"{b}jk,il->{b}ijkl", s, g)
-        - einsum(f"{b}ik,jl->{b}ijkl", s, g)
-    )
+    s_xw, s_yz = s[..., :, None, None, :], s[..., None, :, :, None]
+    x = g[:, :, None] * s_xw + s_yz * g[:, None, None, :]
+    return x - x.swapaxes(-4, -3)
 
 
 def psi2(ps: PointStructure, s: np.ndarray) -> np.ndarray:
     """psi2(S)(x,y,z,w) = psi1(S)(x,y,Pz,Pw); curvature-like iff S(x,Py) = S(y,Px)."""
-    b = lead(s, 2)
-    return einsum(f"{b}ijab,ak,bl->{b}ijkl", psi1(ps, s), ps.p, ps.p)
+    return p_twist(ps, psi1(ps, s))
 
 
 def pi_tensors(ps: PointStructure) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -139,7 +155,7 @@ def curvature_invariants(ps: PointStructure, l: np.ndarray) -> CurvatureInvarian
     b = lead(l, 4)
     rho = einsum(f"il,{b}ijkl->{b}jk", ps.g_inv, l)
     tau = einsum(f"jk,{b}jk->{b}", ps.g_inv, rho)
-    rho_star = einsum(f"il,{b}ijkm,ml->{b}jk", ps.g_inv, l, ps.p)
+    rho_star = einsum(f"il,{b}ijkl->{b}jk", ps.g_inv, l @ ps.p)
     tau_star = einsum(f"jk,{b}jk->{b}", ps.g_inv, rho_star)
     if not b:
         tau, tau_star = float(tau), float(tau_star)
@@ -170,8 +186,12 @@ def random_curvature_like(dim: int, seed: int) -> np.ndarray:
 
 
 def _pull_back(t: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """t(m., m., m., m.) for a rank-4 t, as (m x m)^T t (m x m)."""
-    mm = np.kron(m, m)
+    """t(m., m., m., m.) for a rank-4 t, or each t of a stack, as (m x m)^T t (m x m).
+
+    t is a matrix from its first slot pair to its last; m x m is built by broadcasting.
+    """
+    d = m.shape[0]
+    mm = (m[:, None, :, None] * m[:, None, :]).reshape(d * d, d * d)
     return (mm.T @ t.reshape(t.shape[:-4] + mm.shape) @ mm).reshape(t.shape)
 
 
@@ -235,10 +255,8 @@ def sectional_curvatures(ps: PointStructure, l: np.ndarray,
     res = basis_residuals(ps, basis)
     if max(res.values()) > 1e-8:
         raise ValueError(f"basis is not adapted orthonormal: {res}")
-    e1, e2, pe2 = basis[:, 0], basis[:, 1], basis[:, ps.n + 1]
-    nu = float(einsum("ijkl,i,j,k,l->", l, e1, e2, e1, e2))
-    nu_star = float(einsum("ijkl,i,j,k,l->", l, e1, e2, e1, pe2))
-    return nu, nu_star
+    framed = _pull_back(l, basis)  # L on the basis vectors
+    return float(framed[0, 1, 0, 1]), float(framed[0, 1, 0, ps.n + 1])
 
 
 def almost_einstein_check(ps: PointStructure, l: np.ndarray) -> CheckReport:
@@ -255,16 +273,12 @@ def almost_einstein_check(ps: PointStructure, l: np.ndarray) -> CheckReport:
     inv = curvature_invariants(ps, l)
     expected = 0.25 * (inv.tau * ps.g + inv.tau_star * ps.g_assoc)
 
-    basis = adapted_orthonormal_basis(ps)
-    e1, e2, pe1, pe2 = basis.T
-    planes = [(e1, e2), (e1, pe2), (pe1, e2), (pe1, pe2)]
-    curvatures = [
-        float(einsum("ijkl,i,j,k,l->", l, x, y, x, y)) for x, y in planes
-    ]
-    invariant = [
-        abs(float(einsum("ijkl,i,j,k,l->", l, x, y, x, y)))
-        for x, y in [(e1, pe1), (e2, pe2)]
-    ]
+    # L(x,y,x,y) on the planes of the adapted basis (E1, E2, PE1, PE2): its
+    # entries [a, b, a, b] once L is pulled back to that basis.
+    framed = _pull_back(l, adapted_orthonormal_basis(ps))
+    plane = lambda a, b: float(framed[a, b, a, b])
+    curvatures = [plane(a, b) for a, b in [(0, 1), (0, 3), (2, 1), (2, 3)]]
+    invariant = [abs(plane(0, 2)), abs(plane(1, 3))]
 
     report = CheckReport(name="almost_einstein", tol=DEFAULT_TOL)
     report.residuals["ricci_form"] = frob(inv.rho - expected)

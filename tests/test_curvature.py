@@ -2,13 +2,17 @@ import numpy as np
 import pytest
 
 from apmlab.curvature import (
+    _pull_back,
     almost_einstein_check,
     curvature_invariants,
     curvature_like_residuals,
     decompose_dim4,
     is_p_tensor,
+    p_invariance_residual,
     p_slot_identities,
+    p_slot_residuals,
     p_tensor_projection,
+    p_twist,
     pi_tensors,
     psi1,
     psi2,
@@ -447,3 +451,109 @@ def test_structure_residuals_are_relative_to_the_metric():
     ps = oblique_structure(4, 4, 1e8)
     ps.require_valid()
     assert almost_einstein_check(ps, random_p_tensor(ps, 0)).passed
+
+
+# The matrix forms of the pointwise helpers against the np.einsum specs that
+# define them, for one tensor and for a stack.  The oblique structures have
+# P != P^T, so a P in place of a P^T, or slots moved in the wrong order,
+# shows on them.
+
+
+def single_and_stacked(make_samples):
+    stack = make_samples(range(3))
+    return [stack[0], stack]
+
+
+def assert_spec(value, spec, scale=1.0):
+    assert np.shape(value) == np.shape(spec)
+    assert np.max(np.abs(np.asarray(value) - spec), initial=0.0) <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("make,dim", STRUCTURES)
+def test_psi1_psi2_match_einsum_specs(make, dim):
+    ps = make(dim)
+    for s in single_and_stacked(lambda seeds: random_tensor2(dim, seeds)):
+        g = ps.g
+        spec1 = (np.einsum("jk,...il->...ijkl", g, s) - np.einsum("ik,...jl->...ijkl", g, s)
+                 + np.einsum("...jk,il->...ijkl", s, g) - np.einsum("...ik,jl->...ijkl", s, g))
+        spec2 = np.einsum("...ijab,ak,bl->...ijkl", spec1, ps.p, ps.p)
+        scale = frob(g)
+        assert_spec(psi1(ps, s), spec1, scale)
+        assert_spec(psi2(ps, s), spec2, scale * frob(ps.p) ** 2)
+
+
+@pytest.mark.parametrize("make,dim", STRUCTURES)
+def test_p_twist_matches_einsum_spec(make, dim):
+    ps = make(dim)
+    for t in single_and_stacked(lambda seeds: random_tensor4(dim, seeds)):
+        spec = np.einsum("...ijab,ak,bl->...ijkl", t, ps.p, ps.p)
+        assert_spec(p_twist(ps, t), spec, frob(ps.p) ** 2)
+        assert abs(p_invariance_residual(ps, t) - frob(spec - t)) <= 1e-13 * frob(spec)
+
+
+@pytest.mark.parametrize("make,dim", STRUCTURES)
+def test_p_slot_residuals_match_einsum_specs(make, dim):
+    ps = make(dim)
+    p = ps.p
+    for t in single_and_stacked(lambda seeds: random_tensor4(dim, seeds)):
+        one_p = [
+            np.einsum("...ajkl,ai->...ijkl", t, p),
+            np.einsum("...ibkl,bj->...ijkl", t, p),
+            np.einsum("...ijcl,ck->...ijkl", t, p),
+            np.einsum("...ijkd,dl->...ijkl", t, p),
+        ]
+        spec = {
+            "middle_pair_p": np.einsum("...ibcl,bj,ck->...ijkl", t, p, p) - t,
+            "first_pair_p": np.einsum("...abkl,ai,bj->...ijkl", t, p, p) - t,
+            **{f"single_p_slots_{k + 1}{k + 2}": one_p[k] - one_p[k + 1] for k in range(3)},
+        }
+        residuals = p_slot_residuals(ps, t)
+        assert residuals.keys() == spec.keys()
+        for key, value in spec.items():
+            assert_spec(residuals[key], frob(value, 4), frob(p) ** 2 * np.max(frob(t, 4)))
+    assert p_slot_identities(ps, random_p_tensor(ps, 0)).passed
+
+
+@pytest.mark.parametrize("make,dim", STRUCTURES)
+def test_curvature_invariants_match_einsum_specs(make, dim):
+    ps = make(dim)
+    for l in single_and_stacked(lambda seeds: random_tensor4(dim, seeds)):
+        rho = np.einsum("il,...ijkl->...jk", ps.g_inv, l)
+        rho_star = np.einsum("il,...ijkm,ml->...jk", ps.g_inv, l, ps.p)
+        inv = curvature_invariants(ps, l)
+        scale = frob(ps.g_inv) * frob(ps.p)
+        assert_spec(inv.rho, rho, scale)
+        assert_spec(inv.rho_star, rho_star, scale)
+        assert_spec(inv.tau, np.einsum("jk,...jk->...", ps.g_inv, rho), scale * frob(ps.g_inv))
+        assert_spec(inv.tau_star, np.einsum("jk,...jk->...", ps.g_inv, rho_star),
+                    scale * frob(ps.g_inv))
+
+
+@pytest.mark.parametrize("make,dim", STRUCTURES)
+def test_pull_back_matches_einsum_spec(make, dim):
+    ps = make(dim)
+    for m in (random_tensor2(dim, 9), adapted_orthonormal_basis(ps)):
+        for t in single_and_stacked(lambda seeds: random_tensor4(dim, seeds)):
+            spec = np.einsum("...abcd,ai,bj,ck,dl->...ijkl", t, m, m, m, m, optimize=True)
+            assert_spec(_pull_back(t, m), spec, frob(m) ** 4)
+
+
+@pytest.mark.parametrize("make,dim", [param for param in STRUCTURES if param.values[1] == 4])
+def test_almost_einstein_planes_match_sectional_curvatures(make, dim):
+    ps = make(dim)
+    basis = adapted_orthonormal_basis(ps)
+    e1, e2, pe1, pe2 = basis.T
+    scale = frob(basis) ** 4  # of L on four basis vectors, for |L| = 1
+    # Any curvature-like L: the sectional curvatures are entries of its pull-back.
+    l = random_curvature_like(dim, 5)
+    nu, nu_star = sectional_curvatures(ps, l, basis)
+    assert abs(nu - tensor_value(l, e1, e2, e1, e2)) < 1e-13 * scale
+    assert abs(nu_star - tensor_value(l, e1, e2, e1, pe2)) < 1e-13 * scale
+    # A P-tensor: its four totally real planes share nu, its invariant planes are flat.
+    l = random_p_tensor(ps, 3)
+    report = almost_einstein_check(ps, l)
+    assert report.passed
+    nu = report.scalars["nu"]
+    assert abs(nu - sectional_curvatures(ps, l, basis)[0]) < 1e-14 * scale
+    assert abs(nu - tensor_value(l, pe1, pe2, pe1, pe2)) < 1e-13 * scale
+    assert abs(nu) > 1e-3 * scale

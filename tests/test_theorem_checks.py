@@ -215,6 +215,59 @@ def test_scenario_gates_each_connection_p_tensor_once(monkeypatch):
     assert len(built) == 3 and len(set(built)) == 3
 
 
+def test_scenario_builds_each_transfer_piece_once(monkeypatch):
+    # curvature_relation and dim4_reconstruction both read psi1(S') + psi2(S''),
+    # dim4_traces and dim4_reconstruction both read the dim-4 trace scalars:
+    # each is built once per connection.
+    calls = {"_transfer_psi": [], "_dim4_scalars": []}
+
+    def counted(name):
+        build = getattr(checks, name)
+
+        def run(fr, cf):
+            calls[name].append(cf.params)
+            return build(fr, cf)
+        return run
+
+    for name in calls:
+        monkeypatch.setattr(checks, name, counted(name))
+    scenario = load_bundled_scenario("conformal_w1_separable_4d")
+    reports = run_scenario(scenario)
+    assert sorted(map(str, calls["_transfer_psi"])) == sorted(map(str, scenario.connections))
+    assert sorted(map(str, calls["_dim4_scalars"])) == sorted(
+        map(str, [ConnectionParams.d(), ConnectionParams.d_tilde(2)]))
+    assert sum("preset_reconstruction" in rep.residuals for rep in reports) == 2
+    assert sum("curvature_relation" in rep.residuals for rep in reports) == 3
+
+
+def oblique_chart_germ() -> ChartGerm:
+    """conformal_w1_separable_4d's germ in the linear chart x = A y.
+
+    There g = e^{2u} A^T A and P = A^-1 P0 A, so P is not symmetric: a P^T
+    read as P, or a P-twist on the wrong slots, shows in its residuals.
+    """
+    a = np.eye(4) + 0.3 * random_tensor2(4, 3)
+    x = ["(" + " + ".join(f"({float(a[i, j])!r})*x{j + 1}" for j in range(4)) + ")"
+         for i in range(4)]
+    u = f"{x[0]}^2 + {x[2]}^2"
+    g0 = a.T @ a
+    p = np.linalg.solve(a, np.diag([1.0, 1.0, -1.0, -1.0]) @ a)
+    metric = [[f"({float(g0[i, j])!r})*exp(2*({u}))" for j in range(4)] for i in range(4)]
+    return ChartGerm.from_strings(4, metric, [[repr(float(v)) for v in row] for row in p])
+
+
+def test_p_twists_hold_in_an_oblique_chart():
+    ctx = ScenarioContext(oblique_chart_germ(), [ConnectionParams.d(), ConnectionParams.d_tilde(2),
+                                                 ConnectionParams(1.0, 0.0)])
+    assert frob(ctx.frame.p.values - ctx.frame.p.values.T) > 0.1
+    assert ctx.class_report.label == "W1"
+    reports = [report for name in ("natural_connection", "second_bianchi", "pointwise_algebra")
+               for report in checks.CHECKS[name][0](ctx)]
+    assert all(report.status == "pass" for report in reports), [r.as_dict() for r in reports]
+    assert sum("torsion_p_identity" in report.residuals for report in reports) == 3
+    assert sum("p_twisted_identity" in report.residuals for report in reports) == 3
+
+
 def test_scenario_computes_the_levi_civita_invariants_once(monkeypatch):
     # curvature_like and both preset dim4_reconstruction reports read tau, tau* of R.
     ctx = context("conformal_w1_separable_4d")
