@@ -288,7 +288,7 @@ def check_levi_civita(ctx: ScenarioContext, report: CheckReport):
 def check_curvature_like(ctx: ScenarioContext, report: CheckReport):
     r = ctx.frame.curvature.values
     report.residuals.update(curv.curvature_like_residuals(r))
-    report.residuals["pair_symmetry"] = frob(r - einsum("klij->ijkl", r))
+    report.residuals["pair_symmetry"] = frob(r - r.transpose(2, 3, 0, 1))
     inv = ctx.curvature_invariants
     report.scalars.update({"tau": inv.tau, "tau_star": inv.tau_star})
 
@@ -433,7 +433,7 @@ def check_second_bianchi(ctx: ScenarioContext, report: CheckReport, cf: Connecti
     nr = cf.nabla_curvature
     rv = cf.curvature.values
     b = nr + einsum("ami,ajkl->mijkl", cf.torsion_mixed, rv)
-    cyc = b + einsum("ijmkl->mijkl", b) + einsum("jmikl->mijkl", b)
+    cyc = b + np.moveaxis(b, 2, 0) + np.moveaxis(b, 0, 2)
     report.residuals["cyclic_identity"] = frob(cyc)
 
     if _p_tensor_flag(ctx, report, cf):

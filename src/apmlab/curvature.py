@@ -28,6 +28,10 @@ The rank-4 algebra is written as matrix products, in three forms:
 - psi1(S) is X minus X with x and y swapped, for the two outer products
   X(x,y,z,w) = g(y,z)S(x,w) + S(y,z)g(x,w).
 
+A fixed permutation of slots -- in the pair skews, the pair exchange and the
+first Bianchi sum -- is a swapaxes or moveaxis view, not an einsum call; only
+``curvature_invariants`` contracts through ``tensors.einsum``.
+
 The helpers that take a tensor S or L -- psi1, psi2, ``p_twist``, the
 curvature-like and P-tensor projections, ``curvature_like_residuals``,
 ``p_slot_residuals``, ``curvature_invariants`` and ``decompose_dim4`` -- also
@@ -57,13 +61,16 @@ class CurvatureInvariants:
 
 def curvature_like_residuals(l: np.ndarray) -> dict[str, float | np.ndarray]:
     """Pair skews and first Bianchi residuals of L, one value per sample of a stacked L."""
-    b = lead(l, 4)
-    bianchi = l + einsum(f"{b}jkil->{b}ijkl", l) + einsum(f"{b}kijl->{b}ijkl", l)
     return {
-        "first_pair_skew": frob(l + einsum(f"{b}jikl->{b}ijkl", l), 4),
-        "last_pair_skew": frob(l + einsum(f"{b}ijlk->{b}ijkl", l), 4),
-        "first_bianchi": frob(bianchi, 4),
+        "first_pair_skew": frob(l + l.swapaxes(-4, -3), 4),
+        "last_pair_skew": frob(l + l.swapaxes(-2, -1), 4),
+        "first_bianchi": frob(_cyclic_sum(l), 4),
     }
+
+
+def _cyclic_sum(t: np.ndarray) -> np.ndarray:
+    """t(x,y,z,w) + t(y,z,x,w) + t(z,x,y,w), the first Bianchi sum of t or of each t of a stack."""
+    return t + np.moveaxis(t, -2, -4) + np.moveaxis(t, -4, -2)
 
 
 def p_twist(ps: PointStructure, t: np.ndarray) -> np.ndarray:
@@ -166,16 +173,10 @@ def _curvature_like_projection(t: np.ndarray) -> np.ndarray:
     # Antisymmetrize both index pairs, symmetrize pair exchange, then remove
     # the totally antisymmetric (cyclic) part; the result satisfies the pair
     # skews and the first Bianchi identity exactly.
-    b = lead(t, 4)
-    t = 0.25 * (
-        t
-        - einsum(f"{b}jikl->{b}ijkl", t)
-        - einsum(f"{b}ijlk->{b}ijkl", t)
-        + einsum(f"{b}jilk->{b}ijkl", t)
-    )
-    t = 0.5 * (t + einsum(f"{b}klij->{b}ijkl", t))
-    cyc = t + einsum(f"{b}jkil->{b}ijkl", t) + einsum(f"{b}kijl->{b}ijkl", t)
-    return t - cyc / 3.0
+    first = t.swapaxes(-4, -3)
+    t = 0.25 * (t - first - t.swapaxes(-2, -1) + first.swapaxes(-2, -1))
+    t = 0.5 * (t + t.swapaxes(-4, -2).swapaxes(-3, -1))
+    return t - _cyclic_sum(t) / 3.0
 
 
 def random_curvature_like(dim: int, seed: int) -> np.ndarray:
@@ -203,8 +204,8 @@ def p_tensor_projection(ps: PointStructure, t: np.ndarray) -> np.ndarray:
     """
     n = ps.n
     basis = adapted_orthonormal_basis(ps)
-    e, pe = np.split(basis, 2, axis=1)
-    q = np.hstack([e + pe, e - pe]) / np.sqrt(2.0)
+    e, pe = basis[:, :n], basis[:, n:]
+    q = np.concatenate([e + pe, e - pe], axis=1) / np.sqrt(2.0)
     t_hat = _pull_back(t, q)
     l_hat = np.zeros_like(t_hat)
     l_hat[..., :n, :n, :n, :n] = _curvature_like_projection(t_hat[..., :n, :n, :n, :n])

@@ -115,16 +115,18 @@ def basis_residuals(ps: PointStructure, basis: np.ndarray) -> dict[str, float]:
     }
 
 
-def f_symmetry_residuals(ps: PointStructure, f: np.ndarray) -> dict[str, float]:
-    """Residuals of the three defining F identities."""
+def f_symmetry_residuals(ps: PointStructure, f: np.ndarray) -> dict[str, float | np.ndarray]:
+    """Residuals of the three defining F identities, one value per sample of a stacked F.
+
+    With F read as a stack of matrices over its last two slots, F(x,y,Pz) is
+    F P, F(x,Py,z) is P^T F, and F(x,Py,Pz) is (P^T F) P.
+    """
     p = ps.p
-    f_pp = einsum("iab,aj,bk->ijk", f, p, p)
-    f_zp = einsum("ija,ak->ijk", f, p)
-    f_py = einsum("iak,aj->ijk", f, p)
+    f_py = p.T @ f
     return {
-        "last_two_symmetry": frob(f - f.transpose(0, 2, 1)),
-        "double_p_skew": frob(f + f_pp),
-        "single_p_skew": frob(f_zp + f_py),
+        "last_two_symmetry": frob(f - f.swapaxes(-2, -1), 3),
+        "double_p_skew": frob(f + f_py @ p, 3),
+        "single_p_skew": frob(f @ p + f_py, 3),
     }
 
 

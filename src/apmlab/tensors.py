@@ -80,15 +80,15 @@ def einsum(spec: str, *operands: np.ndarray):
 def contraction(spec: str, shapes: tuple[tuple[int, ...], ...]):
     """The function of the operands that evaluates einsum(spec, *operands) for ``shapes``.
 
-    A two-operand product that contracts an index and keeps free indices on
-    both sides runs as one 2-D matmul on transposed, reshaped operands; a
-    product of three or more operands runs as two-operand steps in the
-    order np.einsum_path(optimize="greedy") picks (Smith & Gray, "opt_einsum",
-    JOSS 3(26), 2018).  Each needs at least MATMUL_MIN_TERMS terms, the
-    product of the lengths of the spec's indices.  Everything else -- outer
-    and Hadamard products, traces, permutations, scalars, specs with an
-    ellipsis -- is one plain np.einsum.  The returned function works for
-    operands of any shape with the same ranks; ``shapes`` only picks the path.
+    The one rule: a two-operand product that contracts an index and keeps
+    free indices on both sides, with at least MATMUL_MIN_TERMS terms (the
+    product of the lengths of the spec's indices), runs as one 2-D matmul on
+    transposed, reshaped operands.  Everything else -- products of three or
+    more operands, outer and Hadamard products, traces, permutations,
+    scalars, specs with an ellipsis -- is one plain np.einsum.  A caller
+    that multiplies three factors writes it as two products.  The returned
+    function works for operands of any shape with the same ranks; ``shapes``
+    only picks the path.
     """
     plain = partial(np.einsum, spec)
     if "->" not in spec or "." in spec:
@@ -96,11 +96,9 @@ def contraction(spec: str, shapes: tuple[tuple[int, ...], ...]):
     lhs, out = spec.split("->")
     terms = lhs.split(",")
     size = {c: n for term, shape in zip(terms, shapes) for c, n in zip(term, shape)}
-    if len(terms) < 2 or prod(size.values()) < MATMUL_MIN_TERMS:
+    if len(terms) != 2 or prod(size.values()) < MATMUL_MIN_TERMS:
         return plain
-    if len(terms) == 2:
-        return _matmul(*terms, out) or plain
-    return _pairwise(spec, terms, out, shapes, size)
+    return _matmul(*terms, out) or plain
 
 
 def _matmul(sa: str, sb: str, out: str):
@@ -130,35 +128,6 @@ def _matmul(sa: str, sb: str, out: str):
         kept_a, kept_b, k = a.shape[:nfa], b.shape[nc:], prod(b.shape[:nc])
         product = a.reshape(prod(kept_a), k) @ b.reshape(k, prod(kept_b))
         return product.reshape(kept_a + kept_b).transpose(po)
-
-    return run
-
-
-def _pairwise(spec: str, terms: list[str], out: str, shapes, size: dict[str, int]):
-    """einsum(spec) over three or more operands as two-operand steps, each planned once.
-
-    Follows np.einsum_path's greedy order: each step pops its operands and
-    appends its result, which keeps the indices that a later step or the
-    output reads.
-    """
-    path = np.einsum_path(spec, *[np.empty(s) for s in shapes], optimize="greedy")[0][1:]
-    live, steps = list(terms), []
-    for inds in path:
-        inds = tuple(sorted(inds, reverse=True))
-        picked = [live.pop(i) for i in inds]
-        keep = set(out).union(*live)
-        result = out if not live else "".join(
-            dict.fromkeys(c for term in picked for c in term if c in keep))
-        step = f"{','.join(picked)}->{result}"
-        step_shapes = tuple(tuple(size[c] for c in term) for term in picked)
-        steps.append((inds, contraction(step, step_shapes)))
-        live.append(result)
-
-    def run(*operands):
-        stack = list(operands)
-        for inds, step in steps:
-            stack.append(step(*[stack.pop(i) for i in inds]))
-        return stack[0]
 
     return run
 

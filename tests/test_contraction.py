@@ -2,8 +2,11 @@
 
 Every (spec, shapes) that a bundled scenario of each dimension and order-4
 frames in dims 4, 6 and 8 send through the kernel is checked against
-np.einsum while it runs; ``jt_einsum`` is checked against a Leibniz loop
-written on np.einsum; and a second run of a scenario plans nothing new.
+np.einsum while it runs, and the kernel's one rule is held there: the runs
+reach its matmul path, and no product of three or more operands large enough
+to matmul reaches it, as that would run as one unplanned np.einsum.
+``jt_einsum`` is checked against a Leibniz loop written on np.einsum, and a
+second run of a scenario plans nothing new.
 """
 
 import functools
@@ -81,17 +84,20 @@ def terms(spec: str, shapes) -> int:
     return math.prod(size.values())
 
 
-def assert_all_match(seen, operands: int):
+def assert_all_match(seen):
     assert {key: err for key, err in seen.items() if not err <= RTOL} == {}
-    # The run reached the reordered products, not only plain einsum.
-    assert any(spec.count(",") == operands - 1 and terms(spec, shapes) >= tensors.MATMUL_MIN_TERMS
-               for spec, shapes in seen)
+    large = [(spec, shapes) for spec, shapes in seen
+             if terms(spec, shapes) >= tensors.MATMUL_MIN_TERMS]
+    # The run reached the matmul path (operands=2), not only plain einsum ...
+    assert any(spec.count(",") == 1 for spec, _ in large)
+    # ... and every large product of three or more operands was written as two-operand ones.
+    assert [key for key in large if key[0].count(",") >= 2] == []
 
 
 @pytest.mark.parametrize("name", SCENARIOS)
 def test_scenario_contractions_match_einsum(checked_kernel, name):
     run_scenario(load_bundled_scenario(name))
-    assert_all_match(checked_kernel, operands=3)
+    assert_all_match(checked_kernel)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -104,7 +110,7 @@ def test_order4_frame_contractions_match_einsum(checked_kernel, n):
         connection = frame.connection(params)
         for name in CONNECTION_FIELDS:
             getattr(connection, name)
-    assert_all_match(checked_kernel, operands=2)
+    assert_all_match(checked_kernel)
 
 
 def random_jet(rng, shape, dim, order) -> JetTensor:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from apmlab.curvature import (
+    _curvature_like_projection,
     _pull_back,
     almost_einstein_check,
     curvature_invariants,
@@ -20,7 +21,7 @@ from apmlab.curvature import (
     random_p_tensor,
     sectional_curvatures,
 )
-from apmlab.structure import adapted_orthonormal_basis
+from apmlab.structure import adapted_orthonormal_basis, f_symmetry_residuals
 from apmlab.tensors import (
     PointStructure,
     canonical_structure,
@@ -512,6 +513,58 @@ def test_p_slot_residuals_match_einsum_specs(make, dim):
         for key, value in spec.items():
             assert_spec(residuals[key], frob(value, 4), frob(p) ** 2 * np.max(frob(t, 4)))
     assert p_slot_identities(ps, random_p_tensor(ps, 0)).passed
+
+
+def permuted(t, spec):
+    """t with its last four slots permuted as "...{spec}->...ijkl" says."""
+    return np.einsum(f"...{spec}->...ijkl", t)
+
+
+@pytest.mark.parametrize("make,dim", STRUCTURES)
+def test_curvature_like_residuals_match_einsum_specs(make, dim):
+    ps = make(dim)
+    basis = adapted_orthonormal_basis(ps)
+    for t in single_and_stacked(lambda seeds: _pull_back(random_tensor4(dim, seeds), basis)):
+        spec = {
+            "first_pair_skew": t + permuted(t, "jikl"),
+            "last_pair_skew": t + permuted(t, "ijlk"),
+            "first_bianchi": t + permuted(t, "jkil") + permuted(t, "kijl"),
+        }
+        residuals = curvature_like_residuals(t)
+        assert residuals.keys() == spec.keys()
+        for key, value in spec.items():
+            assert_spec(residuals[key], frob(value, 4), np.max(frob(t, 4)))
+
+
+@pytest.mark.parametrize("make,dim", STRUCTURES)
+def test_curvature_like_projection_matches_einsum_specs(make, dim):
+    ps = make(dim)
+    basis = adapted_orthonormal_basis(ps)
+    for t in single_and_stacked(lambda seeds: _pull_back(random_tensor4(dim, seeds), basis)):
+        skew = 0.25 * (t - permuted(t, "jikl") - permuted(t, "ijlk") + permuted(t, "jilk"))
+        pair = 0.5 * (skew + permuted(skew, "klij"))
+        spec = pair - (pair + permuted(pair, "jkil") + permuted(pair, "kijl")) / 3.0
+        assert_spec(_curvature_like_projection(t), spec, np.max(frob(t, 4)))
+
+
+@pytest.mark.parametrize("make,dim", STRUCTURES)
+def test_f_symmetry_residuals_match_einsum_specs(make, dim):
+    # A random F breaks all three F identities.
+    ps = make(dim)
+    p = ps.p
+    for f in single_and_stacked(
+            lambda seeds: np.random.default_rng(dim).uniform(-1.0, 1.0, (len(seeds),) + (dim,) * 3)):
+        spec = {
+            "last_two_symmetry": f - np.einsum("...ijk->...ikj", f),
+            "double_p_skew": f + np.einsum("...iab,aj,bk->...ijk", f, p, p),
+            "single_p_skew": (np.einsum("...ija,ak->...ijk", f, p)
+                              + np.einsum("...iak,aj->...ijk", f, p)),
+        }
+        residuals = f_symmetry_residuals(ps, f)
+        assert residuals.keys() == spec.keys()
+        for key, value in spec.items():
+            assert np.all(frob(value, 3) > 1e-3)
+            assert_spec(residuals[key], frob(value, 3), frob(p) ** 2 * np.max(frob(f, 3)))
 
 
 @pytest.mark.parametrize("make,dim", STRUCTURES)
