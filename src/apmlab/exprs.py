@@ -164,10 +164,10 @@ class Binary(ScalarExpr):
                 raise EvalError("division by zero")
             c, u = (1 / c, u) if const is right else (c, u.reciprocal())
         if op in "*/":  # + 0 turns -0 into +0, as the sums of a jet product do
-            return JetTensor(tuple(c * a + 0.0 for a in u.data), u.dim)
+            return JetTensor(tuple(c * a + 0.0 for a in u.data), u.dim, u.degree)
         if op == "-" and const is left:  # 0 - level, as from the constant's zero levels
-            return JetTensor((c - u.values,) + tuple(0.0 - a for a in u.data[1:]), u.dim)
-        return JetTensor((u.values + (-c if op == "-" else c),) + u.data[1:], u.dim)
+            return JetTensor((c - u.values,) + tuple(0.0 - a for a in u.data[1:]), u.dim, u.degree)
+        return JetTensor((u.values + (-c if op == "-" else c),) + u.data[1:], u.dim, u.degree)
 
     def _fmt(self, parent_prec):
         prec = self._PREC[self.op]

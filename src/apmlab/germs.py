@@ -230,9 +230,10 @@ def conformal_flat_product_germ(n: int, u, name: str | None = None) -> ChartGerm
 def _grid_jets(grid, point: np.ndarray, order: int, dim: int, label: str) -> JetTensor:
     """The jets of a grid of expressions at ``point``, each distinct entry evaluated once.
 
-    A value or derivative that is not finite (an overflowing exponential, say)
-    raises StructureError naming ``label`` and the point; an EvalError names
-    the entry too.
+    The grid's degree is the largest of its entries'; the levels above it are
+    fresh zeros.  A value or derivative that is not finite (an overflowing
+    exponential, say) raises StructureError naming ``label`` and the point;
+    an EvalError names the entry too.
     """
     distinct: dict[ScalarExpr, int] = {}
     index = np.array([[distinct.setdefault(entry, len(distinct)) for entry in row]
@@ -246,13 +247,18 @@ def _grid_jets(grid, point: np.ndarray, order: int, dim: int, label: str) -> Jet
                 i, j = np.argwhere(index == len(jets))[0]
                 raise EvalError(f"{exc} in {label}[{i}][{j}] at point "
                                 f"{tuple(point.tolist())}") from None
-    levels = tuple(np.stack([jet.data[k] for jet in jets])[index] for k in range(order + 1))
-    return _finite(JetTensor(levels, dim), label, point)
+    degree = max(jet.degree for jet in jets)
+    levels = [np.stack([jet.data[k] for jet in jets])[index] for k in range(degree + 1)]
+    levels += [np.zeros(index.shape + (dim,) * k) for k in range(degree + 1, order + 1)]
+    return _finite(JetTensor(tuple(levels), dim, degree), label, point)
 
 
 def _finite(jet: JetTensor, label: str, point: np.ndarray) -> JetTensor:
-    """``jet``, or a StructureError naming ``label`` and ``point`` if a level is not finite."""
-    if not all(np.isfinite(level).all() for level in jet.data):
+    """``jet``, or a StructureError naming ``label`` and ``point`` if a level is not finite.
+
+    Only the levels up to the jet's degree are scanned: those above are zeros.
+    """
+    if not all(np.isfinite(level).all() for level in jet.data[: jet.degree + 1]):
         raise StructureError(f"{label} not finite at point {tuple(point.tolist())}")
     return jet
 

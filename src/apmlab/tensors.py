@@ -9,7 +9,7 @@ dense row-major throughout.
 from __future__ import annotations
 
 from functools import lru_cache, partial
-from math import prod
+from math import inf, prod, sqrt
 
 import numpy as np
 
@@ -51,12 +51,12 @@ def frob(t: np.ndarray, rank: int | None = None):
                 rescaled = scale * np.sqrt(np.einsum("si,si->s", scaled, scaled))
             norms = np.where(np.isfinite(norms) | ~np.isfinite(scale), norms, rescaled)
         return norms.reshape(samples)
-    total = np.vdot(t, t)
-    if np.isfinite(total):
-        return float(np.sqrt(total))
+    total = float(np.vdot(t, t))
+    if total < inf:  # false for NaN too
+        return sqrt(total)
     scale = np.abs(t).max()
     if not np.isfinite(scale):
-        return float(total)
+        return total
     t = t / scale
     return float(scale * np.sqrt(np.vdot(t, t)))
 
