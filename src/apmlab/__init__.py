@@ -14,7 +14,7 @@ from .curvature import (
     random_p_tensor,
     sectional_curvatures,
 )
-from .exprs import EvalError, ParseError, ScalarExpr, eval_jet, parse_expr
+from .exprs import EvalError, ParseError, ScalarExpr, parse_expr
 from .germs import (
     ChartGerm,
     ConnectionParams,

@@ -55,9 +55,6 @@ BASE_ORDER = 4
 # ln of a scalar combination closer to zero than this skips the check.
 SINGULAR_FLOOR = 1e-10
 
-# Residual above which "R' is a Riemannian P-tensor" is considered refuted.
-P_TENSOR_FAIL_FLOOR = 1e-3
-
 
 class ScenarioContext:
     """A germ with the settings of one run; its frame and connections are built once.
@@ -370,20 +367,23 @@ def check_curvature_relation(ctx: ScenarioContext, report: CheckReport, cf: Conn
 
 
 @check("p_tensor_cases", TOL_FIRST_DERIV, "Which connections give Riemannian P-tensors",
-       residuals=("p_tensor", "p_tensor_refuted_margin", "necessary_condition"),
-       per_connection=True)
+       residuals=("p_tensor", "p_tensor_refuted_margin"), per_connection=True)
 def check_p_tensor_cases(ctx: ScenarioContext, report: CheckReport, cf: ConnectionFrame):
     """Case analysis of which natural connections make R' a Riemannian P-tensor.
 
-    Standing hypothesis: the germ is W1 but not in W3bar u W6bar.  For the two
-    preset connections and the generic family the equivalence with closedness
-    of the Lee forms is asserted in the direction the germ's closedness
-    profile fixes.  Refutations are skipped when they would be vacuous: a
+    Standing hypothesis: the germ is W1 but not in W3bar u W6bar.  The
+    closedness profile of the Lee forms fixes what each case claims: D gives
+    a P-tensor exactly when only theta o P is closed, D_tilde exactly when
+    only theta is, the generic family exactly when both are.  A degenerate
+    connection (on the conic lambda^2 = mu^2 + mu/2n, but neither preset)
+    cannot give one when exactly one form is closed, since D or D_tilde is
+    then the only such connection; otherwise it carries no claim.  A claimed
+    P-tensor asserts R''s P-tensor residual; a forbidden one fails when R'
+    passes the gate ``ScenarioContext.r_prime_p_tensor`` that every P-tensor
+    hypothesis reads.  Refutations are skipped when they would be vacuous: a
     vanishing R' satisfies every P-tensor identity, and with both Lee forms
     closed the preset connections themselves carry P-tensor curvature (the
-    conformal family over a flat product realizes this), so only the generic
-    family is refutable there.  The remaining degenerate connections carry a
-    necessary condition only.
+    conformal family over a flat product realizes this).
     """
     flags = ctx.closedness
     theta_closed, theta_p_closed = flags["theta_closed"], flags["theta_p_closed"]
@@ -391,6 +391,7 @@ def check_p_tensor_cases(ctx: ScenarioContext, report: CheckReport, cf: Connecti
         "D": (not theta_closed) and theta_p_closed,
         "D_tilde": theta_closed and not theta_p_closed,
         "generic": theta_closed and theta_p_closed,
+        "degenerate": False if theta_closed != theta_p_closed else None,
     }
     case = cf.params.case(ctx.germ.n)
     report.hypothesis_flags.update(flags)
@@ -400,25 +401,19 @@ def check_p_tensor_cases(ctx: ScenarioContext, report: CheckReport, cf: Connecti
     curvature_scale = frob(cf.curvature.values)
     report.scalars["p_tensor_residual"] = residual
     report.scalars["r_prime_norm"] = curvature_scale
-    if case in expected:
-        if expected[case]:
-            report.residuals["p_tensor"] = residual
-            report.notes.append("closedness profile implies a P-tensor")
-        elif curvature_scale < 1e-10:
-            raise Skip("refutation vacuous: R' vanishes")
-        elif case != "generic" and theta_closed and theta_p_closed:
-            raise Skip("preset refutation degenerate: both Lee forms closed")
-        else:
-            report.residuals["p_tensor_refuted_margin"] = (
-                0.0 if residual > ctx.tol(P_TENSOR_FAIL_FLOOR) else 1.0
-            )
-            report.notes.append("closedness profile forbids a P-tensor")
-    else:
-        # Degenerate family: if R' is a P-tensor, neither Lee form is closed.
-        if residual < report.tol and (theta_closed or theta_p_closed) \
-                and curvature_scale > 1e-10:
-            report.residuals["necessary_condition"] = 1.0
+    claim = expected[case]
+    if claim is None:
         report.notes.append("degenerate case: necessary condition only")
+    elif claim:
+        report.residuals["p_tensor"] = residual
+        report.notes.append("closedness profile implies a P-tensor")
+    elif curvature_scale < 1e-10:
+        raise Skip("refutation vacuous: R' vanishes")
+    elif theta_closed and theta_p_closed:  # only D and D_tilde are refuted here
+        raise Skip("preset refutation degenerate: both Lee forms closed")
+    else:
+        report.residuals["p_tensor_refuted_margin"] = float(ctx.r_prime_p_tensor(cf))
+        report.notes.append("closedness profile forbids a P-tensor")
 
 
 @check("second_bianchi", 1e-6, "Differential curvature identities",

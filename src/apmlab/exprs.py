@@ -358,8 +358,3 @@ def parse_expr(src: str, dim: int | None = None) -> ScalarExpr:
     if not src or not src.strip():
         raise ParseError("empty expression", 0)
     return _Parser(src, dim).parse()
-
-
-def eval_jet(expr: ScalarExpr, point: np.ndarray, order: int = 3) -> JetTensor:
-    """Evaluate with exact derivatives up to ``order`` (any order >= 0)."""
-    return expr.eval_jet(point, order)

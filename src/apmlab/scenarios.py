@@ -136,7 +136,7 @@ def germ_from_spec(spec: dict, path: str = "germ", name: str = "germ") -> ChartG
 def _connection(entry, n: int, path: str) -> ConnectionParams:
     if entry == "D":
         return ConnectionParams.d()
-    if entry in ("D_tilde", "Dtilde"):
+    if entry == "D_tilde":
         return ConnectionParams.d_tilde(n)
     if isinstance(entry, dict):
         lam = _require(entry, "lambda", float, path)

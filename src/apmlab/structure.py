@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensors import DEFAULT_TOL, PointStructure, StructureError, einsum, frob
+from .tensors import PointStructure, StructureError, einsum, frob
 
 CLASS_W0 = "W0"
 CLASS_W1 = "W1"
@@ -79,7 +79,8 @@ def _gram_schmidt(columns: np.ndarray, g: np.ndarray, count: int) -> np.ndarray:
 def adapted_orthonormal_basis(ps: PointStructure) -> np.ndarray:
     """g-orthonormal basis {E_1..E_n, PE_1..PE_n}, returned as matrix columns.
 
-    If the coordinate basis is itself adapted it is returned unchanged.  Built
+    Gram-Schmidt runs on every structure: a coordinate basis that is itself
+    adapted comes back to rounding, not bit for bit.  Built
     once per point structure and kept on the structure, read-only, as
     ``curvature.pi_tensors`` is: every reader of one structure shares it, and
     validates the structure once, at DEFAULT_TOL.
@@ -93,14 +94,8 @@ def adapted_orthonormal_basis(ps: PointStructure) -> np.ndarray:
 
 def _adapted_basis(ps: PointStructure) -> np.ndarray:
     h, v = projectors(ps)  # validates the structure
-    n, dim = ps.n, ps.dim
-    eye = np.eye(dim)
-    coords_adapted = (frob(ps.g - eye) < DEFAULT_TOL
-                      and frob(ps.p[:, :n] - eye[:, n:]) < DEFAULT_TOL)
-    if coords_adapted:
-        return eye
-    a = _gram_schmidt(h, ps.g, n)
-    x = _gram_schmidt(v, ps.g, n)
+    a = _gram_schmidt(h, ps.g, ps.n)
+    x = _gram_schmidt(v, ps.g, ps.n)
     e_half = (a + x) / np.sqrt(2.0)
     return np.column_stack([e_half, ps.p @ e_half])
 

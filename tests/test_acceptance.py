@@ -25,7 +25,7 @@ from apmlab.curvature import (
     random_p_tensor,
     sectional_curvatures,
 )
-from apmlab.exprs import ParseError, eval_jet, parse_expr
+from apmlab.exprs import ParseError, parse_expr
 from apmlab.germs import ConnectionParams, flat_product_germ
 from apmlab.scenarios import load_bundled_scenario
 from apmlab.structure import adapted_orthonormal_basis, classify_f
@@ -283,7 +283,7 @@ def test_criterion_7_parser_and_jets():
         for src, expected in CORPUS:
             expr = parse_expr(src, dim=4)
             assert abs(expr(POINT) - expected) < 1e-12 * max(1.0, abs(expected))
-            jet = eval_jet(expr, POINT, 3)
+            jet = expr.eval_jet(POINT, 3)
             grad_fd = fd_gradient(expr, POINT)
             assert np.abs(jet.data[1] - grad_fd).max() < 1e-6 * max(1.0, abs(jet.values))
         for bad, offset in [("x1*(x2", 6), ("x9 + 1", 0), ("sin(x1", 6), ("", 0)]:

@@ -12,7 +12,6 @@ from apmlab.exprs import (
     ParseError,
     ScalarExpr,
     Var,
-    eval_jet,
     parse_expr,
 )
 from apmlab import jetfields
@@ -69,7 +68,7 @@ def fd_hessian(expr, pt, h=1e-5):
         e = np.zeros(pt.shape[0])
         e[i] = h
         out[:, i] = (
-            eval_jet(expr, pt + e, 1).data[1] - eval_jet(expr, pt - e, 1).data[1]
+            expr.eval_jet(pt + e, 1).data[1] - expr.eval_jet(pt - e, 1).data[1]
         ) / (2 * h)
     return out
 
@@ -87,7 +86,7 @@ def test_corpus_parses_and_evaluates(src, expected):
 @pytest.mark.parametrize("src,expected", CORPUS, ids=[c[0] for c in CORPUS])
 def test_corpus_jets_match_finite_differences(src, expected):
     expr = parse_expr(src, dim=4)
-    jet = eval_jet(expr, POINT, 3)
+    jet = expr.eval_jet(POINT, 3)
     grad_fd = fd_gradient(expr, POINT)
     scale = max(1.0, abs(jet.values))
     assert np.abs(jet.data[1] - grad_fd).max() < 1e-6 * scale
@@ -104,7 +103,7 @@ def test_corpus_round_trips_through_printer(src, expected):
 
 
 def test_polynomial_jet_values():
-    jet = eval_jet(parse_expr("x1^2"), np.array([3.0, 0, 0, 0]), 3)
+    jet = parse_expr("x1^2").eval_jet(np.array([3.0, 0, 0, 0]), 3)
     assert jet.values == 9.0
     assert np.allclose(jet.data[1], [6, 0, 0, 0])
     assert np.allclose(jet.data[2], np.diag([2.0, 0, 0, 0]))
@@ -112,18 +111,18 @@ def test_polynomial_jet_values():
 
 
 def test_exponential_jet_at_origin():
-    jet = eval_jet(parse_expr("exp(x1)"), np.zeros(4), 3)
+    jet = parse_expr("exp(x1)").eval_jet(np.zeros(4), 3)
     assert jet.values == jet.data[1][0] == jet.data[2][0, 0] == jet.data[3][0, 0, 0] == 1.0
 
 
 def test_mixed_partial_value():
-    jet = eval_jet(parse_expr("sin(x1)*x2"), np.array([0.7, 1.3, 0, 0]), 2)
+    jet = parse_expr("sin(x1)*x2").eval_jet(np.array([0.7, 1.3, 0, 0]), 2)
     assert abs(jet.data[2][0, 1] - math.cos(0.7)) < 1e-14
 
 
 def test_third_derivatives_are_symmetric():
     expr = parse_expr("exp(x1)*sin(x2) + ln(x3 + 2)/x4 - (x1 - x2)^3", dim=4)
-    jet = eval_jet(expr, np.array([0.3, -0.4, 0.5, 1.2]), 3)
+    jet = expr.eval_jet(np.array([0.3, -0.4, 0.5, 1.2]), 3)
     third = jet.data[3]
     for perm in [(1, 0, 2), (0, 2, 1), (2, 1, 0)]:
         assert np.abs(third - third.transpose(perm)).max() == 0.0
@@ -162,7 +161,7 @@ DEPTH_SHAPES = {
 def test_an_expression_at_the_depth_bound_parses_hashes_evaluates_and_prints(shape):
     expr = parse_expr(DEPTH_SHAPES[shape](MAX_DEPTH), dim=4)
     assert hash(expr) == hash(parse_expr(str(expr), dim=4))
-    assert np.isfinite(eval_jet(expr, POINT, 3).data[3]).all()
+    assert np.isfinite(expr.eval_jet(POINT, 3).data[3]).all()
 
 
 @pytest.mark.parametrize("shape", DEPTH_SHAPES)
@@ -213,11 +212,11 @@ def test_empty_source_rejected():
 
 def test_eval_domain_errors():
     with pytest.raises(EvalError, match="ln"):
-        eval_jet(parse_expr("ln(x1)"), np.array([-1.0, 0, 0, 0]))
+        parse_expr("ln(x1)").eval_jet(np.array([-1.0, 0, 0, 0]))
     with pytest.raises(EvalError, match="division"):
-        eval_jet(parse_expr("1/x1"), np.zeros(4))
+        parse_expr("1/x1").eval_jet(np.zeros(4))
     with pytest.raises(EvalError, match="division"):
-        eval_jet(parse_expr("x1^-1"), np.zeros(4))
+        parse_expr("x1^-1").eval_jet(np.zeros(4))
 
 
 @pytest.mark.parametrize("src", ["x1*exp(x2) - sin(x3)^2/(2 + x4)", "ln(3 + x1*x4) * cos(x2)", "7"])
@@ -226,9 +225,9 @@ def test_point_arrays_evaluate_each_point_bit_for_bit(src):
     # point's jet is the one that point alone gives.
     expr = parse_expr(src)
     points = np.random.default_rng(5).uniform(-1, 1, size=(2, 3, 4))
-    batched = eval_jet(expr, points, order=3)
+    batched = expr.eval_jet(points, order=3)
     for index in np.ndindex(2, 3):
-        single = eval_jet(expr, points[index], order=3)
+        single = expr.eval_jet(points[index], order=3)
         for level, own in zip(batched.data, single.data):
             assert level[index].tobytes() == own.tobytes()
 
@@ -236,16 +235,16 @@ def test_point_arrays_evaluate_each_point_bit_for_bit(src):
 def test_a_point_array_outside_the_domain_raises_the_per_point_error():
     points = np.array([[1.0, 0, 0, 0], [-1.0, 0, 0, 0], [2.0, 0, 0, 0]])
     with pytest.raises(EvalError, match="ln of non-positive value"):
-        eval_jet(parse_expr("ln(x1)"), points)
+        parse_expr("ln(x1)").eval_jet(points)
     with pytest.raises(EvalError, match="division by zero"):
-        eval_jet(parse_expr("1/(x1 + 1)"), points)
+        parse_expr("1/(x1 + 1)").eval_jet(points)
 
 
 def test_jet_order_limits():
     expr = parse_expr("x1")
     with pytest.raises(ValueError):
-        eval_jet(expr, np.zeros(4), order=-1)
-    jet = eval_jet(expr, np.zeros(4), order=0)
+        expr.eval_jet(np.zeros(4), order=-1)
+    jet = expr.eval_jet(np.zeros(4), order=0)
     assert len(jet.data) == 1 and jet.order == 0
 
 
@@ -267,7 +266,7 @@ def test_division_matches_multiplication_by_reciprocal(seed, denom):
     pt = rng.uniform(0.2, 1.5, size=4)
     expr_div = parse_expr(f"(x1 + 2*x2)/{denom!r}", dim=4)
     expr_mul = parse_expr(f"(x1 + 2*x2)*{1.0 / denom!r}", dim=4)
-    ja, jb = eval_jet(expr_div, pt, 3), eval_jet(expr_mul, pt, 3)
+    ja, jb = expr_div.eval_jet(pt, 3), expr_mul.eval_jet(pt, 3)
     assert abs(ja.values - jb.values) < 1e-12 * max(1, abs(ja.values))
     assert np.abs(ja.data[1] - jb.data[1]).max() < 1e-12
 
@@ -275,8 +274,8 @@ def test_division_matches_multiplication_by_reciprocal(seed, denom):
 @pytest.mark.parametrize("src,expected", CORPUS, ids=[c[0] for c in CORPUS])
 def test_corpus_order4_jets_match_differences_of_order3(src, expected):
     expr = parse_expr(src, dim=4)
-    jet4 = eval_jet(expr, POINT, 4)
-    jet3 = eval_jet(expr, POINT, 3)
+    jet4 = expr.eval_jet(POINT, 4)
+    jet3 = expr.eval_jet(POINT, 3)
     for lower, same in zip(jet4.data[:4], jet3.data):
         assert np.abs(lower - same).max() < 1e-12 * max(1.0, np.abs(same).max())
     h = 1e-4
@@ -285,7 +284,7 @@ def test_corpus_order4_jets_match_differences_of_order3(src, expected):
         e = np.zeros(4)
         e[m] = h
         fourth_fd[..., m] = (
-            eval_jet(expr, POINT + e, 3).data[3] - eval_jet(expr, POINT - e, 3).data[3]
+            expr.eval_jet(POINT + e, 3).data[3] - expr.eval_jet(POINT - e, 3).data[3]
         ) / (2 * h)
     fourth = jet4.data[4]
     assert np.abs(fourth - fourth_fd).max() < 1e-6 * max(1.0, np.abs(fourth).max())
@@ -308,9 +307,9 @@ def test_a_constant_factor_scales_as_the_leibniz_product_does(u, points):
     # sums from +0, so the levels are the same floats.
     for src in (form.format(u=u) for form in CONSTANT_OPERANDS):
         expr = parse_expr(src, dim=4)
-        a, b = eval_jet(expr.left, points, 4), eval_jet(expr.right, points, 4)
+        a, b = expr.left.eval_jet(points, 4), expr.right.eval_jet(points, 4)
         leibniz = {"+": a + b, "-": a - b, "*": a * b, "/": a / b}[expr.op]
-        got = eval_jet(expr, points, 4)
+        got = expr.eval_jet(points, 4)
         assert got.order == 4
         for level, expected in zip(got.data, leibniz.data):
             assert level.tobytes() == expected.tobytes(), src
@@ -321,10 +320,10 @@ def test_a_constant_factor_takes_no_jet_product(monkeypatch):
     product = jetfields.jt_einsum
     monkeypatch.setattr(jetfields, "jt_einsum", lambda *args: calls.append(args[0]) or product(*args))
     for src in ["2 * 3"] + [form.format(u="x1") for form in CONSTANT_OPERANDS]:
-        eval_jet(parse_expr(src, dim=4), POINT, 4)
+        parse_expr(src, dim=4).eval_jet(POINT, 4)
     assert calls == []
-    eval_jet(parse_expr("x1 * x2", dim=4), POINT, 4)
+    parse_expr("x1 * x2", dim=4).eval_jet(POINT, 4)
     assert calls == [",->"]
     for src in ("x1/0", "x1/(1 - 1)"):
         with pytest.raises(EvalError, match="division by zero"):
-            eval_jet(parse_expr(src, dim=4), POINT, 4)
+            parse_expr(src, dim=4).eval_jet(POINT, 4)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from apmlab import jetfields
-from apmlab.exprs import eval_jet, parse_expr
+from apmlab.exprs import parse_expr
 from apmlab.jetfields import JetOrderError, JetTensor, jt_einsum, jt_inverse
 
 DIM = 4
@@ -16,7 +16,7 @@ M_EXPR = [["exp(x1) + 2", "x2*x3"], ["x2*x3", "cos(x4) + 3"]]
 
 
 def grid_tensor(grid, pt=POINT, order=3):
-    jets = [[eval_jet(parse_expr(s, DIM), pt, order) for s in row] for row in grid]
+    jets = [[parse_expr(s, DIM).eval_jet(pt, order) for s in row] for row in grid]
     return JetTensor(
         tuple(np.array([[j.data[k] for j in row] for row in jets]) for k in range(order + 1)),
         DIM,
@@ -33,7 +33,7 @@ def test_product_matches_scalar_jets():
     for i in range(2):
         for k in range(2):
             src = " + ".join(f"({A_EXPR[i][j]})*({B_EXPR[j][k]})" for j in range(2))
-            ref = eval_jet(parse_expr(src, DIM), POINT, 3)
+            ref = parse_expr(src, DIM).eval_jet(POINT, 3)
             assert abs(c.data[0][i, k] - ref.values) < 1e-12
             assert np.abs(c.data[1][i, k] - ref.data[1]).max() < 1e-12
             assert np.abs(c.data[2][i, k] - ref.data[2]).max() < 1e-11
@@ -130,8 +130,8 @@ METRIC_6D_POINT = np.array([0.3, -0.2, 0.5, 0.8, -0.4, 0.1])
 
 def metric_jet_6d(order):
     """A non-diagonal, diagonally dominant 6x6 metric jet: 3 + cos(x_i) on, sin(x_i + x_j)/5 off the diagonal."""
-    jets = [[eval_jet(parse_expr(f"3 + cos(x{i + 1})" if i == j
-                                 else f"sin(x{i + 1} + x{j + 1})/5", 6), METRIC_6D_POINT, order)
+    jets = [[parse_expr(f"3 + cos(x{i + 1})" if i == j else f"sin(x{i + 1} + x{j + 1})/5", 6)
+             .eval_jet(METRIC_6D_POINT, order)
              for j in range(6)] for i in range(6)]
     return JetTensor(
         tuple(np.array([[e.data[k] for e in row] for row in jets]) for k in range(order + 1)), 6)
@@ -215,7 +215,7 @@ def test_functions_extend_level_by_level_as_the_recursion_does(name, order):
     function, recursion, exact = FUNCTIONS[name]
     u = parse_expr(ARGUMENT, DIM)
     for points in (POINTS[1, 2], POINTS):
-        got, ref = function(eval_jet(u, points, order)), recursion(eval_jet(u, points, order))
+        got, ref = function(u.eval_jet(points, order)), recursion(u.eval_jet(points, order))
         assert got.order == order
         for k, (level, expected) in enumerate(zip(got.data, ref.data)):
             level, expected = np.asarray(level), np.asarray(expected)
@@ -225,9 +225,9 @@ def test_functions_extend_level_by_level_as_the_recursion_does(name, order):
             else:
                 assert np.abs(level - expected).max() <= 1e-13 * np.abs(expected).max(), k
     # Each point's jet is the one that point gives alone, bit for bit.
-    whole = function(eval_jet(u, POINTS, order))
+    whole = function(u.eval_jet(POINTS, order))
     for index in np.ndindex(POINTS.shape[:-1]):
-        alone = function(eval_jet(u, POINTS[index], order))
+        alone = function(u.eval_jet(POINTS[index], order))
         for level, expected in zip(whole.data, alone.data):
             assert level[index].tobytes() == np.asarray(expected).tobytes(), index
 
@@ -242,7 +242,7 @@ def count_levels(monkeypatch):
 @pytest.mark.parametrize("order", range(6))
 @pytest.mark.parametrize("name", ["exp", "sin", "cos"])
 def test_exp_sin_and_cos_take_one_level_product_per_order(name, order, monkeypatch):
-    u = eval_jet(parse_expr(ARGUMENT, DIM), POINT, order)
+    u = parse_expr(ARGUMENT, DIM).eval_jet(POINT, order)
     calls = count_levels(monkeypatch)
     getattr(u, name)()
     assert calls == list(range(order))  # level k - 1 of f' du for each level k
@@ -256,7 +256,7 @@ def test_an_integer_power_takes_as_many_level_products_whatever_its_exponent(
     counts = []
     for src in (small, "x1^1000001"):
         calls.clear()
-        jet = eval_jet(parse_expr(src, DIM), point, order)
+        jet = parse_expr(src, DIM).eval_jet(point, order)
         counts.append(len(calls))
         assert jet.values == 1.0
     assert counts == [order * (order + 1) // 2] * 2

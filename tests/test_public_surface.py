@@ -32,17 +32,29 @@ def exported_names() -> list[str]:
 
 
 def names_read_in_package() -> set[str]:
-    """Names loaded or read as attributes in the package's modules, imports excluded."""
+    """Names the package's modules load, imports excluded.
+
+    An attribute counts only on an alias of an apmlab module, as in
+    ``curv.psi1``: a method that shares an exported name, such as
+    ``entry.eval_jet``, does not read the export.
+    """
     read = set()
     for entry in os.listdir(PACKAGE_DIR):
         if not entry.endswith(".py") or entry == "__init__.py":
             continue
         with open(os.path.join(PACKAGE_DIR, entry)) as fh:
             tree = ast.parse(fh.read())
+        modules = {
+            alias.asname or alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level and node.module is None
+            for alias in node.names
+        }
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 read.add(node.id)
-            elif isinstance(node, ast.Attribute):
+            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id in modules):
                 read.add(node.attr)
     return read
 

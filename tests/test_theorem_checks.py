@@ -1,5 +1,6 @@
 """Lee-form theorem checks on exact jets: residual levels, routing and skips."""
 
+import math
 import warnings
 from functools import cached_property
 
@@ -14,7 +15,13 @@ from apmlab.checks import (
     check_lee_recovery,
     check_tau_form_closedness,
 )
-from apmlab.germs import KEPT_ORDER, ChartGerm, ConnectionFrame, ConnectionParams
+from apmlab.germs import (
+    KEPT_ORDER,
+    ChartGerm,
+    ConnectionFrame,
+    ConnectionParams,
+    conformal_flat_product_germ,
+)
 from apmlab.jetfields import JetTensor
 from apmlab.scenarios import (
     bundled_scenario_names,
@@ -91,14 +98,15 @@ def test_opposite_scalar_curvatures_take_the_equal_magnitude_branch():
         assert "theta_recovery" not in report.residuals
 
 
-def twisted_product_context(alpha: str, beta: str) -> ScenarioContext:
+def twisted_product_context(alpha: str, beta: str, base_point=None,
+                            connections=(ConnectionParams.d(),)) -> ScenarioContext:
     """g = e^{2 alpha} (dx1^2 + dx2^2) + e^{2 beta} (dx3^2 + dx4^2), P = diag(1, 1, -1, -1)."""
     a, b = f"exp(2*({alpha}))", f"exp(2*({beta}))"
     metric = [[a, "0", "0", "0"], ["0", a, "0", "0"], ["0", "0", b, "0"], ["0", "0", "0", b]]
     structure = [["1", "0", "0", "0"], ["0", "1", "0", "0"],
                  ["0", "0", "-1", "0"], ["0", "0", "0", "-1"]]
-    germ = ChartGerm.from_strings(4, metric, structure)
-    return ScenarioContext(germ=germ, connections=[ConnectionParams.d()])
+    germ = ChartGerm.from_strings(4, metric, structure, base_point)
+    return ScenarioContext(germ=germ, connections=list(connections))
 
 
 @pytest.mark.parametrize("eps,alpha,beta", [
@@ -118,6 +126,70 @@ def test_equal_magnitude_branch_of_d_for_either_sign(eps, alpha, beta):
     assert recovery.residuals["equal_magnitude_combination"] < 1e-12
     assert closedness.residuals["d_theta_match"] < 1e-12
     assert recovery.status == closedness.status == "pass"
+
+
+PRESETS_4D = [ConnectionParams.d(), ConnectionParams.d_tilde(2), ConnectionParams(1.0, 0.0)]
+# Members of the degenerate conic lambda^2 = mu^2 + mu/2n at n = 2 other than D and D_tilde.
+DEGENERATE_4D = [ConnectionParams(sign * math.sqrt(mu * mu + mu / 4), mu)
+                 for mu in (0.5, 1.0) for sign in (1.0, -1.0)]
+
+
+def test_degenerate_connections_pass_with_both_lee_forms_closed():
+    # Both Lee forms are closed, so every member of the family has P-tensor
+    # curvature: a degenerate connection carries no claim, and nothing fails.
+    ctx = context("conformal_w1_separable_4d")
+    ctx.connections = DEGENERATE_4D
+    assert ctx.closedness == {"theta_closed": True, "theta_p_closed": True}
+    reports = checks.check_p_tensor_cases(ctx)
+    assert [report.notes[-1] for report in reports] == \
+        ["degenerate case: necessary condition only"] * len(DEGENERATE_4D)
+    for cp, report in zip(DEGENERATE_4D, reports):
+        assert ctx.r_prime_p_tensor(ctx.connection(cp))
+        assert report.status == "pass" and report.residuals == {}, report.name
+
+
+@pytest.mark.parametrize("alpha,beta,theta_closed,theta_p_closed", [
+    ("-x1*x3 + x3^2", "x1*x3 + x2^2", True, False),
+    ("x1*x3 + x3^2", "x1*x3 + x2^2", False, True),
+    ("x1*x3", "x2*x4", False, False),
+])
+def test_p_tensor_cases_pass_on_twisted_grids(alpha, beta, theta_closed, theta_p_closed):
+    # With exactly one Lee form closed, D or D_tilde is the only connection
+    # with P-tensor curvature, so each degenerate one is refuted; with
+    # neither closed a degenerate connection carries no claim.
+    ctx = twisted_product_context(alpha, beta, (0.3, 0.1, 0.7, -0.2),
+                                  DEGENERATE_4D + PRESETS_4D)
+    assert ctx.w1_outside_eigenclasses
+    assert ctx.closedness == {"theta_closed": theta_closed, "theta_p_closed": theta_p_closed}
+    reports = checks.check_p_tensor_cases(ctx)
+    assert [report.status for report in reports] == ["pass"] * len(reports)
+    refuted = theta_closed != theta_p_closed
+    for report in reports[:len(DEGENERATE_4D)]:
+        assert ("p_tensor_refuted_margin" in report.residuals) == refuted, report.name
+
+
+@pytest.mark.parametrize("eps", ["1e-4", "1e-5", "1e-6", "1e-7", pytest.param(
+    "1e-8", marks=pytest.mark.xfail(strict=True, reason=(
+        "D_tilde's P-tensor defect 8.5e-8 lies under the 1e-7 gate; "
+        "a refutation relative to |d theta| would hold")))])
+def test_p_tensor_cases_refute_just_off_a_closed_theta(eps):
+    # u = x1^2 + x3^2 + eps x1 x3: theta is no longer closed, and R' of
+    # D_tilde and (1, 0) is about 8.5 eps and 34 eps from a P-tensor.
+    germ = conformal_flat_product_germ(2, f"x1^2 + x3^2 + {eps}*x1*x3")
+    ctx = ScenarioContext(germ, PRESETS_4D)
+    assert ctx.closedness == {"theta_closed": False, "theta_p_closed": True}
+    reports = checks.check_p_tensor_cases(ctx)
+    assert [report.status for report in reports] == ["pass"] * 3
+
+
+def test_a_forbidden_p_tensor_fails_the_refutation():
+    # Neither Lee form is closed, so D may not give a P-tensor: an R' that
+    # passes the P-tensor gate fails the refutation.
+    ctx = twisted_product_context("x1*x3", "x2*x4", (0.3, 0.1, 0.7, -0.2))
+    ctx.connection(ConnectionParams.d()).p_tensor_residual = 0.0
+    [report] = checks.check_p_tensor_cases(ctx)
+    assert report.status == "fail"
+    assert report.residuals == {"p_tensor_refuted_margin": 1.0}
 
 
 def test_singular_scalar_combination_is_a_named_skip():
