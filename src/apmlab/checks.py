@@ -428,7 +428,7 @@ def check_second_bianchi(ctx: ScenarioContext, report: CheckReport, cf: Connecti
     nr = cf.nabla_curvature
     rv = cf.curvature.values
     b = nr + einsum("ami,ajkl->mijkl", cf.torsion_mixed, rv)
-    cyc = b + np.moveaxis(b, 2, 0) + np.moveaxis(b, 0, 2)
+    cyc = b + b.transpose(2, 0, 1, 3, 4) + b.transpose(1, 2, 0, 3, 4)
     report.residuals["cyclic_identity"] = frob(cyc)
 
     if _p_tensor_flag(ctx, report, cf):
@@ -436,7 +436,7 @@ def check_second_bianchi(ctx: ScenarioContext, report: CheckReport, cf: Connecti
         r_pz = (rv.swapaxes(1, 3) @ pv).swapaxes(1, 3)
         derived = (
             nr
-            - np.moveaxis(pv.T @ np.moveaxis(nr, 0, 3) @ pv, 3, 0)
+            - (pv.T @ nr.transpose(1, 2, 3, 0, 4) @ pv).transpose(3, 0, 1, 2, 4)
             + (
                 einsum("m,ijkl->mijkl", fr.theta_p.values, rv)
                 - einsum("m,ijkl->mijkl", fr.theta.values, r_pz)

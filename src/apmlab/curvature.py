@@ -29,8 +29,9 @@ The rank-4 algebra is written as matrix products, in three forms:
   X(x,y,z,w) = g(y,z)S(x,w) + S(y,z)g(x,w).
 
 A fixed permutation of slots -- in the pair skews, the pair exchange and the
-first Bianchi sum -- is a swapaxes or moveaxis view, not an einsum call; only
-``curvature_invariants`` contracts through ``tensors.einsum``.
+first Bianchi sum -- is a ``swapaxes``/``transpose`` view; only traces use
+einsum.  The one contraction here, ``curvature_invariants``, goes through
+``tensors.einsum``.
 
 The helpers that take a tensor S or L -- psi1, psi2, ``p_twist``, the
 curvature-like and P-tensor projections, ``curvature_like_residuals``,
@@ -70,7 +71,7 @@ def curvature_like_residuals(l: np.ndarray) -> dict[str, float | np.ndarray]:
 
 def _cyclic_sum(t: np.ndarray) -> np.ndarray:
     """t(x,y,z,w) + t(y,z,x,w) + t(z,x,y,w), the first Bianchi sum of t or of each t of a stack."""
-    return t + np.moveaxis(t, -2, -4) + np.moveaxis(t, -4, -2)
+    return t + t.swapaxes(-4, -2).swapaxes(-3, -2) + t.swapaxes(-4, -3).swapaxes(-3, -2)
 
 
 def p_twist(ps: PointStructure, t: np.ndarray) -> np.ndarray:
@@ -220,7 +221,7 @@ def random_p_tensor(ps: PointStructure, seed) -> np.ndarray:
     sequence of seeds gives one tensor per seed, stacked on a leading axis.
     """
     l = p_tensor_projection(ps, random_tensor4(ps.dim, seed))
-    return l / np.expand_dims(frob(l, 4), (-4, -3, -2, -1))
+    return l / np.asarray(frob(l, 4))[..., None, None, None, None]
 
 
 def decompose_dim4(ps: PointStructure, l: np.ndarray) -> tuple[float, float, float]:

@@ -136,11 +136,17 @@ class JetTensor:
     def transpose(self, spec: str) -> "JetTensor":
         """Permute or trace component axes with an einsum-style spec like 'kij->ijk'.
 
-        A repeated letter on the left ('iijk->jk') takes the trace over those axes.
+        A fixed permutation is an ``ndarray.transpose`` view of each level, its
+        derivative axes kept last; only a trace -- a repeated letter on the
+        left, as in 'iijk->jk' -- runs through einsum.
         """
-        src, dst = spec.split("->")
-        spec = f"{src}...->{dst}..."
-        return JetTensor(tuple(einsum(spec, a) for a in self.data), self.dim, self.degree)
+        axes = _permutation_axes(spec, self.order)
+        if axes is None:
+            src, dst = spec.split("->")
+            spec = f"{src}...->{dst}..."
+            return JetTensor(tuple(einsum(spec, a) for a in self.data), self.dim, self.degree)
+        return JetTensor(tuple([a.transpose(ax) for a, ax in zip(self.data, axes)]), self.dim,
+                         self.degree)
 
     # -- componentwise functions -------------------------------------------------
 
@@ -222,6 +228,17 @@ class JetTensor:
                            for n in range(1, self.order - m + 1)]
         degree = self._function_degree() if k < 0 else min(k * bound, self.order)
         return JetTensor(tuple(f), self.dim, degree)
+
+
+@lru_cache(maxsize=None)
+def _permutation_axes(spec: str, order: int) -> tuple | None:
+    """Per level k, the transpose axes of the permutation ``spec`` followed by the k
+    derivative axes; None when ``spec`` is not a permutation of its left side."""
+    src, dst = spec.split("->")
+    if len(set(src)) < len(src) or sorted(src) != sorted(dst):
+        return None
+    axes = tuple(src.index(c) for c in dst)
+    return tuple(axes + tuple(range(len(src), len(src) + k)) for k in range(order + 1))
 
 
 @lru_cache(maxsize=None)

@@ -252,7 +252,7 @@ def random_symmetric2(dim: int, seed) -> np.ndarray:
     A sequence of seeds gives one tensor per seed, stacked on a leading axis.
     """
     a = _uniform((dim, dim), seed)
-    return 0.5 * (a + np.swapaxes(a, -1, -2))
+    return 0.5 * (a + a.swapaxes(-1, -2))
 
 
 def random_tensor2(dim: int, seed) -> np.ndarray:

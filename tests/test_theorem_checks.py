@@ -340,6 +340,41 @@ def test_p_twists_hold_in_an_oblique_chart():
     assert sum("p_twisted_identity" in report.residuals for report in reports) == 3
 
 
+def test_second_bianchi_permutations_match_einsum_specs(monkeypatch):
+    # The rank-5 slot permutations of second_bianchi against the einsum specs
+    # that define them, in the oblique chart, where P != P^T.  grad' R' and T
+    # are replaced by random tensors after the P-tensor gate is read, so both
+    # identities are far from holding and a slot moved the wrong way shows in
+    # the tensors whose norms the check reports.
+    ctx = ScenarioContext(oblique_chart_germ(), [ConnectionParams.d(), ConnectionParams.d_tilde(2)])
+    fr = ctx.frame
+    p, theta, theta_p = fr.p.values, fr.theta.values, fr.theta_p.values
+    rng = np.random.default_rng(7)
+    for cp in ctx.connections:
+        cf = ctx.connection(cp)
+        assert ctx.r_prime_p_tensor(cf)
+        cf.nabla_curvature = rng.standard_normal((4,) * 5)
+        cf.torsion_mixed = rng.standard_normal((4,) * 3)
+    normed = []
+    monkeypatch.setattr(checks, "frob", lambda t, *rank: normed.append(t) or frob(t, *rank))
+    reports = checks.check_second_bianchi(ctx)
+    assert len(normed) == 2 * len(reports)
+    for k, (cp, report) in enumerate(zip(ctx.connections, reports)):
+        cf = ctx.connection(cp)
+        nr, r = cf.nabla_curvature, cf.curvature.values
+        b = nr + np.einsum("ami,ajkl->mijkl", cf.torsion_mixed, r)
+        cyclic = b + np.einsum("ijmkl->mijkl", b) + np.einsum("jmikl->mijkl", b)
+        r_py = np.einsum("iakl,aj->ijkl", r, p)
+        twisted = (nr - np.einsum("aijkb,am,bl->mijkl", nr, p, p)
+                   + (np.einsum("m,ijkl->mijkl", theta_p, r)
+                      - np.einsum("m,ijkl->mijkl", theta, r_py)) / fr.n)
+        for key, tensor, spec in (("cyclic_identity", normed[2 * k], cyclic),
+                                  ("p_twisted_identity", normed[2 * k + 1], twisted)):
+            assert frob(spec) > 1.0
+            assert np.max(np.abs(tensor - spec)) <= 1e-13 * frob(spec), key
+            assert report.residuals[key] == frob(tensor), key
+
+
 def test_scenario_computes_the_levi_civita_invariants_once(monkeypatch):
     # curvature_like and both preset dim4_reconstruction reports read tau, tau* of R.
     ctx = context("conformal_w1_separable_4d")
