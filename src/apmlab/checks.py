@@ -16,8 +16,9 @@ list-checks`` prints it.  Theorem checks are implications: each
 hypothesis is declared once, on ``ScenarioContext`` (``closedness``,
 ``in_w1``, ``w1_outside_eigenclasses``, ``r_prime_p_tensor``) or on the
 check (its dimension), and a body states those it needs with ``requires``,
-which raises ``Skip`` when one fails, as ``_ln_abs`` raises
-``SingularScalarError``.
+which raises ``Skip`` when one fails, as ``_ln_abs`` does for a scalar
+combination too close to zero.  Each quantity two checks share has one home,
+a cached property of the context or of a ``ConnectionFrame``.
 """
 
 from __future__ import annotations
@@ -54,6 +55,8 @@ TOL_FIRST_DERIV = 1e-7
 BASE_ORDER = 4
 # ln of a scalar combination closer to zero than this skips the check.
 SINGULAR_FLOOR = 1e-10
+# Relative threshold below which a Lee form's exterior derivative counts as zero.
+CLOSED_TOL = 1e-8
 
 
 class ScenarioContext:
@@ -71,7 +74,6 @@ class ScenarioContext:
         self.tolerances = {} if tolerances is None else tolerances
         self.tol_scale = tol_scale
         self._connections: dict[ConnectionParams, ConnectionFrame] = {}
-        self._per_connection: dict = {}
 
     @cached_property
     def frame(self) -> GermFrame:
@@ -85,13 +87,6 @@ class ScenarioContext:
         if params not in self._connections:
             self._connections[params] = self.frame.connection(params)
         return self._connections[params]
-
-    def per_connection(self, build, cf: ConnectionFrame):
-        """``build(frame, cf)`` for the base frame and connection ``cf``, built once per context."""
-        key = (build, cf.params)
-        if key not in self._per_connection:
-            self._per_connection[key] = build(self.frame, cf)
-        return self._per_connection[key]
 
     @cached_property
     def curvature_invariants(self) -> curv.CurvatureInvariants:
@@ -107,8 +102,14 @@ class ScenarioContext:
 
     @cached_property
     def closedness(self) -> dict[str, bool]:
-        """Flags ``theta_closed`` and ``theta_p_closed`` of the Lee forms."""
-        return self.frame.closedness(self.tol_scale)
+        """Flags ``theta_closed`` and ``theta_p_closed`` of the Lee forms.
+
+        A form is closed when |d form| / max(1, |theta|) is below ``tol(CLOSED_TOL)``.
+        """
+        fr = self.frame
+        scale, tol = max(1.0, frob(fr.theta.values)), self.tol(CLOSED_TOL)
+        return {"theta_closed": frob(fr.d_theta) / scale < tol,
+                "theta_p_closed": frob(fr.d_theta_p) / scale < tol}
 
     @cached_property
     def in_w1(self) -> bool:
@@ -140,10 +141,6 @@ DEGENERATE_SCALARS = "degenerate scalar curvatures"
 
 class Skip(Exception):
     """A hypothesis of a check does not hold; the message names it."""
-
-
-class SingularScalarError(Skip, ValueError):
-    """A scalar combination under ln is too close to zero."""
 
 
 def requires(holds: bool, reason: str) -> None:
@@ -294,12 +291,6 @@ def check_curvature_like(ctx: ScenarioContext, report: CheckReport):
 # connection checks
 
 
-def _transfer_psi(fr: GermFrame, cf: ConnectionFrame) -> np.ndarray:
-    """psi1(S') + psi2(S''), for the transfer tensors S' and S'' of ``cf``."""
-    ps, tr = fr.structure, cf.transfer
-    return curv.psi1(ps, tr["s_prime"]) + curv.psi2(ps, tr["s_dprime"])
-
-
 def _transfer_correction(ctx: ScenarioContext, cf: ConnectionFrame) -> np.ndarray:
     """g(p,p) pi1 + g(q,q) pi2 + g(p,q) pi3 + psi1(S') + psi2(S''): R' - R."""
     pi1, pi2, pi3 = curv.pi_tensors(ctx.frame.structure)
@@ -308,7 +299,7 @@ def _transfer_correction(ctx: ScenarioContext, cf: ConnectionFrame) -> np.ndarra
         tr["g_pp"] * pi1
         + tr["g_qq"] * pi2
         + tr["g_pq"] * pi3
-        + ctx.per_connection(_transfer_psi, cf)
+        + cf.transfer_psi
     )
 
 
@@ -475,7 +466,7 @@ def check_scalar_system(ctx: ScenarioContext, report: CheckReport, cf: Connectio
 def _ln_abs(u: JetTensor) -> JetTensor:
     value = float(u.values)
     if abs(value) < SINGULAR_FLOOR:
-        raise SingularScalarError("singular scalar combination")
+        raise Skip("singular scalar combination")
     return u.scaled(np.sign(value)).ln()
 
 
@@ -624,28 +615,6 @@ def check_eigenclass_lee_recovery(ctx: ScenarioContext, report: CheckReport, cf:
 # dimension-4 suite
 
 
-def _dim4_scalars(fr: GermFrame, cf: ConnectionFrame) -> dict[str, float]:
-    gi = fr.g_inv.values
-    pv = fr.p.values
-    theta = fr.theta.values
-    omega = fr.omega.values
-    nt = fr.nabla_theta.values
-    tr = cf.transfer
-    tr_s = lambda s: float(einsum("ij,ij->", gi, s))
-    tr_s_assoc = lambda s: float(einsum("ij,im,mj->", gi, s, pv))
-    return {
-        "theta_omega": float(theta @ omega),
-        "theta_p_omega": float(fr.theta_p.values @ omega),
-        # Trace of the Lee-form covariant derivative, plain and against P.
-        "div_omega": float(einsum("ij,ij->", gi, nt)),
-        "div_p_omega": float(einsum("ij,im,mj->", gi, nt, pv)),
-        "tr_s_prime": tr_s(tr["s_prime"]),
-        "tr_s_prime_assoc": tr_s_assoc(tr["s_prime"]),
-        "tr_s_dprime": tr_s(tr["s_dprime"]),
-        "tr_s_dprime_assoc": tr_s_assoc(tr["s_dprime"]),
-    }
-
-
 # One coefficient row per preset connection: the index of the pi tensor that
 # carries theta(omega) / 16, the coefficient of theta(omega) in tau - tau', and
 # those of (div(P omega), theta(omega)) in tau' - tau and of
@@ -680,8 +649,7 @@ def check_dim4_traces(ctx: ScenarioContext, report: CheckReport):
     hypothesis.
     """
     presets = {"D": ConnectionParams.d(), "D_tilde": ConnectionParams.d_tilde(2)}
-    scalars = {case: ctx.per_connection(_dim4_scalars, ctx.connection(cp))
-               for case, cp in presets.items()}
+    scalars = {case: ctx.connection(cp).trace_scalars for case, cp in presets.items()}
     for key, (case, trace, coefficients) in _DIM4_TRACES.items():
         s = scalars[case]
         report.residuals[key] = abs(s[trace] - sum(c * s[k] for k, c in coefficients.items()))
@@ -714,9 +682,9 @@ def check_dim4_reconstruction(ctx: ScenarioContext, report: CheckReport, cf: Con
     if cf.params.case(fr.n) not in _DIM4_PRESETS:
         return
     k, c, (a, b), (a_star, b_star) = _DIM4_PRESETS[cf.params.case(fr.n)]
-    s = ctx.per_connection(_dim4_scalars, cf)
+    s = cf.trace_scalars
     inv_r = ctx.curvature_invariants
-    correction = s["theta_omega"] / 16 * pis[k] + ctx.per_connection(_transfer_psi, cf)
+    correction = s["theta_omega"] / 16 * pis[k] + cf.transfer_psi
     rebuilt = from_scalars - correction
     report.residuals["preset_reconstruction"] = frob(r - rebuilt)
     tau = tau_p + c * s["theta_omega"] - 6 * s["tr_s_prime"] + 2 * s["tr_s_dprime"]
@@ -768,7 +736,9 @@ def check_pointwise_algebra(ctx: ScenarioContext, report: CheckReport):
         curv.is_p_tensor(ps, pi1 + pi2).residuals.values()
     )
     report.residuals["pi3_p_tensor"] = max(curv.is_p_tensor(ps, pi3).residuals.values())
-    report.residuals["psi1_g_is_two_pi1"] = frob(curv.psi1(ps, ps.g) - 2 * pi1)
+    # 2 pi1 = 2{g(y,z) g(x,w) - g(x,z) g(y,w)}, built without psi1.
+    gg = einsum("yz,xw->xyzw", ps.g, ps.g)
+    report.residuals["psi1_g_is_two_pi1"] = frob(curv.psi1(ps, ps.g) - 2 * (gg - gg.swapaxes(0, 1)))
     if min_asym < 1e-6:
         report.residuals["psi1_asymmetric_detected"] = 1.0
 

@@ -78,8 +78,11 @@ def cmd_classify(args: argparse.Namespace) -> int:
         with open(args.germ) as fh:
             spec = json.load(fh)
         germ = germ_from_spec(spec, path="$", name=args.germ)
-        point = np.array([float(v) for v in args.point.split(",")])
-        if any(_finite_float(v) is None for v in point):
+        try:
+            point = np.array([float(v) for v in args.point.split(",")])
+        except ValueError:  # a coordinate that is no number
+            point = None
+        if point is None or not np.isfinite(point).all():
             raise ScenarioError("--point", f"must be finite numbers, got {args.point!r}")
         if point.shape[0] != germ.dim:
             raise ScenarioError("--point", f"expected {germ.dim} coordinates")

@@ -56,7 +56,7 @@ where grad' g^-1 = 0, as Gamma' is metric, folds -(d_i g^jk) Gamma'^a_jk and
 sigma read the top level of Gamma', and the scalar products are built only
 at the levels above KEPT_ORDER (``jetfields.jt_level``).  P^2 = 1,
 trace P = 0 and g(P., P.) = g, which ``structure`` checks, make their wedge
-parts sums of forms, so the frame builds the rest once (``trace_pieces``):
+parts sums of forms, so the frame builds the rest once (``GermFrame.trace_pieces``):
 
     gamma   = g^jk Gamma^a_jk + (dim - 1) g^-1 a - g^-1 (b o P)
     sigma_0 = Gamma^i_ik + (1 - dim) a + b o P
@@ -76,9 +76,6 @@ from .exprs import Binary, Const, EvalError, Func, ScalarExpr, parse_expr
 from .jetfields import JetTensor, jt_einsum, jt_inverse, jt_level
 from .tensors import PointStructure, StructureError, einsum, frob, split_structure
 
-
-# Relative threshold below which a Lee form's exterior derivative counts as zero.
-CLOSED_TOL = 1e-8
 
 # Derivative levels kept by a connection's R' and its traces: the one
 # derivative that ``nabla_curvature`` and ``scalar_system`` read.
@@ -197,10 +194,6 @@ class ChartGerm:
         return GermFrame(self, self.base_point if point is None else point, order)
 
 
-def _const_grid(values: np.ndarray) -> tuple[tuple[ScalarExpr, ...], ...]:
-    return tuple(tuple(Const(float(v)) for v in row) for row in values)
-
-
 def flat_product_germ(n: int, name: str = "flat_product") -> ChartGerm:
     """Flat product metric with the constant split structure diag(+I_n, -I_n): u = 0."""
     return conformal_flat_product_germ(n, "0", name)
@@ -221,7 +214,7 @@ def conformal_flat_product_germ(n: int, u, name: str | None = None) -> ChartGerm
     return ChartGerm(
         dim,
         metric,
-        _const_grid(split_structure(dim).p),
+        tuple(tuple(Const(float(v)) for v in row) for row in split_structure(dim).p),
         tuple(default_base_point(dim)),
         name or f"conformal_flat_product[u={u}]",
     )
@@ -429,15 +422,6 @@ class GermFrame:
     def d_theta_p(self) -> np.ndarray:
         return exterior_derivative(self.theta_p)
 
-    def closedness(self, tol_scale: float = 1.0) -> dict[str, bool]:
-        """Lee-form closedness flags: |d form| / max(1, |theta|) below CLOSED_TOL * tol_scale."""
-        tol = CLOSED_TOL * tol_scale
-        scale = max(1.0, frob(self.theta.values))
-        return {
-            "theta_closed": frob(self.d_theta) / scale < tol,
-            "theta_p_closed": frob(self.d_theta_p) / scale < tol,
-        }
-
     def metric_parallel_residual(self, gamma: JetTensor) -> float:
         """|grad g| for the connection Gamma^m_{ij}, the largest over the levels of ``gamma``."""
         return max(frob(level) for level in _covariant(self.g, gamma, "dd").data)
@@ -449,9 +433,14 @@ class GermFrame:
         g^-1 (th o P, th), g^jk Gamma^a_jk (``christoffel_trace``) and
         (Gamma^i_ik, Q^i_a Gamma^a_ik) keep order - 1, as they are
         differentiated, the Christoffel traces from the first kind;
-        g^jk d_j Q^i_a, axes (k, i, a), order - 2.
+        g^jk d_j Q^i_a, axes (k, i, a), order - 2.  Gamma^i_ik = g^il Gamma_lik,
+        and Q^i_a Gamma^a_ik = (g^in P^l_n) Gamma_lik, as Q g^-1 = g^-1 P^T.
         """
-        return _hessian_pieces(self)
+        g_inv, first = self.g_inv, self.first_kind
+        raised = tuple(jt_einsum("ak,k->a", g_inv, form) for form in (self.theta_p, self.theta))
+        sigma = tuple(jt_einsum("il,lik->k", left, first) for left in (g_inv, self.g_inv_p))
+        return (raised, self.christoffel_trace, sigma,
+                jt_einsum("jk,iaj->kia", g_inv, self.p_adjoint.partial()))
 
     def connection(self, params: ConnectionParams) -> "ConnectionFrame":
         """A new frame of the natural connection ``params`` on this frame."""
@@ -470,20 +459,6 @@ def _curvature_of(gamma: JetTensor) -> JetTensor:
         + quad
         - quad.transpose("ljik->lijk")
     )
-
-
-def _hessian_pieces(frame: GermFrame) -> tuple:
-    """``GermFrame.trace_pieces``, the Christoffel traces from the first kind.
-
-    Gamma^i_ik = g^il Gamma_lik, and Q^i_a Gamma^a_ik = (g^in P^l_n) Gamma_lik,
-    as Q g^-1 = g^-1 P^T.
-    """
-    f = frame
-    first = f.first_kind
-    raised = tuple(jt_einsum("ak,k->a", f.g_inv, form) for form in (f.theta_p, f.theta))
-    sigma = tuple(jt_einsum("il,lik->k", left, first) for left in (f.g_inv, f.g_inv_p))
-    return (raised, f.christoffel_trace, sigma,
-            jt_einsum("jk,iaj->kia", f.g_inv, f.p_adjoint.partial()))
 
 
 def _combine(jets: tuple[JetTensor, JetTensor], coefficients) -> JetTensor:
@@ -693,6 +668,35 @@ class ConnectionFrame:
             "g_pp": float(p_vec @ gv @ p_vec),
             "g_qq": float(q_vec @ gv @ q_vec),
             "g_pq": float(p_vec @ gv @ q_vec),
+        }
+
+    @cached_property
+    def transfer_psi(self) -> np.ndarray:
+        """psi1(S') + psi2(S''), for the transfer tensors S' and S''."""
+        ps, tr = self.frame.structure, self.transfer
+        return curv.psi1(ps, tr["s_prime"]) + curv.psi2(ps, tr["s_dprime"])
+
+    @cached_property
+    def trace_scalars(self) -> dict[str, float]:
+        """The eight scalars of the dim-4 trace identities.
+
+        theta(omega) and theta(P omega), the traces of grad theta against g^-1
+        and against g^-1 P, and those of S' and S''.
+        """
+        f = self.frame
+        gi, pv, omega, nt = f.g_inv.values, f.p.values, f.omega.values, f.nabla_theta.values
+        tr = self.transfer
+        tr_s = lambda s: float(einsum("ij,ij->", gi, s))
+        tr_s_assoc = lambda s: float(einsum("ij,im,mj->", gi, s, pv))
+        return {
+            "theta_omega": float(f.theta.values @ omega),
+            "theta_p_omega": float(f.theta_p.values @ omega),
+            "div_omega": tr_s(nt),
+            "div_p_omega": tr_s_assoc(nt),
+            "tr_s_prime": tr_s(tr["s_prime"]),
+            "tr_s_prime_assoc": tr_s_assoc(tr["s_prime"]),
+            "tr_s_dprime": tr_s(tr["s_dprime"]),
+            "tr_s_dprime_assoc": tr_s_assoc(tr["s_dprime"]),
         }
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 import time
 from typing import Any
@@ -43,7 +44,7 @@ class CheckReport:
         return {
             k: v
             for k, v in self.residuals.items()
-            if not (v < self.tolerance_for(k)) or not _isfinite(v)
+            if not (v < self.tolerance_for(k)) or not math.isfinite(v)
         }
 
     def finalize(self) -> "CheckReport":
@@ -81,10 +82,6 @@ class CheckReport:
         if self.notes:
             out["notes"] = list(self.notes)
         return out
-
-
-def _isfinite(x: float) -> bool:
-    return x == x and abs(x) != float("inf")
 
 
 def report_timestamp() -> str:

@@ -135,13 +135,13 @@ def lee_form_from_f(ps: PointStructure, f: np.ndarray) -> tuple[np.ndarray, np.n
         if res / scale > CLASS_TOL:
             raise StructureError(f"F symmetry violated: {name} residual {res:.3e}")
     theta = einsum("ij,ijk->k", ps.g_inv, f)
-    return theta, ps.apply_p_form(theta)
+    return theta, theta @ ps.p
 
 
 def w1_form(ps: PointStructure, theta: np.ndarray) -> np.ndarray:
     """Characteristic F of the conformal class W1 for a given Lee form."""
     g, gp = ps.g, ps.g_assoc
-    theta_p = ps.apply_p_form(theta)
+    theta_p = theta @ ps.p
     f = (
         einsum("ij,k->ijk", g, theta)
         - einsum("ij,k->ijk", gp, theta_p)
@@ -171,7 +171,7 @@ def classify_f(ps: PointStructure, f: np.ndarray) -> ClassReport:
     ``lee_form_from_f``: its Lee form is the trace theta_k = g^{ij} F_{ijk}.
     """
     theta = einsum("ij,ijk->k", ps.g_inv, f)
-    theta_p = ps.apply_p_form(theta)
+    theta_p = theta @ ps.p
     theta_v = 0.5 * (theta - theta_p)
     theta_h = 0.5 * (theta + theta_p)
 

@@ -40,25 +40,21 @@ def frob(t: np.ndarray, rank: int | None = None):
     so a finite tensor has a finite norm.
     """
     t = np.asarray(t, dtype=float)
-    if rank is not None and t.ndim > rank:
-        samples = t.shape[: t.ndim - rank]
-        blocks = t.reshape(prod(samples), -1)
-        norms = np.sqrt(np.einsum("si,si->s", blocks, blocks))
-        if not np.isfinite(norms).all():
-            scale = np.abs(blocks).max(axis=1)
-            with np.errstate(invalid="ignore", divide="ignore"):
-                scaled = blocks / scale[:, None]
-                rescaled = scale * np.sqrt(np.einsum("si,si->s", scaled, scaled))
-            norms = np.where(np.isfinite(norms) | ~np.isfinite(scale), norms, rescaled)
-        return norms.reshape(samples)
-    total = float(np.vdot(t, t))
-    if total < inf:  # false for NaN too
-        return sqrt(total)
-    scale = np.abs(t).max()
-    if not np.isfinite(scale):
-        return total
-    t = t / scale
-    return float(scale * np.sqrt(np.vdot(t, t)))
+    stacked = rank is not None and t.ndim > rank
+    if not stacked:
+        total = float(np.vdot(t, t))
+        if total < inf:  # false for NaN too
+            return sqrt(total)
+    samples = t.shape[: t.ndim - rank] if stacked else ()
+    blocks = t.reshape(prod(samples), -1)
+    norms = np.sqrt(np.einsum("si,si->s", blocks, blocks))
+    if not np.isfinite(norms).all():
+        scale = np.abs(blocks).max(axis=1)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            scaled = blocks / scale[:, None]
+            rescaled = scale * np.sqrt(np.einsum("si,si->s", scaled, scaled))
+        norms = np.where(np.isfinite(norms) | ~np.isfinite(scale), norms, rescaled)
+    return norms.reshape(samples) if stacked else float(norms[0])
 
 
 def lead(t: np.ndarray, rank: int) -> str:
@@ -185,10 +181,6 @@ class PointStructure:
     def g_assoc(self) -> np.ndarray:
         """Associated metric g~(y, z) = g(y, Pz); symmetric for compatible P."""
         return self.g @ self.p
-
-    def apply_p_form(self, omega: np.ndarray) -> np.ndarray:
-        """Pullback of a 1-form through P: (omega o P)_k = omega_m P^m_k."""
-        return np.asarray(omega, dtype=float) @ self.p
 
     def invariant_residuals(self) -> dict[str, float]:
         """Residual norms of the defining invariants (zero for a valid structure).

@@ -461,12 +461,14 @@ def test_cli_classify_rejects_wrong_point_length(tmp_path):
 
 
 def test_cli_classify_rejects_a_point_that_is_not_finite(tmp_path):
+    # A coordinate that is no number at all gets the same error as inf.
     germ_file = tmp_path / "germ.json"
     germ_file.write_text(json.dumps({"generator": "flat_product", "n": 2}))
-    proc = run_cli("classify", "--germ", str(germ_file), "--point", "nan,0,0,0")
-    assert proc.returncode == 2
-    assert proc.stderr.startswith("error: --point: ")
-    assert proc.stdout == ""
+    for point in ("nan,0,0,0", "0.1,inf,0.3,0.4", "0.1,a,0.3,0.4"):
+        proc = run_cli("classify", "--germ", str(germ_file), "--point", point)
+        assert proc.returncode == 2
+        assert proc.stderr == f"error: --point: must be finite numbers, got {point!r}\n"
+        assert proc.stdout == ""
 
 
 def test_cli_classify_names_an_overflowing_point_once(tmp_path):

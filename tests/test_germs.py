@@ -37,7 +37,7 @@ def torsion_from_params(ps: PointStructure, theta: np.ndarray,
     """
     g, gp = ps.g, ps.g_assoc
     th = np.asarray(theta, dtype=float)
-    thp = ps.apply_p_form(th)
+    thp = th @ ps.p
     n = ps.n
 
     def wedge(metric, form):
@@ -278,9 +278,9 @@ def test_germ_classifications():
 
 
 def test_closedness_profiles():
-    separable = conformal_flat_product_germ(2, "x1^2 + x3^2").frame().closedness()
+    separable = ScenarioContext(conformal_flat_product_germ(2, "x1^2 + x3^2")).closedness
     assert separable == {"theta_closed": True, "theta_p_closed": True}
-    mixed = conformal_flat_product_germ(2, "x1*x3").frame().closedness()
+    mixed = ScenarioContext(conformal_flat_product_germ(2, "x1*x3")).closedness
     assert mixed == {"theta_closed": False, "theta_p_closed": True}
 
 
@@ -298,7 +298,7 @@ def test_torsion_reduces_to_base_term_at_zero_params(separable):
     ps = fr.structure
     theta = fr.theta.values
     t = torsion_from_params(ps, theta, ConnectionParams.d())
-    theta_p = ps.apply_p_form(theta)
+    theta_p = theta @ ps.p
     expected = (
         np.einsum("jk,i->ijk", ps.g, theta_p) - np.einsum("ik,j->ijk", ps.g, theta_p)
     ) / 4

@@ -108,7 +108,7 @@ def test_lee_form_round_trip_through_w1_form():
     assert max(f_symmetry_residuals(ps, f).values()) < 1e-12
     theta, theta_p = lee_form_from_f(ps, f)
     assert frob(theta - theta0) < 1e-10
-    assert frob(theta_p - ps.apply_p_form(theta0)) < 1e-10
+    assert frob(theta_p - theta0 @ ps.p) < 1e-10
 
 
 def test_lee_form_rejects_broken_symmetries():

@@ -214,26 +214,32 @@ def test_singular_scalar_combination_is_a_named_skip():
 
 
 def test_ln_floor_raises_the_singular_error():
-    with pytest.raises(checks.SingularScalarError, match="singular scalar combination"):
+    with pytest.raises(checks.Skip, match="singular scalar combination"):
         checks._ln_abs(JetTensor.constant(-5e-11, 4, 2))
     jet = checks._ln_abs(JetTensor.constant(-2.0, 4, 2))
     assert abs(float(jet.values) - np.log(2.0)) < 1e-15
 
 
-def connection_builds(monkeypatch, name: str) -> list:
-    """Params of each computation of ConnectionFrame.<name> in one scenario run."""
-    original = ConnectionFrame.__dict__[name].func
+def count_builds(monkeypatch, cls, name: str) -> list:
+    """Each instance of ``cls`` whose cached property ``name`` is computed from now on."""
+    original = cls.__dict__[name].func
     built = []
 
-    def counted(cf):
-        built.append(cf.params)
-        return original(cf)
+    def counted(obj):
+        built.append(obj)
+        return original(obj)
 
     prop = cached_property(counted)
-    prop.__set_name__(ConnectionFrame, name)
-    monkeypatch.setattr(ConnectionFrame, name, prop)
-    run_scenario(load_bundled_scenario("conformal_w1_separable_4d"))
+    prop.__set_name__(cls, name)
+    monkeypatch.setattr(cls, name, prop)
     return built
+
+
+def connection_builds(monkeypatch, name: str) -> list:
+    """Params of each computation of ConnectionFrame.<name> in one scenario run."""
+    built = count_builds(monkeypatch, ConnectionFrame, name)
+    run_scenario(load_bundled_scenario("conformal_w1_separable_4d"))
+    return [cf.params for cf in built]
 
 
 def test_scenario_builds_each_connection_curvature_once(monkeypatch):
@@ -291,22 +297,12 @@ def test_scenario_builds_each_transfer_piece_once(monkeypatch):
     # curvature_relation and dim4_reconstruction both read psi1(S') + psi2(S''),
     # dim4_traces and dim4_reconstruction both read the dim-4 trace scalars:
     # each is built once per connection.
-    calls = {"_transfer_psi": [], "_dim4_scalars": []}
-
-    def counted(name):
-        build = getattr(checks, name)
-
-        def run(fr, cf):
-            calls[name].append(cf.params)
-            return build(fr, cf)
-        return run
-
-    for name in calls:
-        monkeypatch.setattr(checks, name, counted(name))
+    psi = count_builds(monkeypatch, ConnectionFrame, "transfer_psi")
+    scalars = count_builds(monkeypatch, ConnectionFrame, "trace_scalars")
     scenario = load_bundled_scenario("conformal_w1_separable_4d")
     reports = run_scenario(scenario)
-    assert sorted(map(str, calls["_transfer_psi"])) == sorted(map(str, scenario.connections))
-    assert sorted(map(str, calls["_dim4_scalars"])) == sorted(
+    assert sorted(str(cf.params) for cf in psi) == sorted(map(str, scenario.connections))
+    assert sorted(str(cf.params) for cf in scalars) == sorted(
         map(str, [ConnectionParams.d(), ConnectionParams.d_tilde(2)]))
     assert sum("preset_reconstruction" in rep.residuals for rep in reports) == 2
     assert sum("curvature_relation" in rep.residuals for rep in reports) == 3
@@ -453,12 +449,10 @@ def test_hessians_come_from_trace_pieces_built_on_demand(name, monkeypatch):
     # No connection builds a Gamma' above KEPT_ORDER + 1, so no R' above
     # KEPT_ORDER; the frame builds its trace pieces once, shared by every
     # connection, and only when some report takes a Hessian.
-    orders, built = [], []
-    curvature_of, hessian_pieces = germs._curvature_of, germs._hessian_pieces
+    orders, curvature_of = [], germs._curvature_of
     monkeypatch.setattr(germs, "_curvature_of",
                         lambda gamma: orders.append(gamma.order) or curvature_of(gamma))
-    monkeypatch.setattr(germs, "_hessian_pieces",
-                        lambda frame: built.append(frame) or hessian_pieces(frame))
+    built = count_builds(monkeypatch, germs.GermFrame, "trace_pieces")
     reports = checks.run_checks(context(name))
     assert max(orders) == KEPT_ORDER + 1
     readers = [report.name for report in reports if HESSIAN_RESIDUALS & report.residuals.keys()]
@@ -511,6 +505,25 @@ def test_structure_fails_on_a_p_compatible_only_at_the_base_point():
     assert report.residuals["compatibility"] == pytest.approx(np.sqrt(2.0) / 2, rel=1e-15)
 
 
+def test_structure_and_levi_civita_fail_on_grids_valid_only_at_the_base_point():
+    # g_12 = x1 - 0.1 with g_21 = 0: g is symmetric only where x1 = 0.1, so
+    # d_1 (g - g^T) and Gamma - Gamma^T are 1 on two entries each, and
+    # P = diag(1 + (x1 - 0.1), 1, -1, -1) has d_1 trace P = 1 there.
+    metric = [["1" if i == j else "0" for j in range(4)] for i in range(4)]
+    metric[0][1] = "x1 - 0.1"
+    structure = [["0"] * 4 for _ in range(4)]
+    for i, entry in enumerate(("1 + (x1 - 0.1)", "1", "-1", "-1")):
+        structure[i][i] = entry
+    ctx = ScenarioContext(germ=ChartGerm.from_strings(4, metric, structure))
+    [report] = checks.check_structure(ctx)
+    assert {"g_symmetry", "trace_p"} <= set(report.failures())
+    assert report.residuals["g_symmetry"] == pytest.approx(np.sqrt(0.5), rel=1e-15)
+    assert report.residuals["trace_p"] == 1.0
+    [report] = checks.check_levi_civita(ctx)
+    assert "torsion_free" in report.failures()
+    assert report.residuals["torsion_free"] == pytest.approx(np.sqrt(0.5), rel=1e-15)
+
+
 def per_sample_pointwise_algebra(ps, seed):
     """The psi/pi residuals of ``pointwise_algebra``, one sample at a time."""
     worst_sym = worst_identity = 0.0
@@ -546,11 +559,23 @@ def test_batched_sample_checks_equal_per_sample_loops(name, seed):
         assert trip.status == "skipped"
 
 
+def test_pointwise_algebra_fails_a_wrong_psi1(monkeypatch):
+    # pi1 is psi1(g) / 2, so psi1(g) = 2 pi1 is checked against the closed
+    # form of pi1: a psi1 that drops its S(y,z) g(x,w) - S(x,z) g(y,w) half
+    # gives pi1 itself, off by |pi1| = sqrt(24) for the flat metric of dim 4.
+    def half_psi1(ps, s):
+        x = ps.g[:, :, None] * s[..., :, None, None, :]
+        return x - x.swapaxes(-4, -3)
+
+    monkeypatch.setattr(curv, "psi1", half_psi1)
+    [report] = checks.check_pointwise_algebra(context("flat_product_4d"))
+    assert "psi1_g_is_two_pi1" in report.failures()
+    assert report.residuals["psi1_g_is_two_pi1"] == pytest.approx(np.sqrt(24.0), rel=1e-15)
+
+
 def test_per_connection_turns_a_skip_into_a_named_skipped_report(monkeypatch):
     ctx = context("conformal_w1_separable_4d")
     monkeypatch.setitem(checks.RESIDUALS, "demo", {"r": None})
-    assert issubclass(checks.SingularScalarError, checks.Skip)
-    assert issubclass(checks.SingularScalarError, ValueError)
 
     def body(ctx, report, cf):
         report.residuals["r"] = 0.0
@@ -614,3 +639,24 @@ def test_degenerate_scalar_curvatures_skip_with_one_reason():
     for name in ("lee_recovery[D]", "tau_form_closedness[D]"):
         assert reports[name].status == "skipped"
         assert reports[name].skip_reason == checks.DEGENERATE_SCALARS
+
+
+# Valid germs on which some report fails today: rounding beats an absolute
+# tolerance.  Each pin asserts the rule that every report passes or skips.
+LIVE_FAILS = {
+    "large_lambda": (  # natural_connection, curvature_relation, p_tensor_cases, second_bianchi
+        {"generator": "conformal_flat_product", "n": 2, "u": "x1^2 + x3^2"},
+        [{"lambda": 1e5, "mu": 0}]),
+    "large_curvature_scale": (  # scalar_system[D] system_direct 1.9e-5; g(p) = 1e-4 I
+        {"generator": "conformal_flat_product", "n": 2, "u": "ln(x1 - 0.09)"},
+        ["D", "D_tilde", {"lambda": 1.0, "mu": 0.0}]),
+}
+
+
+@pytest.mark.xfail(strict=True, reason="absolute residuals fail on these valid germs")
+@pytest.mark.parametrize("name", sorted(LIVE_FAILS))
+def test_valid_germs_pass_or_skip_every_report(name):
+    germ, connections = LIVE_FAILS[name]
+    reports = run_scenario(load_scenario({"name": name, "germ": germ,
+                                          "connections": connections}))
+    assert [report.name for report in reports if report.status == "fail"] == []
