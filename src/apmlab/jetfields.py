@@ -14,28 +14,27 @@ it level by level (Taylor arithmetic; Griewank & Walther, *Evaluating
 Derivatives*, ch. 13): level k of f(u) is level k - 1 of f'(u) du, from
 levels already built.  exp reads its own levels, sin and cos each other's;
 ln, the reciprocal and the matrix inverse solve level k of u d(ln u) = du,
-u (1/u) = 1 and A X = 1 for the split that holds the new level; u^k chains
-its derivatives, at most order (order + 1) / 2 levels however large k is.
+u (1/u) = 1 and A X = 1 for the split that holds the new level; u^k is
+products, by repeated squaring (of 1/u when k < 0).
 
 Each jet carries a degree bound, the highest level that can be nonzero: 0
 for a constant, 1 for a coordinate, the order when unknown, -1 for the zero
 jet (``partial`` of a constant).  Sums take the larger bound, products the
-sum, u^k k times u's, and functions of a constant stay constant.  Levels
-above the bound are exact zeros, so a product forms only the splits
-j + (k - j) with j <= degree(a) and k - j <= degree(b) (the structural
-sparsity of Taylor arithmetic; Griewank & Walther, ch. 13), with no test on
-the data: a level with no such split is fresh zeros, as readers write into
-levels in place, and full-degree operands take every split.  A sum with a
-zero jet adds 0.0 to the other operand's levels.  The splits of a level are
-summed in place on the first one's product, copied first when that product
-has several shuffles, which the later adds would otherwise read back.
+sum, and functions of a constant stay constant.  Levels above the bound are
+exact zeros, so a product forms only the splits j + (k - j) with
+j <= degree(a) and k - j <= degree(b) (the structural sparsity of Taylor
+arithmetic; Griewank & Walther, ch. 13), with no test on the data: a level
+with no such split is fresh zeros, as readers write into levels in place,
+and full-degree operands take every split.  A sum with a zero jet adds 0.0
+to the other operand's levels.  The splits of a level are summed in place
+on the first one's product, copied first when that product has several
+shuffles, which the later adds would otherwise read back.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations
-from math import prod
 from string import ascii_lowercase, ascii_uppercase
 
 import numpy as np
@@ -154,16 +153,12 @@ class JetTensor:
         """The degree of f(self) for an f that is not a polynomial: 0 when self is constant."""
         return self.order if self.degree > 0 else 0
 
-    def _slope(self, slope: list, k: int, pair: str = "", degree: int | None = None) -> np.ndarray:
-        """Level k - 1 of ``slope`` du (``pair``: a leading axis of the slope).
-
-        ``degree`` bounds the slope's nonzero levels; None leaves them unbounded.
-        """
+    def _slope(self, slope: list, k: int, pair: str = "") -> np.ndarray:
+        """Level k - 1 of ``slope`` du (``pair``: a leading axis of the slope)."""
         c = ascii_lowercase[: len(self.shape)]
         spec = f"{pair}{c},{c}z->{pair}{c}z"
         return _split_level(spec, _leibniz_plan(spec, k - 1, self.dim)[k - 1], slope,
-                            self.data[1:], k - 1, k if degree is None else degree,
-                            self.degree - 1, self.dim)
+                            self.data[1:], k - 1, k, self.degree - 1, self.dim)
 
     def _solved(self, spec: str, g: list, m: int, rhs) -> np.ndarray:
         """g_m from level m of ``spec``(self, g) = rhs, whose j = 0 split is u_0 g_m."""
@@ -211,23 +206,17 @@ class JetTensor:
         return JetTensor(tuple(r), self.dim, self._function_degree())
 
     def powi(self, k: int) -> "JetTensor":
-        """Integer power; a negative exponent needs nonzero values.
-
-        Derivative m, c u^(k-m) with c = k (k-1) ... (k-m+1), needs order - m
-        levels, each from the derivative after it; for k >= 0 derivative k is
-        the constant k!, and derivative m has degree (k - m) degree(u).
-        """
-        bound = max(self.degree, 0)
-        f = []
-        for m in range(self.order if k < 0 else min(self.order, k), -1, -1):
-            # A NumPy scalar's ** is C pow, which can round apart from an array's.
-            value = prod(range(k - m + 1, k + 1), start=1.0) * np.asarray(self.values) ** (k - m)
-            slope = None if k < 0 else (k - m - 1) * bound
-            f = [value] + [self._slope(f, n, degree=slope) if f
-                           else np.zeros(self.shape + (self.dim,) * n)
-                           for n in range(1, self.order - m + 1)]
-        degree = self._function_degree() if k < 0 else min(k * bound, self.order)
-        return JetTensor(tuple(f), self.dim, degree)
+        """Integer power by repeated squaring; a negative exponent needs nonzero values."""
+        if k < 0:
+            return self.reciprocal().powi(-k)
+        if k == 0:
+            return JetTensor.constant(np.ones(self.shape), self.dim, self.order)
+        power = self
+        for bit in bin(k)[3:]:
+            power = power * power
+            if bit == "1":
+                power = power * self
+        return power
 
 
 @lru_cache(maxsize=None)

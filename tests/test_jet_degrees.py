@@ -78,7 +78,7 @@ def count_levels(monkeypatch):
 
 
 @pytest.mark.parametrize("src, degree, tracked, full",
-                         [("x1^2", 2, 3, 7), ("exp(2*(x1^2 + x3^2))", 4, 10, 18)])
+                         [("x1^2", 2, 3, 5), ("exp(2*(x1^2 + x3^2))", 4, 10, 14)])
 def test_polynomial_levels_above_their_degree_take_no_level_product(src, degree, tracked, full,
                                                                     monkeypatch):
     calls = count_levels(monkeypatch)

@@ -248,15 +248,15 @@ def test_exp_sin_and_cos_take_one_level_product_per_order(name, order, monkeypat
     assert calls == list(range(order))  # level k - 1 of f' du for each level k
 
 
-@pytest.mark.parametrize("order, small", [(3, "x1^3"), (4, "x1^4")])
-def test_an_integer_power_takes_as_many_level_products_whatever_its_exponent(
-        order, small, monkeypatch):
-    point = np.array([1.0, 0.2, 0.3, 0.4])
-    calls = count_levels(monkeypatch)
-    counts = []
-    for src in (small, "x1^1000001"):
-        calls.clear()
-        jet = parse_expr(src, DIM).eval_jet(point, order)
-        counts.append(len(calls))
-        assert jet.values == 1.0
-    assert counts == [order * (order + 1) // 2] * 2
+@pytest.mark.parametrize("k, products", [(1, 0), (2, 1), (3, 2), (4, 2), (5, 3), (-3, 2),
+                                         (1000001, 26)])
+def test_an_integer_power_is_repeated_squaring(k, products, monkeypatch):
+    # floor(log2 |k|) squarings, then one more product per further set bit of |k|.
+    calls = []
+    monkeypatch.setattr(jetfields, "jt_einsum",
+                        lambda spec, a, b: calls.append(a is b) or jt_einsum(spec, a, b))
+    jet = parse_expr(f"x1^{k}", DIM).eval_jet(np.array([1.0, 0.2, 0.3, 0.4]), 4)
+    assert jet.values == 1.0
+    squarings = abs(k).bit_length() - 1
+    assert len(calls) == products == squarings + bin(abs(k)).count("1") - 1
+    assert sum(calls) == squarings

@@ -7,7 +7,7 @@ from functools import cached_property
 import numpy as np
 import pytest
 
-from apmlab import checks, germs
+from apmlab import checks, germs, tensors
 from apmlab import curvature as curv
 from apmlab.checks import (
     ScenarioContext,
@@ -98,14 +98,20 @@ def test_opposite_scalar_curvatures_take_the_equal_magnitude_branch():
         assert "theta_recovery" not in report.residuals
 
 
+def diagonal(*entries: str) -> list[list[str]]:
+    """A grid of expression strings with ``entries`` on its diagonal and "0" elsewhere."""
+    return [[entry if i == j else "0" for j in range(len(entries))]
+            for i, entry in enumerate(entries)]
+
+
+SPLIT_P = diagonal("1", "1", "-1", "-1")
+
+
 def twisted_product_context(alpha: str, beta: str, base_point=None,
                             connections=(ConnectionParams.d(),)) -> ScenarioContext:
     """g = e^{2 alpha} (dx1^2 + dx2^2) + e^{2 beta} (dx3^2 + dx4^2), P = diag(1, 1, -1, -1)."""
     a, b = f"exp(2*({alpha}))", f"exp(2*({beta}))"
-    metric = [[a, "0", "0", "0"], ["0", a, "0", "0"], ["0", "0", b, "0"], ["0", "0", "0", b]]
-    structure = [["1", "0", "0", "0"], ["0", "1", "0", "0"],
-                 ["0", "0", "-1", "0"], ["0", "0", "0", "-1"]]
-    germ = ChartGerm.from_strings(4, metric, structure, base_point)
+    germ = ChartGerm.from_strings(4, diagonal(a, a, b, b), SPLIT_P, base_point)
     return ScenarioContext(germ=germ, connections=list(connections))
 
 
@@ -508,7 +514,9 @@ def test_structure_fails_on_a_p_compatible_only_at_the_base_point():
 def test_structure_and_levi_civita_fail_on_grids_valid_only_at_the_base_point():
     # g_12 = x1 - 0.1 with g_21 = 0: g is symmetric only where x1 = 0.1, so
     # d_1 (g - g^T) and Gamma - Gamma^T are 1 on two entries each, and
-    # P = diag(1 + (x1 - 0.1), 1, -1, -1) has d_1 trace P = 1 there.
+    # P = diag(1 + (x1 - 0.1), 1, -1, -1) has d_1 trace P = 1 there.  That P
+    # is no involution off the base point, so F = g((grad P) ., .) breaks
+    # both of its P-skew symmetries, by 2 each.
     metric = [["1" if i == j else "0" for j in range(4)] for i in range(4)]
     metric[0][1] = "x1 - 0.1"
     structure = [["0"] * 4 for _ in range(4)]
@@ -522,6 +530,18 @@ def test_structure_and_levi_civita_fail_on_grids_valid_only_at_the_base_point():
     [report] = checks.check_levi_civita(ctx)
     assert "torsion_free" in report.failures()
     assert report.residuals["torsion_free"] == pytest.approx(np.sqrt(0.5), rel=1e-15)
+    [report] = checks.check_classification(ctx)
+    assert "f_double_p_skew" in report.failures()
+    assert report.residuals["f_double_p_skew"] == 2.0
+
+
+def test_structure_fails_a_wrong_metric_inverse(monkeypatch):
+    # g^-1 scaled by 1 + 1e-6 leaves g^-1 g - I = 1e-6 I, of norm 2e-6 in dim 4.
+    inverse = tensors.metric_inverse
+    monkeypatch.setattr(tensors, "metric_inverse", lambda g: inverse(g) * (1 + 1e-6))
+    [report] = checks.check_structure(context("flat_product_4d"))
+    assert report.failures() == {"g_inverse": report.residuals["g_inverse"]}
+    assert report.residuals["g_inverse"] == pytest.approx(2e-6, rel=1e-9)
 
 
 def per_sample_pointwise_algebra(ps, seed):
@@ -571,6 +591,19 @@ def test_pointwise_algebra_fails_a_wrong_psi1(monkeypatch):
     [report] = checks.check_pointwise_algebra(context("flat_product_4d"))
     assert "psi1_g_is_two_pi1" in report.failures()
     assert report.residuals["psi1_g_is_two_pi1"] == pytest.approx(np.sqrt(24.0), rel=1e-15)
+
+
+def test_pointwise_algebra_fails_a_psi1_that_is_not_skew_in_x_and_y(monkeypatch):
+    # Without its x <-> y antisymmetrization, psi1(S) of a symmetric S is not
+    # skew in its first pair, so it is not curvature-like.
+    def unskewed_psi1(ps, s):
+        return (ps.g[:, :, None] * s[..., :, None, None, :]
+                + s[..., None, :, :, None] * ps.g[:, None, None, :])
+
+    monkeypatch.setattr(curv, "psi1", unskewed_psi1)
+    [report] = checks.check_pointwise_algebra(context("conformal_w1_separable_4d"))
+    assert "psi1_symmetric_curvature_like" in report.failures()
+    assert report.residuals["psi1_symmetric_curvature_like"] > 10.0
 
 
 def test_per_connection_turns_a_skip_into_a_named_skipped_report(monkeypatch):
@@ -641,6 +674,23 @@ def test_degenerate_scalar_curvatures_skip_with_one_reason():
         assert reports[name].skip_reason == checks.DEGENERATE_SCALARS
 
 
+PRESET_SPECS = ["D", "D_tilde", {"lambda": 1.0, "mu": 0.0}]
+
+
+def statuses(germ: dict, connections=PRESET_SPECS) -> dict:
+    """The status of every report of a scenario on ``germ``, by report name."""
+    scenario = load_scenario({"germ": germ, "connections": connections})
+    return {report.name: report.status for report in run_scenario(scenario)}
+
+
+def nearly_singular_metric(delta: float) -> dict:
+    """g = I + (1 - delta)(E_12 + E_21), constant: positive definite, compatible with
+    P = diag(1, 1, -1, -1), and of condition number about 2 / delta."""
+    metric = diagonal("1", "1", "1", "1")
+    metric[0][1] = metric[1][0] = repr(1 - delta)
+    return {"dim": 4, "metric": metric, "structure": SPLIT_P}
+
+
 # Valid germs on which some report fails today: rounding beats an absolute
 # tolerance.  Each pin asserts the rule that every report passes or skips.
 LIVE_FAILS = {
@@ -648,15 +698,67 @@ LIVE_FAILS = {
         {"generator": "conformal_flat_product", "n": 2, "u": "x1^2 + x3^2"},
         [{"lambda": 1e5, "mu": 0}]),
     "large_curvature_scale": (  # scalar_system[D] system_direct 1.9e-5; g(p) = 1e-4 I
-        {"generator": "conformal_flat_product", "n": 2, "u": "ln(x1 - 0.09)"},
-        ["D", "D_tilde", {"lambda": 1.0, "mu": 0.0}]),
+        {"generator": "conformal_flat_product", "n": 2, "u": "ln(x1 - 0.09)"}, PRESET_SPECS),
+    "nearly_singular_3e-7": (  # dim4_round_trip round_trip 2.7e-10 > 1e-10
+        nearly_singular_metric(3e-7), PRESET_SPECS),
+    # Raises StructureError "invalid almost product structure: g_inverse", as
+    # |g^-1 g - I| = 2.1e-10 is held to the absolute 1e-10.
+    "nearly_singular_1e-7": (nearly_singular_metric(1e-7), PRESET_SPECS),
 }
 
 
 @pytest.mark.xfail(strict=True, reason="absolute residuals fail on these valid germs")
 @pytest.mark.parametrize("name", sorted(LIVE_FAILS))
 def test_valid_germs_pass_or_skip_every_report(name):
-    germ, connections = LIVE_FAILS[name]
-    reports = run_scenario(load_scenario({"name": name, "germ": germ,
-                                          "connections": connections}))
-    assert [report.name for report in reports if report.status == "fail"] == []
+    assert [report for report, status in statuses(*LIVE_FAILS[name]).items()
+            if status == "fail"] == []
+
+
+def twisted_germ(t: str) -> dict:
+    """diag(e^{2 alpha} g_H, e^{2 beta} g_V) over the curved bases g_H = 4/(1 + x1^2 + x2^2)^2 I,
+    g_V = 9/(1 + x3^2 + x4^2)^2 I, with alpha, beta = (s +- t)/2, s = X1 X3 + 0.7 x2 + 0.4 x4
+    and X_i = x_i - p_i at the base point p = (0.1, 0.2, 0.3, 0.4).
+
+    d(theta o P) is d_h d_v t up to a factor and theta is not closed, so D's R'
+    is a P-tensor exactly where the mixed derivatives of t vanish.
+    """
+    s = "(x1 - 0.1)*(x3 - 0.3) + 0.7*x2 + 0.4*x4"
+    h = f"exp({s} + ({t}))*4/(1 + x1^2 + x2^2)^2"
+    v = f"exp({s} - ({t}))*9/(1 + x3^2 + x4^2)^2"
+    return {"dim": 4, "metric": diagonal(h, h, v, v), "structure": SPLIT_P}
+
+
+# Valid germs that meet a hypothesis at the base point p only: every gate
+# reads its hypothesis at p, while the conclusions below differentiate it.
+# Each pin asserts the rule that every report passes or skips.
+POINT_ONLY_HYPOTHESES = {
+    # conformal_w1_separable_4d's g with g_11 times 1 + X1 X2 X3, which keeps g's
+    # 2-jet at p: second_bianchi p_twisted_identity 2.1, 2.1 and 12 for D, D_tilde
+    # and (1, 0), tau_form_closedness 0.14 for D_tilde and (1, 0).
+    "separable_times_X1X2X3": {"dim": 4, "structure": SPLIT_P, "metric": diagonal(
+        "exp(2*(x1^2 + x3^2))*(1 + (x1 - 0.1)*(x2 - 0.2)*(x3 - 0.3))",
+        "exp(2*(x1^2 + x3^2))", "exp(2*(x1^2 + x3^2))", "exp(2*(x1^2 + x3^2))")},
+    # second_bianchi[D] 74, scalar_system[D] 1.6, lee_recovery[D] 0.68 and
+    # tau_form_closedness[D] 1.3.
+    "twisted_X1^2X3": twisted_germ("(x1 - 0.1)^2*(x3 - 0.3)"),
+    "twisted_X1^3X3": twisted_germ("(x1 - 0.1)^3*(x3 - 0.3)"),  # tau_form_closedness[D] 4.7
+    "twisted_X1X3X4": twisted_germ("(x1 - 0.1)*(x3 - 0.3)*(x4 - 0.4)"),  # second_bianchi[D] 28
+}
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="gates read each hypothesis at the base point only")
+@pytest.mark.parametrize("name", sorted(POINT_ONLY_HYPOTHESES))
+def test_germs_meeting_a_hypothesis_at_the_point_only_pass_or_skip(name):
+    assert [report for report, status in statuses(POINT_ONLY_HYPOTHESES[name]).items()
+            if status == "fail"] == []
+
+
+@pytest.mark.parametrize("t", ["0", "(x1 - 0.1)^2*(x3 - 0.3)^2"])
+def test_twisted_germs_whose_d_theta_p_vanishes_to_first_order_pass(t):
+    # The controls of the pins above: D's gates open as there, and the
+    # conclusions that fail there pass.
+    status = statuses(twisted_germ(t))
+    assert "fail" not in status.values()
+    for check in ("second_bianchi", "scalar_system", "lee_recovery", "tau_form_closedness"):
+        assert status[f"{check}[D]"] == "pass", check

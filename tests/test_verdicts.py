@@ -82,6 +82,25 @@ def test_every_manifest_residual_key_is_declared_by_its_check():
             assert set(verdict["residual_keys"]) <= declared.keys(), report_name
 
 
+def test_declared_residual_keys_that_no_bundled_report_writes():
+    # Theorem branches that no bundled scenario reaches, and the pointwise
+    # sentinel that never fires.  A change that reaches one of them, or stops
+    # reaching another, updates this pin.
+    written = {(report_name.split("[")[0], key)
+               for verdicts in load_manifest().values()
+               for report_name, verdict in verdicts.items()
+               for key in verdict["residual_keys"]}
+    unwritten = {(check, key) for check, keys in RESIDUALS.items() for key in keys} - written
+    assert unwritten == {
+        ("tau_form_closedness", "ln_tau_form_closed"),
+        ("tau_form_closedness", "d_theta_p_match"),
+        ("eigenclass_lee_recovery", "theta_recovery"),
+        ("eigenclass_lee_recovery", "difference_form_closed"),
+        ("eigenclass_lee_recovery", "sum_form_closed"),
+        ("pointwise_algebra", "psi1_asymmetric_detected"),
+    }
+
+
 @pytest.mark.parametrize("name", sorted(bundled_scenario_names()))
 def test_bundled_verdicts_match_manifest(name):
     assert scenario_verdicts(name) == load_manifest()[name]
