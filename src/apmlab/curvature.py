@@ -9,12 +9,12 @@ Bianchi identity,
 and it is a Riemannian P-tensor when additionally L(x,y,Pz,Pw) = L(x,y,z,w).
 Those are exactly the curvature-like tensors on H plus those on V, the P = +1
 and P = -1 eigenspaces (pair symmetry and Bianchi kill the mixed block): a
-space of dimension 2 n^2 (n^2 - 1) / 12.  Masking to the HHHH and VVVV blocks
-of an orthonormal eigenframe commutes with every slot permutation, so the
-orthogonal projection onto it is the curvature-like projection of the mask.
-In dimension 4 every Riemannian P-tensor is a combination of pi1+pi2 and pi3
-with coefficients given by its scalar curvatures; the helpers here build the
-pi tensors, contract Ricci-type invariants, and test the identities.
+space of dimension 2 n^2 (n^2 - 1) / 12.  The orthogonal projection onto it
+keeps the HHHH and VVVV blocks of a g-orthonormal eigenframe, each projected
+curvature-like, and drops the mixed blocks.  In dimension 4 every Riemannian
+P-tensor is a combination of pi1+pi2 and pi3 with coefficients given by its
+scalar curvatures; the helpers here build the pi tensors, contract
+Ricci-type invariants, and test the identities.
 
 The rank-4 algebra is written as matrix products, in three forms:
 
@@ -24,7 +24,8 @@ The rank-4 algebra is written as matrix products, in three forms:
 - A change of frame m, L(m.,m.,m.,m.), is one pull-back (m x m)^T L (m x m)
   with L read as a dim^2 x dim^2 matrix from its first slot pair to its last.
   The sectional curvatures of the planes of a basis are entries of L pulled
-  back to it.
+  back to it.  An eigenframe block is the pull-back by the frame's n columns
+  that span H, or V: a (dim^2 x n^2)^T L (dim^2 x n^2) product.
 - psi1(S) is X minus X with x and y swapped, for the two outer products
   X(x,y,z,w) = g(y,z)S(x,w) + S(y,z)g(x,w).
 
@@ -41,6 +42,8 @@ stacked the same way, so a sample loop runs once.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -197,25 +200,61 @@ def _pull_back(t: np.ndarray, m: np.ndarray) -> np.ndarray:
     return (mm.T @ t.reshape(t.shape[:-4] + mm.shape) @ mm).reshape(t.shape)
 
 
+@lru_cache(maxsize=None)
+def _curvature_like_basis(n: int) -> np.ndarray:
+    """Orthonormal basis, read-only, of the curvature-like tensors on R^n, raveled, a row each.
+
+    Their Gram matrix (at most 36 x 36) orthonormalises the curvature-like
+    parts of the C(n,2)^2 pair tensors e_a^e_b (x) e_c^e_d, which span them.
+    The pair tensors are orthogonal, of norm 2, and span every tensor skew in
+    both pairs, so the Gram matrix is 4 times a projector: eigenvalues 0 or 4.
+    """
+    e, (a, b) = np.eye(n), np.triu_indices(n, 1)
+    wedges = e[a, :, None] * e[b, None, :] - e[b, :, None] * e[a, None, :]
+    span = _curvature_like_projection(
+        wedges[:, None, :, :, None, None] * wedges[None, :, None, None, :, :]).reshape(-1, n**4)
+    w, u = np.linalg.eigh(span @ span.T)
+    basis = u[:, w > 2.0].T @ span / 2.0
+    basis.flags.writeable = False
+    return basis
+
+
+def _block_factors(ps: PointStructure) -> tuple[np.ndarray, ...]:
+    """Kronecker factors x (x) x of the H and V columns x of q and of g q, kept on ps.
+
+    Each is read-only, and C-contiguous in the layout its ``p_tensor_projection`` product reads.
+    """
+    if ps._block_factors is None:
+        n, d = ps.n, ps.dim
+        e, pe = np.split(adapted_orthonormal_basis(ps), 2, axis=1)
+        q = np.stack([e + pe, e - pe]) / np.sqrt(2.0)
+        pull, push = [(x[:, :, None, :, None] * x[:, None, :, None, :]).reshape(2, d * d, n * n)
+                      for x in (q, ps.g @ q)]
+        ps._block_factors = (pull.swapaxes(1, 2).reshape(2 * n * n, d * d), pull,
+                             push.swapaxes(1, 2).copy(), push.swapaxes(0, 1).reshape(d * d, -1))
+        for f in ps._block_factors:
+            f.flags.writeable = False
+    return ps._block_factors
+
+
 def p_tensor_projection(ps: PointStructure, t: np.ndarray) -> np.ndarray:
     """One-shot g-orthogonal projection of t onto the Riemannian P-tensors.
 
-    In the eigenframe Q = [E + PE | E - PE] / sqrt(2) project the HHHH and VVVV
-    blocks curvature-like, drop the rest, and map back with Q^-1 = Q^T g.
+    Pull t back to its HHHH and VVVV blocks in the eigenframe
+    q = [E + PE | E - PE] / sqrt(2), project each onto the curvature-like
+    tensors on R^n, and push both forward with q^-1 = q^T g.
     """
-    n = ps.n
-    basis = adapted_orthonormal_basis(ps)
-    e, pe = basis[:, :n], basis[:, n:]
-    q = np.concatenate([e + pe, e - pe], axis=1) / np.sqrt(2.0)
-    t_hat = _pull_back(t, q)
-    l_hat = np.zeros_like(t_hat)
-    l_hat[..., :n, :n, :n, :n] = _curvature_like_projection(t_hat[..., :n, :n, :n, :n])
-    l_hat[..., n:, n:, n:, n:] = _curvature_like_projection(t_hat[..., n:, n:, n:, n:])
-    return _pull_back(l_hat, q.T @ ps.g)
+    pull_t, pull, push_t, push = _block_factors(ps)
+    basis = _curvature_like_basis(ps.n)
+    lead, n2, d2 = t.shape[:-4], ps.n**2, ps.dim**2
+    blocks = (pull_t @ t.reshape(lead + (d2, d2))).reshape(lead + (2, n2, d2)) @ pull
+    coeffs = blocks.reshape(lead + (2, n2 * n2)) @ basis.T
+    l = (coeffs @ basis).reshape(lead + (2, n2, n2)) @ push_t
+    return (push @ l.reshape(lead + (2 * n2, d2))).reshape(t.shape)
 
 
 def random_p_tensor(ps: PointStructure, seed) -> np.ndarray:
-    """Seeded random P-tensor of unit norm: block mask, then curvature-like projection.
+    """Seeded random P-tensor of unit norm: ``p_tensor_projection`` of a random tensor.
 
     Samples span the whole space, of dimension 2 n^2 (n^2 - 1) / 12.  A
     sequence of seeds gives one tensor per seed, stacked on a leading axis.

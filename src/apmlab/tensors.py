@@ -152,9 +152,10 @@ class PointStructure:
     g is the metric, P the (1,1) product tensor with P*P = I, trace P = 0 and
     g(Px, Py) = g(x, y).  ``g_inv`` is computed from g.  A structure
     compares and hashes by identity, and is not changed once built: the
-    tensors derived from it are cached on it, ``_pi_tensors`` by
-    ``curvature.pi_tensors`` and ``_adapted_basis`` by
-    ``structure.adapted_orthonormal_basis``.
+    tensors derived from it are cached on it, read-only: ``_pi_tensors`` by
+    ``curvature.pi_tensors``, ``_adapted_basis`` by
+    ``structure.adapted_orthonormal_basis`` and ``_block_factors``, the
+    Kronecker factors of ``p_tensor_projection``, by ``curvature._block_factors``.
     """
 
     def __init__(self, g: np.ndarray, p: np.ndarray):
@@ -168,6 +169,7 @@ class PointStructure:
         self.g_inv = metric_inverse(g)
         self._pi_tensors: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         self._adapted_basis: np.ndarray | None = None
+        self._block_factors: tuple[np.ndarray, ...] | None = None
 
     @property
     def dim(self) -> int:

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from apmlab.curvature import (
+    _block_factors,
+    _curvature_like_basis,
     _curvature_like_projection,
     _pull_back,
     almost_einstein_check,
@@ -374,12 +376,20 @@ def test_p_tensor_projection_is_a_projection_fixing_pi(make, dim):
         assert frob(p_tensor_projection(ps, pi) - pi) < 1e-12 * frob(pi)
 
 
-@pytest.mark.parametrize("dim", [4, 6, 8])
-def test_p_tensor_projection_is_orthogonal(dim):
-    ps = canonical_structure(dim)
+@pytest.mark.parametrize("make,dim", STRUCTURES)
+def test_p_tensor_projection_is_orthogonal(make, dim):
+    # For g's inner product <a, b>_g = a_ijkl b_mnop g^im g^jn g^ko g^lp,
+    # which is the Frobenius one only where g is the identity: t - P(t) is
+    # orthogonal to every P(s), and P is self-adjoint.
+    ps = make(dim)
+    gi = ps.g_inv
+    inner = lambda a, b: float(np.einsum("ijkl,mnop,im,jn,ko,lp->", a, b, gi, gi, gi, gi,
+                                         optimize=True))
+    norm = lambda a: np.sqrt(inner(a, a))
     t, s = random_tensor4(dim, 1), random_tensor4(dim, 2)
     pt, p_s = p_tensor_projection(ps, t), p_tensor_projection(ps, s)
-    assert abs(np.sum((t - pt) * p_s)) < 1e-12 * frob(t) * frob(p_s)
+    assert abs(inner(t - pt, p_s)) < 1e-13 * norm(t) * norm(p_s)
+    assert abs(inner(pt, s) - inner(t, p_s)) < 1e-13 * norm(t) * norm(s)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -444,6 +454,38 @@ def test_adapted_basis_is_built_once_per_structure_and_tolerance(monkeypatch):
     assert len(calls) == 1
     # A new structure gets its own basis.
     assert adapted_orthonormal_basis(PointStructure(ps.g, ps.p)) is not basis
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_curvature_like_basis_is_orthonormal_and_cached(n):
+    basis = _curvature_like_basis(n)
+    assert basis.shape == (n * n * (n * n - 1) // 12, n**4)
+    assert frob(basis @ basis.T - np.eye(len(basis))) < 1e-14
+    residuals = curvature_like_residuals(basis.reshape((-1,) + (n,) * 4))
+    assert max(np.max(r) for r in residuals.values()) < 1e-14
+    assert _curvature_like_basis(n) is basis and not basis.flags.writeable
+
+
+def test_block_factors_are_built_once_per_structure(monkeypatch):
+    import apmlab.curvature as curvature
+
+    calls = []
+    original = curvature.adapted_orthonormal_basis
+    monkeypatch.setattr(curvature, "adapted_orthonormal_basis",
+                        lambda ps: calls.append(ps) or original(ps))
+    ps = oblique_structure(6, 3)
+    factors = _block_factors(ps)
+    assert calls == [ps] and all(f.flags.c_contiguous for f in factors)
+    random_p_tensor(ps, 0)
+    random_p_tensor(ps, range(3))
+    p_tensor_projection(ps, random_tensor4(6, 1))
+    assert _block_factors(ps) is factors and calls == [ps]
+    for f in factors:
+        assert not f.flags.writeable
+        with pytest.raises(ValueError):
+            f[0, 0] = 1.0
+    # A new structure gets its own factors.
+    assert _block_factors(PointStructure(ps.g, ps.p)) is not factors
 
 
 def test_structure_residuals_are_relative_to_the_metric():
