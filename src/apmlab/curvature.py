@@ -49,7 +49,7 @@ import numpy as np
 
 from .report import CheckReport
 from .structure import adapted_orthonormal_basis, basis_residuals
-from .tensors import DEFAULT_TOL, PointStructure, einsum, frob, lead, random_tensor4
+from .tensors import DEFAULT_TOL, PointStructure, einsum, frob, lead, per_structure, random_tensor4
 
 
 class CurvatureInvariants:
@@ -100,13 +100,18 @@ def is_p_tensor(ps: PointStructure, l: np.ndarray, tol: float = DEFAULT_TOL) -> 
     return report.finalize()
 
 
+def _require_p_tensor(ps: PointStructure, l: np.ndarray) -> None:
+    """Raise ValueError unless L passes the P-tensor test at 1e-8 max(1, |L|)."""
+    if not is_p_tensor(ps, l, tol=1e-8 * max(1.0, frob(l))).passed:
+        raise ValueError("prerequisite failed: L is not a Riemannian P-tensor")
+
+
 def p_slot_identities(ps: PointStructure, l: np.ndarray) -> CheckReport:
     """The five P-slot-moving equalities valid for every Riemannian P-tensor, at DEFAULT_TOL.
 
     Precondition: L passes the P-tensor test; otherwise raises ValueError.
     """
-    if not is_p_tensor(ps, l, tol=1e-8 * max(1.0, frob(l))).passed:
-        raise ValueError("prerequisite failed: L is not a Riemannian P-tensor")
+    _require_p_tensor(ps, l)
     report = CheckReport(name="p_slot_identities", tol=DEFAULT_TOL)
     report.residuals.update(p_slot_residuals(ps, l))
     return report.finalize()
@@ -147,18 +152,10 @@ def psi2(ps: PointStructure, s: np.ndarray) -> np.ndarray:
     return p_twist(ps, psi1(ps, s))
 
 
+@per_structure
 def pi_tensors(ps: PointStructure) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The invariant tensors pi1 = psi1(g)/2, pi2 = psi2(g)/2, pi3 = psi1(g~).
-
-    Built once per point structure and kept on it, read-only, as a cached
-    property would be: every reader of one structure shares them.
-    """
-    if ps._pi_tensors is None:
-        pis = (0.5 * psi1(ps, ps.g), 0.5 * psi2(ps, ps.g), psi1(ps, ps.g_assoc))
-        for t in pis:
-            t.flags.writeable = False
-        ps._pi_tensors = pis
-    return ps._pi_tensors
+    """The invariant tensors pi1 = psi1(g)/2, pi2 = psi2(g)/2, pi3 = psi1(g~), built once per ps."""
+    return 0.5 * psi1(ps, ps.g), 0.5 * psi2(ps, ps.g), psi1(ps, ps.g_assoc)
 
 
 def curvature_invariants(ps: PointStructure, l: np.ndarray) -> CurvatureInvariants:
@@ -219,22 +216,16 @@ def _curvature_like_basis(n: int) -> np.ndarray:
     return basis
 
 
+@per_structure
 def _block_factors(ps: PointStructure) -> tuple[np.ndarray, ...]:
-    """Kronecker factors x (x) x of the H and V columns x of q and of g q, kept on ps.
-
-    Each is read-only, and C-contiguous in the layout its ``p_tensor_projection`` product reads.
-    """
-    if ps._block_factors is None:
-        n, d = ps.n, ps.dim
-        e, pe = np.split(adapted_orthonormal_basis(ps), 2, axis=1)
-        q = np.stack([e + pe, e - pe]) / np.sqrt(2.0)
-        pull, push = [(x[:, :, None, :, None] * x[:, None, :, None, :]).reshape(2, d * d, n * n)
-                      for x in (q, ps.g @ q)]
-        ps._block_factors = (pull.swapaxes(1, 2).reshape(2 * n * n, d * d), pull,
-                             push.swapaxes(1, 2).copy(), push.swapaxes(0, 1).reshape(d * d, -1))
-        for f in ps._block_factors:
-            f.flags.writeable = False
-    return ps._block_factors
+    """Kronecker factors x (x) x of the H and V columns x of q and g q, C-contiguous as read."""
+    n, d = ps.n, ps.dim
+    e, pe = np.split(adapted_orthonormal_basis(ps), 2, axis=1)
+    q = np.stack([e + pe, e - pe]) / np.sqrt(2.0)
+    pull, push = [(x[:, :, None, :, None] * x[:, None, :, None, :]).reshape(2, d * d, n * n)
+                  for x in (q, ps.g @ q)]
+    return (pull.swapaxes(1, 2).reshape(2 * n * n, d * d), pull,
+            push.swapaxes(1, 2).copy(), push.swapaxes(0, 1).reshape(d * d, -1))
 
 
 def p_tensor_projection(ps: PointStructure, t: np.ndarray) -> np.ndarray:
@@ -309,8 +300,7 @@ def almost_einstein_check(ps: PointStructure, l: np.ndarray) -> CheckReport:
     """
     if ps.dim != 4:
         raise ValueError("almost-Einstein check requires dimension 4")
-    if not is_p_tensor(ps, l, tol=1e-8 * max(1.0, frob(l))).passed:
-        raise ValueError("prerequisite failed: L is not a Riemannian P-tensor")
+    _require_p_tensor(ps, l)
     inv = curvature_invariants(ps, l)
     expected = 0.25 * (inv.tau * ps.g + inv.tau_star * ps.g_assoc)
 

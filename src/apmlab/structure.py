@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensors import PointStructure, StructureError, einsum, frob
+from .tensors import PointStructure, StructureError, einsum, frob, per_structure
 
 CLASS_W0 = "W0"
 CLASS_W1 = "W1"
@@ -76,23 +76,13 @@ def _gram_schmidt(columns: np.ndarray, g: np.ndarray, count: int) -> np.ndarray:
     raise StructureError("degenerate eigenspace frame: Gram-Schmidt found too few vectors")
 
 
+@per_structure
 def adapted_orthonormal_basis(ps: PointStructure) -> np.ndarray:
-    """g-orthonormal basis {E_1..E_n, PE_1..PE_n}, returned as matrix columns.
+    """g-orthonormal basis {E_1..E_n, PE_1..PE_n}, as matrix columns, built once per structure.
 
-    Gram-Schmidt runs on every structure: a coordinate basis that is itself
-    adapted comes back to rounding, not bit for bit.  Built
-    once per point structure and kept on the structure, read-only, as
-    ``curvature.pi_tensors`` is: every reader of one structure shares it, and
-    validates the structure once, at DEFAULT_TOL.
+    Gram-Schmidt runs on every structure, after validating it at DEFAULT_TOL:
+    a coordinate basis that is itself adapted comes back to rounding, not bit for bit.
     """
-    if ps._adapted_basis is None:
-        basis = _adapted_basis(ps)
-        basis.flags.writeable = False
-        ps._adapted_basis = basis
-    return ps._adapted_basis
-
-
-def _adapted_basis(ps: PointStructure) -> np.ndarray:
     h, v = projectors(ps)  # validates the structure
     a = _gram_schmidt(h, ps.g, ps.n)
     x = _gram_schmidt(v, ps.g, ps.n)

@@ -8,7 +8,7 @@ dense row-major throughout.
 
 from __future__ import annotations
 
-from functools import lru_cache, partial
+from functools import lru_cache, partial, wraps
 from math import inf, prod, sqrt
 
 import numpy as np
@@ -131,9 +131,9 @@ def _matmul(sa: str, sb: str, out: str):
 def metric_inverse(g: np.ndarray) -> np.ndarray:
     """Invert a symmetric positive-definite metric.
 
-    Raises StructureError("metric not positive definite") when a symmetric
-    input is singular or indefinite, and "metric not symmetric" when it is
-    not symmetric.
+    Raises StructureError("metric not symmetric") when it is not symmetric,
+    "metric not positive definite" when its lower triangle is singular or
+    indefinite, and "metric not invertible" when the full matrix is singular.
     """
     g = np.asarray(g, dtype=float)
     if g.ndim != 2 or g.shape[0] != g.shape[1]:
@@ -142,7 +142,10 @@ def metric_inverse(g: np.ndarray) -> np.ndarray:
         raise StructureError("metric not symmetric")
     if np.linalg.eigvalsh(g)[0] <= 0:
         raise StructureError("metric not positive definite")
-    g_inv = np.linalg.inv(g)
+    try:
+        g_inv = np.linalg.inv(g)
+    except np.linalg.LinAlgError:
+        raise StructureError("metric not invertible") from None
     return 0.5 * (g_inv + g_inv.T)
 
 
@@ -151,11 +154,8 @@ class PointStructure:
 
     g is the metric, P the (1,1) product tensor with P*P = I, trace P = 0 and
     g(Px, Py) = g(x, y).  ``g_inv`` is computed from g.  A structure
-    compares and hashes by identity, and is not changed once built: the
-    tensors derived from it are cached on it, read-only: ``_pi_tensors`` by
-    ``curvature.pi_tensors``, ``_adapted_basis`` by
-    ``structure.adapted_orthonormal_basis`` and ``_block_factors``, the
-    Kronecker factors of ``p_tensor_projection``, by ``curvature._block_factors``.
+    compares and hashes by identity, and is not changed once built, so the
+    data a ``per_structure`` function derives from it is kept in its memo.
     """
 
     def __init__(self, g: np.ndarray, p: np.ndarray):
@@ -167,9 +167,7 @@ class PointStructure:
             raise StructureError("dimension must be an even integer >= 4")
         self.g, self.p = g, p
         self.g_inv = metric_inverse(g)
-        self._pi_tensors: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
-        self._adapted_basis: np.ndarray | None = None
-        self._block_factors: tuple[np.ndarray, ...] | None = None
+        self._memo: dict = {}
 
     @property
     def dim(self) -> int:
@@ -208,6 +206,19 @@ class PointStructure:
         failed = [k for k, v in self.invariant_residuals().items() if not v < DEFAULT_TOL]
         if failed:
             raise StructureError(f"invalid almost product structure: {', '.join(failed)}")
+
+
+def per_structure(build):
+    """``build(ps)``, built on the first read and kept read-only in ps's memo: it dies with ps."""
+    @wraps(build)
+    def read(ps: PointStructure):
+        value = ps._memo.get(build)
+        if value is None:
+            value = ps._memo[build] = build(ps)
+            for t in value if isinstance(value, tuple) else (value,):
+                t.flags.writeable = False
+        return value
+    return read
 
 
 def canonical_structure(dim: int, conformal_factor: float = 1.0) -> PointStructure:

@@ -15,6 +15,7 @@ from apmlab.scenarios import (
     load_scenario,
     run_scenario,
 )
+from apmlab.tensors import StructureError
 
 BUNDLED = [
     "flat_product_4d",
@@ -500,6 +501,28 @@ def test_cli_check_names_the_grid_entry_that_cannot_be_evaluated(tmp_path):
     assert proc.stderr == ("error: ln of non-positive value in metric[1][1] "
                            "at point (0.1, 0.2, 0.30000000000000004, 0.4)\n")
     assert proc.stdout == ""
+
+
+def test_cli_check_names_a_metric_that_is_singular_as_a_full_matrix(tmp_path):
+    # Symmetric within 1e-9, with a positive-definite lower triangle, yet the
+    # H block [[1, -1 - 1e-9], [-1, 1 + 1e-9]] has determinant 0: a named
+    # structure error, not a numpy traceback.
+    metric = _diagonal_grid(["1", "1.000000001", "1", "1"])
+    metric[0][1], metric[1][0] = "-1.000000001", "-1"
+    germ = {"dim": 4, "metric": metric, "structure": SPLIT_P}
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({"name": "singular_metric", "germ": germ}))
+    proc = run_cli("check", "--scenario", str(path))
+    assert proc.returncode == 2
+    assert proc.stderr == ("error: metric not invertible "
+                           "at point (0.1, 0.2, 0.30000000000000004, 0.4)\n")
+    assert proc.stdout == ""
+    with pytest.raises(StructureError, match="metric not invertible"):
+        run_scenario(load_scenario({"germ": germ}))
+    path.write_text(json.dumps(germ))
+    proc = run_cli("classify", "--germ", str(path), "--point", "0.1,0.2,0.3,0.4")
+    assert proc.returncode == 2
+    assert proc.stderr == "error: metric not invertible at point (0.1, 0.2, 0.3, 0.4)\n"
 
 
 def test_cli_classify_names_the_grid_entry_that_cannot_be_evaluated(tmp_path):

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -486,6 +489,44 @@ def test_block_factors_are_built_once_per_structure(monkeypatch):
             f[0, 0] = 1.0
     # A new structure gets its own factors.
     assert _block_factors(PointStructure(ps.g, ps.p)) is not factors
+
+
+PER_STRUCTURE = [pi_tensors, adapted_orthonormal_basis, _block_factors]
+
+
+def arrays(data):
+    return data if isinstance(data, tuple) else (data,)
+
+
+@pytest.mark.parametrize("read", PER_STRUCTURE, ids=lambda read: read.__name__)
+def test_per_structure_data_is_shared_read_only_and_rebuilt_for_a_new_structure(read):
+    ps = oblique_structure(6, 3)
+    data = read(ps)
+    assert read(ps) is data
+    for t in arrays(data):
+        assert not t.flags.writeable
+        with pytest.raises(ValueError):
+            t.flat[0] = 1.0
+    # A new structure with the same g and P builds its own, equal, arrays.
+    fresh = read(PointStructure(ps.g, ps.p))
+    for old, new in zip(arrays(data), arrays(fresh), strict=True):
+        assert new is not old and np.array_equal(new, old)
+
+
+def test_per_structure_memo_keeps_no_structure_alive():
+    # With the collector off, only reference counts free the structure: the
+    # memo must hold no reference to it, so no cycle keeps it, and what it
+    # built, alive.
+    gc.disable()
+    try:
+        ps = oblique_structure(4, 3)
+        for read in PER_STRUCTURE:
+            read(ps)
+        ref = weakref.ref(ps)
+        del ps
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_structure_residuals_are_relative_to_the_metric():

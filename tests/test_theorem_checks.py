@@ -535,6 +535,22 @@ def test_structure_and_levi_civita_fail_on_grids_valid_only_at_the_base_point():
     assert report.residuals["f_double_p_skew"] == 2.0
 
 
+def test_structure_g_positivity_fires_on_a_metric_whose_symmetric_part_is_indefinite():
+    """g_positivity reads the symmetric part of g; positive definiteness is decided on one triangle.
+
+    The H block [[1, -1 - 9e-10], [-1, 1 + 4.5e-10]] has a positive-definite
+    lower triangle, so the structure builds, and is symmetric within the 1e-9
+    that ``tensors.metric_inverse`` allows.  Its symmetric part has the
+    eigenvalue about -4.5e-10 / 2, which |g| = sqrt(6) divides.
+    """
+    metric = [["1" if i == j else "0" for j in range(4)] for i in range(4)]
+    metric[0][1], metric[1][0], metric[1][1] = "-1.0000000009", "-1", "1.00000000045"
+    ctx = ScenarioContext(germ=ChartGerm.from_strings(4, metric, SPLIT_P))
+    [report] = checks.check_structure(ctx)
+    assert report.residuals["g_positivity"] > 0.0
+    assert report.residuals["g_positivity"] == pytest.approx(2.25e-10 / np.sqrt(6.0), rel=1e-3)
+
+
 def test_structure_fails_a_wrong_metric_inverse(monkeypatch):
     # g^-1 scaled by 1 + 1e-6 leaves g^-1 g - I = 1e-6 I, of norm 2e-6 in dim 4.
     inverse = tensors.metric_inverse
