@@ -197,6 +197,8 @@ CHECKS: dict = {}
 # name -> {residual key: the key's own base tolerance, or None}, kept apart from
 # CHECKS, whose entries perfbench/tracing.py swaps during a traced run.
 RESIDUALS: dict[str, dict[str, float | None]] = {}
+# The checks that write one report per connection, and none without one.
+PER_CONNECTION: set[str] = set()
 
 
 def check(name: str, base_tol: float, description: str, *, residuals: tuple,
@@ -210,6 +212,8 @@ def check(name: str, base_tol: float, description: str, *, residuals: tuple,
 
     def declare(body):
         RESIDUALS[name] = dict(key if isinstance(key, tuple) else (key, None) for key in residuals)
+        if per_connection:
+            PER_CONNECTION.add(name)
         run = wraps(body)(lambda ctx: drive(ctx, name, base_tol, body, per_connection, dim))
         CHECKS[name] = (run, description)
         return run

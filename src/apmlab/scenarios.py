@@ -6,7 +6,7 @@ import json
 import math
 from importlib import resources
 
-from .checks import CHECKS, RESIDUALS, ScenarioContext, run_checks
+from .checks import CHECKS, PER_CONNECTION, RESIDUALS, ScenarioContext, run_checks
 from .exprs import ParseError
 from .germs import ChartGerm, ConnectionParams, conformal_flat_product_germ
 from .report import CheckReport
@@ -178,6 +178,10 @@ def load_scenario(doc: dict, name: str = "scenario") -> Scenario:
                 raise ScenarioError(f"$.checks[{i}]", f"unknown check {check!r}")
             if check in checks[:i]:
                 raise ScenarioError(f"$.checks[{i}]", f"check {check!r} is already listed")
+    per_connection = [check for check in checks if check in PER_CONNECTION]
+    if per_connection and not connections:  # such a check would write no report at all
+        raise ScenarioError("$.connections", f"check {per_connection[0]!r} runs per connection; "
+                                             "list at least one")
 
     tolerances = doc.get("tolerances", {})
     if not isinstance(tolerances, dict):

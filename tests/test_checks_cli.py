@@ -667,6 +667,60 @@ def test_golden_report_snapshot(tmp_path):
         assert out.read_bytes() == fh.read()
 
 
+def test_cli_main_runs_repeatedly_in_one_process(tmp_path, monkeypatch, capsys):
+    """``cli.main`` builds its parser once; nothing of one call reaches the next.
+
+    A run at another seed and tolerance scale, then a usage error, come before
+    the run whose report must equal the golden bytes a fresh process writes.
+    """
+    from apmlab import cli
+
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
+    assert cli.build_parser() is cli.build_parser()
+    first = cli.main(["check", "--scenario", "flat_product_4d", "--seed", "5",
+                      "--tol-scale", "2", "--out", str(tmp_path / "a.json")])
+    assert first == 0
+    with pytest.raises(SystemExit) as usage:
+        cli.main(["check"])
+    assert usage.value.code == 2
+    assert "--scenario" in capsys.readouterr().err
+    out = tmp_path / "b.json"
+    assert cli.main(["check", "--scenario", "flat_product_4d", "--out", str(out)]) == 0
+    golden = os.path.join(os.path.dirname(__file__), "golden", "flat_product_4d.json")
+    with open(golden, "rb") as fh:
+        assert out.read_bytes() == fh.read()
+    assert capsys.readouterr().out.endswith(f"report written to {out}\n")
+
+
+@pytest.mark.parametrize("checks,first", [
+    (["natural_connection", "second_bianchi", "dim4_reconstruction"], "natural_connection"),
+    (["structure", "dim4_reconstruction"], "dim4_reconstruction"),
+    (None, "natural_connection"),
+], ids=["issue_example", "after_a_plain_check", "every_check"])
+def test_cli_rejects_per_connection_checks_without_connections(tmp_path, checks, first):
+    # Each of these checks writes one report per connection: with none listed
+    # the run would print "0 passed, 0 failed, 0 skipped" and exit 0.
+    doc = {"germ": {"generator": "conformal_flat_product", "n": 2, "u": "x1^2 + x3^2"},
+           "connections": []}
+    if checks is not None:
+        doc["checks"] = checks
+    scenario = tmp_path / "no_connections.json"
+    scenario.write_text(json.dumps(doc))
+    proc = run_cli("check", "--scenario", str(scenario))
+    assert proc.returncode == 2
+    assert proc.stderr == (f"error: $.connections: check {first!r} runs per connection; "
+                           "list at least one\n")
+    assert proc.stdout == ""
+
+
+def test_checks_without_connections_run_with_none_listed():
+    doc = {"germ": {"generator": "flat_product", "n": 2}, "connections": [],
+           "checks": ["structure", "classification"]}
+    reports = run_scenario(load_scenario(doc))
+    assert [r.name for r in reports] == ["structure", "classification"]
+    assert exit_code(reports) == 0
+
+
 def test_tolerance_overrides_apply():
     doc = {
         "germ": {"generator": "conformal_flat_product", "n": 2, "u": "x1^2 + x3^2"},

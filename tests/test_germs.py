@@ -24,7 +24,7 @@ from apmlab.germs import (
 )
 from apmlab.scenarios import bundled_scenario_names, load_bundled_scenario
 from apmlab.structure import classify_f, f_symmetry_residuals
-from apmlab.tensors import PointStructure, StructureError, frob
+from apmlab.tensors import PointStructure, StructureError, frob, split_structure
 
 from fd_oracle import curvature_fd, f_tensor_fd, lee_form_fd
 
@@ -84,6 +84,25 @@ def test_flat_product_6d():
     fr = flat_product_germ(3).frame()
     assert frob(fr.curvature.values) == 0.0
     assert max(fr.structure.invariant_residuals().values()) < 1e-12
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_conformal_germ_structure_is_the_split_structure(n):
+    """The constant grids agree with ``split_structure``'s P, zeros included.
+
+    The builder writes them from shared constant nodes instead of reading a
+    ``PointStructure``; their jets must carry the same values and no derivative.
+    """
+    germ = conformal_flat_product_germ(n, "x1*x2")
+    fr = germ.frame(order=2)
+    np.testing.assert_array_equal(fr.p.values, split_structure(2 * n).p)
+    assert all(not level.any() for level in fr.p.data[1:])
+    assert germ.structure[0][1] is germ.metric[0][1]
+
+
+def test_conformal_germ_of_a_dimension_below_4_is_a_structure_error():
+    with pytest.raises(StructureError, match="germ dimension must be an even integer >= 4"):
+        conformal_flat_product_germ(1, "x1")
 
 
 def test_non_finite_metric_or_structure_is_a_structure_error():
