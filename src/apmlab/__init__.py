@@ -12,7 +12,6 @@ from .curvature import (
     psi2,
     random_curvature_like,
     random_p_tensor,
-    sectional_curvatures,
 )
 from .exprs import EvalError, ParseError, ScalarExpr, parse_expr
 from .germs import (
@@ -20,7 +19,6 @@ from .germs import (
     ConnectionParams,
     GermFrame,
     conformal_flat_product_germ,
-    flat_product_germ,
 )
 from .report import CheckReport, emit_report
 from .scenarios import (
@@ -36,7 +34,6 @@ from .structure import (
     adapted_orthonormal_basis,
     classify_f,
     f_symmetry_residuals,
-    lee_form_from_f,
     projectors,
     w1_form,
 )
@@ -48,7 +45,6 @@ from .tensors import (
     metric_inverse,
     random_symmetric2,
     random_tensor4,
-    split_structure,
 )
 
 __version__ = "0.1.0"

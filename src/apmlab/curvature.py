@@ -48,7 +48,7 @@ from functools import lru_cache
 import numpy as np
 
 from .report import CheckReport
-from .structure import adapted_orthonormal_basis, basis_residuals
+from .structure import adapted_orthonormal_basis
 from .tensors import DEFAULT_TOL, PointStructure, einsum, frob, lead, per_structure, random_tensor4
 
 
@@ -82,15 +82,10 @@ def p_twist(ps: PointStructure, t: np.ndarray) -> np.ndarray:
     return ps.p.T @ t @ ps.p
 
 
-def p_invariance_residual(ps: PointStructure, l: np.ndarray) -> float:
-    """Residual of L(x,y,Pz,Pw) = L(x,y,z,w)."""
-    return frob(p_twist(ps, l) - l)
-
-
 def p_tensor_residuals(ps: PointStructure, l: np.ndarray) -> dict[str, float]:
-    """The curvature-like residuals of L plus its ``p_invariance``."""
+    """The curvature-like residuals of L plus its ``p_invariance``, |L(x,y,Pz,Pw) - L|."""
     residuals = curvature_like_residuals(l)
-    residuals["p_invariance"] = p_invariance_residual(ps, l)
+    residuals["p_invariance"] = frob(p_twist(ps, l) - l)
     return residuals
 
 
@@ -275,20 +270,6 @@ def dim4_from_scalars(pis, tau, tau_star) -> np.ndarray:
     """
     pi1, pi2, pi3 = pis
     return (np.multiply.outer(tau, pi1 + pi2) + np.multiply.outer(tau_star, pi3)) / 8
-
-
-def sectional_curvatures(ps: PointStructure, l: np.ndarray,
-                         basis: np.ndarray) -> tuple[float, float]:
-    """Sectional curvature of the {E1, E2} plane and its P-associated companion.
-
-    ``basis`` must be an adapted orthonormal basis (columns E_a then PE_a),
-    to 1e-8; otherwise raises ValueError.
-    """
-    res = basis_residuals(ps, basis)
-    if max(res.values()) > 1e-8:
-        raise ValueError(f"basis is not adapted orthonormal: {res}")
-    framed = _pull_back(l, basis)  # L on the basis vectors
-    return float(framed[0, 1, 0, 1]), float(framed[0, 1, 0, ps.n + 1])
 
 
 def almost_einstein_check(ps: PointStructure, l: np.ndarray) -> CheckReport:

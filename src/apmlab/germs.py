@@ -194,11 +194,6 @@ class ChartGerm:
         return GermFrame(self, self.base_point if point is None else point, order)
 
 
-def flat_product_germ(n: int, name: str = "flat_product") -> ChartGerm:
-    """Flat product metric with the constant split structure diag(+I_n, -I_n): u = 0."""
-    return conformal_flat_product_germ(n, "0", name)
-
-
 # Constant grid entries, shared by every germ: expression nodes never change.
 _ZERO, _ONE, _MINUS_ONE = Const(0.0), Const(1.0), Const(-1.0)
 

@@ -10,6 +10,7 @@ from .checks import CHECKS, PER_CONNECTION, RESIDUALS, ScenarioContext, run_chec
 from .exprs import ParseError
 from .germs import ChartGerm, ConnectionParams, conformal_flat_product_germ
 from .report import CheckReport
+from .structure import CLASS_LABELS
 
 
 class ScenarioError(ValueError):
@@ -199,9 +200,7 @@ def load_scenario(doc: dict, name: str = "scenario") -> Scenario:
             finite_positive(value, path)
 
     expect_class = doc.get("expect_class")
-    if expect_class is not None and expect_class not in (
-        "W0", "W1", "W3bar", "W6bar", "outside_W1"
-    ):
+    if expect_class is not None and expect_class not in CLASS_LABELS:
         raise ScenarioError("$.expect_class", f"unknown class label {expect_class!r}")
 
     seed = _seed(doc.get("seed", 0), "$.seed")

@@ -21,6 +21,7 @@ CLASS_W1 = "W1"
 CLASS_W3BAR = "W3bar"
 CLASS_W6BAR = "W6bar"
 CLASS_OUTSIDE = "outside_W1"
+CLASS_LABELS = (CLASS_W0, CLASS_W1, CLASS_W3BAR, CLASS_W6BAR, CLASS_OUTSIDE)
 
 # Relative residual below which a class membership, or an F symmetry, is accepted.
 CLASS_TOL = 1e-8
@@ -90,16 +91,6 @@ def adapted_orthonormal_basis(ps: PointStructure) -> np.ndarray:
     return np.column_stack([e_half, ps.p @ e_half])
 
 
-def basis_residuals(ps: PointStructure, basis: np.ndarray) -> dict[str, float]:
-    """How far a candidate basis is from being adapted orthonormal."""
-    n = ps.n
-    gram = basis.T @ ps.g @ basis
-    return {
-        "orthonormality": frob(gram - np.eye(ps.dim)),
-        "p_pairing": frob(basis[:, n:] - ps.p @ basis[:, :n]),
-    }
-
-
 def f_symmetry_residuals(ps: PointStructure, f: np.ndarray) -> dict[str, float | np.ndarray]:
     """Residuals of the three defining F identities, one value per sample of a stacked F.
 
@@ -113,19 +104,6 @@ def f_symmetry_residuals(ps: PointStructure, f: np.ndarray) -> dict[str, float |
         "double_p_skew": frob(f + f_py @ p, 3),
         "single_p_skew": frob(f @ p + f_py, 3),
     }
-
-
-def lee_form_from_f(ps: PointStructure, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Contract F to the Lee form: theta_k = g^{ij} F_{ijk}; also returns theta o P.
-
-    Rejects tensors that violate the F symmetries beyond CLASS_TOL (relative).
-    """
-    scale = max(1.0, frob(f))
-    for name, res in f_symmetry_residuals(ps, f).items():
-        if res / scale > CLASS_TOL:
-            raise StructureError(f"F symmetry violated: {name} residual {res:.3e}")
-    theta = einsum("ij,ijk->k", ps.g_inv, f)
-    return theta, theta @ ps.p
 
 
 def w1_form(ps: PointStructure, theta: np.ndarray) -> np.ndarray:
@@ -156,9 +134,8 @@ def classify_f(ps: PointStructure, f: np.ndarray) -> ClassReport:
 
     Membership is decided on relative residuals |defect| / max(1, |F|) below
     CLASS_TOL; ties go to the smallest class (W0 first, then the
-    eigenclasses, then W1).  An F
-    that breaks the F symmetries is classified too, not rejected as by
-    ``lee_form_from_f``: its Lee form is the trace theta_k = g^{ij} F_{ijk}.
+    eigenclasses, then W1).  An F that breaks the F symmetries is classified
+    too: its Lee form is the trace theta_k = g^{ij} F_{ijk}.
     """
     theta = einsum("ij,ijk->k", ps.g_inv, f)
     theta_p = theta @ ps.p

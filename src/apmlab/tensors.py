@@ -232,15 +232,6 @@ def canonical_structure(dim: int, conformal_factor: float = 1.0) -> PointStructu
     return PointStructure(conformal_factor * np.eye(dim), p)
 
 
-def split_structure(dim: int, conformal_factor: float = 1.0) -> PointStructure:
-    """Euclidean metric with P = diag(+I_n, -I_n) (product of two flat factors)."""
-    if dim % 2 != 0 or dim < 4:
-        raise StructureError("dimension must be an even integer >= 4")
-    n = dim // 2
-    p = np.diag(np.concatenate([np.ones(n), -np.ones(n)]))
-    return PointStructure(conformal_factor * np.eye(dim), p)
-
-
 def _uniform(shape: tuple[int, ...], seed) -> np.ndarray:
     """Entries uniform in [-1, 1] drawn from default_rng(seed).
 

@@ -9,14 +9,42 @@ products differently (g^a + g~^b, Ricci' as the trace R'^i_ijk, and rho*'
 through the g-adjoint of P), which these oracles check to rounding.
 Gamma' = Gamma + g^-1 K is written out here, from a Gamma and a g~ built at
 the frame's full order - 1 (the frame builds both only to the levels its
-Gamma' and R read); the contorsion and the curvature of Gamma' are shared
-with apmlab: only the regrouped products are under test.
+Gamma' and R read).  The contorsion K and the curvature dGamma' + Gamma'Gamma'
+are transcribed here too, with their own index permutations, so the oracles
+share only jet arithmetic with apmlab, not its formulas.
 """
 
 from __future__ import annotations
 
-from apmlab.germs import _contorsion_of, _curvature_of
-from apmlab.jetfields import jt_einsum
+import numpy as np
+
+from apmlab.jetfields import JetTensor, jt_einsum
+
+
+def _permuted(levels, spec, dim):
+    """The jet whose level k is ``levels[k]`` with its component axes permuted by ``spec``."""
+    src, dst = spec.split("->")
+    return JetTensor(tuple(np.einsum(f"{src}...->{dst}...", a) for a in levels), dim)
+
+
+def oracle_contorsion(t):
+    """K_ijk = {T_ijk - T_jki + T_kij} / 2."""
+    return (t - _permuted(t.data, "jki->ijk", t.dim)
+            + _permuted(t.data, "kij->ijk", t.dim)).scaled(0.5)
+
+
+def oracle_connection_curvature(gamma):
+    """R^l_ijk = d_i Gamma^l_jk - d_j Gamma^l_ik + Gamma^l_im Gamma^m_jk - Gamma^l_jm Gamma^m_ik.
+
+    The derivative d_c Gamma^l_ab of level k sits in level k + 1 of Gamma,
+    its first derivative axis read as the component axis c.
+    """
+    derivative = gamma.data[1:]
+    d_gamma = (_permuted(derivative, "ljki->lijk", gamma.dim)
+               - _permuted(derivative, "likj->lijk", gamma.dim))
+    lower = gamma.truncated(gamma.order - 1)
+    return (d_gamma + jt_einsum("lim,mjk->lijk", lower, lower)
+            - jt_einsum("ljm,mik->lijk", lower, lower))
 
 
 def oracle_christoffel(f):
@@ -48,14 +76,14 @@ def oracle_torsion(cf, order):
 def oracle_gamma(cf, order):
     """Gamma'^m_ij = Gamma^m_ij + g^mk K_ijk of ``cf`` to ``order`` from the oracle torsion."""
     f = cf.frame
-    contorsion = _contorsion_of(oracle_torsion(cf, order))
+    contorsion = oracle_contorsion(oracle_torsion(cf, order))
     return oracle_christoffel(f).truncated(order) + jt_einsum("mk,ijk->mij", f.g_inv, contorsion)
 
 
 def oracle_curvature(cf):
     """R' of ``cf``, all indices down, at the frame's full order."""
     gamma = oracle_gamma(cf, cf.frame.theta.order)
-    return jt_einsum("mijk,ml->ijkl", _curvature_of(gamma), cf.frame.g)
+    return jt_einsum("mijk,ml->ijkl", oracle_connection_curvature(gamma), cf.frame.g)
 
 
 def oracle_ricci(cf, r):

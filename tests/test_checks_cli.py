@@ -442,6 +442,32 @@ def test_cli_check_reports_an_f_that_breaks_its_symmetries(tmp_path):
     assert json.loads(proc.stdout)["label"] == "outside_W1"
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_cli_check_reports_an_invalid_structure_alike_in_every_dimension(tmp_path, n):
+    # g = I with P = diag(I_n, -I_n)(1 + 1e-6): P^2 - I is 2e-6 on the diagonal.
+    # dim4_round_trip's eigenframe validates the structure; its rejection is a
+    # skip, so dim 4 reports the invalid structure as dim 6 does, with exit 1.
+    dim = 2 * n
+    grid = lambda entries: [[entries[i] if i == j else "0" for j in range(dim)]
+                            for i in range(dim)]
+    germ = {"dim": dim, "metric": grid(["1"] * dim),
+            "structure": grid(["1.000001"] * n + ["-1.000001"] * n)}
+    scenario, out = tmp_path / "scenario.json", tmp_path / "report.json"
+    scenario.write_text(json.dumps({"name": "invalid_p", "germ": germ}))
+    proc = run_cli("check", "--scenario", str(scenario), "--out", str(out))
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr == ""
+    reports = {r["name"]: r for r in json.loads(out.read_text())["checks"]}
+    assert reports["structure"]["status"] == "fail"
+    assert 1e-6 < reports["structure"]["residuals"]["p_squared"] < 1e-5
+    assert reports["pointwise_algebra"]["status"] == "fail"
+    round_trip = reports["dim4_round_trip"]
+    assert round_trip["status"] == "skipped"
+    assert round_trip["skip_reason"] == (
+        "invalid almost product structure at the base point" if dim == 4
+        else "dimension is not 4")
+
+
 def test_cli_classify_rejects_a_structure_that_is_not_almost_product(tmp_path):
     # g = I with P = 2I: P^2 = 4, P(g) = 4g and trace P = 8, as decompose4 names them.
     diagonal = lambda value: [[value if i == j else "0" for j in range(4)] for i in range(4)]
@@ -556,7 +582,7 @@ def test_cli_decompose4(tmp_path):
 
 def test_cli_decompose4_explicit_structure(tmp_path):
     from apmlab.curvature import pi_tensors
-    from apmlab.tensors import split_structure
+    from structures import split_structure
 
     ps = split_structure(4)
     pi1, pi2, _ = pi_tensors(ps)

@@ -14,17 +14,16 @@ from apmlab.curvature import (
     curvature_like_residuals,
     decompose_dim4,
     is_p_tensor,
-    p_invariance_residual,
     p_slot_identities,
     p_slot_residuals,
     p_tensor_projection,
+    p_tensor_residuals,
     p_twist,
     pi_tensors,
     psi1,
     psi2,
     random_curvature_like,
     random_p_tensor,
-    sectional_curvatures,
 )
 from apmlab.structure import adapted_orthonormal_basis, f_symmetry_residuals
 from apmlab.tensors import (
@@ -34,9 +33,9 @@ from apmlab.tensors import (
     random_symmetric2,
     random_tensor2,
     random_tensor4,
-    split_structure,
 )
 from p_tensor_oracle import oracle_random_p_tensor
+from structures import split_structure
 
 
 @pytest.fixture(scope="module")
@@ -237,14 +236,18 @@ def test_decompose_matches_contraction_path(ps4):
     assert abs(tau_star - inv.tau_star) < 1e-12
 
 
+def plane_curvatures(l, basis):
+    """nu = L(E1, E2, E1, E2) and nu* = L(E1, E2, E1, PE2) on an adapted dim-4 basis."""
+    e1, e2, _, pe2 = basis.T
+    return tensor_value(l, e1, e2, e1, e2), tensor_value(l, e1, e2, e1, pe2)
+
+
 def test_sectional_curvatures(ps4):
     pi1, pi2, pi3 = pi_tensors(ps4)
     basis = adapted_orthonormal_basis(ps4)
-    nu, nu_star = sectional_curvatures(ps4, -(pi1 + pi2), basis)
+    nu, nu_star = plane_curvatures(-(pi1 + pi2), basis)
     assert abs(nu - 1.0) < 1e-12 and abs(nu_star) < 1e-12
-    assert sectional_curvatures(ps4, np.zeros((4,) * 4), basis) == (0.0, 0.0)
-    with pytest.raises(ValueError, match="adapted"):
-        sectional_curvatures(ps4, pi1, 2 * basis)
+    assert plane_curvatures(np.zeros((4,) * 4), basis) == (0.0, 0.0)
 
 
 def test_invariant_planes_have_zero_curvature(ps4):
@@ -318,7 +321,10 @@ def test_canonical_shape_reconstruction_via_ab_forms(ps4):
     # every dim-4 P-tensor is nu {aa + bb} + nu* {ab + ba} in adapted coords
     basis = adapted_orthonormal_basis(ps4)
     l = random_p_tensor(ps4, 11)
-    nu, nu_star = sectional_curvatures(ps4, l, basis)
+    nu, nu_star = plane_curvatures(l, basis)
+    # The same numbers by the library's routes: almost_einstein_check's nu, and -tau*/8.
+    assert abs(nu - almost_einstein_check(ps4, l).scalars["nu"]) < 1e-14
+    assert abs(nu_star + curvature_invariants(ps4, l).tau_star / 8) < 1e-12
     rng = np.random.default_rng(6)
     for _ in range(5):
         x, y, z, w = rng.normal(size=(4, 4))
@@ -572,7 +578,8 @@ def test_p_twist_matches_einsum_spec(make, dim):
     for t in single_and_stacked(lambda seeds: random_tensor4(dim, seeds)):
         spec = np.einsum("...ijab,ak,bl->...ijkl", t, ps.p, ps.p)
         assert_spec(p_twist(ps, t), spec, frob(ps.p) ** 2)
-        assert abs(p_invariance_residual(ps, t) - frob(spec - t)) <= 1e-13 * frob(spec)
+        residual = p_tensor_residuals(ps, t)["p_invariance"]
+        assert abs(residual - frob(spec - t)) <= 1e-13 * frob(spec)
 
 
 @pytest.mark.parametrize("make,dim", STRUCTURES)
@@ -680,16 +687,14 @@ def test_almost_einstein_planes_match_sectional_curvatures(make, dim):
     basis = adapted_orthonormal_basis(ps)
     e1, e2, pe1, pe2 = basis.T
     scale = frob(basis) ** 4  # of L on four basis vectors, for |L| = 1
-    # Any curvature-like L: the sectional curvatures are entries of its pull-back.
-    l = random_curvature_like(dim, 5)
-    nu, nu_star = sectional_curvatures(ps, l, basis)
-    assert abs(nu - tensor_value(l, e1, e2, e1, e2)) < 1e-13 * scale
-    assert abs(nu_star - tensor_value(l, e1, e2, e1, pe2)) < 1e-13 * scale
     # A P-tensor: its four totally real planes share nu, its invariant planes are flat.
     l = random_p_tensor(ps, 3)
     report = almost_einstein_check(ps, l)
     assert report.passed
     nu = report.scalars["nu"]
-    assert abs(nu - sectional_curvatures(ps, l, basis)[0]) < 1e-14 * scale
+    assert abs(nu - tensor_value(l, e1, e2, e1, e2)) < 1e-13 * scale
     assert abs(nu - tensor_value(l, pe1, pe2, pe1, pe2)) < 1e-13 * scale
     assert abs(nu) > 1e-3 * scale
+    # nu* = L(E1, E2, E1, PE2) is -tau*/8.
+    nu_star = tensor_value(l, e1, e2, e1, pe2)
+    assert abs(nu_star + curvature_invariants(ps, l).tau_star / 8) < 1e-13 * scale

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from apmlab import cli, jetfields
 from apmlab.exprs import FUNCTIONS, EvalError, parse_expr
-from apmlab.germs import conformal_flat_product_germ, flat_product_germ
+from apmlab.germs import conformal_flat_product_germ
 
 DIM = 4
 POINT = np.array([0.4, -0.7, 1.3, 2.1])
@@ -112,7 +112,7 @@ def test_a_constant_structure_has_degree_0_and_its_partial_is_the_zero_jet():
     dp = frame.p.partial()
     assert dp.degree == -1 and dp.order == 2
     assert not any(level.any() for level in dp.data)
-    flat = flat_product_germ(2).frame(order=3)
+    flat = conformal_flat_product_germ(2, "0").frame(order=3)
     assert flat.g.degree == flat.g_inv.degree == 0
     assert flat.first_kind.degree == flat.christoffel.degree == -1
 

@@ -3,10 +3,12 @@
 import numpy as np
 
 from apmlab.checks import ScenarioContext
-from apmlab.germs import ConnectionParams, flat_product_germ
+from apmlab.germs import ConnectionParams, conformal_flat_product_germ
 from apmlab.report import CheckReport
 from apmlab.scenarios import Scenario
-from apmlab.tensors import PointStructure, split_structure
+from apmlab.tensors import PointStructure
+
+from structures import split_structure
 
 
 def test_connection_params_key_a_dict_and_keep_their_repr():
@@ -19,7 +21,7 @@ def test_connection_params_key_a_dict_and_keep_their_repr():
 
 
 def test_a_context_builds_one_connection_per_equal_parameters():
-    ctx = ScenarioContext(germ=flat_product_germ(2))
+    ctx = ScenarioContext(germ=conformal_flat_product_germ(2, "0"))
     assert ctx.connection(ConnectionParams(0.0, 0.0)) is ctx.connection(ConnectionParams.d())
 
 
@@ -31,7 +33,7 @@ def _shared_containers(first, second) -> list[str]:
 
 
 def test_objects_built_with_default_dicts_and_lists_share_none():
-    germ = flat_product_germ(2)
+    germ = conformal_flat_product_germ(2, "0")
     pairs = [
         (CheckReport(name="a"), CheckReport(name="b")),
         (ScenarioContext(germ), ScenarioContext(germ)),

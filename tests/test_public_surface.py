@@ -3,13 +3,15 @@
 A name exported by ``apmlab/__init__.py`` must be read somewhere in
 ``src/apmlab`` outside its own definition and the export, or be named in the
 README's "Library entry points" section.  A name that only its own tests call
-fails here.
+fails here.  That section's example runs as written, and every function it
+names is an attribute of ``apmlab``.
 """
 
 import ast
 import dataclasses
 import importlib
 import inspect
+import math
 import os
 import pkgutil
 import re
@@ -75,6 +77,23 @@ def test_every_export_is_used_or_documented():
         if name not in read and not re.search(rf"\b{re.escape(name)}\b", section)
     ]
     assert unserved == []
+
+
+def test_library_entry_points_example_runs(capsys):
+    (example,) = re.findall(r"^```python\n(.*?)^```", library_entry_points_section(), re.M | re.S)
+    namespace: dict = {}
+    exec(compile(example, README, "exec"), namespace)
+    label, value = capsys.readouterr().out.splitlines()
+    assert label == "W1"
+    assert math.isfinite(float(value))
+    assert namespace["residual"] < 1e-12
+
+
+def test_library_entry_points_name_only_exports():
+    """Each `name(` the section writes, not a method as in `frame.connection(`, is exported."""
+    called = re.findall(r"`([A-Za-z_]\w*)\(", library_entry_points_section())
+    assert called
+    assert [name for name in called if not hasattr(apmlab, name)] == []
 
 
 def test_no_class_in_the_package_is_generated_at_import():

@@ -10,14 +10,19 @@ from apmlab.structure import (
     CLASS_W6BAR,
     _eigenclass_form,
     adapted_orthonormal_basis,
-    basis_residuals,
     classify_f,
     f_symmetry_residuals,
-    lee_form_from_f,
     projectors,
     w1_form,
 )
 from apmlab.tensors import PointStructure, StructureError, canonical_structure, frob
+
+
+def adapted_basis_residual(ps, basis):
+    """The larger of |B^T g B - I| and |B[:, n:] - P B[:, :n]|: 0 for an adapted orthonormal B."""
+    n = ps.n
+    return max(frob(basis.T @ ps.g @ basis - np.eye(ps.dim)),
+               frob(basis[:, n:] - ps.p @ basis[:, :n]))
 
 
 def random_theta(ps, seed):
@@ -63,8 +68,7 @@ def test_projectors_properties():
 def test_adapted_basis_postconditions_canonical():
     ps = canonical_structure(4)
     basis = adapted_orthonormal_basis(ps)
-    res = basis_residuals(ps, basis)
-    assert max(res.values()) < 1e-12
+    assert adapted_basis_residual(ps, basis) < 1e-12
 
 
 def test_adapted_basis_split_structure_unchanged():
@@ -77,7 +81,7 @@ def test_adapted_basis_split_structure_unchanged():
 def test_adapted_basis_conformal_scaling():
     ps = canonical_structure(4, conformal_factor=4.0)
     basis = adapted_orthonormal_basis(ps)
-    assert max(basis_residuals(ps, basis).values()) < 1e-12
+    assert adapted_basis_residual(ps, basis) < 1e-12
     # vectors carry the 1/2 normalization of the scaled metric
     assert np.allclose(np.abs(basis[np.nonzero(basis)]), 0.5)
 
@@ -92,13 +96,13 @@ def test_adapted_basis_generic_metric():
     ps = PointStructure(g, p)
     assert max(ps.invariant_residuals().values()) < 1e-8
     basis = adapted_orthonormal_basis(ps)
-    assert max(basis_residuals(ps, basis).values()) < 1e-10
+    assert adapted_basis_residual(ps, basis) < 1e-10
 
 
 def test_lee_form_of_zero_f():
     ps = canonical_structure(4)
-    theta, theta_p = lee_form_from_f(ps, np.zeros((4, 4, 4)))
-    assert frob(theta) == 0.0 and frob(theta_p) == 0.0
+    rep = classify_f(ps, np.zeros((4, 4, 4)))
+    assert frob(rep.theta) == 0.0 and frob(rep.theta_p) == 0.0
 
 
 def test_lee_form_round_trip_through_w1_form():
@@ -106,17 +110,9 @@ def test_lee_form_round_trip_through_w1_form():
     theta0 = np.array([0.4, -1.1, 0.3, 0.9])
     f = w1_form(ps, theta0)
     assert max(f_symmetry_residuals(ps, f).values()) < 1e-12
-    theta, theta_p = lee_form_from_f(ps, f)
-    assert frob(theta - theta0) < 1e-10
-    assert frob(theta_p - theta0 @ ps.p) < 1e-10
-
-
-def test_lee_form_rejects_broken_symmetries():
-    ps = canonical_structure(4)
-    bad = np.zeros((4, 4, 4))
-    bad[0, 1, 2] = 1.0
-    with pytest.raises(StructureError, match="symmetry violated"):
-        lee_form_from_f(ps, bad)
+    rep = classify_f(ps, f)
+    assert frob(rep.theta - theta0) < 1e-10
+    assert frob(rep.theta_p - theta0 @ ps.p) < 1e-10
 
 
 def test_w1_form_component_value():
@@ -205,7 +201,7 @@ def test_class_nesting_of_residuals(seed):
 def test_lee_form_round_trip_property(seed):
     ps = canonical_structure(4, conformal_factor=1.7)
     theta0 = random_theta(ps, seed)
-    theta, _ = lee_form_from_f(ps, w1_form(ps, theta0))
+    theta = classify_f(ps, w1_form(ps, theta0)).theta
     assert frob(theta - theta0) < 1e-10 * max(1.0, frob(theta0))
 
 
@@ -229,7 +225,7 @@ def test_eigenclass_outputs_have_exact_eigen_theta():
     h = 0.5 * (np.eye(4) + ps.p)
     v = 0.5 * (np.eye(4) - ps.p)
     theta = random_theta(ps, 6)
-    t3, t3p = lee_form_from_f(ps, _eigenclass_form(ps, v @ theta, +1.0))
-    assert frob(t3p + t3) < 1e-12
-    t6, t6p = lee_form_from_f(ps, _eigenclass_form(ps, h @ theta, -1.0))
-    assert frob(t6p - t6) < 1e-12
+    w3 = classify_f(ps, _eigenclass_form(ps, v @ theta, +1.0))
+    assert frob(w3.theta_p + w3.theta) < 1e-12
+    w6 = classify_f(ps, _eigenclass_form(ps, h @ theta, -1.0))
+    assert frob(w6.theta_p - w6.theta) < 1e-12

@@ -11,8 +11,9 @@ from apmlab.tensors import (
     metric_inverse,
     random_symmetric2,
     random_tensor4,
-    split_structure,
 )
+
+from structures import split_structure
 
 
 def test_metric_inverse_identity():

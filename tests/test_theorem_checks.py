@@ -717,8 +717,8 @@ LIVE_FAILS = {
         {"generator": "conformal_flat_product", "n": 2, "u": "ln(x1 - 0.09)"}, PRESET_SPECS),
     "nearly_singular_3e-7": (  # dim4_round_trip round_trip 2.7e-10 > 1e-10
         nearly_singular_metric(3e-7), PRESET_SPECS),
-    # Raises StructureError "invalid almost product structure: g_inverse", as
-    # |g^-1 g - I| = 2.1e-10 is held to the absolute 1e-10.
+    # structure g_inverse 2.1e-10 > 1e-10: |g^-1 g - I| is held to an absolute
+    # tolerance.  dim4_round_trip skips, as its eigenframe rejects the structure.
     "nearly_singular_1e-7": (nearly_singular_metric(1e-7), PRESET_SPECS),
 }
 
