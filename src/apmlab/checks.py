@@ -12,13 +12,15 @@ function, ``drive``, runs every check.  The declaration lists the check's
 residual keys, and the base tolerance of each key that has its own, in
 ``RESIDUALS``: scenario overrides are validated against it at load,
 ``drive`` builds each report's tolerances from it, and ``apmlab
-list-checks`` prints it.  Theorem checks are implications: each
-hypothesis is declared once, on ``ScenarioContext`` (``closedness``,
-``in_w1``, ``w1_outside_eigenclasses``, ``r_prime_p_tensor``) or on the
-check (its dimension), and a body states those it needs with ``requires``,
-which raises ``Skip`` when one fails, as ``_ln_abs`` does for a scalar
-combination too close to zero.  Each quantity two checks share has one home,
-a cached property of the context or of a ``ConnectionFrame``.
+list-checks`` prints it.  Theorem checks are implications: each hypothesis is
+one entry of ``HYPOTHESES``, its skip reason, measured by the
+``ScenarioContext`` member of its name.  The declaration names the check's
+hypotheses in ``GATES``, each with the jet order it is read to, and
+``drive`` evaluates them before the body, skipping on the first that fails.
+A body raises ``Skip`` only for a degeneracy met partway through, as
+``_ln_abs`` does for a scalar combination too close to zero.  Each quantity
+two checks share has one home, a cached property of the context or of a
+``ConnectionFrame``.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from .germs import (  # noqa: F401
 )
 from .jetfields import JetTensor, jt_einsum
 from .report import CheckReport
-from .tensors import StructureError, einsum, frob, random_symmetric2, random_tensor2
+from .tensors import DEFAULT_TOL, einsum, frob, random_symmetric2, random_tensor2
 
 # Tolerance ladder: pointwise algebra / first-derivative pipelines.
 TOL_ALGEBRA = 1e-10
@@ -63,6 +65,8 @@ class ScenarioContext:
     """A germ with the settings of one run; its frame and connections are built once.
 
     ``connections`` and ``tolerances`` left out are a new empty list and dict.
+    Each hypothesis of ``HYPOTHESES`` is measured by the member of its name: a
+    property of the germ, or a method ``(cf, order)`` of a connection frame.
     """
 
     def __init__(self, germ: ChartGerm, connections: list[ConnectionParams] | None = None,
@@ -80,10 +84,7 @@ class ScenarioContext:
         return self.germ.frame(order=BASE_ORDER)
 
     def connection(self, params: ConnectionParams) -> ConnectionFrame:
-        """The base frame's connection ``params``, built once per context.
-
-        Every check then reuses one torsion, R' and tau' per connection.
-        """
+        """The base frame's connection ``params``, built once: checks share its T, R', tau'."""
         if params not in self._connections:
             self._connections[params] = self.frame.connection(params)
         return self._connections[params]
@@ -102,14 +103,16 @@ class ScenarioContext:
 
     @cached_property
     def closedness(self) -> dict[str, bool]:
-        """Flags ``theta_closed`` and ``theta_p_closed`` of the Lee forms.
-
-        A form is closed when |d form| / max(1, |theta|) is below ``tol(CLOSED_TOL)``.
-        """
+        """``theta_closed``, ``theta_p_closed``: |d form| / max(1, |theta|) < tol(CLOSED_TOL)."""
         fr = self.frame
         scale, tol = max(1.0, frob(fr.theta.values)), self.tol(CLOSED_TOL)
         return {"theta_closed": frob(fr.d_theta) / scale < tol,
                 "theta_p_closed": frob(fr.d_theta_p) / scale < tol}
+
+    @cached_property
+    def valid_structure(self) -> bool:
+        """``PointStructure.require_valid``'s rule at the base point: DEFAULT_TOL, unscaled."""
+        return all(v < DEFAULT_TOL for v in self.frame.structure.invariant_residuals().values())
 
     @cached_property
     def in_w1(self) -> bool:
@@ -121,58 +124,76 @@ class ScenarioContext:
         """The standing hypothesis: the germ is W1 but in neither W3bar nor W6bar."""
         cls = self.class_report
         scale = max(1.0, frob(cls.theta))
-        return (
-            cls.label == struct.CLASS_W1
-            and frob(cls.theta - cls.theta_p) / scale > 1e-6
-            and frob(cls.theta + cls.theta_p) / scale > 1e-6
-        )
+        return (cls.label == struct.CLASS_W1 and frob(cls.theta - cls.theta_p) / scale > 1e-6
+                and frob(cls.theta + cls.theta_p) / scale > 1e-6)
 
-    def r_prime_p_tensor(self, cf: ConnectionFrame) -> bool:
-        """Whether the curvature R' of ``cf`` is a Riemannian P-tensor."""
-        return cf.p_tensor_residual < self.tol(TOL_FIRST_DERIV)
+    @cached_property
+    def eigenclass(self) -> bool:
+        """F is in W3bar or W6bar, where theta o P = +-theta."""
+        return self.class_report.label in (struct.CLASS_W3BAR, struct.CLASS_W6BAR)
+
+    def r_prime_p_tensor(self, cf: ConnectionFrame, order: int = 0) -> bool:
+        """Whether R' of ``cf`` is a Riemannian P-tensor to jet ``order`` (0 or 1): its
+        residual, then its ``p_tensor_defect`` (built only if needed), below tol(TOL_FIRST_DERIV).
+        """
+        tol = self.tol(TOL_FIRST_DERIV)
+        return cf.p_tensor_residual < tol and (order < 1 or cf.p_tensor_defect < tol)
+
+    def nondegenerate_connection(self, cf: ConnectionFrame, order: int = 0) -> bool:
+        """Whether ``cf`` is a preset or generic connection; its case has no jet to read."""
+        return cf.params.case(self.germ.n) != "degenerate"
 
 
-# Skip reasons of the hypotheses shared by several checks.
-IN_W1_GATE = "germ is not in W1 or a subclass"
-W1_GATE = "germ is not a W1-manifold outside W3bar u W6bar"
-P_TENSOR_GATE = "R' is not a Riemannian P-tensor"
+# Hypothesis -> the skip reason of a check that declares it, when it fails.  Only
+# r_prime_p_tensor is also recorded as a flag, by every report that evaluates it.
+HYPOTHESES = {
+    "valid_structure": "invalid almost product structure at the base point",
+    "in_w1": "germ is not in W1 or a subclass",
+    "w1_outside_eigenclasses": "germ is not a W1-manifold outside W3bar u W6bar",
+    "eigenclass": "germ is not in W3bar u W6bar",
+    "r_prime_p_tensor": "R' is not a Riemannian P-tensor",
+    "nondegenerate_connection": "degenerate connection family",
+}
 DEGENERATE_SCALARS = "degenerate scalar curvatures"
 
 
 class Skip(Exception):
-    """A hypothesis of a check does not hold; the message names it."""
+    """A degeneracy a check meets partway through its computation; the message names it."""
 
 
-def requires(holds: bool, reason: str) -> None:
-    """Skip the running check with ``reason`` unless ``holds``."""
-    if not holds:
-        raise Skip(reason)
-
-
-def _p_tensor_flag(ctx: ScenarioContext, report: CheckReport, cf: ConnectionFrame) -> bool:
-    """Record and return the flag "R' is a Riemannian P-tensor"."""
-    report.hypothesis_flags["r_prime_p_tensor"] = ctx.r_prime_p_tensor(cf)
-    return report.hypothesis_flags["r_prime_p_tensor"]
+def _require(ctx: ScenarioContext, report: CheckReport, gates: tuple, *args) -> None:
+    """Raise Skip with the reason of the first of ``gates`` to fail; a key's gate skips nothing."""
+    for hypothesis, order, key in gates:
+        holds = getattr(ctx, hypothesis)
+        if callable(holds):
+            holds = holds(*args, order)
+        if hypothesis == "r_prime_p_tensor":
+            report.hypothesis_flags[hypothesis] = holds
+        if not holds and key is None:
+            raise Skip(HYPOTHESES[hypothesis])
 
 
 def drive(ctx: ScenarioContext, name: str, base_tol: float, body,
-          per_connection: bool = False, dim: int | None = None) -> list[CheckReport]:
+          per_connection: bool = False, dim: int | None = None, records: tuple = ()
+          ) -> list[CheckReport]:
     """Run check ``name``: one report ``name[label]`` per connection, or one ``name``.
 
     ``body(ctx, report)`` fills the report, or with ``per_connection``
-    ``body(ctx, report, cf)`` that of each connection frame ``cf``.  A ``Skip``
-    raised by ``body`` marks its report skipped with the reason; a germ whose
-    dimension is not ``dim`` gets one bare-named skipped report.  Every
-    report, skipped ones included, carries the per-key tolerances ``name``
-    declares in ``RESIDUALS``, updated by the scenario's overrides of
-    ``name``.  A residual key ``name`` does not declare raises RuntimeError.
+    ``body(ctx, report, cf)`` that of each connection frame ``cf``, after
+    ``records`` and the hypotheses ``GATES`` declares: the first (the structure
+    gate), the dimension, then the rest.  A failing one, or a ``Skip`` raised
+    by ``body``, skips the report with its reason; a germ whose dimension is
+    not ``dim`` gets one bare-named report.  Every report, skipped ones
+    included, carries the per-key tolerances ``name`` declares in
+    ``RESIDUALS``, updated by the scenario's overrides of ``name``.  A
+    residual key ``name`` does not declare raises RuntimeError.
     """
     off_dim = dim is not None and ctx.germ.dim != dim
     runs = [(name, ())]
     if per_connection and not off_dim:
         runs = [(f"{name}[{cp.label(ctx.germ.n)}]", (ctx.connection(cp),))
                 for cp in ctx.connections]
-    declared = RESIDUALS[name]
+    declared, gates = RESIDUALS[name], GATES.get(name, ())
     overrides = ctx.tolerances.get(name, {})
     own = {key: tol for key, tol in declared.items() if tol is not None}
     tolerances = {key: ctx.tol(tol) for key, tol in {**own, **overrides}.items() if key != "*"}
@@ -180,8 +201,15 @@ def drive(ctx: ScenarioContext, name: str, base_tol: float, body,
     for label, args in runs:
         report = CheckReport(name=label, tol=ctx.tol(overrides.get("*", base_tol)),
                              tolerances=dict(tolerances))
+        if "closedness" in records:
+            report.hypothesis_flags.update(ctx.closedness)
+        if "case" in records:
+            report.notes.append(f"case={args[0].params.case(ctx.germ.n)}")
         try:
-            requires(not off_dim, f"dimension is not {dim}")
+            _require(ctx, report, gates[:1], *args)
+            if off_dim:
+                raise Skip(f"dimension is not {dim}")
+            _require(ctx, report, gates[1:], *args)
             body(ctx, report, *args)
         except Skip as exc:
             report.skip(str(exc))
@@ -197,24 +225,34 @@ CHECKS: dict = {}
 # name -> {residual key: the key's own base tolerance, or None}, kept apart from
 # CHECKS, whose entries perfbench/tracing.py swaps during a traced run.
 RESIDUALS: dict[str, dict[str, float | None]] = {}
+# name -> the check's hypotheses, each (hypothesis, jet order, residual key or None).
+GATES: dict[str, tuple] = {}
 # The checks that write one report per connection, and none without one.
 PER_CONNECTION: set[str] = set()
 
 
 def check(name: str, base_tol: float, description: str, *, residuals: tuple,
-          per_connection: bool = False, dim: int | None = None):
+          hypotheses: tuple = (), records: tuple = (), per_connection: bool = False,
+          dim: int | None = None):
     """Register the decorated body as check ``name`` in ``CHECKS``, run by ``drive``.
 
     ``residuals`` lists every key the body can write, over all its branches; a
-    ``(key, tol)`` pair gives that key its own base tolerance.  The decorated
-    name is bound to the check, ``fn(ctx)``.
+    ``(key, tol)`` pair gives that key its own base tolerance.  ``hypotheses``
+    names entries of ``HYPOTHESES`` in order: a name is read at the base
+    point, ``(name, order)`` to jet order ``order``, and ``(name, order,
+    key)`` guards the residual ``key`` alone.  ``records`` is what ``drive``
+    writes first: "closedness", the Lee-form flags, and "case", the
+    connection's ``case=`` note.  The decorated name is bound to ``fn(ctx)``.
     """
 
     def declare(body):
         RESIDUALS[name] = dict(key if isinstance(key, tuple) else (key, None) for key in residuals)
+        entries = ((h,) if isinstance(h, str) else h for h in hypotheses)
+        GATES[name] = tuple(entry + (0, None)[len(entry) - 1:] for entry in entries)
         if per_connection:
             PER_CONNECTION.add(name)
-        run = wraps(body)(lambda ctx: drive(ctx, name, base_tol, body, per_connection, dim))
+        run = wraps(body)(lambda ctx: drive(ctx, name, base_tol, body, per_connection, dim,
+                                            records))
         CHECKS[name] = (run, description)
         return run
 
@@ -250,7 +288,8 @@ def check_structure(ctx: ScenarioContext, report: CheckReport):
 
 
 @check("classification", 1e-9, "F symmetries, W-class label and Lee-form closedness",
-       residuals=("f_last_two_symmetry", "f_double_p_skew", "f_single_p_skew"))
+       residuals=("f_last_two_symmetry", "f_double_p_skew", "f_single_p_skew"),
+       hypotheses=("valid_structure",), records=("closedness",))
 def check_classification(ctx: ScenarioContext, report: CheckReport):
     """F symmetries, class label and Lee-form closedness: the germ-level hypotheses."""
     fr = ctx.frame
@@ -258,10 +297,8 @@ def check_classification(ctx: ScenarioContext, report: CheckReport):
     for key, value in struct.f_symmetry_residuals(fr.structure, fr.f_tensor.values).items():
         report.residuals[f"f_{key}"] = value / scale
     cls = ctx.class_report
-    report.scalars["theta_norm"] = frob(cls.theta)
-    report.scalars["d_theta_norm"] = frob(fr.d_theta)
-    report.scalars["d_theta_p_norm"] = frob(fr.d_theta_p)
-    report.hypothesis_flags.update(ctx.closedness)
+    report.scalars.update({"theta_norm": frob(cls.theta), "d_theta_norm": frob(fr.d_theta),
+                           "d_theta_p_norm": frob(fr.d_theta_p)})
     report.notes.append(f"label={cls.label}")
     for name, value in cls.as_dict()["residuals"].items():
         report.scalars[f"class_residual_{name}"] = value
@@ -271,7 +308,7 @@ def check_classification(ctx: ScenarioContext, report: CheckReport):
 
 
 @check("levi_civita", TOL_ALGEBRA, "Torsion-free metric connection residuals",
-       residuals=("torsion_free", "metric_parallel"))
+       residuals=("torsion_free", "metric_parallel"), hypotheses=("valid_structure",))
 def check_levi_civita(ctx: ScenarioContext, report: CheckReport):
     """Gamma is symmetric and g parallel, to first order at the base point."""
     fr = ctx.frame
@@ -282,7 +319,8 @@ def check_levi_civita(ctx: ScenarioContext, report: CheckReport):
 
 
 @check("curvature_like", 1e-9, "Curvature identities of the Levi-Civita tensor",
-       residuals=("first_pair_skew", "last_pair_skew", "first_bianchi", "pair_symmetry"))
+       residuals=("first_pair_skew", "last_pair_skew", "first_bianchi", "pair_symmetry"),
+       hypotheses=("valid_structure",))
 def check_curvature_like(ctx: ScenarioContext, report: CheckReport):
     r = ctx.frame.curvature.values
     report.residuals.update(curv.curvature_like_residuals(r))
@@ -299,18 +337,13 @@ def _transfer_correction(ctx: ScenarioContext, cf: ConnectionFrame) -> np.ndarra
     """g(p,p) pi1 + g(q,q) pi2 + g(p,q) pi3 + psi1(S') + psi2(S''): R' - R."""
     pi1, pi2, pi3 = curv.pi_tensors(ctx.frame.structure)
     tr = cf.transfer
-    return (
-        tr["g_pp"] * pi1
-        + tr["g_qq"] * pi2
-        + tr["g_pq"] * pi3
-        + cf.transfer_psi
-    )
+    return tr["g_pp"] * pi1 + tr["g_qq"] * pi2 + tr["g_pq"] * pi3 + cf.transfer_psi
 
 
 @check("natural_connection", TOL_ALGEBRA, "Torsion family and parallelism residuals",
        residuals=(("torsion_match", 1e-12), "metric_parallel", ("structure_parallel", 1e-8),
                   ("torsion_p_identity", 1e-12), "explicit_formula"),
-       per_connection=True)
+       hypotheses=("valid_structure", ("in_w1", 0, "structure_parallel")), per_connection=True)
 def check_natural_connection(ctx: ScenarioContext, report: CheckReport, cf: ConnectionFrame):
     fr = ctx.frame
     eye = np.eye(ctx.germ.dim)
@@ -320,25 +353,21 @@ def check_natural_connection(ctx: ScenarioContext, report: CheckReport, cf: Conn
     if ctx.in_w1:
         report.residuals["structure_parallel"] = cf.structure_parallel_residual()
     else:
-        report.notes.append(f"structure parallelism skipped: {IN_W1_GATE}")
+        report.notes.append(f"structure parallelism skipped: {HYPOTHESES['in_w1']}")
 
     # T(x,y) - P T(Px,y) = {th(Px) y - th(x) Py} / 2n, for every (lam, mu);
     # P T(Px,y) is P T P on the slots m, i of T^m_ij, moved last.
     tm = cf.torsion_mixed
     pv = fr.p.values
     lhs = tm - (pv @ tm.transpose(2, 0, 1) @ pv).transpose(1, 2, 0)
-    rhs = (
-        einsum("i,mj->mij", fr.theta_p.values, eye)
-        - einsum("i,mj->mij", fr.theta.values, pv)
-    ) / (2 * fr.n)
+    rhs = (einsum("i,mj->mij", fr.theta_p.values, eye)
+           - einsum("i,mj->mij", fr.theta.values, pv)) / (2 * fr.n)
     report.residuals["torsion_p_identity"] = frob(lhs - rhs)
 
     case = cf.params.case(fr.n)
     if case == "D":
-        expl = fr.christoffel.values + (
-            einsum("ij,k->kij", fr.g.values, pv @ fr.omega.values)
-            - einsum("j,ki->kij", fr.theta_p.values, eye)
-        ) / (2 * fr.n)
+        expl = fr.christoffel.values + (einsum("ij,k->kij", fr.g.values, pv @ fr.omega.values)
+                                        - einsum("j,ki->kij", fr.theta_p.values, eye)) / (2 * fr.n)
         report.residuals["explicit_formula"] = frob(cf.gamma.values - expl)
     elif case == "D_tilde":
         # Diagnostic only: the printed formula read with a vector-valued
@@ -351,18 +380,19 @@ def check_natural_connection(ctx: ScenarioContext, report: CheckReport, cf: Conn
 
 
 @check("curvature_relation", TOL_FIRST_DERIV, "Curvature transfer between connections",
-       residuals=("curvature_relation",), per_connection=True)
+       residuals=("curvature_relation",), hypotheses=("valid_structure", "in_w1"),
+       per_connection=True)
 def check_curvature_relation(ctx: ScenarioContext, report: CheckReport, cf: ConnectionFrame):
     """Reconstruction of the Levi-Civita curvature from a natural connection."""
-    requires(ctx.in_w1, IN_W1_GATE)
-    tr = cf.transfer
     rebuilt = cf.curvature.values - _transfer_correction(ctx, cf)
     report.residuals["curvature_relation"] = frob(ctx.frame.curvature.values - rebuilt)
-    report.scalars.update({key: tr[key] for key in ("g_pp", "g_qq", "g_pq")})
+    report.scalars.update({key: cf.transfer[key] for key in ("g_pp", "g_qq", "g_pq")})
 
 
 @check("p_tensor_cases", TOL_FIRST_DERIV, "Which connections give Riemannian P-tensors",
-       residuals=("p_tensor", "p_tensor_refuted_margin"), per_connection=True)
+       residuals=("p_tensor", "p_tensor_refuted_margin"),
+       hypotheses=("valid_structure", "w1_outside_eigenclasses"), records=("closedness", "case"),
+       per_connection=True)
 def check_p_tensor_cases(ctx: ScenarioContext, report: CheckReport, cf: ConnectionFrame):
     """Case analysis of which natural connections make R' a Riemannian P-tensor.
 
@@ -374,29 +404,22 @@ def check_p_tensor_cases(ctx: ScenarioContext, report: CheckReport, cf: Connecti
     cannot give one when exactly one form is closed, since D or D_tilde is
     then the only such connection; otherwise it carries no claim.  A claimed
     P-tensor asserts R''s P-tensor residual; a forbidden one fails when R'
-    passes the gate ``ScenarioContext.r_prime_p_tensor`` that every P-tensor
-    hypothesis reads.  Refutations are skipped when they would be vacuous: a
-    vanishing R' satisfies every P-tensor identity, and with both Lee forms
-    closed the preset connections themselves carry P-tensor curvature (the
-    conformal family over a flat product realizes this).
+    passes ``ScenarioContext.r_prime_p_tensor`` to order 0.  Refutations are
+    skipped when they would be vacuous: a vanishing R' satisfies every
+    P-tensor identity, and with both Lee forms closed the preset connections
+    themselves carry P-tensor curvature (the conformal family over a flat
+    product realizes this).
     """
-    flags = ctx.closedness
-    theta_closed, theta_p_closed = flags["theta_closed"], flags["theta_p_closed"]
+    theta_closed, theta_p_closed = ctx.closedness["theta_closed"], ctx.closedness["theta_p_closed"]
     expected = {
         "D": (not theta_closed) and theta_p_closed,
         "D_tilde": theta_closed and not theta_p_closed,
         "generic": theta_closed and theta_p_closed,
         "degenerate": False if theta_closed != theta_p_closed else None,
     }
-    case = cf.params.case(ctx.germ.n)
-    report.hypothesis_flags.update(flags)
-    report.notes.append(f"case={case}")
-    requires(ctx.w1_outside_eigenclasses, W1_GATE)
-    residual = cf.p_tensor_residual
-    curvature_scale = frob(cf.curvature.values)
-    report.scalars["p_tensor_residual"] = residual
-    report.scalars["r_prime_norm"] = curvature_scale
-    claim = expected[case]
+    residual, curvature_scale = cf.p_tensor_residual, frob(cf.curvature.values)
+    report.scalars.update({"p_tensor_residual": residual, "r_prime_norm": curvature_scale})
+    claim = expected[cf.params.case(ctx.germ.n)]
     if claim is None:
         report.notes.append("degenerate case: necessary condition only")
     elif claim:
@@ -412,11 +435,12 @@ def check_p_tensor_cases(ctx: ScenarioContext, report: CheckReport, cf: Connecti
 
 
 @check("second_bianchi", 1e-6, "Differential curvature identities",
-       residuals=("cyclic_identity", "p_twisted_identity"), per_connection=True)
+       residuals=("cyclic_identity", "p_twisted_identity"),
+       hypotheses=("valid_structure", ("r_prime_p_tensor", 1, "p_twisted_identity")),
+       per_connection=True)
 def check_second_bianchi(ctx: ScenarioContext, report: CheckReport, cf: ConnectionFrame):
     """Differential identities of R': the cyclic (second Bianchi) identity holds
-    for every connection of the family; the P-twisted derived identity and the
-    scalar-curvature system require R' to be a P-tensor.
+    for every connection of the family, the P-twisted one where R' is a P-tensor.
     """
     fr = ctx.frame
     pv = fr.p.values
@@ -426,41 +450,33 @@ def check_second_bianchi(ctx: ScenarioContext, report: CheckReport, cf: Connecti
     cyc = b + b.transpose(2, 0, 1, 3, 4) + b.transpose(1, 2, 0, 3, 4)
     report.residuals["cyclic_identity"] = frob(cyc)
 
-    if _p_tensor_flag(ctx, report, cf):
+    if report.hypothesis_flags["r_prime_p_tensor"]:
         # R'(x,Py,z,w), and (grad_{Pm} R')(.,.,.,Pl) with the slots m, l moved last.
         r_pz = (rv.swapaxes(1, 3) @ pv).swapaxes(1, 3)
-        derived = (
-            nr
-            - (pv.T @ nr.transpose(1, 2, 3, 0, 4) @ pv).transpose(3, 0, 1, 2, 4)
-            + (
-                einsum("m,ijkl->mijkl", fr.theta_p.values, rv)
-                - einsum("m,ijkl->mijkl", fr.theta.values, r_pz)
-            )
-            / fr.n
-        )
+        derived = (nr - (pv.T @ nr.transpose(1, 2, 3, 0, 4) @ pv).transpose(3, 0, 1, 2, 4)
+                   + (einsum("m,ijkl->mijkl", fr.theta_p.values, rv)
+                      - einsum("m,ijkl->mijkl", fr.theta.values, r_pz)) / fr.n)
         report.residuals["p_twisted_identity"] = frob(derived)
     else:
         report.notes.append("P-twisted identity skipped: R' is not a P-tensor")
 
 
 @check("scalar_system", TOL_FIRST_DERIV, "Linear system for the Lee forms",
-       residuals=("system_direct", "system_p_substituted"), per_connection=True)
+       residuals=("system_direct", "system_p_substituted"),
+       hypotheses=("valid_structure", ("r_prime_p_tensor", 1)), per_connection=True)
 def check_scalar_system(ctx: ScenarioContext, report: CheckReport, cf: ConnectionFrame):
     """The linear system tying the Lee forms to the scalar curvatures of R'."""
     fr = ctx.frame
     pv = fr.p.values
     theta, theta_p = fr.theta.values, fr.theta_p.values
-    requires(_p_tensor_flag(ctx, report, cf), P_TENSOR_GATE)
-    tau = float(cf.tau.values)
-    tau_star = float(cf.tau_star.values)
-    d_tau = cf.tau.data[1]
-    d_tau_star = cf.tau_star.data[1]
+    tau, tau_star = float(cf.tau.values), float(cf.tau_star.values)
+    d_tau, d_tau_star = cf.tau.data[1], cf.tau_star.data[1]
     r_direct = d_tau - d_tau_star @ pv + (theta_p * tau - theta * tau_star) / fr.n
     r_swapped = d_tau @ pv - d_tau_star + (theta * tau - theta_p * tau_star) / fr.n
     report.residuals["system_direct"] = frob(r_direct)
     report.residuals["system_p_substituted"] = frob(r_swapped)
-    delta = tau_star**2 - tau**2
-    report.scalars.update({"tau_prime": tau, "tau_star_prime": tau_star, "delta": delta})
+    report.scalars.update({"tau_prime": tau, "tau_star_prime": tau_star,
+                           "delta": tau_star**2 - tau**2})
 
 
 # ---------------------------------------------------------------------------
@@ -487,12 +503,14 @@ def _tau_branch(cf: ConnectionFrame) -> float:
     tau, tau_star = float(cf.tau.values), float(cf.tau_star.values)
     if abs(abs(tau_star) - abs(tau)) > 1e-8 * max(1.0, abs(tau), abs(tau_star)):
         return 0.0
-    requires(abs(tau) > 1e-8, DEGENERATE_SCALARS)
+    if not abs(tau) > 1e-8:
+        raise Skip(DEGENERATE_SCALARS)
     return 1.0 if tau_star * tau > 0 else -1.0
 
 
 @check("lee_recovery", TOL_FIRST_DERIV, "Lee form from scalar curvatures",
        residuals=("theta_recovery", "theta_p_recovery", "equal_magnitude_combination"),
+       hypotheses=("valid_structure", "w1_outside_eigenclasses", ("r_prime_p_tensor", 1)),
        per_connection=True)
 def check_lee_recovery(ctx: ScenarioContext, report: CheckReport, cf: ConnectionFrame):
     """Recovery of the Lee form from the scalar curvatures of R'.
@@ -508,13 +526,10 @@ def check_lee_recovery(ctx: ScenarioContext, report: CheckReport, cf: Connection
     theta, theta_p = fr.theta.values, fr.theta_p.values
     n = fr.n
     theta_scale = max(1e-10, frob(theta))
-    requires(ctx.w1_outside_eigenclasses, W1_GATE)
-    requires(_p_tensor_flag(ctx, report, cf), P_TENSOR_GATE)
     t, ts = cf.tau, cf.tau_star
-    tau = float(t.values)
-    tau_star = float(ts.values)
-    delta = tau_star**2 - tau**2
-    report.scalars.update({"tau_prime": tau, "tau_star_prime": tau_star, "delta": delta})
+    tau, tau_star = float(t.values), float(ts.values)
+    report.scalars.update({"tau_prime": tau, "tau_star_prime": tau_star,
+                           "delta": tau_star**2 - tau**2})
     eps = _tau_branch(cf)
     if not eps:
         grad_ratio = (_ln_abs(ts + t) - _ln_abs(ts - t)).data[1]
@@ -532,7 +547,9 @@ def check_lee_recovery(ctx: ScenarioContext, report: CheckReport, cf: Connection
 @check("tau_form_closedness", TOL_FIRST_DERIV, "Closedness of tau-combination forms",
        residuals=("ratio_form_closed", "delta_form_closed", "ln_tau_form_closed",
                   "d_theta_match", "d_theta_p_match"),
-       per_connection=True)
+       hypotheses=("valid_structure", "w1_outside_eigenclasses", ("r_prime_p_tensor", 1),
+                   "nondegenerate_connection"),
+       records=("case",), per_connection=True)
 def check_tau_form_closedness(ctx: ScenarioContext, report: CheckReport, cf: ConnectionFrame):
     """Closedness of the P-composed tau-combination forms per connection case.
 
@@ -548,10 +565,6 @@ def check_tau_form_closedness(ctx: ScenarioContext, report: CheckReport, cf: Con
     fr = ctx.frame
     n = fr.n
     case = cf.params.case(n)
-    report.notes.append(f"case={case}")
-    requires(ctx.w1_outside_eigenclasses, W1_GATE)
-    requires(_p_tensor_flag(ctx, report, cf), P_TENSOR_GATE)
-    requires(case != "degenerate", "degenerate connection family")
     eps = _tau_branch(cf)
     t, ts = cf.scalar_curvatures  # with their Hessians, built here on first read
     if not eps:
@@ -574,7 +587,7 @@ def check_tau_form_closedness(ctx: ScenarioContext, report: CheckReport, cf: Con
 @check("eigenclass_lee_recovery", TOL_FIRST_DERIV, "Lee-form formulas inside W3bar / W6bar",
        residuals=("lee_scalar_identity", "theta_recovery", "difference_form_closed",
                   "sum_form_closed", "tau_form_closed"),
-       per_connection=True)
+       hypotheses=("valid_structure", "eigenclass", ("r_prime_p_tensor", 1)), per_connection=True)
 def check_eigenclass_lee_recovery(ctx: ScenarioContext, report: CheckReport, cf: ConnectionFrame):
     """Lee-form recovery formulas for germs inside W3bar or W6bar.
 
@@ -588,13 +601,9 @@ def check_eigenclass_lee_recovery(ctx: ScenarioContext, report: CheckReport, cf:
     pv = fr.p.values
     theta = fr.theta.values
     n = fr.n
-    label = ctx.class_report.label
-    sign = 1.0 if label == struct.CLASS_W3BAR else -1.0
-    requires(label in (struct.CLASS_W3BAR, struct.CLASS_W6BAR), "germ is not in W3bar u W6bar")
-    requires(_p_tensor_flag(ctx, report, cf), P_TENSOR_GATE)
+    sign = 1.0 if ctx.class_report.label == struct.CLASS_W3BAR else -1.0
     t, ts = cf.tau, cf.tau_star
-    tau = float(t.values)
-    tau_star = float(ts.values)
+    tau, tau_star = float(t.values), float(ts.values)
     report.scalars.update({"tau_prime": tau, "tau_star_prime": tau_star})
     if sign > 0:
         # theta (tau*' + tau') = n {d tau*'(x) - d tau'(Px)}
@@ -634,23 +643,19 @@ _DIM4_PRESETS = {
 # germ scalars whose combination that trace equals.
 _DIM4_TRACES = {
     "d_tr_s_prime": ("D", "tr_s_prime", {"div_p_omega": 1 / 4, "theta_omega": 1 / 16}),
-    "d_tr_s_prime_assoc": ("D", "tr_s_prime_assoc",
-                           {"div_omega": 1 / 4, "theta_p_omega": -3 / 16}),
+    "d_tr_s_prime_assoc": ("D", "tr_s_prime_assoc", {"div_omega": 1 / 4, "theta_p_omega": -3 / 16}),
     "dt_tr_s_prime": ("D_tilde", "tr_s_prime", {"theta_omega": 1 / 16}),
     "dt_tr_s_prime_assoc": ("D_tilde", "tr_s_prime_assoc", {"theta_p_omega": 1 / 16}),
-    "dt_tr_s_dprime": ("D_tilde", "tr_s_dprime",
-                       {"div_p_omega": -1 / 4, "theta_omega": -1 / 4}),
+    "dt_tr_s_dprime": ("D_tilde", "tr_s_dprime", {"div_p_omega": -1 / 4, "theta_omega": -1 / 4}),
     "dt_tr_s_dprime_assoc": ("D_tilde", "tr_s_dprime_assoc", {"div_omega": -1 / 4}),
 }
 
 
 @check("dim4_traces", 1e-5, "Unconditional dim-4 trace identities",
-       residuals=tuple(_DIM4_TRACES), dim=4)
+       residuals=tuple(_DIM4_TRACES), hypotheses=("valid_structure",), dim=4)
 def check_dim4_traces(ctx: ScenarioContext, report: CheckReport):
-    """Trace identities of the transfer tensors for the two preset connections.
-
-    These hold on every 4-dimensional W1 germ, independent of any curvature
-    hypothesis.
+    """Trace identities of the transfer tensors for the two preset connections: they
+    hold on every 4-dimensional W1 germ, independent of any curvature hypothesis.
     """
     presets = {"D": ConnectionParams.d(), "D_tilde": ConnectionParams.d_tilde(2)}
     scalars = {case: ctx.connection(cp).trace_scalars for case, cp in presets.items()}
@@ -663,23 +668,17 @@ def check_dim4_traces(ctx: ScenarioContext, report: CheckReport):
        residuals=("curvature_from_scalars", "preset_reconstruction", "tau_transfer",
                   "tau_star_transfer", "tau_from_traces", "tau_star_from_traces",
                   "final_display"),
-       per_connection=True, dim=4)
+       hypotheses=("valid_structure", ("r_prime_p_tensor", 0), "in_w1"), per_connection=True,
+       dim=4)
 def check_dim4_reconstruction(ctx: ScenarioContext, report: CheckReport, cf: ConnectionFrame):
-    """Levi-Civita curvature reconstructed from R' scalar curvatures (dim 4).
-
-    Conditional on R' being a Riemannian P-tensor and on the germ being in
-    W1, where the R -> R' transfer it reads is derived; the preset
-    connections additionally verify their explicit trace and
-    scalar-curvature relations.
+    """Levi-Civita curvature reconstructed from R' scalar curvatures (dim 4), on W1,
+    where the R -> R' transfer it reads is derived; the preset connections also
+    verify their explicit trace and scalar-curvature relations.
     """
     fr = ctx.frame
-    ps = fr.structure
-    pis = curv.pi_tensors(ps)
+    pis = curv.pi_tensors(fr.structure)
     r = fr.curvature.values
-    requires(_p_tensor_flag(ctx, report, cf), P_TENSOR_GATE)
-    requires(ctx.in_w1, IN_W1_GATE)
-    tau_p = float(cf.tau.values)
-    tau_star_p = float(cf.tau_star.values)
+    tau_p, tau_star_p = float(cf.tau.values), float(cf.tau_star.values)
     from_scalars = curv.dim4_from_scalars(pis, tau_p, tau_star_p)
     rebuilt = from_scalars - _transfer_correction(ctx, cf)
     report.residuals["curvature_from_scalars"] = frob(r - rebuilt)
@@ -704,7 +703,7 @@ def check_dim4_reconstruction(ctx: ScenarioContext, report: CheckReport, cf: Con
 
 
 @check("dim4_round_trip", TOL_ALGEBRA, "Random P-tensors rebuilt from their scalar curvatures",
-       residuals=("round_trip",), dim=4)
+       residuals=("round_trip",), hypotheses=("valid_structure",), dim=4)
 def check_dim4_round_trip(ctx: ScenarioContext, report: CheckReport):
     """Random Riemannian P-tensors rebuilt from their scalar curvatures.
 
@@ -713,16 +712,14 @@ def check_dim4_round_trip(ctx: ScenarioContext, report: CheckReport):
     distance of L from that rebuild.
     """
     ps = ctx.frame.structure
-    try:  # the eigenframe of random_p_tensor validates the structure
-        samples = curv.random_p_tensor(ps, range(ctx.seed * 1000, ctx.seed * 1000 + 5))
-    except StructureError:
-        raise Skip("invalid almost product structure at the base point") from None
+    samples = curv.random_p_tensor(ps, range(ctx.seed * 1000, ctx.seed * 1000 + 5))
     report.residuals["round_trip"] = float(np.max(curv.decompose_dim4(ps, samples)[2]))
 
 
 @check("pointwise_algebra", 1e-12, "psi/pi identities at the base structure",
        residuals=("psi1_symmetric_curvature_like", "psi2_p_twist_identity", "pi_sum_p_tensor",
-                  "pi3_p_tensor", "psi1_g_is_two_pi1", "psi1_asymmetric_detected"))
+                  "pi3_p_tensor", "psi1_g_is_two_pi1", "psi1_asymmetric_detected"),
+       hypotheses=("valid_structure",))
 def check_pointwise_algebra(ctx: ScenarioContext, report: CheckReport):
     """psi/pi identities at the germ's point structure, over five seeded samples at once."""
     ps = ctx.frame.structure
@@ -751,6 +748,5 @@ def check_pointwise_algebra(ctx: ScenarioContext, report: CheckReport):
 def run_checks(ctx: ScenarioContext, names: list[str] | None = None) -> list[CheckReport]:
     reports: list[CheckReport] = []
     for name in CHECKS if names is None else names:
-        fn, _ = CHECKS[name]
-        reports.extend(fn(ctx))
+        reports.extend(CHECKS[name][0](ctx))
     return reports

@@ -9,7 +9,7 @@ from functools import cache
 
 import numpy as np
 
-from .checks import CHECKS, RESIDUALS
+from .checks import CHECKS, GATES, RESIDUALS
 from .curvature import decompose_dim4, is_p_tensor
 from .exprs import EvalError, ParseError
 from .report import CheckReport, emit_report, exit_code, report_timestamp, summarize
@@ -152,6 +152,10 @@ def cmd_list_checks(_args: argparse.Namespace) -> int:
         print(f"  {name:24s} {description}")
         keys = (key if tol is None else f"{key} ({tol:g})" for key, tol in RESIDUALS[name].items())
         print(f"  {'':24s} residuals: {', '.join(keys)}")
+        gates = [f"{hypothesis} (order {order}{'' if key is None else f', {key} only'})"
+                 for hypothesis, order, key in GATES[name]]
+        if gates:
+            print(f"  {'':24s} hypotheses: {', '.join(gates)}")
     print("bundled scenarios:")
     for name in bundled_scenario_names():
         print(f"  {name}")

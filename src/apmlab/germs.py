@@ -587,6 +587,20 @@ class ConnectionFrame:
         return max(curv.p_tensor_residuals(self.frame.structure, self.curvature.values).values())
 
     @cached_property
+    def p_tensor_defect(self) -> float:
+        """Level 1 of "R' is a Riemannian P-tensor": the worst of the pair skews, the
+        first Bianchi sum and R'(x,y,Pz,Pw) - R' (with P's jet) on the first
+        derivatives of R', relative to max(1, |R'|, |d R'|).
+        """
+        r, p = self.curvature, self.frame.p
+        d_r = r.data[1]  # with its derivative axis first, a stack of rank-4 tensors
+        defects = [frob(v) for v in curv.curvature_like_residuals(d_r.transpose(4, 0, 1, 2, 3))
+                   .values()]
+        twisted = jt_level("ijkb,bl->ijkl", jt_einsum("ijab,ak->ijkb", r, p), p, 1)
+        defects.append(frob(twisted - d_r))
+        return max(defects) / max(1.0, frob(r.values), frob(d_r))
+
+    @cached_property
     def nabla_curvature(self) -> np.ndarray:
         """(grad'_m R')(i,j,k,l) from exact jets, axes (m, i, j, k, l)."""
         return _covariant(self.curvature, self.gamma, "dddd").values

@@ -445,8 +445,9 @@ def test_cli_check_reports_an_f_that_breaks_its_symmetries(tmp_path):
 @pytest.mark.parametrize("n", [2, 3])
 def test_cli_check_reports_an_invalid_structure_alike_in_every_dimension(tmp_path, n):
     # g = I with P = diag(I_n, -I_n)(1 + 1e-6): P^2 - I is 2e-6 on the diagonal.
-    # dim4_round_trip's eigenframe validates the structure; its rejection is a
-    # skip, so dim 4 reports the invalid structure as dim 6 does, with exit 1.
+    # structure fails, and every other check declares the structure gate first,
+    # before its dimension: each skips with the gate's reason, and both
+    # dimensions exit 1.
     dim = 2 * n
     grid = lambda entries: [[entries[i] if i == j else "0" for j in range(dim)]
                             for i in range(dim)]
@@ -458,14 +459,13 @@ def test_cli_check_reports_an_invalid_structure_alike_in_every_dimension(tmp_pat
     assert proc.returncode == 1, proc.stderr
     assert proc.stderr == ""
     reports = {r["name"]: r for r in json.loads(out.read_text())["checks"]}
-    assert reports["structure"]["status"] == "fail"
-    assert 1e-6 < reports["structure"]["residuals"]["p_squared"] < 1e-5
-    assert reports["pointwise_algebra"]["status"] == "fail"
-    round_trip = reports["dim4_round_trip"]
-    assert round_trip["status"] == "skipped"
-    assert round_trip["skip_reason"] == (
-        "invalid almost product structure at the base point" if dim == 4
-        else "dimension is not 4")
+    structure = reports.pop("structure")
+    assert structure["status"] == "fail"
+    assert 1e-6 < structure["residuals"]["p_squared"] < 1e-5
+    assert {name.split("[")[0] for name in reports} == set(apmlab.checks.CHECKS) - {"structure"}
+    for name, report in reports.items():
+        assert (report["status"], report["skip_reason"]) == (
+            "skipped", "invalid almost product structure at the base point"), name
 
 
 def test_cli_classify_rejects_a_structure_that_is_not_almost_product(tmp_path):
@@ -667,6 +667,12 @@ def test_cli_list_checks():
     for token in ("structure", "lee_recovery", "dim4_traces", "flat_product_4d"):
         assert token in proc.stdout
     assert "residuals: torsion_match (1e-12), metric_parallel," in proc.stdout
+    # Each check's hypotheses with the jet order it reads them to, from the table.
+    lines = proc.stdout.splitlines()
+    at = next(i for i, line in enumerate(lines) if line.startswith("  lee_recovery "))
+    assert lines[at + 2].strip() == ("hypotheses: valid_structure (order 0), "
+                                     "w1_outside_eigenclasses (order 0), r_prime_p_tensor (order 1)")
+    assert "r_prime_p_tensor (order 1, p_twisted_identity only)" in proc.stdout
     assert "lee_closedness" not in proc.stdout
 
 

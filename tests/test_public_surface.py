@@ -4,7 +4,8 @@ A name exported by ``apmlab/__init__.py`` must be read somewhere in
 ``src/apmlab`` outside its own definition and the export, or be named in the
 README's "Library entry points" section.  A name that only its own tests call
 fails here.  That section's example runs as written, and every function it
-names is an attribute of ``apmlab``.
+names is an attribute of ``apmlab``.  The README lists every hypothesis of
+``apmlab.checks.HYPOTHESES`` with its skip reason.
 """
 
 import ast
@@ -17,6 +18,7 @@ import pkgutil
 import re
 
 import apmlab
+from apmlab.checks import HYPOTHESES
 
 PACKAGE_DIR = os.path.dirname(apmlab.__file__)
 README = os.path.join(os.path.dirname(os.path.dirname(PACKAGE_DIR)), "README.md")
@@ -115,3 +117,10 @@ def test_no_class_in_the_package_is_generated_at_import():
             if dataclasses.is_dataclass(cls) or (issubclass(cls, tuple) and hasattr(cls, "_fields")):
                 generated.append(f"{module.__name__}.{name}")
     assert generated == []
+
+
+def test_readme_lists_each_hypothesis_with_its_skip_reason():
+    with open(README) as fh:
+        text = " ".join(fh.read().split())  # a list item may wrap
+    for name, reason in HYPOTHESES.items():
+        assert f"- `{name}`: `{reason}`" in text, name

@@ -404,13 +404,13 @@ def test_outside_w1_gates_structure_parallelism_and_curvature_transfer():
     for cp, report in zip(ctx.connections, reports):
         assert report.status == "pass", report.name
         assert "structure_parallel" not in report.residuals
-        assert f"structure parallelism skipped: {checks.IN_W1_GATE}" in report.notes
+        assert f"structure parallelism skipped: {checks.HYPOTHESES['in_w1']}" in report.notes
         for key in ("torsion_match", "metric_parallel", "torsion_p_identity"):
             assert report.residuals[key] < 1e-12, (report.name, key)
         assert ctx.connection(cp).structure_parallel_residual() > 0.5
     for report in checks.check_curvature_relation(ctx):
         assert report.status == "skipped"
-        assert report.skip_reason == checks.IN_W1_GATE
+        assert report.skip_reason == checks.HYPOTHESES["in_w1"]
 
 
 @pytest.mark.parametrize("eps", ["1e-5", "1e-4"])
@@ -430,7 +430,7 @@ def test_dim4_reconstruction_skips_a_germ_just_outside_w1(eps):
     assert [name for name, report in reports.items() if report.status == "fail"] == []
     report = reports["dim4_reconstruction[D]"]
     assert report.hypothesis_flags["r_prime_p_tensor"]
-    assert (report.status, report.skip_reason) == ("skipped", checks.IN_W1_GATE)
+    assert (report.status, report.skip_reason) == ("skipped", checks.HYPOTHESES["in_w1"])
 
 
 @pytest.mark.parametrize("name", bundled_scenario_names())
@@ -629,7 +629,8 @@ def test_per_connection_turns_a_skip_into_a_named_skipped_report(monkeypatch):
     def body(ctx, report, cf):
         report.residuals["r"] = 0.0
         report.scalars["s"] = 1.0
-        checks.requires(cf.params.case(ctx.germ.n) == "D", "not D")
+        if cf.params.case(ctx.germ.n) != "D":
+            raise checks.Skip("not D")
 
     reports = checks.drive(ctx, "demo", 1e-10, body, per_connection=True)
     assert [r.name for r in reports] == ["demo[D]", "demo[D_tilde]", "demo[lam=1,mu=0]"]
@@ -718,7 +719,7 @@ LIVE_FAILS = {
     "nearly_singular_3e-7": (  # dim4_round_trip round_trip 2.7e-10 > 1e-10
         nearly_singular_metric(3e-7), PRESET_SPECS),
     # structure g_inverse 2.1e-10 > 1e-10: |g^-1 g - I| is held to an absolute
-    # tolerance.  dim4_round_trip skips, as its eigenframe rejects the structure.
+    # tolerance.  Every other check skips, as the structure gate reads that residual.
     "nearly_singular_1e-7": (nearly_singular_metric(1e-7), PRESET_SPECS),
 }
 
@@ -744,9 +745,11 @@ def twisted_germ(t: str) -> dict:
     return {"dim": 4, "metric": diagonal(h, h, v, v), "structure": SPLIT_P}
 
 
-# Valid germs that meet a hypothesis at the base point p only: every gate
-# reads its hypothesis at p, while the conclusions below differentiate it.
-# Each pin asserts the rule that every report passes or skips.
+# Valid germs that meet a hypothesis at the base point p only, while the
+# conclusions below differentiate it.  The conclusions that read one
+# derivative of R' declare its P-tensor hypothesis to jet order 1, so their
+# gates close on these germs; each asserts the rule that every report passes
+# or skips.  The figures are the fails that a gate read at p alone let through.
 POINT_ONLY_HYPOTHESES = {
     # conformal_w1_separable_4d's g with g_11 times 1 + X1 X2 X3, which keeps g's
     # 2-jet at p: second_bianchi p_twisted_identity 2.1, 2.1 and 12 for D, D_tilde
@@ -762,12 +765,68 @@ POINT_ONLY_HYPOTHESES = {
 }
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="gates read each hypothesis at the base point only")
-@pytest.mark.parametrize("name", sorted(POINT_ONLY_HYPOTHESES))
+@pytest.mark.parametrize("name", [
+    pytest.param(name, marks=pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "R' is a P-tensor through jet level 1 here; tau_form_closedness reads level 2")))
+    if name == "twisted_X1^3X3" else name
+    for name in sorted(POINT_ONLY_HYPOTHESES)])
 def test_germs_meeting_a_hypothesis_at_the_point_only_pass_or_skip(name):
     assert [report for report, status in statuses(POINT_ONLY_HYPOTHESES[name]).items()
             if status == "fail"] == []
+
+
+@pytest.mark.parametrize("name,gated", [
+    ("separable_times_X1X2X3", ["second_bianchi[D]", "second_bianchi[D_tilde]",
+                                "second_bianchi[lam=1,mu=0]", "tau_form_closedness[D_tilde]",
+                                "tau_form_closedness[lam=1,mu=0]"]),
+    ("twisted_X1^2X3", ["second_bianchi[D]", "scalar_system[D]", "lee_recovery[D]",
+                        "tau_form_closedness[D]"]),
+    ("twisted_X1X3X4", ["second_bianchi[D]"]),
+])
+def test_a_p_tensor_at_the_point_only_closes_the_order_1_gates_by_name(name, gated):
+    # The reports that failed under a gate read at p: R' passes at p but not to
+    # jet order 1, so each skips by the hypothesis's name, or, for
+    # second_bianchi, omits its P-twisted identity with a note.
+    scenario = load_scenario({"germ": POINT_ONLY_HYPOTHESES[name], "connections": PRESET_SPECS})
+    ctx = ScenarioContext(scenario.germ, scenario.connections)
+    frames = {f"[{cp.label(2)}]": ctx.connection(cp) for cp in scenario.connections}
+    reports = {report.name: report for report in run_scenario(scenario)}
+    for report_name in gated:
+        report, cf = reports[report_name], frames[report_name[report_name.index("["):]]
+        assert ctx.r_prime_p_tensor(cf, 0) and not ctx.r_prime_p_tensor(cf, 1), report_name
+        assert report.hypothesis_flags["r_prime_p_tensor"] is False, report_name
+        if report_name.startswith("second_bianchi"):
+            assert report.status == "pass" and "p_twisted_identity" not in report.residuals
+            assert "P-twisted identity skipped: R' is not a P-tensor" in report.notes
+        else:
+            assert report.skip_reason == checks.HYPOTHESES["r_prime_p_tensor"], report_name
+
+
+@pytest.mark.parametrize("params", PRESETS_4D, ids=lambda cp: cp.label(2))
+@pytest.mark.parametrize("name", ["separable_times_X1X2X3", "rotating_structure_outside_w1_4d"])
+def test_p_tensor_defect_matches_central_differences_of_the_point_residuals(name, params):
+    # Level 1 of R''s P-tensor defect against central differences of the
+    # point-level residual tensors, each built on its own frame with P's value
+    # there: on a germ where R' is a P-tensor at p but not nearby, and on one
+    # whose P varies, so that the twist reads P's jet.
+    germ = (load_scenario({"germ": POINT_ONLY_HYPOTHESES[name]}).germ
+            if name in POINT_ONLY_HYPOTHESES else context(name).germ)
+    base, h = np.asarray(germ.base_point), 1e-4
+
+    def residuals(point):
+        frame = germ.frame(point)
+        r, p = frame.connection(params).curvature.values, frame.p.values
+        return np.stack([r + np.einsum("yxzw->xyzw", r), r + np.einsum("xywz->xyzw", r),
+                         r + np.einsum("yzxw->xyzw", r) + np.einsum("zxyw->xyzw", r),
+                         np.einsum("xyab,az,bw->xyzw", r, p, p) - r, r])
+
+    d = np.stack([(residuals(base + h * e) - residuals(base - h * e)) / (2 * h)
+                  for e in np.eye(4)], axis=-1)
+    r = germ.frame(base).connection(params).curvature.values
+    expected = max(frob(level) for level in d[:4]) / max(1.0, frob(r), frob(d[4]))
+    defect = germ.frame(base).connection(params).p_tensor_defect
+    assert defect > 0.05
+    assert defect == pytest.approx(expected, rel=1e-6)
 
 
 @pytest.mark.parametrize("t", ["0", "(x1 - 0.1)^2*(x3 - 0.3)^2"])

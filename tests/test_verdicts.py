@@ -17,7 +17,7 @@ import sys
 
 import pytest
 
-from apmlab.checks import RESIDUALS
+from apmlab.checks import DEGENERATE_SCALARS, HYPOTHESES, RESIDUALS
 from apmlab.scenarios import (
     bundled_scenario_names,
     load_bundled_scenario,
@@ -80,6 +80,19 @@ def test_every_manifest_residual_key_is_declared_by_its_check():
         for report_name, verdict in verdicts.items():
             declared = RESIDUALS[report_name.split("[")[0]]
             assert set(verdict["residual_keys"]) <= declared.keys(), report_name
+
+
+def test_every_manifest_skip_reason_is_declared():
+    # A report skips for a hypothesis of the table, for drive's dimension rule,
+    # or for one of the four degeneracies a body meets partway through.
+    declared = set(HYPOTHESES.values()) | {
+        "dimension is not 4", "singular scalar combination", DEGENERATE_SCALARS,
+        "refutation vacuous: R' vanishes", "preset refutation degenerate: both Lee forms closed"}
+    for path in (MANIFEST, FUNCTION_MANIFEST):
+        with open(path) as fh:
+            for scenario, reports in json.load(fh).items():
+                for report_name, verdict in reports.items():
+                    assert verdict["skip_reason"] in declared | {None}, (scenario, report_name)
 
 
 def test_declared_residual_keys_that_no_bundled_report_writes():
